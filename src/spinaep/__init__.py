@@ -73,6 +73,7 @@ from .lattice import (
 from .typicality import (
     AepRow,
     TypicalSubspace,
+    aep_row,
     best_rate_mass,
     build_aep_report,
     dimension_rate,

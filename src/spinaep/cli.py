@@ -3,7 +3,8 @@
 Subcommands: ``sweep`` (full pipeline), ``spectrum`` (energy and log-weight
 dump), ``codec-demo`` (codebook plus fidelity for one volume), and ``check``
 (built-in oracle suite at six qubits or fewer). Reals are printed with 17
-significant digits so doubles round-trip and reruns are byte-identical.
+significant digits so doubles round-trip; reruns with the same config, seed,
+BLAS build and BLAS thread count are byte-identical.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -20,11 +22,11 @@ from .checks import run_checks
 from .codec import build_codebook, fidelity, make_decomposition, typical_projector
 from .config import ExperimentConfig, build_interaction, parse_config
 from .errors import CapabilityError, ConfigError, NumericError, QubitCapError, SpinAepError
-from .gibbs import GibbsEnsemble, LOG2E, gibbs_ensemble, thermo_densities
+from .gibbs import GibbsEnsemble, LOG2E, ThermoDensities, gibbs_ensemble, thermo_densities
 from .hamiltonian import assemble_hamiltonian
 from .interaction import GroundStateConfig, Interaction, check_perturbation_bound, find_periodic_ground_states
 from .lattice import build_hypercube
-from .typicality import best_rate_mass, dimension_rate, lln_residual, typical_subspace
+from .typicality import AepRow, aep_row, typical_subspace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,36 +80,19 @@ def _model_warnings(interaction: Interaction, boundary: GroundStateConfig) -> li
     return notes
 
 
-@dataclass(frozen=True)
-class VolumeResult:
-    """Everything one volume contributes to the output tables."""
-
-    n: int
-    n_sites: int
-    ensemble: GibbsEnsemble
-    s_bits: float
-    f: float
-    g: float
-    h_bits: float
-    identity_residual: float
-
-
 def _run_volume(config: ExperimentConfig, interaction: Interaction,
-                boundary: GroundStateConfig, n: int) -> VolumeResult:
+                boundary: GroundStateConfig, n: int) -> tuple[GibbsEnsemble, ThermoDensities]:
     volume = build_hypercube(n, config.d, max_qubits=config.max_qubits)
     h_matrix = assemble_hamiltonian(interaction, volume, boundary)
     ensemble = gibbs_ensemble(h_matrix, config.beta)
-    densities = thermo_densities(ensemble)
-    return VolumeResult(
-        n=n,
-        n_sites=volume.n_sites,
-        ensemble=ensemble,
-        s_bits=densities.h_bits * volume.n_sites,
-        f=densities.f,
-        g=densities.g,
-        h_bits=densities.h_bits,
-        identity_residual=densities.identity_residual,
-    )
+    return ensemble, thermo_densities(ensemble)
+
+
+def _write_csv(path: Path, header: Iterable[str], rows: Iterable[tuple]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -> list[Path]:
@@ -121,58 +106,47 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -
 
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_rows: list[tuple] = []
-    aep_rows: list[tuple] = []
+    aep_rows: list[tuple[int, AepRow]] = []
 
     for n in config.volumes:
-        result = _run_volume(config, interaction, boundary, n)
-        ens = result.ensemble
-        h_ref = config.h_ref if config.h_ref is not None else result.h_bits
+        ens, densities = _run_volume(config, interaction, boundary, n)
+        h_ref = config.h_ref if config.h_ref is not None else densities.h_bits
+        s_bits = densities.h_bits * ens.n_sites
         decomposition = make_decomposition(
             ens, ens.dim, seed=np.random.default_rng([config.seed, n])
         )
-        rate_masses = [best_rate_mass(ens, r) for r in config.rates]
-        lln_values = [lln_residual(ens, t) for t in config.ts]
-        per_delta = []
+        volume_columns = (
+            n, ens.n_sites, config.beta, config.lam, s_bits,
+            densities.f, densities.g, densities.h_bits, densities.identity_residual,
+        )
         for delta in config.deltas:
             sub = typical_subspace(ens, h_ref, delta)
-            projector = typical_projector(sub, ens.spectrum)
-            fid = fidelity(decomposition, projector)
+            row = aep_row(ens, sub, config.rates, config.ts)
+            fid = fidelity(decomposition, typical_projector(sub, ens.spectrum))
             length = build_codebook(sub).length if sub.dim else None
-            per_delta.append((delta, sub, fid, length))
-            aep_rows.append(
-                (n, result.n_sites, h_ref, delta, sub.mass, sub.dim, dimension_rate(sub))
-                + tuple(rate_masses)
-                + tuple(lln_values)
-            )
-        for (delta, sub, fid, length), (r_idx, rate), (t_idx, t) in itertools.product(
-            per_delta, enumerate(config.rates), enumerate(config.ts)
-        ):
-            sweep_rows.append((
-                n, result.n_sites, config.beta, config.lam, result.s_bits,
-                result.f, result.g, result.h_bits, result.identity_residual,
-                delta, sub.dim, sub.mass, dimension_rate(sub),
-                rate, rate_masses[r_idx], t, lln_values[t_idx], fid, length,
-            ))
+            aep_rows.append((n, row))
+            window_columns = volume_columns + (row.delta, row.dim, row.mass, row.dim_rate)
+            for (rate, mass), (t, residual) in itertools.product(
+                zip(config.rates, row.best_rate_masses), zip(config.ts, row.lln_residuals)
+            ):
+                sweep_rows.append(window_columns + (rate, mass, t, residual, fid, length))
         if not quiet:
             print(
-                f"n={n} sites={result.n_sites} S={result.s_bits:.6f} bits "
-                f"h={result.h_bits:.6f} bits/site"
+                f"n={n} sites={ens.n_sites} S={s_bits:.6f} bits "
+                f"h={densities.h_bits:.6f} bits/site"
             )
 
     sweep_path = out_dir / "sweep.csv"
-    with open(sweep_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in sweep_rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
+    _write_csv(sweep_path, SWEEP_COLUMNS, sweep_rows)
     aep_header = ["n", "n_sites", "h_ref", "delta", "typical_mass", "typical_dim", "dim_rate"]
     aep_header += [f"best_rate_mass[R={rate:g}]" for rate in config.rates]
     aep_header += [f"lln_residual[t={t:g}]" for t in config.ts]
     aep_path = out_dir / "aep.csv"
-    with open(aep_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(aep_header) + "\n")
-        for row in sorted(aep_rows, key=lambda r: (r[3], r[0])):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(aep_path, aep_header, [
+        (n, row.n_sites, row.h_ref, row.delta, row.mass, row.dim, row.dim_rate,
+         *row.best_rate_masses, *row.lln_residuals)
+        for n, row in sorted(aep_rows, key=lambda item: (item[1].delta, item[0]))
+    ])
 
     if not quiet:
         print(f"wrote {sweep_path} and {aep_path}")
@@ -186,14 +160,11 @@ def run_spectrum(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for n in config.volumes:
-        result = _run_volume(config, interaction, boundary, n)
+        ens, _ = _run_volume(config, interaction, boundary, n)
         path = out_dir / f"spectrum_n{n}.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("j,energy,log2_kappa\n")
-            energies = result.ensemble.spectrum.energies
-            log2k = result.ensemble.log_weights * LOG2E
-            for j in range(result.ensemble.dim):
-                fh.write(f"{j},{_fmt(energies[j])},{_fmt(log2k[j])}\n")
+        log2k = ens.log_weights * LOG2E
+        _write_csv(path, ("j", "energy", "log2_kappa"),
+                   zip(range(ens.dim), ens.spectrum.energies, log2k))
         paths.append(path)
         if not quiet:
             print(f"wrote {path}")
@@ -206,9 +177,8 @@ def run_codec_demo(config: ExperimentConfig, out_dir: Path, *, quiet: bool = Fal
     boundary = _boundary_state(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = config.volumes[-1]
-    result = _run_volume(config, interaction, boundary, n)
-    ens = result.ensemble
-    h_ref = config.h_ref if config.h_ref is not None else result.h_bits
+    ens, densities = _run_volume(config, interaction, boundary, n)
+    h_ref = config.h_ref if config.h_ref is not None else densities.h_bits
     delta = config.deltas[0]
     sub = typical_subspace(ens, h_ref, delta)
     if sub.dim == 0:
@@ -226,7 +196,7 @@ def run_codec_demo(config: ExperimentConfig, out_dir: Path, *, quiet: bool = Fal
     fid = fidelity(decomposition, typical_projector(sub, ens.spectrum))
     if not quiet:
         print(
-            f"n={n} sites={result.n_sites} delta={delta:g} typical_dim={sub.dim} "
+            f"n={n} sites={ens.n_sites} delta={delta:g} typical_dim={sub.dim} "
             f"codeword_len={codebook.length} mass={sub.mass:.12f} fidelity={fid:.12f}"
         )
         print(f"wrote {path}")

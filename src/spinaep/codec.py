@@ -14,15 +14,10 @@ from typing import Iterator
 
 import numpy as np
 
+from ._arrays import readonly_copy
 from .errors import EmptySubspaceError, InvalidCodewordError
 from .gibbs import GibbsEnsemble, Spectrum
 from .typicality import TypicalSubspace
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +33,7 @@ class Codebook:
     n_sites: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", _freeze(np.asarray(self.indices, dtype=np.int64)))
+        object.__setattr__(self, "indices", readonly_copy(np.asarray(self.indices, dtype=np.int64)))
 
     @property
     def dim(self) -> int:
@@ -110,8 +105,8 @@ class Decomposition:
         norms = np.linalg.norm(v, axis=0)
         if np.abs(norms - 1.0).max() > 1e-10:
             raise ValueError("decomposition vectors must have unit norm within 1e-10")
-        object.__setattr__(self, "weights", _freeze(w))
-        object.__setattr__(self, "vectors", _freeze(v))
+        object.__setattr__(self, "weights", readonly_copy(w))
+        object.__setattr__(self, "vectors", readonly_copy(v))
 
     @property
     def size(self) -> int:

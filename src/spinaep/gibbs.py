@@ -16,18 +16,13 @@ from functools import cached_property
 import numpy as np
 from scipy.special import logsumexp
 
+from ._arrays import readonly_copy
 from .errors import NumericError
 
 LOG2E = math.log2(math.e)
 
 SPECTRUM_RESIDUAL_TOL = 1e-9
 IDENTITY_RESIDUAL_TOL = 1e-10
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,8 +39,8 @@ class Spectrum:
             raise ValueError("energies must be a vector and vectors a matching square matrix")
         if np.any(np.diff(e) < 0):
             raise ValueError("energies must be ascending")
-        object.__setattr__(self, "energies", _readonly(e))
-        object.__setattr__(self, "vectors", _readonly(v))
+        object.__setattr__(self, "energies", readonly_copy(e))
+        object.__setattr__(self, "vectors", readonly_copy(v))
 
     @property
     def dim(self) -> int:
@@ -94,8 +89,8 @@ class GibbsEnsemble:
     n_sites: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hamiltonian", _readonly(self.hamiltonian))
-        object.__setattr__(self, "log_weights", _readonly(self.log_weights))
+        object.__setattr__(self, "hamiltonian", readonly_copy(self.hamiltonian))
+        object.__setattr__(self, "log_weights", readonly_copy(self.log_weights))
 
     @property
     def dim(self) -> int:
@@ -104,7 +99,7 @@ class GibbsEnsemble:
     @cached_property
     def weights(self) -> np.ndarray:
         """Linear-domain probabilities; tiny ones may underflow to zero."""
-        return _readonly(np.exp(self.log_weights))
+        return readonly_copy(np.exp(self.log_weights))
 
 
 def gibbs_ensemble(

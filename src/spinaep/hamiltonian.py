@@ -11,28 +11,29 @@ bits before it is embedded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import SpinAepError
-from .interaction import GroundStateConfig, Interaction, LocalTerm, _instantiation_offsets
-from .lattice import Configuration, Site, Volume, bit_to_spin, boundary_envelope, spin_to_bit
+from .interaction import (
+    GroundStateConfig,
+    Interaction,
+    LocalTerm,
+    _instantiation_offsets,
+    support_config_index,
+)
+from .lattice import SPIN_UP, Configuration, Site, Volume, bit_to_spin, boundary_envelope
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
-HERMITICITY_TOL = 1e-12
-
 
 def config_to_index(volume: Volume, config: Configuration) -> int:
     """Basis index of a configuration covering the volume."""
-    idx = 0
-    for site in volume.sites:
-        idx = (idx << 1) | spin_to_bit(config.spin(site))
-    return idx
+    return support_config_index(volume.sites, config.spin)
 
 
 def index_to_config(volume: Volume, index: int) -> Configuration:
@@ -48,28 +49,27 @@ def index_to_config(volume: Volume, index: int) -> Configuration:
 
 
 def _bit_patterns(n_total: int, positions: Sequence[int]) -> np.ndarray:
-    """Index offsets of all bit assignments over the given MSB-first positions."""
-    weights = np.array([1 << (n_total - 1 - p) for p in positions], dtype=np.int64)
+    """Index offsets of all bit assignments over the given MSB-first positions.
+
+    Entry ``v`` places the bits of ``v`` (MSB first) at ``positions`` of an
+    ``n_total``-bit index.
+    """
     k = len(positions)
-    vals = np.arange(1 << k, dtype=np.int64)
-    out = np.zeros(1 << k, dtype=np.int64)
-    for b, w in enumerate(weights):
-        out += ((vals >> (k - 1 - b)) & 1) * w
-    return out
+    bits = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return bits @ np.array([1 << (n_total - 1 - p) for p in positions], dtype=np.int64)
 
 
 def _scatter_add(target: np.ndarray, op: np.ndarray, sites: Sequence[Site], volume: Volume) -> None:
-    """Accumulate ``op`` acting on the given tensor factors into ``target``."""
-    positions = [volume.index_of(s) for s in sites]
+    """Accumulate ``op`` acting on the given tensor factors into ``target``.
+
+    Entry ``(i, j)`` of ``op`` lands on every pair of basis indices that agree
+    outside ``sites``; each entry of ``target`` receives at most one addition.
+    """
     n = volume.n_sites
-    sub = _bit_patterns(n, positions)
-    rest_positions = [p for p in range(n) if p not in set(positions)]
-    base = _bit_patterns(n, rest_positions)
-    dim = 1 << len(positions)
-    for i in range(dim):
-        rows = sub[i] + base
-        for j in range(dim):
-            target[rows, sub[j] + base] += op[i, j]
+    positions = [volume.index_of(s) for s in sites]
+    rest = sorted(set(range(n)) - set(positions))
+    index = _bit_patterns(n, positions)[:, None] + _bit_patterns(n, rest)
+    target[index[:, None, :], index[None, :, :]] += op[:, :, None]
 
 
 def embed_local(op: np.ndarray, sites: Sequence[Site], volume: Volume) -> np.ndarray:
@@ -113,24 +113,12 @@ def _freeze_term(
     full = term.full_matrix()
     if all(inside):
         return InstantiatedTerm(support, sites_in, full, len(support), False)
-    k = len(support)
-    frozen_bits = {
-        pos: spin_to_bit(boundary.spin(s))
-        for pos, (s, flag) in enumerate(zip(support, inside))
-        if not flag
-    }
+    # outside bits from the boundary, inside bits zero, then every inside pattern
+    frozen = support_config_index(
+        support, lambda s: SPIN_UP if s in volume else boundary.spin(s)
+    )
     in_positions = [pos for pos, flag in enumerate(inside) if flag]
-    picks = np.zeros(1 << len(in_positions), dtype=np.int64)
-    for sub in range(1 << len(in_positions)):
-        idx = 0
-        for pos in range(k):
-            if pos in frozen_bits:
-                bit = frozen_bits[pos]
-            else:
-                b = in_positions.index(pos)
-                bit = (sub >> (len(in_positions) - 1 - b)) & 1
-            idx = (idx << 1) | bit
-        picks[sub] = idx
+    picks = frozen + _bit_patterns(len(support), in_positions)
     block = full[np.ix_(picks, picks)]
     return InstantiatedTerm(support, sites_in, block, len(support), True)
 
@@ -169,8 +157,16 @@ def instantiate_terms(
     return out
 
 
-def _collapse_dtype(h: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(h) and not h.imag.any():
+def _sum_terms(volume: Volume, blocks: Iterable[tuple[np.ndarray, Sequence[Site]]]) -> np.ndarray:
+    """Sum of the blocks embedded into the volume, in the given order.
+
+    The result is real when no imaginary part survives the sum.
+    """
+    dim = 1 << volume.n_sites
+    h = np.zeros((dim, dim), dtype=complex)
+    for block, sites in blocks:
+        _scatter_add(h, block, sites, volume)
+    if not h.imag.any():
         return np.ascontiguousarray(h.real)
     return h
 
@@ -189,11 +185,8 @@ def assemble_hamiltonian(
     With ``interior_only`` set, terms crossing the boundary are dropped
     instead of frozen.
     """
-    dim = 1 << volume.n_sites
-    h = np.zeros((dim, dim), dtype=complex)
-    for inst in instantiate_terms(interaction, volume, boundary, interior_only=interior_only):
-        _scatter_add(h, inst.matrix, inst.sites_in, volume)
-    return _collapse_dtype(h)
+    terms = instantiate_terms(interaction, volume, boundary, interior_only=interior_only)
+    return _sum_terms(volume, ((inst.matrix, inst.sites_in) for inst in terms))
 
 
 def theta_observable(
@@ -207,17 +200,8 @@ def theta_observable(
     site = tuple(site)
     if site not in volume:
         raise ValueError(f"site {site!r} is not in the volume")
-    dim = 1 << volume.n_sites
-    h = np.zeros((dim, dim), dtype=complex)
-    for inst in instantiate_terms(interaction, volume, boundary):
-        if site in inst.support:
-            _scatter_add(h, inst.matrix / inst.full_size, inst.sites_in, volume)
-    return _collapse_dtype(h)
-
-
-def assert_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    """Raise if ``h`` deviates from its adjoint beyond ``tol`` relative to its norm."""
-    scale = max(1.0, float(np.abs(h).max()))
-    dev = float(np.abs(h - h.conj().T).max())
-    if dev > tol * scale:
-        raise SpinAepError(f"matrix deviates from Hermitian by {dev:.3e} (scale {scale:.3e})")
+    return _sum_terms(volume, (
+        (inst.matrix / inst.full_size, inst.sites_in)
+        for inst in instantiate_terms(interaction, volume, boundary)
+        if site in inst.support
+    ))

@@ -13,6 +13,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._arrays import readonly_copy
 from .errors import CapabilityError
 from .lattice import (
     Configuration,
@@ -25,12 +26,6 @@ from .lattice import (
 
 MAX_SUPPORT_SITES = 6
 HERMITICITY_TOL = 1e-12
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.setflags(write=False)
-    return a
 
 
 def support_config_index(support: Sequence[Site], spin_at: Callable[[Site], int]) -> int:
@@ -76,8 +71,8 @@ class LocalTerm:
         if np.abs(quantum - quantum.conj().T).max() > HERMITICITY_TOL * scale:
             raise ValueError("quantum_part is not Hermitian within tolerance")
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "classical_part", _readonly(classical))
-        object.__setattr__(self, "quantum_part", _readonly(quantum))
+        object.__setattr__(self, "classical_part", readonly_copy(classical))
+        object.__setattr__(self, "quantum_part", readonly_copy(quantum))
 
     @property
     def n_sites(self) -> int:
@@ -320,29 +315,17 @@ def find_periodic_ground_states(
             f"period cell has {max_period**d} sites, beyond the bound of {max_cell_sites}"
         )
 
-    def density(periods: tuple[int, ...], assignment: tuple[int, ...],
-                cell_sites: list[Site], cell_index: dict[Site, int]) -> float:
-        total = 0.0
-        for term in interaction.terms:
-            for base in cell_sites:
-                idx = 0
-                for s in term.support:
-                    wrapped = tuple((c + b) % p for c, b, p in zip(s, base, periods))
-                    idx = (idx << 1) | spin_to_bit(assignment[cell_index[wrapped]])
-                total += float(term.classical_part[idx])
-        return total / len(cell_sites)
-
     # periods not dividing each other give distinct patterns, so every period
     # tuple up to the bound is scanned and duplicates are merged afterwards
     candidates: dict[tuple, tuple[float, GroundStateConfig]] = {}
     for periods in itertools.product(*(range(1, max_period + 1) for _ in range(d))):
         cell_sites = list(itertools.product(*(range(p) for p in periods)))
-        cell_index = {site: i for i, site in enumerate(cell_sites)}
         for assignment in itertools.product((1, -1), repeat=len(cell_sites)):
-            e = density(periods, assignment, cell_sites, cell_index)
             state = GroundStateConfig(
                 periods=periods, cell_values=dict(zip(cell_sites, assignment))
-            ).minimal_form()
+            )
+            e = energy_density(interaction, state)
+            state = state.minimal_form()
             key = (state.periods, tuple(sorted(state.cell_values.items())))
             candidates.setdefault(key, (e, state))
     best = min(e for e, _ in candidates.values())

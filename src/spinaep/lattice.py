@@ -117,10 +117,6 @@ def chain(length: int, *, max_qubits: int = DEFAULT_QUBIT_CAP) -> Volume:
     return build_box((0,), (length - 1,), max_qubits=max_qubits)
 
 
-def linf_distance(x: Site, y: Site) -> int:
-    return max(abs(a - b) for a, b in zip(x, y))
-
-
 def linf_diameter(sites: Iterable[Site]) -> int:
     """Largest coordinate-wise distance between any two sites of the set."""
     pts = [tuple(s) for s in sites]

@@ -12,12 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._arrays import readonly_copy
 from .gibbs import LOG2E, GibbsEnsemble, entropy_bits, thermo_densities, characteristic_function
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +31,7 @@ class TypicalSubspace:
     n_sites: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", _freeze(np.asarray(self.indices, dtype=np.int64)))
+        object.__setattr__(self, "indices", readonly_copy(np.asarray(self.indices, dtype=np.int64)))
 
     @property
     def dim(self) -> int:
@@ -135,6 +131,25 @@ class AepRow:
     lln_residuals: tuple[float, ...]
 
 
+def aep_row(
+    ensemble: GibbsEnsemble,
+    subspace: TypicalSubspace,
+    rates: Sequence[float] = (),
+    ts: Sequence[float] = (),
+) -> AepRow:
+    """One volume's concentration diagnostics at the window of ``subspace``."""
+    return AepRow(
+        n_sites=ensemble.n_sites,
+        h_ref=subspace.h_ref,
+        delta=subspace.delta,
+        mass=subspace.mass,
+        dim=subspace.dim,
+        dim_rate=dimension_rate(subspace),
+        best_rate_masses=tuple(best_rate_mass(ensemble, r) for r in rates),
+        lln_residuals=tuple(lln_residual(ensemble, t) for t in ts),
+    )
+
+
 def build_aep_report(
     ensembles: Sequence[GibbsEnsemble],
     delta: float,
@@ -145,20 +160,7 @@ def build_aep_report(
 ) -> list[AepRow]:
     """Concentration diagnostics across a growing-volume family of ensembles."""
     _check_family(ensembles)
-    rows = []
-    for ens in ensembles:
-        ref = _reference_rate(ens, h_ref)
-        sub = typical_subspace(ens, ref, delta)
-        rows.append(
-            AepRow(
-                n_sites=ens.n_sites,
-                h_ref=ref,
-                delta=delta,
-                mass=sub.mass,
-                dim=sub.dim,
-                dim_rate=dimension_rate(sub),
-                best_rate_masses=tuple(best_rate_mass(ens, r) for r in rates),
-                lln_residuals=tuple(lln_residual(ens, t) for t in ts),
-            )
-        )
-    return rows
+    return [
+        aep_row(ens, typical_subspace(ens, _reference_rate(ens, h_ref), delta), rates, ts)
+        for ens in ensembles
+    ]

@@ -100,3 +100,41 @@ def _connected(cells: set) -> bool:
                     seen.add(nb)
                     stack.append(nb)
     return len(seen) == len(cells)
+
+
+def loop_assemble(model, volume, boundary, interior_only: bool = False) -> np.ndarray:
+    """Boundary-pinned Hamiltonian summed entry by entry and bit by bit.
+
+    Terms come in the package's order (orbit representative, then sorted base
+    offset) and every entry of a term's block is added, zeros included, so
+    the result must equal the vectorized assembly exactly.
+    """
+    sites = list(volume.sites)
+    n = len(sites)
+    pos = {s: i for i, s in enumerate(sites)}
+    H = np.zeros((2**n, 2**n), dtype=complex)
+
+    def bit(index, site):
+        if site in pos:
+            return (index >> (n - 1 - pos[site])) & 1
+        return 0 if boundary.spin(site) == 1 else 1
+
+    for term in model.terms:
+        full = np.diag(term.classical_part).astype(complex) + term.quantum_part
+        offsets = sorted(
+            {tuple(x - y for x, y in zip(site, sup)) for site in sites for sup in term.support}
+        )
+        for off in offsets:
+            support = [tuple(c + o for c, o in zip(s, off)) for s in term.support]
+            touched = [s for s in support if s in pos]
+            if not touched or (interior_only and len(touched) < len(support)):
+                continue
+            for a in range(2**n):
+                for b in range(2**n):
+                    if any(bit(a, s) != bit(b, s) for s in sites if s not in support):
+                        continue
+                    r = c = 0
+                    for s in support:
+                        r, c = 2 * r + bit(a, s), 2 * c + bit(b, s)
+                    H[a, b] += full[r, c]
+    return H

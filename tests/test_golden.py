@@ -20,7 +20,6 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = GOLDEN.parents[1] / "src"
 CASES = ("tfim", "dm", "generic2d")
-COMMANDS = ("sweep", "spectrum", "codec-demo")
 SINGLE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 _SCRIPT = """
@@ -29,11 +28,11 @@ from spinaep.cli import main
 
 golden, out = sys.argv[1:3]
 for case in sys.argv[3:]:
-    for command in {commands!r}:
-        args = [command, "--config", f"{{golden}}/{{case}}.cfg", "--out", f"{{out}}/{{case}}", "--quiet"]
+    for command in ("sweep", "spectrum", "codec-demo"):
+        args = [command, "--config", f"{golden}/{case}.cfg", "--out", f"{out}/{case}", "--quiet"]
         if main(args) != 0:
-            sys.exit(f"spinaep {{' '.join(args)}} failed")
-""".format(commands=COMMANDS)
+            sys.exit(f"spinaep {' '.join(args)} failed")
+"""
 
 
 def run_cli(out: Path) -> None:

@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import spinaep as sa
 
-from oracles import kron_chain_tfim, kron_site_op, SX, SZ
+from oracles import kron_chain_tfim, kron_site_op, loop_assemble, SX, SZ
 
 ALL_UP = sa.GroundStateConfig.uniform(1, +1)
 
@@ -222,6 +224,23 @@ class TestInstantiation:
         # two interior bonds only
         config_energies = np.diag(interior)
         assert config_energies[0] == pytest.approx(-2.0)
+
+    @pytest.mark.parametrize("interior_only", [False, True])
+    def test_equals_loop_reference_exactly(self, interior_only):
+        golden = Path(__file__).parent / "golden"
+        chain_model = sa.build_interaction(sa.parse_config((golden / "dm.cfg").read_text()))
+        square_model = sa.build_interaction(sa.parse_config((golden / "generic2d.cfg").read_text()))
+        cases = (
+            (sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(4), ALL_UP),
+            (chain_model, sa.chain(5), sa.GroundStateConfig((2,), {(0,): 1, (1,): -1})),
+            (square_model, sa.build_box((0, 0), (1, 1)),
+             sa.GroundStateConfig((2, 1), {(0, 0): 1, (1, 0): -1})),
+        )
+        for model, volume, boundary in cases:
+            h = sa.assemble_hamiltonian(model, volume, boundary, interior_only=interior_only)
+            reference = loop_assemble(model, volume, boundary, interior_only)
+            assert np.array_equal(h, reference)
+            assert np.iscomplexobj(h) == bool(reference.imag.any())
 
     def test_frozen_block_is_hermitian(self):
         model = sa.preset_tfim(1.0, 0.5, 0.4)
