@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .codec import build_codebook, compress, decompress, fidelity, make_decomposition, typical_projector
-from .gibbs import GibbsEnsemble, LOG2E, entropy_bits, expectation, gibbs_ensemble, thermo_densities
+from .gibbs import LOG2E, entropy_bits, expectation, gibbs_ensemble, thermo_densities
 from .hamiltonian import assemble_hamiltonian
 from .interaction import GroundStateConfig, classical_energy, preset_tfim
 from .lattice import Configuration, boundary_envelope, chain
@@ -29,16 +29,15 @@ class CheckResult:
     detail: str
 
 
-def _ensemble(n_sites: int, beta: float, lam: float, J: float = 1.0, h: float = 0.5) -> GibbsEnsemble:
-    volume = chain(n_sites)
+def _hamiltonian(n_sites: int, lam: float) -> np.ndarray:
     boundary = GroundStateConfig.uniform(1, +1)
-    h_matrix = assemble_hamiltonian(preset_tfim(J, h, lam), volume, boundary)
-    return gibbs_ensemble(h_matrix, beta)
+    return assemble_hamiltonian(preset_tfim(1.0, 0.5, lam), chain(n_sites), boundary)
 
 
 def _check_expm_oracle(n_sites: int = 5, beta: float = 1.5, lam: float = 0.3) -> CheckResult:
-    ens = _ensemble(n_sites, beta, lam)
-    rho = expm(-beta * np.asarray(ens.hamiltonian, dtype=complex))
+    h = _hamiltonian(n_sites, lam)
+    ens = gibbs_ensemble(h, beta)
+    rho = expm(-beta * np.asarray(h, dtype=complex))
     rho /= np.trace(rho).real
     oracle = np.sort(np.linalg.eigvalsh(rho))
     mine = np.sort(np.exp(ens.log_weights))
@@ -68,25 +67,26 @@ def _check_classical_entropy(n_sites: int = 5, beta: float = 2.0) -> CheckResult
 
 
 def _check_energy_derivative(n_sites: int = 5, beta: float = 1.2, lam: float = 0.25) -> CheckResult:
-    ens = _ensemble(n_sites, beta, lam)
-    mine = expectation(ens, ens.hamiltonian)
+    h = _hamiltonian(n_sites, lam)
+    ens = gibbs_ensemble(h, beta)
+    mine = expectation(ens, h)
     step = 1e-5
     spectrum = ens.spectrum
-    up = gibbs_ensemble(ens.hamiltonian, beta + step, spectrum=spectrum).log_partition
-    down = gibbs_ensemble(ens.hamiltonian, beta - step, spectrum=spectrum).log_partition
+    up = gibbs_ensemble(h, beta + step, spectrum=spectrum).log_partition
+    down = gibbs_ensemble(h, beta - step, spectrum=spectrum).log_partition
     oracle = -(up - down) / (2 * step)
     rel = abs(mine - oracle) / max(abs(oracle), 1.0)
     return CheckResult("energy as log-partition derivative", rel <= 1e-5, f"relative gap {rel:.3e}")
 
 
 def _check_entropy_identity(n_sites: int = 6, beta: float = 2.0, lam: float = 0.2) -> CheckResult:
-    densities = thermo_densities(_ensemble(n_sites, beta, lam))
+    densities = thermo_densities(gibbs_ensemble(_hamiltonian(n_sites, lam), beta))
     res = densities.identity_residual
     return CheckResult("entropy-rate identity", res <= 1e-10, f"residual {res:.3e}")
 
 
 def _check_typical_filter(n_sites: int = 6, beta: float = 0.5, lam: float = 0.2) -> CheckResult:
-    ens = _ensemble(n_sites, beta, lam)
+    ens = gibbs_ensemble(_hamiltonian(n_sites, lam), beta)
     h_ref = entropy_bits(ens) / n_sites
     delta = 0.3
     sub = typical_subspace(ens, h_ref, delta)
@@ -102,7 +102,7 @@ def _check_typical_filter(n_sites: int = 6, beta: float = 0.5, lam: float = 0.2)
 
 
 def _check_codec(n_sites: int = 6, beta: float = 0.5, lam: float = 0.2, seed: int = 7) -> CheckResult:
-    ens = _ensemble(n_sites, beta, lam)
+    ens = gibbs_ensemble(_hamiltonian(n_sites, lam), beta)
     sub = typical_subspace(ens, entropy_bits(ens) / n_sites, 0.3)
     if sub.dim == 0:
         return CheckResult("codec round trip and fidelity", False, "typical subspace came out empty")

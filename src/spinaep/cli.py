@@ -182,11 +182,7 @@ def run_codec_demo(config: ExperimentConfig, out_dir: Path, *, quiet: bool = Fal
     delta = config.deltas[0]
     sub = typical_subspace(ens, h_ref, delta)
     if sub.dim == 0:
-        print(
-            f"n={n}: no typical states at delta={delta:g}; nothing to encode",
-            file=sys.stderr,
-        )
-        raise NumericError("empty typical subspace in codec-demo")
+        raise NumericError(f"empty typical subspace in codec-demo at n={n}, delta={delta:g}")
     codebook = build_codebook(sub)
     path = out_dir / f"codebook_n{n}.txt"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

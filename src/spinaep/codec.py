@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._arrays import readonly_copy
+from ._arrays import readonly
 from .errors import EmptySubspaceError, InvalidCodewordError
 from .gibbs import GibbsEnsemble, Spectrum
 from .typicality import TypicalSubspace
@@ -33,7 +33,7 @@ class Codebook:
     n_sites: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", readonly_copy(np.asarray(self.indices, dtype=np.int64)))
+        object.__setattr__(self, "indices", readonly(np.asarray(self.indices, dtype=np.int64)))
 
     @property
     def dim(self) -> int:
@@ -98,15 +98,16 @@ class Decomposition:
         v = np.asarray(self.vectors)
         if w.ndim != 1 or v.ndim != 2 or v.shape[1] != w.size:
             raise ValueError("weights must be (m,) and vectors (dim, m)")
-        if np.any(w < 0):
+        # not-below comparisons so NaN entries count as failures
+        if not np.all(w >= 0):
             raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1 within 1e-12")
         norms = np.linalg.norm(v, axis=0)
-        if np.abs(norms - 1.0).max() > 1e-10:
+        if not np.abs(norms - 1.0).max() <= 1e-10:
             raise ValueError("decomposition vectors must have unit norm within 1e-10")
-        object.__setattr__(self, "weights", readonly_copy(w))
-        object.__setattr__(self, "vectors", readonly_copy(v))
+        object.__setattr__(self, "weights", readonly(w))
+        object.__setattr__(self, "vectors", readonly(v))
 
     @property
     def size(self) -> int:
@@ -117,41 +118,34 @@ class Decomposition:
 
 
 def make_decomposition(
-    ensemble: GibbsEnsemble,
-    m: int,
-    seed: int | np.random.Generator | None = None,
-    *,
-    mixing: str = "haar",
+    ensemble: GibbsEnsemble, m: int, seed: int | np.random.Generator | None = None
 ) -> Decomposition:
     """Seeded pure-state decomposition of the ensemble's density matrix.
 
-    ``mixing="haar"`` pushes the weighted eigenvectors through a random
-    isometry with ``m >= dim`` rows, producing non-orthogonal unit vectors
-    whose weighted sum of projectors reconstructs the state. ``"identity"``
-    returns the eigen-decomposition itself and requires ``m == dim``.
+    The weighted eigenvectors ``sqrt(kappa_j) |psi_j>`` are mixed by the Q
+    factor of a complex Gaussian ``(m, dim)`` matrix, ``m >= dim``. Q has
+    orthonormal columns, so the ``m`` normalized vectors, non-orthogonal in
+    general, have weighted projectors that sum to the state. Q is taken from
+    ``np.linalg.qr`` without fixing the phases of R's diagonal, so it is a
+    random isometry but not Haar-distributed; the fidelity identity holds for
+    any isometry.
     """
     dim = ensemble.dim
     if m < dim:
         raise ValueError(f"need m >= {dim} vectors to span the state, got {m}")
-    sqrt_w = np.exp(0.5 * ensemble.log_weights)
-    if mixing == "identity":
-        if m != dim:
-            raise ValueError(f"identity mixing requires m == {dim}, got {m}")
-        return Decomposition(weights=ensemble.weights, vectors=ensemble.spectrum.vectors)
-    if mixing != "haar":
-        raise ValueError(f"unknown mixing {mixing!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    gauss = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
-    q, _ = np.linalg.qr(gauss)  # (m, dim), orthonormal columns
-    unnormalized = ensemble.spectrum.vectors @ (sqrt_w[:, None] * q.T)
-    weights = np.einsum("ij,ij->j", unnormalized.conj(), unnormalized).real
+    q = np.linalg.qr(rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim)))[0]
+    q *= np.exp(0.5 * ensemble.log_weights)
+    vectors = ensemble.spectrum.vectors @ q.T
+    del q  # free Q before the normalization temporaries below
+    weights = np.einsum("ij,ij->j", vectors.conj(), vectors).real
     norms = np.sqrt(weights)
-    vectors = np.where(norms > 0, unnormalized / np.maximum(norms, 1e-300), 0.0)
+    vectors /= np.maximum(norms, 1e-300)
     # zero-weight directions carry no mass; park them on the first eigenvector
-    dead = norms == 0
-    if dead.any():
-        vectors[:, dead] = ensemble.spectrum.vectors[:, [0]]
+    vectors[:, norms == 0] = ensemble.spectrum.vectors[:, [0]]
     weights = weights / weights.sum()
+    weights.setflags(write=False)
+    vectors.setflags(write=False)
     return Decomposition(weights=weights, vectors=vectors)
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import logsumexp
 
-from ._arrays import readonly_copy
+from ._arrays import readonly
 from .errors import NumericError
 
 LOG2E = math.log2(math.e)
@@ -37,39 +37,41 @@ class Spectrum:
         v = np.asarray(self.vectors)
         if e.ndim != 1 or v.shape != (e.size, e.size):
             raise ValueError("energies must be a vector and vectors a matching square matrix")
-        if np.any(np.diff(e) < 0):
+        if not np.all(np.diff(e) >= 0):
             raise ValueError("energies must be ascending")
-        object.__setattr__(self, "energies", readonly_copy(e))
-        object.__setattr__(self, "vectors", readonly_copy(v))
+        object.__setattr__(self, "energies", readonly(e))
+        object.__setattr__(self, "vectors", readonly(v))
 
     @property
     def dim(self) -> int:
         return self.energies.size
 
 
-def diagonalize(h: np.ndarray, *, check: bool = True) -> Spectrum:
+def diagonalize(h: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a Hermitian matrix, ascending energies.
 
-    With ``check`` on, the residual ``|H v - E v|`` and the orthonormality of
-    the eigenvector matrix are verified against the spectrum tolerances and a
-    :class:`NumericError` carries the offending residual.
+    The residual ``|H v - E v|`` and the orthonormality of the eigenvector
+    matrix are always verified against the spectrum tolerances; a
+    :class:`NumericError` carries the offending residual. The solver's own
+    arrays are frozen and handed to the :class:`Spectrum` without a copy.
     """
     h = np.asarray(h)
     try:
         energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
-    if check:
-        scale = float(np.abs(energies).max(initial=0.0))
-        residual = float(np.abs(h @ vectors - vectors * energies).max())
-        # not-below comparisons so NaN residuals count as failures
-        if not residual <= SPECTRUM_RESIDUAL_TOL * max(scale, 1e-300):
-            raise NumericError(
-                f"eigenpair residual {residual:.3e} exceeds {SPECTRUM_RESIDUAL_TOL:g} * |H|"
-            )
-        gram_dev = float(np.abs(vectors.conj().T @ vectors - np.eye(energies.size)).max())
-        if not gram_dev <= SPECTRUM_RESIDUAL_TOL:
-            raise NumericError(f"eigenvectors deviate from orthonormal by {gram_dev:.3e}")
+    scale = float(np.abs(energies).max(initial=0.0))
+    residual = float(np.abs(h @ vectors - vectors * energies).max())
+    # not-below comparisons so NaN residuals count as failures
+    if not residual <= SPECTRUM_RESIDUAL_TOL * max(scale, 1e-300):
+        raise NumericError(
+            f"eigenpair residual {residual:.3e} exceeds {SPECTRUM_RESIDUAL_TOL:g} * |H|"
+        )
+    gram_dev = float(np.abs(vectors.conj().T @ vectors - np.eye(energies.size)).max())
+    if not gram_dev <= SPECTRUM_RESIDUAL_TOL:
+        raise NumericError(f"eigenvectors deviate from orthonormal by {gram_dev:.3e}")
+    energies.setflags(write=False)
+    vectors.setflags(write=False)
     return Spectrum(energies=energies, vectors=vectors)
 
 
@@ -78,19 +80,19 @@ class GibbsEnsemble:
     """Thermal state of a Hamiltonian: eigenpairs plus log-domain weights.
 
     ``log_weights[j]`` is the natural log of the j-th state probability,
-    ``-beta * E_j - log_partition``; they sum to one by construction.
+    ``-beta * E_j - log_partition``; they sum to one by construction. The
+    Hamiltonian itself is not kept: callers that need it, such as
+    :func:`eigenvalue_via_energy`, pass the matrix they built.
     """
 
     beta: float
     spectrum: Spectrum
-    hamiltonian: np.ndarray
     log_weights: np.ndarray
     log_partition: float
     n_sites: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hamiltonian", readonly_copy(self.hamiltonian))
-        object.__setattr__(self, "log_weights", readonly_copy(self.log_weights))
+        object.__setattr__(self, "log_weights", readonly(self.log_weights))
 
     @property
     def dim(self) -> int:
@@ -99,12 +101,12 @@ class GibbsEnsemble:
     @cached_property
     def weights(self) -> np.ndarray:
         """Linear-domain probabilities; tiny ones may underflow to zero."""
-        return readonly_copy(np.exp(self.log_weights))
+        weights = np.exp(self.log_weights)
+        weights.setflags(write=False)
+        return weights
 
 
-def gibbs_ensemble(
-    h: np.ndarray, beta: float, *, spectrum: Spectrum | None = None, check: bool = True
-) -> GibbsEnsemble:
+def gibbs_ensemble(h: np.ndarray, beta: float, *, spectrum: Spectrum | None = None) -> GibbsEnsemble:
     """Gibbs ensemble of ``h`` at inverse temperature ``beta > 0``.
 
     Passing a precomputed ``spectrum`` skips the eigensolve.
@@ -115,35 +117,37 @@ def gibbs_ensemble(
         raise ValueError(f"beta must be finite, got {beta}")
     h = np.asarray(h)
     if spectrum is None:
-        spectrum = diagonalize(h, check=check)
+        spectrum = diagonalize(h)
     elif spectrum.dim != h.shape[0]:
         raise ValueError("spectrum dimension does not match the Hamiltonian")
     dim = spectrum.dim
     n_sites = dim.bit_length() - 1
     if dim != 1 << n_sites:
         raise ValueError(f"dimension {dim} is not a power of two")
-    scaled = -beta * spectrum.energies
-    log_partition = float(logsumexp(scaled))
+    log_weights = -beta * spectrum.energies
+    log_partition = float(logsumexp(log_weights))
+    log_weights -= log_partition
+    log_weights.setflags(write=False)
     return GibbsEnsemble(
         beta=float(beta),
         spectrum=spectrum,
-        hamiltonian=h,
-        log_weights=scaled - log_partition,
+        log_weights=log_weights,
         log_partition=log_partition,
         n_sites=n_sites,
     )
 
 
-def eigenvalue_via_energy(ensemble: GibbsEnsemble, j: int) -> float:
+def eigenvalue_via_energy(ensemble: GibbsEnsemble, h: np.ndarray, j: int) -> float:
     """Log weight of state ``j`` recomputed through the energy quadratic form.
 
-    Evaluates ``-beta <psi_j|H|psi_j> - log Xi`` rather than reading the
-    stored eigenvalue; the two agree to the spectrum residual tolerance.
+    Evaluates ``-beta <psi_j|H|psi_j> - log Xi`` with ``h`` the Hamiltonian
+    the ensemble was built from, rather than reading the stored eigenvalue;
+    the two agree to the spectrum residual tolerance.
     """
     if not 0 <= j < ensemble.dim:
         raise ValueError(f"state index {j} outside [0, {ensemble.dim})")
     v = ensemble.spectrum.vectors[:, j]
-    energy = float(np.real(v.conj() @ (ensemble.hamiltonian @ v)))
+    energy = float(np.real(v.conj() @ (h @ v)))
     return -ensemble.beta * energy - ensemble.log_partition
 
 

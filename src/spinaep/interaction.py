@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._arrays import readonly_copy
+from ._arrays import readonly
 from .errors import CapabilityError
 from .lattice import (
     Configuration,
@@ -71,8 +71,8 @@ class LocalTerm:
         if np.abs(quantum - quantum.conj().T).max() > HERMITICITY_TOL * scale:
             raise ValueError("quantum_part is not Hermitian within tolerance")
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "classical_part", readonly_copy(classical))
-        object.__setattr__(self, "quantum_part", readonly_copy(quantum))
+        object.__setattr__(self, "classical_part", readonly(classical))
+        object.__setattr__(self, "quantum_part", readonly(quantum))
 
     @property
     def n_sites(self) -> int:

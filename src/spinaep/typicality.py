@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._arrays import readonly_copy
+from ._arrays import readonly
 from .gibbs import LOG2E, GibbsEnsemble, entropy_bits, thermo_densities, characteristic_function
 
 
@@ -31,7 +31,7 @@ class TypicalSubspace:
     n_sites: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", readonly_copy(np.asarray(self.indices, dtype=np.int64)))
+        object.__setattr__(self, "indices", readonly(np.asarray(self.indices, dtype=np.int64)))
 
     @property
     def dim(self) -> int:

@@ -1,19 +1,26 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import spinaep as sa
 
 EXHIBIT = {"J": 1.0, "h": 0.5, "lam": 0.2, "beta": 2.0, "delta": 0.15}
 EXHIBIT_SIZES = (4, 6, 8, 10)
+# (J, h, lam, beta) of the five-site grid ensembles
+GRID_POINTS = tuple(itertools.product((0.0, 1.0), (0.0, 0.5), (0.0, 0.2, 0.35), (0.5, 2.0)))
+
+
+def chain_hamiltonian(n_sites: int, J: float, h: float, lam: float,
+                      boundary_spin: int = 1) -> np.ndarray:
+    volume = sa.chain(n_sites)
+    boundary = sa.GroundStateConfig.uniform(1, boundary_spin)
+    return sa.assemble_hamiltonian(sa.preset_tfim(J, h, lam), volume, boundary)
 
 
 def chain_ensemble(n_sites: int, J: float, h: float, lam: float, beta: float,
                    boundary_spin: int = 1) -> sa.GibbsEnsemble:
-    volume = sa.chain(n_sites)
-    boundary = sa.GroundStateConfig.uniform(1, boundary_spin)
-    model = sa.preset_tfim(J, h, lam)
-    return sa.gibbs_ensemble(sa.assemble_hamiltonian(model, volume, boundary), beta)
+    return sa.gibbs_ensemble(chain_hamiltonian(n_sites, J, h, lam, boundary_spin), beta)
 
 
 @pytest.fixture(scope="session")
@@ -28,5 +35,4 @@ def exhibit_ensembles() -> dict[int, sa.GibbsEnsemble]:
 @pytest.fixture(scope="session")
 def grid_ensembles() -> list[sa.GibbsEnsemble]:
     """24 five-site ensembles across couplings, fields, and temperatures."""
-    points = itertools.product((0.0, 1.0), (0.0, 0.5), (0.0, 0.2, 0.35), (0.5, 2.0))
-    return [chain_ensemble(5, J, h, lam, beta) for J, h, lam, beta in points]
+    return [chain_ensemble(5, J, h, lam, beta) for J, h, lam, beta in GRID_POINTS]

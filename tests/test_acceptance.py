@@ -13,7 +13,7 @@ from scipy.linalg import expm
 import spinaep as sa
 from spinaep.cli import main
 
-from conftest import EXHIBIT, EXHIBIT_SIZES, chain_ensemble
+from conftest import EXHIBIT, EXHIBIT_SIZES, GRID_POINTS, chain_ensemble, chain_hamiltonian
 from oracles import classical_chain_entropy_bits
 
 DELTA = EXHIBIT["delta"]
@@ -32,10 +32,11 @@ def test_criterion_01_normalization_and_weight_identity(grid_ensembles):
     assert len(grid_ensembles) >= 20
     worst_sum = 0.0
     worst_state = 0.0
-    for ens in grid_ensembles:
+    for (J, field, lam, _), ens in zip(GRID_POINTS, grid_ensembles):
+        h = chain_hamiltonian(5, J, field, lam)
         worst_sum = max(worst_sum, abs(float(np.exp(ens.log_weights).sum()) - 1.0))
         for j in range(ens.dim):
-            gap = abs(sa.eigenvalue_via_energy(ens, j) - float(ens.log_weights[j]))
+            gap = abs(sa.eigenvalue_via_energy(ens, h, j) - float(ens.log_weights[j]))
             worst_state = max(worst_state, gap)
     ok = worst_sum <= 1e-12 and worst_state <= 1e-9
     report(1, ok, f"{len(grid_ensembles)} ensembles, |sum-1| <= {worst_sum:.2e}, "
@@ -67,8 +68,9 @@ def test_criterion_03_classical_reduction():
 def test_criterion_04_matrix_exponential_oracle():
     worst = 0.0
     for beta, lam in ((0.7, 0.1), (1.5, 0.3), (3.0, 0.0)):
-        ens = chain_ensemble(6, 1.0, 0.5, lam, beta=beta)
-        rho = expm(-beta * np.asarray(ens.hamiltonian, dtype=complex))
+        h = chain_hamiltonian(6, 1.0, 0.5, lam)
+        ens = sa.gibbs_ensemble(h, beta)
+        rho = expm(-beta * np.asarray(h, dtype=complex))
         rho /= np.trace(rho).real
         oracle = np.sort(np.linalg.eigvalsh(rho))
         mine = np.sort(np.exp(ens.log_weights))

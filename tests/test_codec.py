@@ -130,11 +130,6 @@ class TestTypicalProjector:
 
 
 class TestDecomposition:
-    def test_identity_mixing_recovers_eigenbasis(self, warm_ensemble):
-        decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, mixing="identity")
-        np.testing.assert_allclose(decomp.weights, np.exp(warm_ensemble.log_weights))
-        np.testing.assert_allclose(decomp.vectors, warm_ensemble.spectrum.vectors)
-
     def test_haar_reconstructs_density_matrix(self, warm_ensemble):
         v = warm_ensemble.spectrum.vectors
         rho = (v * np.exp(warm_ensemble.log_weights)) @ v.conj().T
@@ -145,6 +140,16 @@ class TestDecomposition:
     def test_weights_sum_to_one(self, warm_ensemble):
         decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, seed=5)
         assert abs(decomp.weights.sum() - 1.0) <= 1e-12
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError):
+            sa.Decomposition(weights=np.array([0.5, np.nan]), vectors=np.eye(2))
+
+    def test_nan_vector_rejected(self):
+        vectors = np.eye(2)
+        vectors[1, 1] = np.nan
+        with pytest.raises(ValueError):
+            sa.Decomposition(weights=np.array([0.5, 0.5]), vectors=vectors)
 
     def test_too_few_vectors_rejected(self, warm_ensemble):
         with pytest.raises(ValueError):
@@ -160,7 +165,9 @@ class TestDecomposition:
 class TestEncodeDecode:
     def test_eigenbasis_maps_are_identity_on_typical(self, warm_ensemble):
         sub = subspace_of(warm_ensemble, 0.3)
-        decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, mixing="identity")
+        decomp = sa.Decomposition(
+            weights=warm_ensemble.weights, vectors=warm_ensemble.spectrum.vectors
+        )
         records = sa.encode_decode_maps(decomp, sub, warm_ensemble.spectrum)
         typical = set(int(j) for j in sub.indices)
         for rec in records:

@@ -283,7 +283,7 @@ class TestOtherSubcommands:
         assert "FAIL" not in out
         assert out.count("ok") >= 6
 
-    def test_codec_demo_empty_window_exits_4(self, tmp_path):
+    def test_codec_demo_empty_window_exits_4(self, tmp_path, capsys):
         # at beta=0.5 the five-site window at delta=0.15 holds no states
         cfg = tmp_path / "warm.cfg"
         cfg.write_text(
@@ -291,3 +291,6 @@ class TestOtherSubcommands:
             encoding="utf-8",
         )
         assert main(["codec-demo", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric failure: empty typical subspace in codec-demo at n=2, delta=0.15"
+        ]

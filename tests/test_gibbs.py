@@ -5,7 +5,7 @@ from scipy.linalg import expm
 import spinaep as sa
 from spinaep.errors import NumericError
 
-from conftest import chain_ensemble
+from conftest import GRID_POINTS, chain_ensemble, chain_hamiltonian
 
 
 def random_hermitian(dim: int, seed: int) -> np.ndarray:
@@ -48,8 +48,9 @@ class TestGibbsEnsemble:
         assert np.exp(ens.log_weights[0]) == pytest.approx(expected_up, abs=1e-14)
 
     def test_matches_matrix_exponential_oracle(self):
-        ens = chain_ensemble(6, 1.0, 0.5, 0.2, beta=2.0)
-        rho = expm(-2.0 * np.asarray(ens.hamiltonian, dtype=complex))
+        h = chain_hamiltonian(6, 1.0, 0.5, 0.2)
+        ens = sa.gibbs_ensemble(h, 2.0)
+        rho = expm(-2.0 * np.asarray(h, dtype=complex))
         rho /= np.trace(rho).real
         oracle = np.sort(np.linalg.eigvalsh(rho))
         np.testing.assert_allclose(np.sort(np.exp(ens.log_weights)), oracle, atol=1e-8)
@@ -63,7 +64,7 @@ class TestGibbsEnsemble:
             sa.gibbs_ensemble(np.zeros((2, 2)), 0.0)
 
     def test_unitary_invariance_of_weights(self):
-        h = np.asarray(chain_ensemble(4, 1.0, 0.5, 0.3, beta=1.1).hamiltonian, dtype=complex)
+        h = np.asarray(chain_hamiltonian(4, 1.0, 0.5, 0.3), dtype=complex)
         rng = np.random.default_rng(8)
         q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
         rotated = q @ h @ q.conj().T
@@ -74,21 +75,24 @@ class TestGibbsEnsemble:
 
 class TestEigenvalueViaEnergy:
     def test_diagonal_exact(self):
-        ens = sa.gibbs_ensemble(np.diag([-1.0, 0.0, 0.5, 2.0]), beta=0.9)
+        h = np.diag([-1.0, 0.0, 0.5, 2.0])
+        ens = sa.gibbs_ensemble(h, beta=0.9)
         for j in range(4):
-            assert sa.eigenvalue_via_energy(ens, j) == pytest.approx(
+            assert sa.eigenvalue_via_energy(ens, h, j) == pytest.approx(
                 ens.log_weights[j], abs=1e-12
             )
 
     def test_zero_hamiltonian(self):
-        ens = sa.gibbs_ensemble(np.zeros((16, 16)), beta=2.0)
+        h = np.zeros((16, 16))
+        ens = sa.gibbs_ensemble(h, beta=2.0)
         for j in (0, 7, 15):
-            assert sa.eigenvalue_via_energy(ens, j) == pytest.approx(-4 * np.log(2), abs=1e-12)
+            assert sa.eigenvalue_via_energy(ens, h, j) == pytest.approx(-4 * np.log(2), abs=1e-12)
 
     def test_consistency_sweep(self, grid_ensembles):
-        for ens in grid_ensembles:
+        for (J, field, lam, _), ens in zip(GRID_POINTS, grid_ensembles):
+            h = chain_hamiltonian(5, J, field, lam)
             worst = max(
-                abs(sa.eigenvalue_via_energy(ens, j) - ens.log_weights[j])
+                abs(sa.eigenvalue_via_energy(ens, h, j) - ens.log_weights[j])
                 for j in range(ens.dim)
             )
             assert worst <= 1e-9
@@ -132,13 +136,14 @@ class TestExpectation:
         assert sa.expectation(ens, np.eye(16)) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_hamiltonian_energy(self):
-        ens = sa.gibbs_ensemble(np.zeros((8, 8)), beta=1.0)
-        assert sa.expectation(ens, ens.hamiltonian) == pytest.approx(0.0, abs=1e-14)
+        h = np.zeros((8, 8))
+        ens = sa.gibbs_ensemble(h, beta=1.0)
+        assert sa.expectation(ens, h) == pytest.approx(0.0, abs=1e-14)
 
     def test_energy_is_log_partition_derivative(self):
         beta, step = 1.5, 1e-5
-        ens = chain_ensemble(6, 1.0, 0.5, 0.2, beta=beta)
-        h = ens.hamiltonian
+        h = chain_hamiltonian(6, 1.0, 0.5, 0.2)
+        ens = sa.gibbs_ensemble(h, beta)
         up = sa.gibbs_ensemble(h, beta + step, spectrum=ens.spectrum).log_partition
         down = sa.gibbs_ensemble(h, beta - step, spectrum=ens.spectrum).log_partition
         oracle = -(up - down) / (2 * step)
@@ -163,8 +168,9 @@ class TestCharacteristicFunction:
 
     def test_matches_matrix_exponential_oracle(self):
         beta, tau = 2.0, 0.7
-        ens = chain_ensemble(6, 1.0, 0.5, 0.2, beta=beta)
-        h = np.asarray(ens.hamiltonian, dtype=complex)
+        h = chain_hamiltonian(6, 1.0, 0.5, 0.2)
+        ens = sa.gibbs_ensemble(h, beta)
+        h = np.asarray(h, dtype=complex)
         rho = expm(-beta * h)
         rho /= np.trace(rho).real
         oracle = np.trace(expm(1j * tau * h) @ rho)
@@ -207,17 +213,75 @@ class TestThermoDensities:
 class TestImmutability:
     def test_ensemble_arrays_are_read_only(self):
         ens = chain_ensemble(4, 1.0, 0.5, 0.2, beta=1.0)
-        for array in (ens.log_weights, ens.hamiltonian, ens.weights,
+        for array in (ens.log_weights, ens.weights,
                       ens.spectrum.energies, ens.spectrum.vectors):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[..., 0] = 0.0
+
+    def test_codec_arrays_are_read_only(self):
+        ens = chain_ensemble(4, 1.0, 0.5, 0.2, beta=1.0)
+        sub = sa.typical_subspace(ens, sa.entropy_bits(ens) / ens.n_sites, 0.5)
+        assert sub.dim
+        decomp = sa.make_decomposition(ens, ens.dim, seed=3)
+        for array in (decomp.weights, decomp.vectors, sub.indices,
+                      sa.build_codebook(sub).indices):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[..., 0] = 0
+
+
+def frozen_type_case(name: str):
+    """A frozen result type and constructor arguments holding fresh writable arrays."""
+    return {
+        "Spectrum": (sa.Spectrum, {"energies": np.array([0.0, 1.0]), "vectors": np.eye(2)}),
+        "Decomposition": (sa.Decomposition, {"weights": np.array([0.25, 0.75]),
+                                             "vectors": np.eye(2, dtype=complex)}),
+        "LocalTerm": (sa.LocalTerm, {"support": ((0,),),
+                                     "classical_part": np.array([-1.0, 1.0]),
+                                     "quantum_part": np.zeros((2, 2), dtype=complex)}),
+    }[name]
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("name", ["Spectrum", "Decomposition", "LocalTerm"])
+    def test_writable_input_is_copied(self, name):
+        cls, fields = frozen_type_case(name)
+        obj = cls(**fields)
+        for field, array in fields.items():
+            if isinstance(array, np.ndarray):
+                assert array.flags.writeable
+                assert not getattr(obj, field).flags.writeable
+                assert not np.shares_memory(array, getattr(obj, field))
+
+    @pytest.mark.parametrize("name", ["Spectrum", "Decomposition", "LocalTerm"])
+    def test_read_only_owned_input_is_kept(self, name):
+        cls, fields = frozen_type_case(name)
+        for array in fields.values():
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+        obj = cls(**fields)
+        for field, array in fields.items():
+            if isinstance(array, np.ndarray):
+                assert np.shares_memory(array, getattr(obj, field))
+
+    def test_read_only_view_is_copied(self):
+        base = np.array([0.0, 1.0, 2.0])
+        view = base[:2]
+        view.setflags(write=False)
+        spec = sa.Spectrum(energies=view, vectors=np.eye(2))
+        assert not np.shares_memory(base, spec.energies)
+        assert base.flags.writeable
 
 
 class TestSpectrumValidation:
     def test_unsorted_energies_rejected(self):
         with pytest.raises(ValueError):
             sa.Spectrum(energies=np.array([1.0, 0.0]), vectors=np.eye(2))
+
+    def test_nan_energy_rejected(self):
+        with pytest.raises(ValueError):
+            sa.Spectrum(energies=np.array([0.0, np.nan]), vectors=np.eye(2))
 
     def test_spectrum_dimension_mismatch_rejected(self):
         spec = sa.diagonalize(np.diag([0.0, 1.0]))
