@@ -13,7 +13,7 @@ from .codec import (
     make_decomposition,
     typical_projector,
 )
-from .config import ExperimentConfig, build_interaction, parse_config
+from .config import ExperimentConfig, build_boundary, build_interaction, parse_config
 from .errors import (
     CapabilityError,
     ConfigError,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .checks import run_checks
 from .codec import build_codebook, fidelity, make_decomposition, typical_projector
-from .config import ExperimentConfig, build_interaction, parse_config
+from .config import ExperimentConfig, build_boundary, build_interaction, override, parse_config
 from .errors import CapabilityError, ConfigError, NumericError, QubitCapError, SpinAepError
 from .gibbs import GibbsEnsemble, LOG2E, ThermoDensities, gibbs_ensemble, thermo_densities
 from .hamiltonian import assemble_hamiltonian
@@ -47,18 +46,6 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
-
-
-def _boundary_state(config: ExperimentConfig) -> GroundStateConfig:
-    if config.boundary == "all-up":
-        return GroundStateConfig.uniform(config.d, +1)
-    if config.boundary == "all-down":
-        return GroundStateConfig.uniform(config.d, -1)
-    cell_sites = list(itertools.product(*(range(p) for p in config.boundary_periods)))
-    return GroundStateConfig(
-        periods=config.boundary_periods,
-        cell_values=dict(zip(cell_sites, config.boundary_cell)),
-    )
 
 
 def _model_warnings(interaction: Interaction, boundary: GroundStateConfig) -> list[str]:
@@ -98,7 +85,7 @@ def _write_csv(path: Path, header: Iterable[str], rows: Iterable[tuple]) -> None
 def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -> list[Path]:
     """Execute the configured sweep and write ``sweep.csv`` and ``aep.csv``."""
     interaction = build_interaction(config)
-    boundary = _boundary_state(config)
+    boundary = build_boundary(config)
     notes = list(config.warnings) + _model_warnings(interaction, boundary)
     if notes and not quiet:
         for note in notes:
@@ -110,7 +97,6 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -
 
     for n in config.volumes:
         ens, densities = _run_volume(config, interaction, boundary, n)
-        h_ref = config.h_ref if config.h_ref is not None else densities.h_bits
         s_bits = densities.h_bits * ens.n_sites
         decomposition = make_decomposition(
             ens, ens.dim, seed=np.random.default_rng([config.seed, n])
@@ -120,7 +106,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -
             densities.f, densities.g, densities.h_bits, densities.identity_residual,
         )
         for delta in config.deltas:
-            sub = typical_subspace(ens, h_ref, delta)
+            sub = typical_subspace(ens, config.h_ref, delta)
             row = aep_row(ens, sub, config.rates, config.ts)
             fid = fidelity(decomposition, typical_projector(sub, ens.spectrum))
             length = build_codebook(sub).length if sub.dim else None
@@ -156,7 +142,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -
 def run_spectrum(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -> list[Path]:
     """Dump energies and log2 weights for every configured volume."""
     interaction = build_interaction(config)
-    boundary = _boundary_state(config)
+    boundary = build_boundary(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for n in config.volumes:
@@ -174,13 +160,12 @@ def run_spectrum(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False
 def run_codec_demo(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -> list[Path]:
     """Codebook and projection fidelity for the largest configured volume."""
     interaction = build_interaction(config)
-    boundary = _boundary_state(config)
+    boundary = build_boundary(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = config.volumes[-1]
-    ens, densities = _run_volume(config, interaction, boundary, n)
-    h_ref = config.h_ref if config.h_ref is not None else densities.h_bits
+    ens, _ = _run_volume(config, interaction, boundary, n)
     delta = config.deltas[0]
-    sub = typical_subspace(ens, h_ref, delta)
+    sub = typical_subspace(ens, config.h_ref, delta)
     if sub.dim == 0:
         raise NumericError(f"empty typical subspace in codec-demo at n={n}, delta={delta:g}")
     codebook = build_codebook(sub)
@@ -200,27 +185,19 @@ def run_codec_demo(config: ExperimentConfig, out_dir: Path, *, quiet: bool = Fal
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file, with each given flag applied by the rule of its config key."""
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     config = parse_config(text)
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError(f"seed: must fit in an unsigned 64-bit integer, got {args.seed}")
-        config = replace(config, seed=args.seed)
-    if args.max_qubits is not None:
-        if args.max_qubits < 1:
-            raise ConfigError(f"max_qubits: must be >= 1, got {args.max_qubits}")
-        config = replace(config, max_qubits=args.max_qubits)
-    return config
-
-
-def _resolve_out(args: argparse.Namespace, config: ExperimentConfig) -> Path:
-    out = args.out if args.out is not None else config.out
-    if out is None:
+    for key in ("seed", "max_qubits", "out"):
+        value = getattr(args, key)
+        if value is not None:
+            config = override(config, key, str(value))
+    if config.out is None:
         raise ConfigError("out: no output directory given (use --out or set out in the config)")
-    return Path(out)
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -253,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{status:4s} {r.name}: {r.detail}")
             return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERIC
         config = _load_config(args)
-        out_dir = _resolve_out(args, config)
+        out_dir = Path(config.out)
         if args.command == "sweep":
             run_sweep(config, out_dir, quiet=args.quiet)
         elif args.command == "spectrum":

@@ -8,22 +8,19 @@ docs/config-format.md and is versioned through ``CONFIG_FORMAT_VERSION``.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import ConfigError
-from .interaction import Interaction, LocalTerm, preset_tfim
+from .interaction import GroundStateConfig, Interaction, LocalTerm, preset_tfim
 from .lattice import DEFAULT_QUBIT_CAP, linf_diameter
 
 CONFIG_FORMAT_VERSION = 1
 
-_LIST_KEYS = {"volume", "delta", "t", "rate"}
-_SCALAR_KEYS = {
-    "model", "d", "J", "h_field", "lambda", "c", "beta", "boundary",
-    "boundary_periods", "boundary_cell", "h_ref", "seed", "max_qubits", "out",
-}
 _TERM_FIELDS = {"support", "classical", "quantum"}
 _U64_MAX = 2**64 - 1
 
@@ -39,7 +36,7 @@ class GenericTermSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated sweep parameters with documented defaults."""
+    """Validated sweep parameters; its field defaults are the config defaults."""
 
     model: str = "tfim"
     d: int = 1
@@ -76,37 +73,125 @@ class _Issues:
             raise ConfigError("invalid config:\n" + "\n".join(self.messages))
 
 
-def _parse_float(raw: str, fieldname: str, line: int, issues: _Issues) -> float | None:
-    try:
-        value = float(raw)
-    except ValueError:
-        issues.add(line, fieldname, f"expected a number, got {raw!r}")
-        return None
-    if not math.isfinite(value):
-        issues.add(line, fieldname, f"must be finite, got {raw!r}")
-        return None
-    return value
-
-
-def _parse_int(raw: str, fieldname: str, line: int, issues: _Issues) -> int | None:
+def _integer(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        issues.add(line, fieldname, f"expected an integer, got {raw!r}")
+        raise ValueError(f"expected an integer, got {raw!r}") from None
+
+
+def _number(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return value
+
+
+def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool], requirement: str):
+    """``parse``, then reject a value failing ``ok`` as ``<requirement>, got <value>``."""
+    def rule(raw: str):
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(f"{requirement}, got {value}")
+        return value
+    return rule
+
+
+def _choice(requirement: str, *choices: str):
+    def rule(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"{requirement}, got {raw!r}")
+        return raw
+    return rule
+
+
+def _split(sep: str, parse: Callable[[str], Any]):
+    """A ``sep``-separated list; each stripped item goes through ``parse``."""
+    return lambda raw: tuple(parse(part.strip()) for part in raw.split(sep))
+
+
+def _spin(raw: str) -> int:
+    if raw in ("+1", "1"):
+        return 1
+    if raw == "-1":
+        return -1
+    raise ValueError(f"values must be +1 or -1, got {raw!r}")
+
+
+def _h_ref(raw: str) -> float | None:
+    return None if raw == "per-volume" else _number(raw)
+
+
+def _matrix_entry(dim: int):
+    """A ``row,col,re,im`` quadruple inside a ``dim`` x ``dim`` matrix."""
+    def rule(chunk: str) -> tuple[int, int, float, float]:
+        parts = [p.strip() for p in chunk.split(",")]
+        if len(parts) != 4:
+            raise ValueError(f"entries are row,col,re,im quadruples, got {chunk!r}")
+        row, col, re_, im = _integer(parts[0]), _integer(parts[1]), _number(parts[2]), _number(parts[3])
+        if not (0 <= row < dim and 0 <= col < dim):
+            raise ValueError(f"entry ({row}, {col}) outside the {dim}x{dim} matrix")
+        return row, col, re_, im
+    return rule
+
+
+@dataclass(frozen=True)
+class _Key:
+    attr: str  # the ExperimentConfig field the key sets
+    rule: Callable[[str], Any]  # one raw value to its field value; ValueError carries the diagnostic
+    repeated: bool = False  # repeated lines form a tuple instead of being rejected
+
+
+# Every top-level key of the format. Defaults live on ExperimentConfig only;
+# checks that involve more than one key are in parse_config.
+_KEYS = {
+    "model": _Key("model", _choice("must be 'tfim' or 'generic'", "tfim", "generic")),
+    "d": _Key("d", _checked(_integer, lambda v: v >= 1, "must be >= 1")),
+    "J": _Key("J", _number),
+    "h_field": _Key("h_field", _number),
+    "lambda": _Key("lam", _checked(_number, lambda v: 0 <= v < 1, "must lie in [0, 1)")),
+    "c": _Key("c", _number),
+    "beta": _Key("beta", _checked(_number, lambda v: v > 0, "must be > 0")),
+    "volume": _Key("volumes", _checked(_integer, lambda v: v >= 0, "must be >= 0"), repeated=True),
+    "delta": _Key("deltas", _checked(_number, lambda v: v > 0, "must be > 0"), repeated=True),
+    "boundary": _Key("boundary", _choice("must be all-up, all-down, or cell", "all-up", "all-down", "cell")),
+    "boundary_periods": _Key(
+        "boundary_periods", _split(",", _checked(_integer, lambda v: v >= 1, "periods must be >= 1"))
+    ),
+    "boundary_cell": _Key("boundary_cell", _split(";", _spin)),
+    "h_ref": _Key("h_ref", _h_ref),
+    "t": _Key("ts", _number, repeated=True),
+    "rate": _Key("rates", _checked(_number, lambda v: v >= 0, "must be >= 0"), repeated=True),
+    "seed": _Key("seed", _checked(_integer, lambda v: 0 <= v <= _U64_MAX, "must fit in an unsigned 64-bit integer")),
+    "max_qubits": _Key("max_qubits", _checked(_integer, lambda v: v >= 1, "must be >= 1")),
+    "out": _Key("out", str),
+}
+
+
+def _parse_term(idx: int, entry: dict[str, tuple[str, int]], d: int, issues: _Issues) -> GenericTermSpec | None:
+    """One ``term.<idx>.*`` block, or ``None`` once its first problem is in ``issues``."""
+    if "support" not in entry or "classical" not in entry:
+        issues.add(next(iter(entry.values()))[1], f"term.{idx}", "needs support and classical fields")
         return None
-
-
-def _parse_sites(raw: str, fieldname: str, line: int, issues: _Issues):
-    sites = []
-    for chunk in raw.split(";"):
-        coords = []
-        for part in chunk.split(","):
-            v = _parse_int(part.strip(), fieldname, line, issues)
-            if v is None:
-                return None
-            coords.append(v)
-        sites.append(tuple(coords))
-    return tuple(sites)
+    part = "support"  # the field a ValueError below belongs to
+    try:
+        support = _split(";", _split(",", _integer))(entry["support"][0])
+        if any(len(s) != d for s in support):
+            raise ValueError(f"sites must have dimension {d}")
+        part = "classical"
+        classical = tuple(_number(v) for v in entry["classical"][0].replace(",", " ").split())
+        dim = 2 ** len(support)
+        if len(classical) != dim:
+            raise ValueError(f"need {dim} entries for {len(support)} sites, got {len(classical)}")
+        part = "quantum"
+        quantum = _split(";", _matrix_entry(dim))(entry["quantum"][0]) if "quantum" in entry else ()
+    except ValueError as exc:
+        issues.add(entry[part][1], f"term.{idx}.{part}", str(exc))
+        return None
+    return GenericTermSpec(support=support, classical=classical, quantum=quantum)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -116,8 +201,7 @@ def parse_config(text: str) -> ExperimentConfig:
     warnings are collected on the returned config.
     """
     issues = _Issues()
-    scalars: dict[str, tuple[str, int]] = {}
-    lists: dict[str, list[tuple[str, int]]] = {k: [] for k in _LIST_KEYS}
+    raws: dict[str, list[tuple[str, int]]] = {}
     term_fields: dict[int, dict[str, tuple[str, int]]] = {}
 
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -130,20 +214,16 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in _LIST_KEYS:
-            lists[key].append((value, lineno))
-        elif key in _SCALAR_KEYS:
-            if key in scalars:
+        if key in _KEYS:
+            if key in raws and not _KEYS[key].repeated:
                 issues.add(lineno, key, "repeated; this key takes a single value")
-            scalars[key] = (value, lineno)
+            raws.setdefault(key, []).append((value, lineno))
         elif key.startswith("term."):
             parts = key.split(".")
-            idx = None
-            if len(parts) == 3 and parts[2] in _TERM_FIELDS:
-                try:
-                    idx = int(parts[1])
-                except ValueError:
-                    idx = None
+            try:
+                idx = int(parts[1]) if len(parts) == 3 and parts[2] in _TERM_FIELDS else None
+            except ValueError:
+                idx = None
             if idx is None:
                 issues.add(lineno, key, "term keys must look like term.<index>.<support|classical|quantum>")
                 continue
@@ -155,230 +235,92 @@ def parse_config(text: str) -> ExperimentConfig:
             issues.add(lineno, key, "unknown key")
     issues.raise_if_any()
 
-    warnings: list[str] = []
+    parsed: dict[str, list[tuple[Any, int]]] = {}
+    for key, entries in raws.items():
+        for raw, line in entries:
+            try:
+                value = _KEYS[key].rule(raw)
+            except ValueError as exc:
+                issues.add(line, key, str(exc))
+                continue
+            parsed.setdefault(key, []).append((value, line))
+    # a key that is absent, or none of whose values parsed, keeps its default
+    config = ExperimentConfig(**{
+        _KEYS[key].attr: tuple(v for v, _ in entries) if _KEYS[key].repeated else entries[0][0]
+        for key, entries in parsed.items()
+    })
 
-    def scalar(key: str) -> tuple[str, int] | None:
-        return scalars.get(key)
+    def line_of(key: str) -> int | None:
+        return raws[key][0][1] if key in raws else None
 
-    model = scalar("model")[0] if scalar("model") else "tfim"
-    if model not in ("tfim", "generic"):
-        issues.add(scalar("model")[1], "model", f"must be 'tfim' or 'generic', got {model!r}")
+    volumes = parsed.get("volume", [])
+    for (a, _), (b, line) in zip(volumes, volumes[1:]):
+        if b <= a:
+            issues.add(line, "volume", f"volumes must be strictly increasing, got {list(config.volumes)}")
+            break
 
-    d = 1
-    if scalar("d"):
-        v = _parse_int(scalar("d")[0], "d", scalar("d")[1], issues)
-        if v is not None:
-            if v < 1:
-                issues.add(scalar("d")[1], "d", f"must be >= 1, got {v}")
-            else:
-                d = v
-
-    def float_field(key: str, default: float) -> float:
-        if not scalar(key):
-            return default
-        v = _parse_float(scalar(key)[0], key, scalar(key)[1], issues)
-        return default if v is None else v
-
-    J = float_field("J", 1.0)
-    h_field = float_field("h_field", 0.5)
-    lam = float_field("lambda", 0.2)
-    c = float_field("c", 1.0)
-    beta = float_field("beta", 2.0)
-    if scalar("beta") and beta <= 0:
-        issues.add(scalar("beta")[1], "beta", f"must be > 0, got {beta}")
-    if scalar("lambda") and not 0 <= lam < 1:
-        issues.add(scalar("lambda")[1], "lambda", f"must lie in [0, 1), got {lam}")
-
-    max_qubits = DEFAULT_QUBIT_CAP
-    if scalar("max_qubits"):
-        v = _parse_int(scalar("max_qubits")[0], "max_qubits", scalar("max_qubits")[1], issues)
-        if v is not None:
-            if v < 1:
-                issues.add(scalar("max_qubits")[1], "max_qubits", f"must be >= 1, got {v}")
-            else:
-                max_qubits = v
-
-    volumes: list[int] = []
-    for raw, line in lists["volume"] or [("1", None), ("2", None)]:
-        v = _parse_int(raw, "volume", line, issues)
-        if v is None:
-            continue
-        if v < 0:
-            issues.add(line, "volume", f"must be >= 0, got {v}")
-            continue
-        volumes.append(v)
-    if any(b <= a for a, b in zip(volumes, volumes[1:])):
-        issues.add(
-            lists["volume"][0][1] if lists["volume"] else None,
-            "volume",
-            f"volumes must be strictly increasing, got {volumes}",
-        )
-
-    deltas: list[float] = []
-    for raw, line in lists["delta"] or [("0.15", None)]:
-        v = _parse_float(raw, "delta", line, issues)
-        if v is not None:
-            if v <= 0:
-                issues.add(line, "delta", f"must be > 0, got {v}")
-            else:
-                deltas.append(v)
-
-    ts: list[float] = []
-    for raw, line in lists["t"] or [("1.0", None)]:
-        v = _parse_float(raw, "t", line, issues)
-        if v is not None:
-            ts.append(v)
-
-    rates: list[float] = []
-    for raw, line in lists["rate"] or [("0.25", None)]:
-        v = _parse_float(raw, "rate", line, issues)
-        if v is not None:
-            if v < 0:
-                issues.add(line, "rate", f"must be >= 0, got {v}")
-            else:
-                rates.append(v)
-
-    boundary = scalar("boundary")[0] if scalar("boundary") else "all-up"
-    boundary_periods = None
-    boundary_cell = None
-    if boundary not in ("all-up", "all-down", "cell"):
-        issues.add(scalar("boundary")[1], "boundary", f"must be all-up, all-down, or cell, got {boundary!r}")
-    if boundary == "cell":
-        if not scalar("boundary_periods") or not scalar("boundary_cell"):
+    if config.boundary == "cell":
+        if "boundary_periods" not in raws or "boundary_cell" not in raws:
             issues.add(
-                scalar("boundary")[1], "boundary",
-                "boundary = cell needs boundary_periods and boundary_cell",
+                line_of("boundary"), "boundary", "boundary = cell needs boundary_periods and boundary_cell"
             )
-        else:
-            raw, line = scalar("boundary_periods")
-            periods = []
-            for part in raw.split(","):
-                v = _parse_int(part.strip(), "boundary_periods", line, issues)
-                if v is not None:
-                    if v < 1:
-                        issues.add(line, "boundary_periods", f"periods must be >= 1, got {v}")
-                    else:
-                        periods.append(v)
-            if len(periods) != d:
-                issues.add(line, "boundary_periods", f"need {d} periods, got {len(periods)}")
-            else:
-                boundary_periods = tuple(periods)
-            raw, line = scalar("boundary_cell")
-            cell = []
-            for part in raw.split(";"):
-                p = part.strip()
-                if p in ("+1", "1"):
-                    cell.append(1)
-                elif p == "-1":
-                    cell.append(-1)
-                else:
-                    issues.add(line, "boundary_cell", f"values must be +1 or -1, got {p!r}")
-            if boundary_periods is not None:
-                expected = math.prod(boundary_periods)
-                if len(cell) != expected:
-                    issues.add(line, "boundary_cell", f"need {expected} values for the cell, got {len(cell)}")
-                else:
-                    boundary_cell = tuple(cell)
+        elif config.boundary_periods is not None:
+            periods, cell = config.boundary_periods, config.boundary_cell
+            if len(periods) != config.d:
+                issues.add(
+                    line_of("boundary_periods"), "boundary_periods", f"need {config.d} periods, got {len(periods)}"
+                )
+            elif cell is not None and len(cell) != math.prod(periods):
+                issues.add(
+                    line_of("boundary_cell"), "boundary_cell",
+                    f"need {math.prod(periods)} values for the cell, got {len(cell)}",
+                )
     else:
         for key in ("boundary_periods", "boundary_cell"):
-            if scalar(key):
-                issues.add(scalar(key)[1], key, "only meaningful with boundary = cell")
-
-    h_ref: float | None = None
-    if scalar("h_ref"):
-        raw, line = scalar("h_ref")
-        if raw != "per-volume":
-            v = _parse_float(raw, "h_ref", line, issues)
-            if v is not None:
-                h_ref = v
-
-    seed = 12345
-    if scalar("seed"):
-        v = _parse_int(scalar("seed")[0], "seed", scalar("seed")[1], issues)
-        if v is not None:
-            if not 0 <= v <= _U64_MAX:
-                issues.add(scalar("seed")[1], "seed", "must fit in an unsigned 64-bit integer")
-            else:
-                seed = v
-
-    out = scalar("out")[0] if scalar("out") else None
+            if key in raws:
+                issues.add(line_of(key), key, "only meaningful with boundary = cell")
 
     terms: list[GenericTermSpec] = []
+    warnings: list[str] = []
+    # an invalid model has its diagnostic already; checks against either model would add noise
+    model = config.model if "model" in parsed or "model" not in raws else None
     if model == "tfim":
         if term_fields:
-            first = min(term_fields)
-            line = next(iter(term_fields[first].values()))[1]
-            issues.add(line, "term", "term definitions require model = generic")
-        if d != 1:
-            issues.add(scalar("d")[1] if scalar("d") else None, "d", "the tfim preset is one-dimensional")
-    else:
+            first = term_fields[min(term_fields)]
+            issues.add(next(iter(first.values()))[1], "term", "term definitions require model = generic")
+        if config.d != 1:
+            issues.add(line_of("d"), "d", "the tfim preset is one-dimensional")
+    elif model == "generic":
         if not term_fields:
             issues.add(None, "term", "model = generic needs at least one term.<index>.* block")
         for idx in sorted(term_fields):
-            entry = term_fields[idx]
-            if "support" not in entry or "classical" not in entry:
-                line = next(iter(entry.values()))[1]
-                issues.add(line, f"term.{idx}", "needs support and classical fields")
-                continue
-            raw, line = entry["support"]
-            support = _parse_sites(raw, f"term.{idx}.support", line, issues)
-            if support is None:
-                continue
-            if any(len(s) != d for s in support):
-                issues.add(line, f"term.{idx}.support", f"sites must have dimension {d}")
-                continue
-            raw, line = entry["classical"]
-            classical = []
-            for part in raw.replace(",", " ").split():
-                v = _parse_float(part, f"term.{idx}.classical", line, issues)
-                if v is not None:
-                    classical.append(v)
-            if len(classical) != 2 ** len(support):
-                issues.add(
-                    line, f"term.{idx}.classical",
-                    f"need {2 ** len(support)} entries for {len(support)} sites, got {len(classical)}",
-                )
-                continue
-            quadruples: list[tuple[int, int, float, float]] = []
-            if "quantum" in entry:
-                raw, line = entry["quantum"]
-                ok = True
-                for chunk in raw.split(";"):
-                    parts = [p.strip() for p in chunk.split(",")]
-                    if len(parts) != 4:
-                        issues.add(line, f"term.{idx}.quantum", f"entries are row,col,re,im quadruples, got {chunk.strip()!r}")
-                        ok = False
-                        break
-                    row = _parse_int(parts[0], f"term.{idx}.quantum", line, issues)
-                    col = _parse_int(parts[1], f"term.{idx}.quantum", line, issues)
-                    re_ = _parse_float(parts[2], f"term.{idx}.quantum", line, issues)
-                    im = _parse_float(parts[3], f"term.{idx}.quantum", line, issues)
-                    if None in (row, col, re_, im):
-                        ok = False
-                        break
-                    dim = 2 ** len(support)
-                    if not (0 <= row < dim and 0 <= col < dim):
-                        issues.add(line, f"term.{idx}.quantum", f"entry ({row}, {col}) outside the {dim}x{dim} matrix")
-                        ok = False
-                        break
-                    quadruples.append((row, col, re_, im))
-                if not ok:
-                    continue
-            terms.append(GenericTermSpec(support=support, classical=tuple(classical), quantum=tuple(quadruples)))
-        if scalar("lambda") and terms and all(not t.quantum for t in terms):
+            spec = _parse_term(idx, term_fields[idx], config.d, issues)
+            if spec is not None:
+                terms.append(spec)
+        if "lambda" in raws and terms and all(not t.quantum for t in terms):
             warnings.append("lambda is set but no generic term carries a quantum part")
 
     issues.raise_if_any()
+    return replace(config, terms=tuple(terms), warnings=tuple(warnings))
 
-    config = ExperimentConfig(
-        model=model, d=d, J=J, h_field=h_field, lam=lam, c=c, beta=beta,
-        volumes=tuple(volumes), deltas=tuple(deltas), boundary=boundary,
-        boundary_periods=boundary_periods, boundary_cell=boundary_cell,
-        h_ref=h_ref, ts=tuple(ts), rates=tuple(rates), seed=seed,
-        max_qubits=max_qubits, out=out, terms=tuple(terms),
-        warnings=tuple(warnings),
+
+def override(config: ExperimentConfig, key: str, raw: str) -> ExperimentConfig:
+    """``config`` with the single-valued ``key`` set from ``raw`` by that key's config rule."""
+    spec = _KEYS[key]
+    try:
+        return replace(config, **{spec.attr: spec.rule(raw)})
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def build_boundary(config: ExperimentConfig) -> GroundStateConfig:
+    """The configured boundary configuration outside the volume."""
+    if config.boundary != "cell":
+        return GroundStateConfig.uniform(config.d, +1 if config.boundary == "all-up" else -1)
+    cell_sites = itertools.product(*(range(p) for p in config.boundary_periods))
+    return GroundStateConfig(
+        periods=config.boundary_periods, cell_values=dict(zip(cell_sites, config.boundary_cell))
     )
-    return config
 
 
 def build_interaction(config: ExperimentConfig) -> Interaction:

@@ -37,6 +37,8 @@ class Spectrum:
         v = np.asarray(self.vectors)
         if e.ndim != 1 or v.shape != (e.size, e.size):
             raise ValueError("energies must be a vector and vectors a matching square matrix")
+        if not np.isfinite(e).all():
+            raise ValueError("energies must be finite")
         if not np.all(np.diff(e) >= 0):
             raise ValueError("energies must be ascending")
         object.__setattr__(self, "energies", readonly(e))

@@ -38,11 +38,16 @@ class TypicalSubspace:
         return int(self.indices.size)
 
 
-def typical_subspace(ensemble: GibbsEnsemble, h_ref: float, delta: float) -> TypicalSubspace:
-    """States whose log2 weight lies in ``[-n(h_ref+delta), -n(h_ref-delta)]``."""
+def typical_subspace(ensemble: GibbsEnsemble, h_ref: float | None, delta: float) -> TypicalSubspace:
+    """States whose log2 weight lies in ``[-n(h_ref+delta), -n(h_ref-delta)]``.
+
+    ``h_ref=None`` uses the ensemble's own entropy rate, ``entropy_bits / n``.
+    """
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     n = ensemble.n_sites
+    if h_ref is None:
+        h_ref = entropy_bits(ensemble) / n
     log2_weights = ensemble.log_weights * LOG2E
     lo = -n * (h_ref + delta)
     hi = -n * (h_ref - delta)
@@ -52,12 +57,6 @@ def typical_subspace(ensemble: GibbsEnsemble, h_ref: float, delta: float) -> Typ
     return TypicalSubspace(
         indices=indices, h_ref=h_ref, delta=delta, mass=min(mass, 1.0), n_sites=n
     )
-
-
-def _reference_rate(ensemble: GibbsEnsemble, h_ref: float | None) -> float:
-    if h_ref is None:
-        return entropy_bits(ensemble) / ensemble.n_sites
-    return h_ref
 
 
 def _check_family(ensembles: Sequence[GibbsEnsemble]) -> None:
@@ -80,9 +79,7 @@ def typical_mass_curve(
     no convergence rate is asserted at fixed finite sizes.
     """
     _check_family(ensembles)
-    return np.array(
-        [typical_subspace(e, _reference_rate(e, h_ref), delta).mass for e in ensembles]
-    )
+    return np.array([typical_subspace(e, h_ref, delta).mass for e in ensembles])
 
 
 def dimension_rate(subspace: TypicalSubspace) -> float | None:
@@ -160,7 +157,4 @@ def build_aep_report(
 ) -> list[AepRow]:
     """Concentration diagnostics across a growing-volume family of ensembles."""
     _check_family(ensembles)
-    return [
-        aep_row(ens, typical_subspace(ens, _reference_rate(ens, h_ref), delta), rates, ts)
-        for ens in ensembles
-    ]
+    return [aep_row(ens, typical_subspace(ens, h_ref, delta), rates, ts) for ens in ensembles]

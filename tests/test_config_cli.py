@@ -1,18 +1,39 @@
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spinaep as sa
 from spinaep.cli import main
+from spinaep.config import _KEYS
 from spinaep.errors import ConfigError
 
 from oracles import classical_chain_entropy_bits
+
+CONFIG_DOC = Path(__file__).resolve().parents[1] / "docs" / "config-format.md"
 
 
 def rows_of(path):
     with open(path, encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def documented_keys():
+    """Key -> backticked values of its default cell, for each row of the docs' key table."""
+    rows = {}
+    for line in CONFIG_DOC.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)]
+        if len(cells) == 6 and cells[1].startswith("`"):
+            rows[cells[1].strip("`")] = re.findall(r"`([^`]*)`", cells[3])
+    return rows
+
+
+def diagnostics(text):
+    with pytest.raises(ConfigError) as info:
+        sa.parse_config(text)
+    return str(info.value).splitlines()[1:]
 
 
 class TestParseConfig:
@@ -34,6 +55,31 @@ class TestParseConfig:
     def test_volumes_out_of_order_diagnosed(self):
         with pytest.raises(ConfigError, match="volume"):
             sa.parse_config("volume = 3\nvolume = 2\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("volume = 2\nvolume = 2\n", 2),
+        ("volume = 1\nvolume = 3\nvolume = 2\n", 3),
+    ], ids=["equal", "smaller"])
+    def test_volume_order_diagnosed_at_offending_line(self, text, line):
+        [message] = diagnostics(text)
+        assert message.startswith(f"line {line}: volume: volumes must be strictly increasing")
+
+    def test_invalid_model_gets_one_diagnostic(self):
+        assert diagnostics("model = foo\n") == ["line 1: model: must be 'tfim' or 'generic', got 'foo'"]
+
+    def test_docs_key_table_lists_the_parsed_keys(self):
+        assert set(documented_keys()) == set(_KEYS)
+
+    def test_documented_defaults_are_the_dataclass_defaults(self):
+        defaults = sa.ExperimentConfig()
+        for key, raws in documented_keys().items():
+            spec = _KEYS[key]
+            values = tuple(spec.rule(raw) for raw in raws)
+            if spec.repeated:
+                documented = values
+            else:
+                documented = values[0] if values else None  # "-": no default
+            assert documented == getattr(defaults, spec.attr), key
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -196,6 +242,15 @@ class TestSweep:
         cfg.write_text(ISING_CONFIG, encoding="utf-8")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
                      "--seed", "-5"]) == 2
+
+    @pytest.mark.parametrize("key, value", [("seed", "-5"), ("max_qubits", "0")])
+    def test_flag_fails_like_config_key(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(ISING_CONFIG, encoding="utf-8")
+        flag = "--" + key.replace("_", "-")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), flag, value]) == 2
+        [from_config] = diagnostics(f"{key} = {value}\n")
+        assert capsys.readouterr().err == f"config error: {from_config.removeprefix('line 1: ')}\n"
 
     def test_cell_boundary_sweep_runs(self, tmp_path, capsys):
         cfg = tmp_path / "neel.cfg"

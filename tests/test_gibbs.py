@@ -283,6 +283,11 @@ class TestSpectrumValidation:
         with pytest.raises(ValueError):
             sa.Spectrum(energies=np.array([0.0, np.nan]), vectors=np.eye(2))
 
+    @pytest.mark.parametrize("energies", [[np.nan], [0.0, np.inf], [-np.inf, 0.0]], ids=["nan", "inf", "-inf"])
+    def test_non_finite_energies_rejected(self, energies):
+        with pytest.raises(ValueError, match="finite"):
+            sa.Spectrum(energies=np.array(energies), vectors=np.eye(len(energies)))
+
     def test_spectrum_dimension_mismatch_rejected(self):
         spec = sa.diagonalize(np.diag([0.0, 1.0]))
         with pytest.raises(ValueError):
