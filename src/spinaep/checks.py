@@ -108,11 +108,17 @@ def _check_codec(n_sites: int = 6, beta: float = 0.5, lam: float = 0.2, seed: in
         return CheckResult("codec round trip and fidelity", False, "typical subspace came out empty")
     book = build_codebook(sub)
     round_trip = all(decompress(book, compress(book, int(j))) == int(j) for j in sub.indices)
-    projector = typical_projector(sub, ens.spectrum)
     decomp = make_decomposition(ens, ens.dim, seed=seed)
-    gap = abs(fidelity(decomp, projector) - sub.mass)
-    ok = round_trip and gap <= 1e-10
-    return CheckResult("codec round trip and fidelity", ok, f"|F - mass| {gap:.3e}")
+    fid = fidelity(decomp, sub)
+    # dense route: product-basis vectors through the typical projector
+    vectors = decomp.vectors
+    quad = np.einsum("ij,ij->j", vectors.conj(), typical_projector(sub, ens.spectrum) @ vectors).real
+    dense_gap = abs(fid - float(np.sum(decomp.weights * quad)))
+    gap = abs(fid - sub.mass)
+    ok = round_trip and gap <= 1e-10 and dense_gap <= 1e-12
+    return CheckResult(
+        "codec round trip and fidelity", ok, f"|F - mass| {gap:.3e}, |F - dense F| {dense_gap:.3e}"
+    )
 
 
 def run_checks() -> list[CheckResult]:

@@ -17,8 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .checks import run_checks
-from .codec import build_codebook, fidelity, make_decomposition, typical_projector
+from .codec import build_codebook, fidelity, make_decomposition
 from .config import ExperimentConfig, build_boundary, build_interaction, override, parse_config
 from .errors import CapabilityError, ConfigError, NumericError, QubitCapError, SpinAepError
 from .gibbs import GibbsEnsemble, LOG2E, ThermoDensities, gibbs_ensemble, thermo_densities
@@ -108,7 +107,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -
         for delta in config.deltas:
             sub = typical_subspace(ens, config.h_ref, delta)
             row = aep_row(ens, sub, config.rates, config.ts)
-            fid = fidelity(decomposition, typical_projector(sub, ens.spectrum))
+            fid = fidelity(decomposition, sub)
             length = build_codebook(sub).length if sub.dim else None
             aep_rows.append((n, row))
             window_columns = volume_columns + (row.delta, row.dim, row.mass, row.dim_rate)
@@ -174,7 +173,7 @@ def run_codec_demo(config: ExperimentConfig, out_dir: Path, *, quiet: bool = Fal
         for line in codebook.lines():
             fh.write(line + "\n")
     decomposition = make_decomposition(ens, ens.dim, seed=np.random.default_rng([config.seed, n]))
-    fid = fidelity(decomposition, typical_projector(sub, ens.spectrum))
+    fid = fidelity(decomposition, sub)
     if not quiet:
         print(
             f"n={n} sites={ens.n_sites} delta={delta:g} typical_dim={sub.dim} "
@@ -223,6 +222,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "check":
+            from .checks import run_checks  # scipy, needed by no other command
+
             results = run_checks()
             for r in results:
                 if not r.passed or not args.quiet:

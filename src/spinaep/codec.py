@@ -4,7 +4,11 @@ Typical indices map bijectively onto bitstrings of one fixed length, the
 smallest that can address the subspace. States outside the window compress
 to an explicit flag (``None``), never to a wrong codeword. The projection
 fidelity of the scheme is decomposition-independent and equals the typical
-mass, which the tests pin down against random non-orthogonal decompositions.
+mass. A decomposition is held in eigenbasis coordinates, mixed by a seeded
+structured random isometry (random phases and unitary FFTs), so a window's
+fidelity reads the window's rows of its coefficients and needs neither a
+projector nor a product-basis vector. The tests and ``spinaep check`` pin it
+against the dense projector route on small volumes.
 """
 
 from __future__ import annotations
@@ -83,38 +87,56 @@ def typical_projector(subspace: TypicalSubspace, spectrum: Spectrum) -> np.ndarr
     return v @ v.conj().T
 
 
+def _squared_column_norms(a: np.ndarray) -> np.ndarray:
+    """``sum_i |a_ij|^2`` for each column ``j``, with no temporary the size of ``a``."""
+    return np.einsum("ij,ij->j", a.real, a.real) + np.einsum("ij,ij->j", a.imag, a.imag)
+
+
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """A convex pure-state decomposition of a density matrix.
+    """A convex pure-state decomposition of a density matrix, in its eigenbasis.
 
-    Vectors are unit-norm columns, not necessarily orthogonal or independent.
+    Column ``i`` of ``coefficients`` holds ``<psi_j|phi_i>``, the coordinates
+    of the unit vector ``phi_i`` in the eigenvectors ``psi_j``, the columns of
+    ``basis``. The vectors are not necessarily orthogonal or independent.
     """
 
     weights: np.ndarray  # (m,) nonnegative, summing to one
-    vectors: np.ndarray  # (dim, m) columns of unit norm
+    coefficients: np.ndarray  # (dim, m) columns of unit norm
+    basis: np.ndarray  # (dim, dim) orthonormal eigenvectors as columns
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
-        v = np.asarray(self.vectors)
-        if w.ndim != 1 or v.ndim != 2 or v.shape[1] != w.size:
-            raise ValueError("weights must be (m,) and vectors (dim, m)")
+        c = np.asarray(self.coefficients)
+        b = np.asarray(self.basis)
+        if w.ndim != 1 or c.ndim != 2 or c.shape[1] != w.size or b.shape != (c.shape[0],) * 2:
+            raise ValueError("weights must be (m,), coefficients (dim, m) and basis (dim, dim)")
         # not-below comparisons so NaN entries count as failures
         if not np.all(w >= 0):
             raise ValueError("weights must be nonnegative")
         if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1 within 1e-12")
-        norms = np.linalg.norm(v, axis=0)
+        norms = np.sqrt(_squared_column_norms(c))
         if not np.abs(norms - 1.0).max() <= 1e-10:
-            raise ValueError("decomposition vectors must have unit norm within 1e-10")
+            raise ValueError("decomposition coefficients must have unit-norm columns within 1e-10")
         object.__setattr__(self, "weights", readonly(w))
-        object.__setattr__(self, "vectors", readonly(v))
+        object.__setattr__(self, "coefficients", readonly(c))
+        object.__setattr__(self, "basis", readonly(b))
 
     @property
     def size(self) -> int:
         return int(self.weights.size)
 
-    def density_matrix(self) -> np.ndarray:
-        return (self.vectors * self.weights) @ self.vectors.conj().T
+    @property
+    def vectors(self) -> np.ndarray:
+        """The vectors in the product basis, ``basis @ coefficients`` with unit columns.
+
+        Formed anew on each access at O(dim^2 m) cost; the codec never needs
+        them, they serve the dense cross-checks.
+        """
+        vectors = self.basis @ self.coefficients
+        vectors /= np.linalg.norm(vectors, axis=0)
+        return vectors
 
 
 def make_decomposition(
@@ -122,31 +144,35 @@ def make_decomposition(
 ) -> Decomposition:
     """Seeded pure-state decomposition of the ensemble's density matrix.
 
-    The weighted eigenvectors ``sqrt(kappa_j) |psi_j>`` are mixed by the Q
-    factor of a complex Gaussian ``(m, dim)`` matrix, ``m >= dim``. Q has
-    orthonormal columns, so the ``m`` normalized vectors, non-orthogonal in
-    general, have weighted projectors that sum to the state. Q is taken from
-    ``np.linalg.qr`` without fixing the phases of R's diagonal, so it is a
-    random isometry but not Haar-distributed; the fidelity identity holds for
-    any isometry.
+    The weighted eigenvectors ``sqrt(kappa_j) |psi_j>`` are mixed by the
+    isometry ``U = (F D_3 F D_2 F D_1)[:, :dim]``, ``m >= dim``: each ``D``
+    is a diagonal of random phases and ``F`` the unitary DFT of length
+    ``m``, a randomized Fourier transform after Ailon and Chazelle (STOC
+    2006). Forming U costs O(m dim log m) FFT work. U has orthonormal
+    columns, so the ``m`` normalized vectors, with eigenbasis coefficients
+    the columns of ``C = diag(sqrt(kappa)) U^T``, non-orthogonal in general,
+    have weighted projectors that sum to the state. U is not
+    Haar-distributed; the fidelity identity holds for any isometry.
     """
     dim = ensemble.dim
     if m < dim:
         raise ValueError(f"need m >= {dim} vectors to span the state, got {m}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    q = np.linalg.qr(rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim)))[0]
-    q *= np.exp(0.5 * ensemble.log_weights)
-    vectors = ensemble.spectrum.vectors @ q.T
-    del q  # free Q before the normalization temporaries below
-    weights = np.einsum("ij,ij->j", vectors.conj(), vectors).real
+    # U^T = D_1 F D_2 F D_3 F on its first dim rows: scale columns, then FFT each row
+    coefficients = np.eye(dim, m, dtype=complex)
+    for _ in range(3):
+        coefficients *= np.exp(2j * np.pi * rng.random(m))
+        np.fft.fft(coefficients, axis=1, norm="ortho", out=coefficients)
+    coefficients *= np.exp(0.5 * ensemble.log_weights)[:, None]
+    weights = _squared_column_norms(coefficients)
     norms = np.sqrt(weights)
-    vectors /= np.maximum(norms, 1e-300)
+    coefficients /= np.maximum(norms, 1e-300)
     # zero-weight directions carry no mass; park them on the first eigenvector
-    vectors[:, norms == 0] = ensemble.spectrum.vectors[:, [0]]
+    coefficients[:, norms == 0] = np.eye(dim, 1)
     weights = weights / weights.sum()
     weights.setflags(write=False)
-    vectors.setflags(write=False)
-    return Decomposition(weights=weights, vectors=vectors)
+    coefficients.setflags(write=False)
+    return Decomposition(weights=weights, coefficients=coefficients, basis=ensemble.spectrum.vectors)
 
 
 @dataclass(frozen=True)
@@ -163,9 +189,7 @@ class CodecRecord:
         return self.typical_index is not None
 
 
-def encode_decode_maps(
-    decomposition: Decomposition, subspace: TypicalSubspace, spectrum: Spectrum
-) -> list[CodecRecord]:
+def encode_decode_maps(decomposition: Decomposition, subspace: TypicalSubspace) -> list[CodecRecord]:
     """Run every decomposition vector through the compression scheme.
 
     Encoding picks the typical eigenstate of largest overlap modulus;
@@ -174,8 +198,7 @@ def encode_decode_maps(
     vanishing typical component are recorded as unencodable.
     """
     codebook = build_codebook(subspace)
-    v_typ = spectrum.vectors[:, subspace.indices]
-    overlaps = np.abs(v_typ.conj().T @ decomposition.vectors)  # (dim_typ, m)
+    overlaps = np.abs(decomposition.coefficients[subspace.indices])  # (dim_typ, m)
     records = []
     for i in range(decomposition.size):
         column = overlaps[:, i]
@@ -189,14 +212,16 @@ def encode_decode_maps(
     return records
 
 
-def fidelity(decomposition: Decomposition, projector: np.ndarray) -> float:
-    """Success weight of projecting the decomposition onto a subspace.
+def fidelity(decomposition: Decomposition, subspace: TypicalSubspace) -> float:
+    """Success weight of projecting the decomposition onto the typical subspace.
 
-    ``sum_i p_i <phi_i|P|phi_i>``; for the typical projector this equals the
-    typical mass independently of the decomposition.
+    ``sum_i p_i <phi_i|P|phi_i> = sum_i p_i sum_{j typical} |<psi_j|phi_i>|^2``,
+    read from the window's rows of the coefficients in O(dim_typ m). It
+    equals the typical mass for every decomposition. The eigenvectors never
+    enter, so their orthonormality rests on the Gram check of
+    :func:`~spinaep.gibbs.diagonalize`.
     """
-    p = np.asarray(projector)
-    if p.shape != (decomposition.vectors.shape[0],) * 2:
-        raise ValueError("projector dimension does not match the decomposition")
-    quad = np.einsum("ij,ij->j", decomposition.vectors.conj(), p @ decomposition.vectors).real
-    return float(np.sum(decomposition.weights * quad))
+    if 1 << subspace.n_sites != decomposition.coefficients.shape[0]:
+        raise ValueError("subspace dimension does not match the decomposition")
+    captured = _squared_column_norms(decomposition.coefficients[subspace.indices])
+    return float(np.sum(decomposition.weights * captured))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ._arrays import readonly
 from .errors import NumericError
@@ -23,6 +22,22 @@ LOG2E = math.log2(math.e)
 
 SPECTRUM_RESIDUAL_TOL = 1e-9
 IDENTITY_RESIDUAL_TOL = 1e-10
+
+
+def logsumexp(a: np.ndarray) -> float:
+    """``log(sum(exp(a)))`` of a nonempty real vector, without overflow.
+
+    The algorithm of ``scipy.special.logsumexp``, whose value it matches bit
+    for bit: ``log1p(s) + log(count) + max``, where ``s`` sums ``exp(a - max)``
+    over the entries below the maximum and divides by the count of maxima.
+    The maxima enter that sum as exact zeros, so its pairwise grouping, and
+    with it the last bit, is scipy's.
+    """
+    a_max = a.max()
+    is_max = a == a_max
+    count = np.count_nonzero(is_max)
+    s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum() / count
+    return float(np.log1p(s) + np.log(count) + a_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +142,7 @@ def gibbs_ensemble(h: np.ndarray, beta: float, *, spectrum: Spectrum | None = No
     if dim != 1 << n_sites:
         raise ValueError(f"dimension {dim} is not a power of two")
     log_weights = -beta * spectrum.energies
-    log_partition = float(logsumexp(log_weights))
+    log_partition = logsumexp(log_weights)
     log_weights -= log_partition
     log_weights.setflags(write=False)
     return GibbsEnsemble(

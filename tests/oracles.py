@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's assembly and log-domain
 paths: Hamiltonians come from explicit Kronecker chains, entropies from
-exhaustive configuration enumeration, typical windows from plain loops.
+exhaustive configuration enumeration, typical windows from plain loops,
+decomposition fidelities from dense product-basis vectors and projectors.
 """
 
 import itertools
@@ -138,3 +139,21 @@ def loop_assemble(model, volume, boundary, interior_only: bool = False) -> np.nd
                         r, c = 2 * r + bit(a, s), 2 * c + bit(b, s)
                     H[a, b] += full[r, c]
     return H
+
+
+def qr_isometry(rng: np.random.Generator, m: int, dim: int) -> np.ndarray:
+    """Q factor of a complex Gaussian (m, dim) matrix: an isometry by dense QR."""
+    return np.linalg.qr(rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim)))[0]
+
+
+def product_basis_decomposition(eigenvectors: np.ndarray, kappa: np.ndarray, isometry: np.ndarray):
+    """Weights and unit product-basis vectors, the columns of ``V diag(sqrt kappa) U^T``."""
+    vectors = eigenvectors @ (isometry * np.sqrt(kappa)).T
+    weights = np.einsum("ij,ij->j", vectors.conj(), vectors).real
+    return weights / weights.sum(), vectors / np.sqrt(weights)
+
+
+def projector_fidelity(weights: np.ndarray, vectors: np.ndarray, projector: np.ndarray) -> float:
+    """``sum_i p_i <phi_i|P|phi_i>``, the projector applied to every vector."""
+    quad = np.einsum("ij,ij->j", vectors.conj(), projector @ vectors).real
+    return float(np.sum(weights * quad))

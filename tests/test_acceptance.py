@@ -146,7 +146,7 @@ def test_criterion_08_fidelity_identity():
     rho = (v * np.exp(ens.log_weights)) @ v.conj().T
     trace_value = float(np.trace(rho @ projector).real)
     fidelities = [
-        sa.fidelity(sa.make_decomposition(ens, ens.dim, seed=seed), projector)
+        sa.fidelity(sa.make_decomposition(ens, ens.dim, seed=seed), sub)
         for seed in (101, 202, 303)
     ]
     spread = max(fidelities) - min(fidelities)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,10 @@ import spinaep as sa
 from spinaep.errors import EmptySubspaceError, InvalidCodewordError
 
 from conftest import chain_ensemble
+from oracles import product_basis_decomposition, projector_fidelity, qr_isometry
+
+# The sweep-dm11 benchmark chain: complex Hermitian H, Neel cell boundary.
+COMPLEX_MODEL = Path(__file__).resolve().parent / "golden" / "dm.cfg"
 
 
 def subspace_of(ens, delta):
@@ -129,13 +135,36 @@ class TestTypicalProjector:
         assert np.trace(proj).real == pytest.approx(sub.dim, abs=1e-8)
 
 
+def complex_ensemble(n_sites: int) -> sa.GibbsEnsemble:
+    config = sa.parse_config(COMPLEX_MODEL.read_text(encoding="utf-8"))
+    h = sa.assemble_hamiltonian(
+        sa.build_interaction(config), sa.chain(n_sites), sa.build_boundary(config)
+    )
+    return sa.gibbs_ensemble(h, config.beta)
+
+
 class TestDecomposition:
-    def test_haar_reconstructs_density_matrix(self, warm_ensemble):
+    def test_product_vectors_reconstruct_density_matrix(self, warm_ensemble):
         v = warm_ensemble.spectrum.vectors
         rho = (v * np.exp(warm_ensemble.log_weights)) @ v.conj().T
         for seed in (0, 1, 2):
             decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim + 16, seed=seed)
-            assert np.abs(decomp.density_matrix() - rho).max() <= 1e-8
+            vectors = decomp.vectors
+            assert np.abs((vectors * decomp.weights) @ vectors.conj().T - rho).max() <= 1e-8
+
+    @pytest.mark.parametrize("extra", [0, 16])
+    def test_isometry_has_orthonormal_columns(self, extra):
+        # uniform kappa = 1/dim, so U^T = sqrt(dim) * coefficients * sqrt(weights)
+        ens = sa.gibbs_ensemble(np.zeros((32, 32)), beta=1.0)
+        decomp = sa.make_decomposition(ens, ens.dim + extra, seed=4)
+        u = (np.sqrt(ens.dim) * decomp.coefficients * np.sqrt(decomp.weights)).T
+        assert u.shape == (ens.dim + extra, ens.dim)
+        assert np.abs(u.conj().T @ u - np.eye(ens.dim)).max() <= 1e-12
+
+    def test_coefficients_are_eigenbasis_overlaps(self, warm_ensemble):
+        decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim + 16, seed=8)
+        overlaps = warm_ensemble.spectrum.vectors.conj().T @ decomp.vectors
+        assert np.abs(overlaps - decomp.coefficients).max() <= 1e-12
 
     def test_weights_sum_to_one(self, warm_ensemble):
         decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, seed=5)
@@ -143,13 +172,13 @@ class TestDecomposition:
 
     def test_nan_weight_rejected(self):
         with pytest.raises(ValueError):
-            sa.Decomposition(weights=np.array([0.5, np.nan]), vectors=np.eye(2))
+            sa.Decomposition(weights=np.array([0.5, np.nan]), coefficients=np.eye(2), basis=np.eye(2))
 
     def test_nan_vector_rejected(self):
-        vectors = np.eye(2)
-        vectors[1, 1] = np.nan
+        coefficients = np.eye(2)
+        coefficients[1, 1] = np.nan
         with pytest.raises(ValueError):
-            sa.Decomposition(weights=np.array([0.5, 0.5]), vectors=vectors)
+            sa.Decomposition(weights=np.array([0.5, 0.5]), coefficients=coefficients, basis=np.eye(2))
 
     def test_too_few_vectors_rejected(self, warm_ensemble):
         with pytest.raises(ValueError):
@@ -158,17 +187,23 @@ class TestDecomposition:
     def test_reproducible_for_fixed_seed(self, warm_ensemble):
         a = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, seed=9)
         b = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, seed=9)
-        np.testing.assert_array_equal(a.vectors, b.vectors)
+        np.testing.assert_array_equal(a.coefficients, b.coefficients)
         np.testing.assert_array_equal(a.weights, b.weights)
+
+    def test_seed_changes_the_isometry(self, warm_ensemble):
+        a = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, seed=9)
+        b = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, seed=10)
+        assert np.abs(a.coefficients - b.coefficients).max() > 0.1
 
 
 class TestEncodeDecode:
     def test_eigenbasis_maps_are_identity_on_typical(self, warm_ensemble):
         sub = subspace_of(warm_ensemble, 0.3)
         decomp = sa.Decomposition(
-            weights=warm_ensemble.weights, vectors=warm_ensemble.spectrum.vectors
+            weights=warm_ensemble.weights, coefficients=np.eye(warm_ensemble.dim),
+            basis=warm_ensemble.spectrum.vectors,
         )
-        records = sa.encode_decode_maps(decomp, sub, warm_ensemble.spectrum)
+        records = sa.encode_decode_maps(decomp, sub)
         typical = set(int(j) for j in sub.indices)
         for rec in records:
             if rec.source_index in typical:
@@ -179,16 +214,17 @@ class TestEncodeDecode:
         ens = sa.gibbs_ensemble(np.zeros((16, 16)), beta=1.0)
         sub = sa.typical_subspace(ens, 1.0, 0.2)
         decomp = sa.make_decomposition(ens, 16, seed=1)
-        records = sa.encode_decode_maps(decomp, sub, ens.spectrum)
+        records = sa.encode_decode_maps(decomp, sub)
         assert all(rec.encodable for rec in records)
 
     def test_encoding_matches_argmax_oracle(self, warm_ensemble):
         sub = subspace_of(warm_ensemble, 0.3)
         decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, seed=13)
-        records = sa.encode_decode_maps(decomp, sub, warm_ensemble.spectrum)
+        records = sa.encode_decode_maps(decomp, sub)
         v_typ = warm_ensemble.spectrum.vectors[:, sub.indices]
+        vectors = decomp.vectors
         for rec in records[:10]:
-            overlaps = [abs(v_typ[:, t].conj() @ decomp.vectors[:, rec.source_index])
+            overlaps = [abs(v_typ[:, t].conj() @ vectors[:, rec.source_index])
                         for t in range(sub.dim)]
             best = int(np.argmax(overlaps))
             assert rec.typical_index == int(sub.indices[best])
@@ -197,36 +233,75 @@ class TestEncodeDecode:
         sub = subspace_of(warm_ensemble, 0.3)
         book = sa.build_codebook(sub)
         decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, seed=21)
-        for rec in sa.encode_decode_maps(decomp, sub, warm_ensemble.spectrum):
+        for rec in sa.encode_decode_maps(decomp, sub):
             if rec.encodable:
                 assert sa.decompress(book, rec.codeword) == rec.typical_index
+
+
+def window(ens, indices):
+    return sa.TypicalSubspace(
+        indices=np.asarray(indices, dtype=int), h_ref=1.0, delta=0.1, mass=0.0, n_sites=ens.n_sites
+    )
 
 
 class TestFidelity:
     def test_identity_projector(self, warm_ensemble):
         decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, seed=2)
-        assert sa.fidelity(decomp, np.eye(warm_ensemble.dim)) == pytest.approx(1.0, abs=1e-12)
+        full = window(warm_ensemble, np.arange(warm_ensemble.dim))
+        assert sa.fidelity(decomp, full) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_projector(self, warm_ensemble):
         decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, seed=2)
-        assert sa.fidelity(decomp, np.zeros((warm_ensemble.dim,) * 2)) == 0.0
+        assert sa.fidelity(decomp, window(warm_ensemble, [])) == 0.0
 
     def test_equals_typical_mass_across_decompositions(self):
         ens = chain_ensemble(8, 1.0, 0.5, 0.2, beta=2.0)
         sub = subspace_of(ens, 0.15)
-        projector = sa.typical_projector(sub, ens.spectrum)
         values = []
         for seed in (101, 202, 303):
             decomp = sa.make_decomposition(ens, ens.dim, seed=seed)
-            values.append(sa.fidelity(decomp, projector))
+            values.append(sa.fidelity(decomp, sub))
         for value in values:
             assert value == pytest.approx(sub.mass, abs=1e-10)
         assert max(values) - min(values) <= 1e-10
 
     def test_dimension_mismatch_rejected(self, warm_ensemble):
         decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, seed=2)
+        small = sa.TypicalSubspace(indices=np.arange(4), h_ref=1.0, delta=0.1, mass=0.5, n_sites=2)
         with pytest.raises(ValueError):
-            sa.fidelity(decomp, np.eye(4))
+            sa.fidelity(decomp, small)
+
+
+@pytest.fixture(scope="module", params=["tfim", "complex"])
+def small_ensemble(request):
+    """A six-site TFIM chain and a five-site complex chain with wide windows."""
+    if request.param == "tfim":
+        return chain_ensemble(6, 1.0, 0.5, 0.2, beta=0.5)
+    ens = complex_ensemble(5)
+    assert np.iscomplexobj(ens.spectrum.vectors)
+    return ens
+
+
+class TestDenseRoute:
+    """The coefficient fidelity against the product-basis projector route."""
+
+    @pytest.mark.parametrize("extra", [0, 16])
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_coefficient_fidelity_equals_projector_fidelity(self, small_ensemble, seed, extra):
+        ens = small_ensemble
+        sub = subspace_of(ens, 0.3)
+        assert 1 < sub.dim < ens.dim
+        projector = sa.typical_projector(sub, ens.spectrum)
+        decomp = sa.make_decomposition(ens, ens.dim + extra, seed=seed)
+        value = sa.fidelity(decomp, sub)
+        same = projector_fidelity(decomp.weights, decomp.vectors, projector)
+        isometry = qr_isometry(np.random.default_rng(seed), ens.dim + extra, ens.dim)
+        gaussian = projector_fidelity(
+            *product_basis_decomposition(ens.spectrum.vectors, ens.weights, isometry), projector
+        )
+        assert abs(value - same) <= 1e-12
+        assert abs(value - gaussian) <= 1e-12
+        assert abs(value - sub.mass) <= 1e-12
 
 
 class TestProjectorRankBound:

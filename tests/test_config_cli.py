@@ -1,5 +1,8 @@
 import csv
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +334,15 @@ class TestOtherSubcommands:
         word, index = lines[0].split()
         assert set(word) <= {"0", "1"}
         assert index.isdigit()
+
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        probe = "import sys, spinaep.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_check_suite_passes(self, capsys):
         assert main(["check"]) == 0

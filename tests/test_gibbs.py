@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import logsumexp as scipy_logsumexp
 
 import spinaep as sa
 from spinaep.errors import NumericError
+from spinaep.gibbs import logsumexp
 
 from conftest import GRID_POINTS, chain_ensemble, chain_hamiltonian
 
@@ -34,6 +36,34 @@ class TestDiagonalize:
     def test_energies_ascending(self):
         spec = sa.diagonalize(random_hermitian(32, seed=1))
         assert np.all(np.diff(spec.energies) >= 0)
+
+
+class TestLogSumExp:
+    """The numpy log-sum-exp against scipy's, bit for bit."""
+
+    def test_random_arrays(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            a = rng.standard_normal(int(rng.integers(2, 400))) * rng.choice([1e-3, 1.0, 40.0, 1e3])
+            assert logsumexp(a) == float(scipy_logsumexp(a))
+
+    def test_ties(self):
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            a = np.round(rng.standard_normal(int(rng.integers(2, 200))), 1)
+            a[rng.integers(0, a.size, size=3)] = a.max()
+            assert logsumexp(a) == float(scipy_logsumexp(a))
+        for a in (np.zeros(7), np.array([-2.0, 1.5, 1.5]), np.full(5, -800.0)):
+            assert logsumexp(a) == float(scipy_logsumexp(a))
+
+    def test_single_element(self):
+        for value in (0.0, -3.25, 7e5, -1e-300):
+            assert logsumexp(np.array([value])) == float(scipy_logsumexp(np.array([value])))
+
+    def test_spectra(self, grid_ensembles):
+        for ens in grid_ensembles:
+            log_weights = -ens.beta * ens.spectrum.energies
+            assert logsumexp(log_weights) == float(scipy_logsumexp(log_weights))
 
 
 class TestGibbsEnsemble:
@@ -224,7 +254,7 @@ class TestImmutability:
         sub = sa.typical_subspace(ens, sa.entropy_bits(ens) / ens.n_sites, 0.5)
         assert sub.dim
         decomp = sa.make_decomposition(ens, ens.dim, seed=3)
-        for array in (decomp.weights, decomp.vectors, sub.indices,
+        for array in (decomp.weights, decomp.coefficients, sub.indices,
                       sa.build_codebook(sub).indices):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -236,7 +266,8 @@ def frozen_type_case(name: str):
     return {
         "Spectrum": (sa.Spectrum, {"energies": np.array([0.0, 1.0]), "vectors": np.eye(2)}),
         "Decomposition": (sa.Decomposition, {"weights": np.array([0.25, 0.75]),
-                                             "vectors": np.eye(2, dtype=complex)}),
+                                             "coefficients": np.eye(2, dtype=complex),
+                                             "basis": np.eye(2)}),
         "LocalTerm": (sa.LocalTerm, {"support": ((0,),),
                                      "classical_part": np.array([-1.0, 1.0]),
                                      "quantum_part": np.zeros((2, 2), dtype=complex)}),
