@@ -30,6 +30,7 @@ from .gibbs import (
     ThermoDensities,
     characteristic_function,
     diagonalize,
+    eigenpairs,
     eigenvalue_via_energy,
     entropy_bits,
     expectation,

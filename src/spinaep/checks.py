@@ -2,8 +2,10 @@
 
 Each check recomputes a pipeline quantity along an independent route
 (matrix exponential, exhaustive configuration enumeration, finite
-differences) and compares at a fixed tolerance. Meant for the ``check``
-CLI subcommand; the pytest suite carries its own, separate oracles.
+differences) and compares at a fixed tolerance. Every ensemble here comes
+from the dense route, :func:`~spinaep.gibbs.eigenpairs` with its eigenpair
+residual and Gram checks. Meant for the ``check`` CLI subcommand; the pytest
+suite carries its own, separate oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ import numpy as np
 from scipy.linalg import expm
 
 from .codec import build_codebook, compress, decompress, fidelity, make_decomposition, typical_projector
-from .gibbs import LOG2E, entropy_bits, expectation, gibbs_ensemble, thermo_densities
+from .gibbs import (
+    LOG2E, GibbsEnsemble, diagonalize, eigenpairs, entropy_bits, expectation, gibbs_ensemble,
+    thermo_densities,
+)
 from .hamiltonian import assemble_hamiltonian
 from .interaction import GroundStateConfig, classical_energy, preset_tfim
 from .lattice import Configuration, boundary_envelope, chain
@@ -34,9 +39,13 @@ def _hamiltonian(n_sites: int, lam: float) -> np.ndarray:
     return assemble_hamiltonian(preset_tfim(1.0, 0.5, lam), chain(n_sites), boundary)
 
 
+def _ensemble(h: np.ndarray, beta: float) -> GibbsEnsemble:
+    return gibbs_ensemble(h, beta, spectrum=eigenpairs(h))
+
+
 def _check_expm_oracle(n_sites: int = 5, beta: float = 1.5, lam: float = 0.3) -> CheckResult:
     h = _hamiltonian(n_sites, lam)
-    ens = gibbs_ensemble(h, beta)
+    ens = _ensemble(h, beta)
     rho = expm(-beta * np.asarray(h, dtype=complex))
     rho /= np.trace(rho).real
     oracle = np.sort(np.linalg.eigvalsh(rho))
@@ -49,7 +58,7 @@ def _check_classical_entropy(n_sites: int = 5, beta: float = 2.0) -> CheckResult
     model = preset_tfim(1.0, 0.5, 0.0)
     volume = chain(n_sites)
     boundary = GroundStateConfig.uniform(1, +1)
-    ens = gibbs_ensemble(assemble_hamiltonian(model, volume, boundary), beta)
+    ens = _ensemble(assemble_hamiltonian(model, volume, boundary), beta)
     envelope = boundary.restricted_to(boundary_envelope(volume, model.R))
     energies = []
     for spins in itertools.product((1, -1), repeat=n_sites):
@@ -68,7 +77,7 @@ def _check_classical_entropy(n_sites: int = 5, beta: float = 2.0) -> CheckResult
 
 def _check_energy_derivative(n_sites: int = 5, beta: float = 1.2, lam: float = 0.25) -> CheckResult:
     h = _hamiltonian(n_sites, lam)
-    ens = gibbs_ensemble(h, beta)
+    ens = _ensemble(h, beta)
     mine = expectation(ens, h)
     step = 1e-5
     spectrum = ens.spectrum
@@ -80,13 +89,21 @@ def _check_energy_derivative(n_sites: int = 5, beta: float = 1.2, lam: float = 0
 
 
 def _check_entropy_identity(n_sites: int = 6, beta: float = 2.0, lam: float = 0.2) -> CheckResult:
-    densities = thermo_densities(gibbs_ensemble(_hamiltonian(n_sites, lam), beta))
+    densities = thermo_densities(_ensemble(_hamiltonian(n_sites, lam), beta))
     res = densities.identity_residual
     return CheckResult("entropy-rate identity", res <= 1e-10, f"residual {res:.3e}")
 
 
+def _check_values_only(n_sites: int = 6, lam: float = 0.2) -> CheckResult:
+    h = _hamiltonian(n_sites, lam)
+    dense = eigenpairs(h).energies
+    gap = float(np.abs(diagonalize(h).energies - dense).max())
+    bound = 1e-12 * float(np.abs(dense).max())
+    return CheckResult("values-only energies", gap <= bound, f"max gap {gap:.3e} (bound {bound:.3e})")
+
+
 def _check_typical_filter(n_sites: int = 6, beta: float = 0.5, lam: float = 0.2) -> CheckResult:
-    ens = gibbs_ensemble(_hamiltonian(n_sites, lam), beta)
+    ens = _ensemble(_hamiltonian(n_sites, lam), beta)
     h_ref = entropy_bits(ens) / n_sites
     delta = 0.3
     sub = typical_subspace(ens, h_ref, delta)
@@ -102,7 +119,7 @@ def _check_typical_filter(n_sites: int = 6, beta: float = 0.5, lam: float = 0.2)
 
 
 def _check_codec(n_sites: int = 6, beta: float = 0.5, lam: float = 0.2, seed: int = 7) -> CheckResult:
-    ens = gibbs_ensemble(_hamiltonian(n_sites, lam), beta)
+    ens = _ensemble(_hamiltonian(n_sites, lam), beta)
     sub = typical_subspace(ens, entropy_bits(ens) / n_sites, 0.3)
     if sub.dim == 0:
         return CheckResult("codec round trip and fidelity", False, "typical subspace came out empty")
@@ -128,6 +145,7 @@ def run_checks() -> list[CheckResult]:
         _check_classical_entropy(),
         _check_energy_derivative(),
         _check_entropy_identity(),
+        _check_values_only(),
         _check_typical_filter(),
         _check_codec(),
     ]

@@ -80,10 +80,14 @@ def decompress(codebook: Codebook, word: str) -> int:
 
 
 def typical_projector(subspace: TypicalSubspace, spectrum: Spectrum) -> np.ndarray:
-    """Orthogonal projector onto the span of the typical eigenstates."""
+    """Orthogonal projector onto the span of the typical eigenstates.
+
+    Needs the eigenvectors: pass a spectrum from :func:`~spinaep.gibbs.eigenpairs`.
+    """
+    vectors = spectrum.require_vectors("typical_projector")
     if subspace.dim == 0:
         return np.zeros((spectrum.dim, spectrum.dim), dtype=complex)
-    v = spectrum.vectors[:, subspace.indices]
+    v = vectors[:, subspace.indices]
     return v @ v.conj().T
 
 
@@ -98,19 +102,24 @@ class Decomposition:
 
     Column ``i`` of ``coefficients`` holds ``<psi_j|phi_i>``, the coordinates
     of the unit vector ``phi_i`` in the eigenvectors ``psi_j``, the columns of
-    ``basis``. The vectors are not necessarily orthogonal or independent.
+    ``basis``, or ``None`` when the spectrum was solved for energies only.
+    The vectors are not necessarily orthogonal or independent.
     """
 
     weights: np.ndarray  # (m,) nonnegative, summing to one
     coefficients: np.ndarray  # (dim, m) columns of unit norm
-    basis: np.ndarray  # (dim, dim) orthonormal eigenvectors as columns
+    basis: np.ndarray | None  # (dim, dim) orthonormal eigenvectors as columns
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
         c = np.asarray(self.coefficients)
-        b = np.asarray(self.basis)
-        if w.ndim != 1 or c.ndim != 2 or c.shape[1] != w.size or b.shape != (c.shape[0],) * 2:
-            raise ValueError("weights must be (m,), coefficients (dim, m) and basis (dim, dim)")
+        if w.ndim != 1 or c.ndim != 2 or c.shape[1] != w.size:
+            raise ValueError("weights must be (m,) and coefficients (dim, m)")
+        if self.basis is not None:
+            b = np.asarray(self.basis)
+            if b.shape != (c.shape[0],) * 2:
+                raise ValueError("basis must be (dim, dim)")
+            object.__setattr__(self, "basis", readonly(b))
         # not-below comparisons so NaN entries count as failures
         if not np.all(w >= 0):
             raise ValueError("weights must be nonnegative")
@@ -121,7 +130,6 @@ class Decomposition:
             raise ValueError("decomposition coefficients must have unit-norm columns within 1e-10")
         object.__setattr__(self, "weights", readonly(w))
         object.__setattr__(self, "coefficients", readonly(c))
-        object.__setattr__(self, "basis", readonly(b))
 
     @property
     def size(self) -> int:
@@ -132,8 +140,12 @@ class Decomposition:
         """The vectors in the product basis, ``basis @ coefficients`` with unit columns.
 
         Formed anew on each access at O(dim^2 m) cost; the codec never needs
-        them, they serve the dense cross-checks.
+        them, they serve the dense cross-checks. Without a basis these are
+        the held coefficients, the same vectors in eigenbasis coordinates,
+        and no product is formed.
         """
+        if self.basis is None:
+            return self.coefficients
         vectors = self.basis @ self.coefficients
         vectors /= np.linalg.norm(vectors, axis=0)
         return vectors
@@ -217,9 +229,10 @@ def fidelity(decomposition: Decomposition, subspace: TypicalSubspace) -> float:
 
     ``sum_i p_i <phi_i|P|phi_i> = sum_i p_i sum_{j typical} |<psi_j|phi_i>|^2``,
     read from the window's rows of the coefficients in O(dim_typ m). It
-    equals the typical mass for every decomposition. The eigenvectors never
-    enter, so their orthonormality rests on the Gram check of
-    :func:`~spinaep.gibbs.diagonalize`.
+    equals the typical mass for every decomposition. No eigenvector enters:
+    the eigenbasis is orthonormal by definition, so the value rests only on
+    the energies, which :func:`~spinaep.gibbs.diagonalize` holds to the trace
+    identities, and on the isometry of :func:`make_decomposition`.
     """
     if 1 << subspace.n_sites != decomposition.coefficients.shape[0]:
         raise ValueError("subspace dimension does not match the decomposition")

@@ -184,6 +184,14 @@ def assemble_hamiltonian(
     stick out into the envelope are frozen to the boundary configuration.
     With ``interior_only`` set, terms crossing the boundary are dropped
     instead of frozen.
+
+    The result equals its conjugate transpose exactly, by construction, so
+    the eigensolvers, which read one triangle, see the whole matrix: each
+    :class:`~spinaep.interaction.LocalTerm` stores an exactly Hermitian
+    quantum part (checked to ``HERMITICITY_TOL``, then symmetrized), freezing
+    keeps a principal sub-block, and the scatter adds the exact conjugates
+    ``op[a, b]`` and ``op[b, a]`` at mirrored positions in the same term
+    order, so both triangles round alike. No runtime check is made.
     """
     terms = instantiate_terms(interaction, volume, boundary, interior_only=interior_only)
     return _sum_terms(volume, ((inst.matrix, inst.sites_in) for inst in terms))

@@ -42,7 +42,9 @@ class LocalTerm:
 
     ``classical_part`` holds the diagonal entries of the classical piece in
     the configuration basis of the support (energy units); ``quantum_part``
-    is the Hermitian perturbation on the same factor ordering.
+    is the Hermitian perturbation on the same factor ordering. A quantum part
+    within ``HERMITICITY_TOL`` of Hermitian is stored as its Hermitian part,
+    so that it equals its conjugate transpose exactly.
     """
 
     support: tuple[Site, ...]
@@ -70,6 +72,8 @@ class LocalTerm:
         scale = max(1.0, float(np.linalg.norm(quantum)))
         if np.abs(quantum - quantum.conj().T).max() > HERMITICITY_TOL * scale:
             raise ValueError("quantum_part is not Hermitian within tolerance")
+        if not np.array_equal(quantum, quantum.conj().T):
+            quantum = (quantum + quantum.conj().T) / 2
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "classical_part", readonly(classical))
         object.__setattr__(self, "quantum_part", readonly(quantum))

@@ -18,6 +18,11 @@ def chain_hamiltonian(n_sites: int, J: float, h: float, lam: float,
     return sa.assemble_hamiltonian(sa.preset_tfim(J, h, lam), volume, boundary)
 
 
+def dense_ensemble(h: np.ndarray, beta: float) -> sa.GibbsEnsemble:
+    """Ensemble through the eigenpair route, for tests that read eigenvectors."""
+    return sa.gibbs_ensemble(h, beta, spectrum=sa.eigenpairs(h))
+
+
 def chain_ensemble(n_sites: int, J: float, h: float, lam: float, beta: float,
                    boundary_spin: int = 1) -> sa.GibbsEnsemble:
     return sa.gibbs_ensemble(chain_hamiltonian(n_sites, J, h, lam, boundary_spin), beta)
@@ -28,6 +33,15 @@ def exhibit_ensembles() -> dict[int, sa.GibbsEnsemble]:
     """Pinned-boundary transverse-field Ising chains at the exhibit parameters."""
     return {
         n: chain_ensemble(n, EXHIBIT["J"], EXHIBIT["h"], EXHIBIT["lam"], EXHIBIT["beta"])
+        for n in EXHIBIT_SIZES
+    }
+
+
+@pytest.fixture(scope="session")
+def warm_ensembles() -> dict[int, sa.GibbsEnsemble]:
+    """The exhibit chains at beta = 0.5, where the AEP trends show."""
+    return {
+        n: chain_ensemble(n, EXHIBIT["J"], EXHIBIT["h"], EXHIBIT["lam"], 0.5)
         for n in EXHIBIT_SIZES
     }
 

@@ -13,7 +13,7 @@ from scipy.linalg import expm
 import spinaep as sa
 from spinaep.cli import main
 
-from conftest import EXHIBIT, EXHIBIT_SIZES, GRID_POINTS, chain_ensemble, chain_hamiltonian
+from conftest import EXHIBIT, EXHIBIT_SIZES, GRID_POINTS, chain_ensemble, chain_hamiltonian, dense_ensemble
 from oracles import classical_chain_entropy_bits
 
 DELTA = EXHIBIT["delta"]
@@ -28,18 +28,19 @@ def per_volume_subspace(ens: sa.GibbsEnsemble, delta: float = DELTA) -> sa.Typic
     return sa.typical_subspace(ens, sa.entropy_bits(ens) / ens.n_sites, delta)
 
 
-def test_criterion_01_normalization_and_weight_identity(grid_ensembles):
-    assert len(grid_ensembles) >= 20
+def test_criterion_01_normalization_and_weight_identity():
+    assert len(GRID_POINTS) >= 20
     worst_sum = 0.0
     worst_state = 0.0
-    for (J, field, lam, _), ens in zip(GRID_POINTS, grid_ensembles):
+    for J, field, lam, beta in GRID_POINTS:
         h = chain_hamiltonian(5, J, field, lam)
+        ens = dense_ensemble(h, beta)
         worst_sum = max(worst_sum, abs(float(np.exp(ens.log_weights).sum()) - 1.0))
         for j in range(ens.dim):
             gap = abs(sa.eigenvalue_via_energy(ens, h, j) - float(ens.log_weights[j]))
             worst_state = max(worst_state, gap)
     ok = worst_sum <= 1e-12 and worst_state <= 1e-9
-    report(1, ok, f"{len(grid_ensembles)} ensembles, |sum-1| <= {worst_sum:.2e}, "
+    report(1, ok, f"{len(GRID_POINTS)} ensembles, |sum-1| <= {worst_sum:.2e}, "
                   f"per-state gap <= {worst_state:.2e}")
     assert worst_sum <= 1e-12
     assert worst_state <= 1e-9
@@ -138,8 +139,31 @@ def test_criterion_07_subrate_unreliability(exhibit_ensembles):
     assert ok
 
 
+def test_exhibit_aep_trends_at_beta_half(warm_ensembles):
+    """Criteria 05 and 07's trends at beta = 0.5, where the entropy rate is
+    about 0.6 bits/site; the criteria themselves stay at the pinned beta = 2."""
+    masses = {n: per_volume_subspace(ens).mass for n, ens in warm_ensembles.items()}
+    inclusion_ok = True
+    for ens in warm_ensembles.values():
+        h_ref = sa.entropy_bits(ens) / ens.n_sites
+        subs = [sa.typical_subspace(ens, h_ref, d) for d in DELTA_GRID]
+        for small, large in zip(subs, subs[1:]):
+            inclusion_ok &= set(small.indices) <= set(large.indices) and small.mass <= large.mass + 1e-15
+    rates = {n: sa.entropy_bits(ens) / n - 0.2 for n, ens in warm_ensembles.items()}
+    sub_rate = [sa.best_rate_mass(warm_ensembles[n], rates[n]) for n in EXHIBIT_SIZES]
+    growth_ok = masses[EXHIBIT_SIZES[-1]] > masses[EXHIBIT_SIZES[0]]
+    decay_ok = min(rates.values()) > 0 and all(a > b for a, b in zip(sub_rate, sub_rate[1:]))
+    print(f"exhibit beta=0.5: {'PASS' if growth_ok and inclusion_ok and decay_ok else 'FAIL'} - "
+          "typical masses " + ", ".join(f"{masses[n]:.6f}" for n in EXHIBIT_SIZES)
+          + "; best-rate masses at h-0.2 " + ", ".join(f"{m:.6f}" for m in sub_rate))
+    assert inclusion_ok
+    assert growth_ok
+    assert decay_ok
+
+
 def test_criterion_08_fidelity_identity():
-    ens = chain_ensemble(8, EXHIBIT["J"], EXHIBIT["h"], EXHIBIT["lam"], EXHIBIT["beta"])
+    h = chain_hamiltonian(8, EXHIBIT["J"], EXHIBIT["h"], EXHIBIT["lam"])
+    ens = dense_ensemble(h, EXHIBIT["beta"])
     sub = per_volume_subspace(ens)
     projector = sa.typical_projector(sub, ens.spectrum)
     v = ens.spectrum.vectors

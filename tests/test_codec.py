@@ -6,7 +6,7 @@ import pytest
 import spinaep as sa
 from spinaep.errors import EmptySubspaceError, InvalidCodewordError
 
-from conftest import chain_ensemble
+from conftest import chain_ensemble, chain_hamiltonian, dense_ensemble
 from oracles import product_basis_decomposition, projector_fidelity, qr_isometry
 
 # The sweep-dm11 benchmark chain: complex Hermitian H, Neel cell boundary.
@@ -20,7 +20,7 @@ def subspace_of(ens, delta):
 @pytest.fixture(scope="module")
 def warm_ensemble():
     # beta low enough that the window holds a few dozen states
-    return chain_ensemble(6, 1.0, 0.5, 0.2, beta=0.3)
+    return dense_ensemble(chain_hamiltonian(6, 1.0, 0.5, 0.2), beta=0.3)
 
 
 class TestCodebook:
@@ -113,7 +113,7 @@ class TestRoundTrip:
 
 class TestTypicalProjector:
     def test_full_subspace_gives_identity(self):
-        ens = sa.gibbs_ensemble(np.zeros((8, 8)), beta=1.0)
+        ens = dense_ensemble(np.zeros((8, 8)), beta=1.0)
         sub = sa.typical_subspace(ens, 1.0, 0.2)
         np.testing.assert_allclose(
             sa.typical_projector(sub, ens.spectrum), np.eye(8), atol=1e-12
@@ -140,7 +140,7 @@ def complex_ensemble(n_sites: int) -> sa.GibbsEnsemble:
     h = sa.assemble_hamiltonian(
         sa.build_interaction(config), sa.chain(n_sites), sa.build_boundary(config)
     )
-    return sa.gibbs_ensemble(h, config.beta)
+    return dense_ensemble(h, config.beta)
 
 
 class TestDecomposition:
@@ -276,7 +276,7 @@ class TestFidelity:
 def small_ensemble(request):
     """A six-site TFIM chain and a five-site complex chain with wide windows."""
     if request.param == "tfim":
-        return chain_ensemble(6, 1.0, 0.5, 0.2, beta=0.5)
+        return dense_ensemble(chain_hamiltonian(6, 1.0, 0.5, 0.2), beta=0.5)
     ens = complex_ensemble(5)
     assert np.iscomplexobj(ens.spectrum.vectors)
     return ens

@@ -246,3 +246,28 @@ class TestInstantiation:
         model = sa.preset_tfim(1.0, 0.5, 0.4)
         for inst in sa.instantiate_terms(model, sa.chain(3), ALL_UP):
             assert np.abs(inst.matrix - inst.matrix.conj().T).max() <= 1e-12
+
+
+class TestExactHermiticity:
+    """The assembled H equals its conjugate transpose bit for bit.
+
+    The values-only eigensolver reads one triangle, so this is what lets the
+    CLI skip a runtime Hermiticity check.
+    """
+
+    @pytest.mark.parametrize("case", ["tfim", "dm", "generic2d"])
+    @pytest.mark.parametrize("interior_only", [False, True])
+    def test_assembled_h_is_exactly_hermitian(self, case, interior_only):
+        golden = Path(__file__).parent / "golden"
+        config = sa.parse_config((golden / f"{case}.cfg").read_text())
+        model, boundary = sa.build_interaction(config), sa.build_boundary(config)
+        volumes = {
+            "tfim": [sa.chain(n) for n in (1, 3, 8)],
+            "dm": [sa.chain(n) for n in (1, 4, 8)],
+            "generic2d": [sa.build_box((0, 0), (1, 1)), sa.build_box((0, 0), (1, 3)),
+                          sa.build_box((0, 0), (2, 1))],
+        }[case]
+        for volume in volumes:
+            assert volume.n_sites <= 8
+            h = sa.assemble_hamiltonian(model, volume, boundary, interior_only=interior_only)
+            assert np.array_equal(h, h.conj().T)

@@ -190,6 +190,12 @@ class TestLocalTermValidation:
                 quantum_part=np.array([[0.0, 1.0], [0.0, 0.0]]),
             )
 
+    def test_nearly_hermitian_part_is_stored_exactly_hermitian(self):
+        quantum = np.array([[0.0, 0.3 + 0.1j], [0.3 - 0.1j + 1e-14, 0.0]])
+        term = sa.LocalTerm(support=((0,),), classical_part=np.zeros(2), quantum_part=quantum)
+        assert np.array_equal(term.quantum_part, term.quantum_part.conj().T)
+        assert np.abs(term.quantum_part - quantum).max() <= 1e-14
+
     def test_range_violation_rejected(self):
         term = sa.LocalTerm(
             support=((0,), (2,)),

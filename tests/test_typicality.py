@@ -157,29 +157,13 @@ class TestLlnResidual:
         assert all(a > b for a, b in zip(residuals, residuals[1:]))
 
 
-@pytest.fixture(scope="module")
-def warm_family():
-    return [chain_ensemble(n, 1.0, 0.5, 0.2, beta=0.5) for n in (4, 6, 8, 10)]
-
-
 class TestWarmTemperatureTrends:
-    """Concentration trends at beta=0.5, where the entropy rate is well above
-    the window width; the cold exhibit (beta=2) sits below the crossover."""
+    """Concentration at beta=0.5, where the entropy rate is well above the
+    window width; the cold exhibit (beta=2) sits below the crossover. The
+    mass and sub-rate trends are the acceptance suite's beta = 0.5 exhibit."""
 
-    def test_mass_grows_from_smallest_to_largest(self, warm_family):
-        masses = sa.typical_mass_curve(warm_family, delta=0.15)
-        assert masses[-1] > masses[0]
-
-    def test_subrate_mass_strictly_decreases(self, warm_family):
-        masses = []
-        for ens in warm_family:
-            rate = sa.entropy_bits(ens) / ens.n_sites - 0.2
-            assert rate > 0
-            masses.append(sa.best_rate_mass(ens, rate))
-        assert all(a > b for a, b in zip(masses, masses[1:]))
-
-    def test_lln_residual_strictly_decreases(self, warm_family):
-        residuals = [sa.lln_residual(ens, 1.0) for ens in warm_family]
+    def test_lln_residual_strictly_decreases(self, warm_ensembles):
+        residuals = [sa.lln_residual(warm_ensembles[n], 1.0) for n in sorted(warm_ensembles)]
         assert all(a > b for a, b in zip(residuals, residuals[1:]))
 
 

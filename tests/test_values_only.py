@@ -1,0 +1,197 @@
+"""The values-only eigensolve behind the CLI.
+
+``diagonalize`` returns energies only and holds them to the trace identities
+``tr H = sum E`` and ``||H||_F^2 = sum E^2``. The mutation tests make the
+solver report a faulty spectrum and require that check to fail. The two
+identities are smooth sums over the spectrum, so they cannot resolve a pair
+of energies moved by ``+eps`` and ``-eps`` when the pair is closer than
+``TRACE_IDENTITY_K * dim * eps_mach * |H|^2 / (2 eps)``; the pair test
+covers every pair above that resolution.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import spinaep as sa
+from spinaep.cli import main
+from spinaep.errors import NumericError
+from spinaep.gibbs import TRACE_IDENTITY_K
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EPS = np.finfo(float).eps
+
+
+def golden_hamiltonian(case: str, volume: sa.Volume) -> np.ndarray:
+    config = sa.parse_config((GOLDEN / f"{case}.cfg").read_text(encoding="utf-8"))
+    return sa.assemble_hamiltonian(sa.build_interaction(config), volume, sa.build_boundary(config))
+
+
+# six qubits each: the real TFIM, the complex sweep-dm11 chain, the complex d = 2 model
+VOLUMES = {
+    "tfim": sa.chain(6),
+    "dm": sa.chain(6),
+    "generic2d": sa.build_box((0, 0), (1, 2)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(VOLUMES))
+def hamiltonian(request) -> np.ndarray:
+    return golden_hamiltonian(request.param, VOLUMES[request.param])
+
+
+def tolerance(energies: np.ndarray) -> float:
+    """The trace-identity tolerance; the Frobenius one is this times |H|."""
+    return TRACE_IDENTITY_K * energies.size * EPS * float(np.abs(energies).max())
+
+
+def check_fails(monkeypatch, h: np.ndarray, energies: np.ndarray) -> bool:
+    """Whether ``diagonalize(h)`` rejects a solver that reports ``energies``."""
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda _: np.array(energies))
+    try:
+        sa.diagonalize(h)
+    except NumericError:
+        return True
+    return False
+
+
+class TestCheck:
+    def test_exact_spectrum_passes_well_inside_the_tolerances(self, hamiltonian):
+        spec = sa.diagonalize(hamiltonian)
+        assert spec.vectors is None
+        e, tol = spec.energies, tolerance(spec.energies)
+        assert abs(np.trace(hamiltonian) - e.sum()) <= tol / 10
+        assert abs(np.vdot(hamiltonian, hamiltonian).real - e @ e) <= tol * np.abs(e).max() / 10
+
+    def test_one_eigenvalue_shifted(self, hamiltonian, monkeypatch):
+        exact = np.linalg.eigvalsh(hamiltonian)
+        shift = 1e-9 * np.abs(exact).max()
+        for j in range(exact.size):
+            mutated = exact.copy()
+            mutated[j] += shift
+            assert check_fails(monkeypatch, hamiltonian, mutated), j
+
+    def test_pair_perturbed(self, hamiltonian, monkeypatch):
+        exact = np.linalg.eigvalsh(hamiltonian)
+        scale = np.abs(exact).max()
+        eps = 1e-8 * scale  # the dense eigenpair check catches every such pair
+        resolution = tolerance(exact) * scale / (2 * eps)
+        checked = 0
+        for i in range(exact.size):
+            for j in range(i + 1, exact.size):
+                if exact[j] - exact[i] < 2 * resolution:
+                    continue
+                mutated = exact.copy()
+                mutated[i] += eps
+                mutated[j] -= eps
+                assert check_fails(monkeypatch, hamiltonian, mutated), (i, j)
+                checked += 1
+        assert checked >= 0.99 * exact.size * (exact.size - 1) / 2
+        extremes = exact.copy()
+        extremes[0] += 1e-9 * scale
+        extremes[-1] -= 1e-9 * scale
+        assert check_fails(monkeypatch, hamiltonian, extremes)
+
+    def test_eigenvalue_replaced_by_its_neighbour(self, hamiltonian, monkeypatch):
+        exact = np.linalg.eigvalsh(hamiltonian)
+        assert np.diff(exact).min() > tolerance(exact)  # non-degenerate
+        for k in range(exact.size - 1):
+            for target, source in ((k + 1, k), (k, k + 1)):
+                mutated = exact.copy()
+                mutated[target] = exact[source]
+                assert check_fails(monkeypatch, hamiltonian, mutated), (target, source)
+
+    def test_eigenvalue_with_its_sign_flipped(self, hamiltonian, monkeypatch):
+        # sum E^2 is unchanged, so this one rests on the trace identity alone
+        exact = np.linalg.eigvalsh(hamiltonian)
+        for j in np.flatnonzero(np.abs(exact) > tolerance(exact)):
+            mutated = exact.copy()
+            mutated[j] = -exact[j]
+            assert check_fails(monkeypatch, hamiltonian, np.sort(mutated)), j
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_upper_triangle_perturbed(self, hamiltonian, seed):
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal(hamiltonian.shape)
+        if np.iscomplexobj(hamiltonian):
+            noise = noise + 1j * rng.standard_normal(hamiltonian.shape)
+        scale = np.abs(np.linalg.eigvalsh(hamiltonian)).max()
+        perturbed = hamiltonian + 1e-9 * scale * np.triu(noise, 1)
+        # the solver reads the lower triangle and cannot see the fault
+        np.testing.assert_array_equal(np.linalg.eigvalsh(perturbed), np.linalg.eigvalsh(hamiltonian))
+        with pytest.raises(NumericError, match="Frobenius"):
+            sa.diagonalize(perturbed)
+
+    def test_nan_energies_fail(self, hamiltonian, monkeypatch):
+        mutated = np.linalg.eigvalsh(hamiltonian)
+        mutated[3] = np.nan
+        assert check_fails(monkeypatch, hamiltonian, mutated)
+
+
+def test_energies_match_the_eigenpair_route(hamiltonian):
+    dense = sa.eigenpairs(hamiltonian).energies
+    values = sa.diagonalize(hamiltonian).energies
+    assert np.abs(values - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+class TestValuesOnlyEnsemble:
+    @pytest.fixture(scope="class")
+    def ensemble(self) -> sa.GibbsEnsemble:
+        return sa.gibbs_ensemble(golden_hamiltonian("dm", sa.chain(4)), beta=0.5)
+
+    def test_holds_no_vectors(self, ensemble):
+        assert ensemble.spectrum.vectors is None
+        with pytest.raises(ValueError, match="eigenpairs"):
+            ensemble.spectrum.require_vectors("this caller")
+
+    def test_expectation_names_eigenpairs(self, ensemble):
+        with pytest.raises(ValueError, match="eigenpairs"):
+            sa.expectation(ensemble, np.eye(ensemble.dim))
+
+    def test_eigenvalue_via_energy_names_eigenpairs(self, ensemble):
+        h = golden_hamiltonian("dm", sa.chain(4))
+        with pytest.raises(ValueError, match="eigenpairs"):
+            sa.eigenvalue_via_energy(ensemble, h, 0)
+
+    @pytest.mark.parametrize("delta, dim", [(0.0001, 0), (0.5, 5)], ids=["empty", "nonempty"])
+    def test_typical_projector_names_eigenpairs(self, ensemble, delta, dim):
+        sub = sa.typical_subspace(ensemble, None, delta)
+        assert sub.dim == dim
+        with pytest.raises(ValueError, match="eigenpairs"):
+            sa.typical_projector(sub, ensemble.spectrum)
+
+    def test_spectrum_rejects_mismatched_vectors(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            sa.Spectrum(energies=np.array([0.0, 1.0]), vectors=np.eye(3))
+
+    def test_decomposition_keeps_eigenbasis_coordinates(self, ensemble):
+        decomp = sa.make_decomposition(ensemble, ensemble.dim, seed=5)
+        assert decomp.basis is None
+        assert decomp.vectors is decomp.coefficients
+        sub = sa.typical_subspace(ensemble, None, 0.5)
+        assert 0 < sub.mass < 1
+        assert abs(sa.fidelity(decomp, sub) - sub.mass) <= 1e-12
+
+
+def test_cli_commands_never_solve_for_eigenvectors(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called on the values-only path")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for command in ("sweep", "spectrum", "codec-demo"):
+        args = [command, "--config", str(GOLDEN / "tfim.cfg"), "--out", str(tmp_path / command), "--quiet"]
+        assert main(args) == 0
+
+
+def test_check_uses_the_eigenpair_route(monkeypatch, capsys):
+    calls = []
+    dense = np.linalg.eigh
+
+    def counting(h):
+        calls.append(h.shape)
+        return dense(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert main(["check", "--quiet"]) == 0
+    assert len(calls) >= 6
