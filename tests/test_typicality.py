@@ -158,9 +158,22 @@ class TestLlnResidual:
 
 
 class TestWarmTemperatureTrends:
-    """Concentration at beta=0.5, where the entropy rate is well above the
-    window width; the cold exhibit (beta=2) sits below the crossover. The
-    mass and sub-rate trends are the acceptance suite's beta = 0.5 exhibit."""
+    """Concentration trends at beta=0.5, where the entropy rate is well above
+    the window width; the cold exhibit (beta=2) sits below the crossover."""
+
+    def test_mass_grows_from_smallest_to_largest(self, warm_ensembles):
+        family = [warm_ensembles[n] for n in sorted(warm_ensembles)]
+        masses = sa.typical_mass_curve(family, delta=0.15)
+        assert masses[-1] > masses[0]
+
+    def test_subrate_mass_strictly_decreases(self, warm_ensembles):
+        masses = []
+        for n in sorted(warm_ensembles):
+            ens = warm_ensembles[n]
+            rate = sa.entropy_bits(ens) / ens.n_sites - 0.2
+            assert rate > 0
+            masses.append(sa.best_rate_mass(ens, rate))
+        assert all(a > b for a, b in zip(masses, masses[1:]))
 
     def test_lln_residual_strictly_decreases(self, warm_ensembles):
         residuals = [sa.lln_residual(warm_ensembles[n], 1.0) for n in sorted(warm_ensembles)]
