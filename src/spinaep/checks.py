@@ -27,6 +27,12 @@ from .lattice import Configuration, boundary_envelope, chain
 from .typicality import typical_subspace
 
 
+ALL_UP = GroundStateConfig.uniform(1, +1)
+# pins the two ends of an even chain to opposite spins, so its H does not
+# commute with bit reversal and diagonalize takes the full solve
+NEEL = GroundStateConfig((2,), {(0,): +1, (1,): -1})
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -34,8 +40,7 @@ class CheckResult:
     detail: str
 
 
-def _hamiltonian(n_sites: int, lam: float) -> np.ndarray:
-    boundary = GroundStateConfig.uniform(1, +1)
+def _hamiltonian(n_sites: int, lam: float, boundary: GroundStateConfig = ALL_UP) -> np.ndarray:
     return assemble_hamiltonian(preset_tfim(1.0, 0.5, lam), chain(n_sites), boundary)
 
 
@@ -57,7 +62,7 @@ def _check_expm_oracle(n_sites: int = 5, beta: float = 1.5, lam: float = 0.3) ->
 def _check_classical_entropy(n_sites: int = 5, beta: float = 2.0) -> CheckResult:
     model = preset_tfim(1.0, 0.5, 0.0)
     volume = chain(n_sites)
-    boundary = GroundStateConfig.uniform(1, +1)
+    boundary = ALL_UP
     ens = _ensemble(assemble_hamiltonian(model, volume, boundary), beta)
     envelope = boundary.restricted_to(boundary_envelope(volume, model.R))
     energies = []
@@ -94,12 +99,16 @@ def _check_entropy_identity(n_sites: int = 6, beta: float = 2.0, lam: float = 0.
     return CheckResult("entropy-rate identity", res <= 1e-10, f"residual {res:.3e}")
 
 
-def _check_values_only(n_sites: int = 6, lam: float = 0.2) -> CheckResult:
-    h = _hamiltonian(n_sites, lam)
+def _check_values_only(
+    route: str, boundary: GroundStateConfig, n_sites: int = 6, lam: float = 0.2
+) -> CheckResult:
+    h = _hamiltonian(n_sites, lam, boundary)
     dense = eigenpairs(h).energies
     gap = float(np.abs(diagonalize(h).energies - dense).max())
     bound = 1e-12 * float(np.abs(dense).max())
-    return CheckResult("values-only energies", gap <= bound, f"max gap {gap:.3e} (bound {bound:.3e})")
+    return CheckResult(
+        f"values-only energies, {route}", gap <= bound, f"max gap {gap:.3e} (bound {bound:.3e})"
+    )
 
 
 def _check_typical_filter(n_sites: int = 6, beta: float = 0.5, lam: float = 0.2) -> CheckResult:
@@ -145,7 +154,8 @@ def run_checks() -> list[CheckResult]:
         _check_classical_entropy(),
         _check_energy_derivative(),
         _check_entropy_identity(),
-        _check_values_only(),
+        _check_values_only("parity blocks", ALL_UP),
+        _check_values_only("full solve", NEEL),
         _check_typical_filter(),
         _check_codec(),
     ]

@@ -160,15 +160,19 @@ def instantiate_terms(
 def _sum_terms(volume: Volume, blocks: Iterable[tuple[np.ndarray, Sequence[Site]]]) -> np.ndarray:
     """Sum of the blocks embedded into the volume, in the given order.
 
-    The result is real when no imaginary part survives the sum.
+    The sum is accumulated in float64 when no block has an imaginary part.
+    Otherwise it is complex, and still returned real when no imaginary part
+    survives the sum.
     """
+    blocks = list(blocks)
+    real = not any(block.imag.any() for block, _ in blocks)
     dim = 1 << volume.n_sites
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim), dtype=float if real else complex)
     for block, sites in blocks:
-        _scatter_add(h, block, sites, volume)
-    if not h.imag.any():
-        return np.ascontiguousarray(h.real)
-    return h
+        _scatter_add(h, block.real if real else block, sites, volume)
+    if real or h.imag.any():
+        return h
+    return np.ascontiguousarray(h.real)
 
 
 def assemble_hamiltonian(

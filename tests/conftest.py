@@ -11,6 +11,20 @@ EXHIBIT_SIZES = (4, 6, 8, 10)
 GRID_POINTS = tuple(itertools.product((0.0, 1.0), (0.0, 0.5), (0.0, 0.2, 0.35), (0.5, 2.0)))
 
 
+@pytest.fixture
+def eigvalsh_calls(monkeypatch) -> list[np.ndarray]:
+    """Copies of the matrices ``numpy.linalg.eigvalsh`` is called with during the test."""
+    calls = []
+    solve = np.linalg.eigvalsh
+
+    def recording(a):
+        calls.append(np.array(a))
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return calls
+
+
 def chain_hamiltonian(n_sites: int, J: float, h: float, lam: float,
                       boundary_spin: int = 1) -> np.ndarray:
     volume = sa.chain(n_sites)

@@ -1,9 +1,11 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spinaep as sa
+from spinaep.hamiltonian import _scatter_add, _sum_terms
 
 from oracles import kron_chain_tfim, kron_site_op, loop_assemble, SX, SZ
 
@@ -271,3 +273,45 @@ class TestExactHermiticity:
             assert volume.n_sites <= 8
             h = sa.assemble_hamiltonian(model, volume, boundary, interior_only=interior_only)
             assert np.array_equal(h, h.conj().T)
+
+
+class TestRealAccumulation:
+    """A sum whose blocks carry no imaginary part is accumulated in float64."""
+
+    @staticmethod
+    def complex_then_real(model, volume, boundary) -> np.ndarray:
+        """The sum accumulated in complex, then returned real if no imaginary part survives."""
+        h = np.zeros((1 << volume.n_sites,) * 2, dtype=complex)
+        for inst in sa.instantiate_terms(model, volume, boundary):
+            _scatter_add(h, inst.matrix, inst.sites_in, volume)
+        return h if h.imag.any() else np.ascontiguousarray(h.real)
+
+    @pytest.mark.parametrize("case, volume", [
+        ("tfim", sa.chain(8)),
+        ("dm", sa.chain(7)),
+        ("generic2d", sa.build_box((0, 0), (1, 2))),
+    ])
+    def test_equals_the_complex_sum_bit_for_bit(self, case, volume):
+        config = sa.parse_config((Path(__file__).parent / "golden" / f"{case}.cfg").read_text())
+        model, boundary = sa.build_interaction(config), sa.build_boundary(config)
+        h = sa.assemble_hamiltonian(model, volume, boundary)
+        reference = self.complex_then_real(model, volume, boundary)
+        assert h.dtype == (np.float64 if case == "tfim" else np.complex128)
+        assert h.dtype == reference.dtype and h.flags.c_contiguous
+        assert h.tobytes() == reference.tobytes()
+
+    def test_real_sum_allocates_no_complex_matrix(self):
+        volume = sa.chain(8)
+        tracemalloc.start()
+        h = sa.assemble_hamiltonian(sa.preset_tfim(1.0, 0.5, 0.2), volume, ALL_UP)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert h.dtype == np.float64
+        assert peak < np.dtype(complex).itemsize * h.size  # 1 MiB at 8 sites
+
+    def test_cancelling_imaginary_parts_give_a_real_sum(self):
+        volume = sa.chain(2)
+        up = np.array([[0.0, 1j], [-1j, 0.0]])
+        h = _sum_terms(volume, [(up, [(0,)]), (-up, [(0,)])])
+        assert h.dtype == np.float64
+        assert not h.any()

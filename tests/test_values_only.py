@@ -1,12 +1,13 @@
 """The values-only eigensolve behind the CLI.
 
 ``diagonalize`` returns energies only and holds them to the trace identities
-``tr H = sum E`` and ``||H||_F^2 = sum E^2``. The mutation tests make the
-solver report a faulty spectrum and require that check to fail. The two
-identities are smooth sums over the spectrum, so they cannot resolve a pair
-of energies moved by ``+eps`` and ``-eps`` when the pair is closer than
-``TRACE_IDENTITY_K * dim * eps_mach * |H|^2 / (2 eps)``; the pair test
-covers every pair above that resolution.
+``tr H = sum E`` and ``||H||_F^2 = sum E^2``. The mutation tests run the real
+solve, the two parity blocks on the TFIM chain and one full solve on the
+other models, then replace the merged spectrum with a faulty one and require
+that check to fail. The two identities are smooth sums over the spectrum, so
+they cannot resolve a pair of energies moved by ``+eps`` and ``-eps`` when
+the pair is closer than ``TRACE_IDENTITY_K * dim * eps_mach * |H|^2 / (2 eps)``;
+the pair test covers every pair above that resolution.
 """
 
 from pathlib import Path
@@ -15,12 +16,14 @@ import numpy as np
 import pytest
 
 import spinaep as sa
+from spinaep import gibbs
 from spinaep.cli import main
 from spinaep.errors import NumericError
 from spinaep.gibbs import TRACE_IDENTITY_K
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EPS = np.finfo(float).eps
+SOLVE = gibbs._eigenvalues  # the merged spectrum, parity blocks or full solve
 
 
 def golden_hamiltonian(case: str, volume: sa.Volume) -> np.ndarray:
@@ -36,6 +39,10 @@ VOLUMES = {
 }
 
 
+# the eigvalsh calls of each model's solve: only the TFIM chain commutes with bit reversal
+SOLVES = {"tfim": [(36, 36), (28, 28)], "dm": [(64, 64)], "generic2d": [(64, 64)]}
+
+
 @pytest.fixture(scope="module", params=sorted(VOLUMES))
 def hamiltonian(request) -> np.ndarray:
     return golden_hamiltonian(request.param, VOLUMES[request.param])
@@ -47,13 +54,27 @@ def tolerance(energies: np.ndarray) -> float:
 
 
 def check_fails(monkeypatch, h: np.ndarray, energies: np.ndarray) -> bool:
-    """Whether ``diagonalize(h)`` rejects a solver that reports ``energies``."""
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda _: np.array(energies))
+    """Whether ``diagonalize(h)`` rejects ``energies`` in place of the spectrum its solve merged."""
+    def faulty(matrix):
+        assert SOLVE(matrix).shape == np.shape(energies)
+        return np.array(energies)
+
+    monkeypatch.setattr(gibbs, "_eigenvalues", faulty)
     try:
         sa.diagonalize(h)
     except NumericError:
         return True
     return False
+
+
+@pytest.mark.parametrize("case", sorted(VOLUMES))
+def test_injected_exact_spectrum_is_accepted(case, monkeypatch, eigvalsh_calls):
+    h = golden_hamiltonian(case, VOLUMES[case])
+    exact = sa.eigenpairs(h).energies
+    assert not check_fails(monkeypatch, h, exact)
+    assert [a.shape for a in eigvalsh_calls] == SOLVES[case]
+    # the injected spectrum is the one diagonalize returns
+    np.testing.assert_array_equal(sa.diagonalize(h).energies, exact)
 
 
 class TestCheck:
@@ -195,3 +216,8 @@ def test_check_uses_the_eigenpair_route(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     assert main(["check", "--quiet"]) == 0
     assert len(calls) >= 6
+
+
+def test_check_runs_the_parity_blocks_and_the_full_solve(eigvalsh_calls):
+    assert main(["check", "--quiet"]) == 0
+    assert {(36, 36), (28, 28), (64, 64)} <= {a.shape for a in eigvalsh_calls}
