@@ -37,17 +37,7 @@ from .gibbs import (
     gibbs_ensemble,
     thermo_densities,
 )
-from .hamiltonian import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    assemble_hamiltonian,
-    config_to_index,
-    embed_local,
-    index_to_config,
-    instantiate_terms,
-    theta_observable,
-)
+from .hamiltonian import assemble_hamiltonian, instantiate_terms
 from .interaction import (
     GroundStateConfig,
     Interaction,
@@ -69,17 +59,14 @@ from .lattice import (
     chain,
     connected_span_size,
     linf_diameter,
-    translate,
 )
 from .typicality import (
     AepRow,
     TypicalSubspace,
     aep_row,
     best_rate_mass,
-    build_aep_report,
     dimension_rate,
     lln_residual,
-    typical_mass_curve,
     typical_subspace,
 )
 

@@ -34,7 +34,6 @@ class Codebook:
 
     length: int
     indices: np.ndarray  # sorted typical eigenstate indices
-    n_sites: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "indices", readonly(np.asarray(self.indices, dtype=np.int64)))
@@ -54,7 +53,7 @@ def build_codebook(subspace: TypicalSubspace) -> Codebook:
     if subspace.dim == 0:
         raise EmptySubspaceError("cannot build a codebook for an empty typical subspace")
     length = max(1, (subspace.dim - 1).bit_length())
-    return Codebook(length=length, indices=subspace.indices, n_sites=subspace.n_sites)
+    return Codebook(length=length, indices=subspace.indices)
 
 
 def compress(codebook: Codebook, j: int) -> str | None:

@@ -31,14 +31,6 @@ def spin_to_bit(spin: int) -> int:
     raise ValueError(f"spin must be +1 or -1, got {spin!r}")
 
 
-def bit_to_spin(bit: int) -> int:
-    if bit == 0:
-        return SPIN_UP
-    if bit == 1:
-        return SPIN_DOWN
-    raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-
-
 def _check_site(site: Site, d: int | None = None) -> Site:
     site = tuple(site)
     if not site or not all(isinstance(c, int) for c in site):
@@ -128,12 +120,6 @@ def linf_diameter(sites: Iterable[Site]) -> int:
     )
 
 
-def translate(sites: Iterable[Site], a: Site) -> frozenset[Site]:
-    """Element-wise translation of a site set by the lattice vector ``a``."""
-    a = tuple(a)
-    return frozenset(tuple(c + da for c, da in zip(_check_site(s, len(a)), a)) for s in sites)
-
-
 def boundary_envelope(volume: Volume, radius: int) -> frozenset[Site]:
     """Sites outside the volume within chebyshev distance ``radius`` of it."""
     if radius < 0:
@@ -221,10 +207,6 @@ class Configuration:
         if not cleaned:
             raise ValueError("a configuration must assign at least one site")
         object.__setattr__(self, "values", cleaned)
-
-    @classmethod
-    def uniform(cls, sites: Iterable[Site], spin: int) -> "Configuration":
-        return cls({tuple(s): spin for s in sites})
 
     @property
     def sites(self) -> frozenset[Site]:

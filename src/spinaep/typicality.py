@@ -59,29 +59,6 @@ def typical_subspace(ensemble: GibbsEnsemble, h_ref: float | None, delta: float)
     )
 
 
-def _check_family(ensembles: Sequence[GibbsEnsemble]) -> None:
-    if len(ensembles) < 2:
-        raise ValueError("a volume sweep needs at least two ensembles")
-    sizes = [e.n_sites for e in ensembles]
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError(f"volume sizes must be strictly increasing, got {sizes}")
-    betas = {e.beta for e in ensembles}
-    if len(betas) != 1:
-        raise ValueError(f"ensembles mix inverse temperatures {sorted(betas)}")
-
-
-def typical_mass_curve(
-    ensembles: Sequence[GibbsEnsemble], delta: float, *, h_ref: float | None = None
-) -> np.ndarray:
-    """Typical-window mass for each ensemble of a growing-volume family.
-
-    ``h_ref=None`` uses each volume's own entropy rate. Purely diagnostic:
-    no convergence rate is asserted at fixed finite sizes.
-    """
-    _check_family(ensembles)
-    return np.array([typical_subspace(e, h_ref, delta).mass for e in ensembles])
-
-
 def dimension_rate(subspace: TypicalSubspace) -> float | None:
     """Bits per site needed to index the subspace; ``None`` when it is empty."""
     if subspace.dim == 0:
@@ -93,13 +70,14 @@ def best_rate_mass(ensemble: GibbsEnsemble, rate: float) -> float:
     """Largest weight any ``2^[n * rate]`` eigenstates can capture.
 
     Equals the sum of that many largest weights; the exponent takes the
-    integer part of ``n * rate``.
+    integer part of ``n * rate`` and is capped at ``n``, so any rate of at
+    least 1 captures every state. The log weights are already descending,
+    because the energies are ascending and ``beta > 0``.
     """
     if rate < 0:
         raise ValueError(f"rate must be >= 0, got {rate}")
-    count = min(2 ** int(ensemble.n_sites * rate), ensemble.dim)
-    top = np.sort(ensemble.log_weights)[::-1][:count]
-    return float(min(np.exp(top).sum(), 1.0))
+    count = 1 << min(int(ensemble.n_sites * rate), ensemble.n_sites)
+    return float(min(np.exp(ensemble.log_weights[:count]).sum(), 1.0))
 
 
 def lln_residual(ensemble: GibbsEnsemble, t: float) -> float:
@@ -146,15 +124,3 @@ def aep_row(
         lln_residuals=tuple(lln_residual(ensemble, t) for t in ts),
     )
 
-
-def build_aep_report(
-    ensembles: Sequence[GibbsEnsemble],
-    delta: float,
-    rates: Sequence[float] = (),
-    ts: Sequence[float] = (),
-    *,
-    h_ref: float | None = None,
-) -> list[AepRow]:
-    """Concentration diagnostics across a growing-volume family of ensembles."""
-    _check_family(ensembles)
-    return [aep_row(ens, typical_subspace(ens, h_ref, delta), rates, ts) for ens in ensembles]

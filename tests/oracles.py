@@ -71,6 +71,12 @@ def window_filter(log2_weights: np.ndarray, n_sites: int, h_ref: float, delta: f
     return picked, mass
 
 
+def index_spins(sites, index: int) -> dict:
+    """Spin at each site of a basis index: first site = most significant bit, bit 0 = spin +1."""
+    n = len(sites)
+    return {site: 1 - 2 * ((index >> (n - 1 - pos)) & 1) for pos, site in enumerate(sites)}
+
+
 def min_connected_superset_size(sites: set, box_lo, box_hi) -> int:
     """Brute-force smallest connected superset within a box (subset bitmask scan)."""
     cells = list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(box_lo, box_hi))))
@@ -103,7 +109,7 @@ def _connected(cells: set) -> bool:
     return len(seen) == len(cells)
 
 
-def loop_assemble(model, volume, boundary, interior_only: bool = False) -> np.ndarray:
+def loop_assemble(model, volume, boundary) -> np.ndarray:
     """Boundary-pinned Hamiltonian summed entry by entry and bit by bit.
 
     Terms come in the package's order (orbit representative, then sorted base
@@ -127,8 +133,7 @@ def loop_assemble(model, volume, boundary, interior_only: bool = False) -> np.nd
         )
         for off in offsets:
             support = [tuple(c + o for c, o in zip(s, off)) for s in term.support]
-            touched = [s for s in support if s in pos]
-            if not touched or (interior_only and len(touched) < len(support)):
+            if not any(s in pos for s in support):
                 continue
             for a in range(2**n):
                 for b in range(2**n):

@@ -221,6 +221,13 @@ class TestSweep:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b
 
+    def test_huge_rate_counts_every_state(self, tmp_path):
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text(ISING_CONFIG + "rate = 1e300\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        for row in rows_of(tmp_path / "out" / "aep.csv"):
+            assert float(row["best_rate_mass[R=1e+300]"]) == pytest.approx(1.0, abs=1e-12)
+
     def test_malformed_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("beta = -1\n", encoding="utf-8")

@@ -6,8 +6,9 @@ import pytest
 
 import spinaep as sa
 from spinaep.hamiltonian import _scatter_add, _sum_terms
+from spinaep.interaction import support_config_index
 
-from oracles import kron_chain_tfim, kron_site_op, loop_assemble, SX, SZ
+from oracles import index_spins, kron_chain_tfim, kron_site_op, loop_assemble, SX, SZ
 
 ALL_UP = sa.GroundStateConfig.uniform(1, +1)
 
@@ -55,7 +56,7 @@ class TestAssemblyOracle:
         assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
         envelope = ALL_UP.restricted_to(sa.boundary_envelope(volume, model.R))
         for idx in range(16):
-            config = sa.index_to_config(volume, idx).merge(envelope)
+            config = sa.Configuration(index_spins(volume.sites, idx)).merge(envelope)
             expected = sa.classical_energy(model, config, volume=volume)
             assert h[idx, idx] == pytest.approx(expected, abs=1e-12)
 
@@ -64,97 +65,53 @@ class TestBasisIndexing:
     def test_round_trip(self):
         volume = sa.build_box((0, 0), (1, 1), max_qubits=4)
         for idx in range(16):
-            assert sa.config_to_index(volume, sa.index_to_config(volume, idx)) == idx
+            spins = index_spins(volume.sites, idx)
+            assert support_config_index(volume.sites, spins.__getitem__) == idx
 
     def test_msb_is_first_site(self):
-        volume = sa.chain(2)
-        config = sa.index_to_config(volume, 0b10)
-        assert config.spin((0,)) == -1
-        assert config.spin((1,)) == 1
+        spins = {(0,): -1, (1,): 1}
+        assert support_config_index(sa.chain(2).sites, spins.__getitem__) == 0b10
+
+
+def embed(op: np.ndarray, sites, volume: sa.Volume) -> np.ndarray:
+    """``op`` on the given sites and the identity elsewhere, through the assembly's scatter."""
+    out = np.zeros((1 << volume.n_sites,) * 2, dtype=op.dtype)
+    _scatter_add(out, op, sites, volume)
+    return out
 
 
 class TestEmbedLocal:
     def test_identity(self):
         volume = sa.chain(3)
-        out = sa.embed_local(np.eye(2), [(1,)], volume)
+        out = embed(np.eye(2), [(1,)], volume)
         np.testing.assert_allclose(out, np.eye(8))
 
     def test_pauli_z_msb(self):
         volume = sa.chain(2)
-        out = sa.embed_local(SZ, [(0,)], volume)
+        out = embed(SZ, [(0,)], volume)
         np.testing.assert_allclose(out, np.diag([1.0, 1.0, -1.0, -1.0]))
 
     def test_disjoint_embeddings_commute(self):
         volume = sa.chain(4)
-        a = sa.embed_local(SX, [(0,)], volume)
-        b = sa.embed_local(SZ, [(2,)], volume)
+        a = embed(SX, [(0,)], volume)
+        b = embed(SZ, [(2,)], volume)
         np.testing.assert_allclose(a @ b, b @ a)
 
     def test_matches_kron_oracle(self):
         volume = sa.chain(4)
         for site in range(4):
-            out = sa.embed_local(SX, [(site,)], volume)
+            out = embed(SX, [(site,)], volume)
             np.testing.assert_allclose(out, kron_site_op(SX, site, 4))
 
     def test_two_site_block(self):
         volume = sa.chain(3)
         zz = np.kron(SZ, SZ)
-        out = sa.embed_local(zz, [(0,), (1,)], volume)
+        out = embed(zz, [(0,), (1,)], volume)
         np.testing.assert_allclose(out, np.kron(zz, np.eye(2)))
 
     def test_site_outside_volume(self):
         with pytest.raises(ValueError):
-            sa.embed_local(np.eye(2), [(5,)], sa.chain(2))
-
-    def test_unsorted_sites_rejected(self):
-        with pytest.raises(ValueError):
-            sa.embed_local(np.eye(4), [(1,), (0,)], sa.chain(2))
-
-
-class TestThetaObservable:
-    def test_interior_site_expansion(self):
-        J, h, lam = 1.0, 0.5, 0.2
-        model = sa.preset_tfim(J, h, lam)
-        volume = sa.chain(5)
-        j = (2,)
-        theta = sa.theta_observable(model, volume, ALL_UP, j)
-        zz = np.kron(SZ, SZ)
-        expected = (
-            -J / 2 * sa.embed_local(zz, [(1,), (2,)], volume)
-            - J / 2 * sa.embed_local(zz, [(2,), (3,)], volume)
-            - h * sa.embed_local(SZ, [j], volume)
-            - lam * sa.embed_local(SX, [j], volume)
-        )
-        assert np.abs(theta - expected).max() <= 1e-12
-
-    def test_zero_model(self):
-        model = sa.preset_tfim(0.0, 0.0, 0.0)
-        theta = sa.theta_observable(model, sa.chain(3), ALL_UP, (1,))
-        assert not np.asarray(theta).any()
-
-    def test_site_outside_volume(self):
-        with pytest.raises(ValueError):
-            sa.theta_observable(sa.preset_tfim(1, 0, 0), sa.chain(3), ALL_UP, (9,))
-
-    def test_onsite_model_theta_sums_to_hamiltonian(self):
-        model = sa.preset_tfim(0.0, 0.7, 0.3)  # on-site terms only
-        volume = sa.chain(4)
-        total = sum(sa.theta_observable(model, volume, ALL_UP, s) for s in volume.sites)
-        h = sa.assemble_hamiltonian(model, volume, ALL_UP)
-        assert np.abs(total - h) .max() <= 1e-10
-
-    def test_theta_sum_differs_only_by_boundary_terms(self):
-        model = sa.preset_tfim(1.0, 0.5, 0.2)
-        volume = sa.chain(4)
-        total = sum(sa.theta_observable(model, volume, ALL_UP, s) for s in volume.sites)
-        h = sa.assemble_hamiltonian(model, volume, ALL_UP)
-        correction = np.zeros_like(np.asarray(h, dtype=complex))
-        for inst in sa.instantiate_terms(model, volume, ALL_UP):
-            if inst.crosses_boundary:
-                inside = len(inst.sites_in)
-                weight = 1.0 - inside / inst.full_size
-                correction += weight * sa.embed_local(inst.matrix, inst.sites_in, volume)
-        assert np.abs((h - total) - correction).max() <= 1e-12
+            embed(np.eye(2), [(5,)], sa.chain(2))
 
 
 def ising_2d_model(J: float, h: float, lam: float) -> sa.Interaction:
@@ -181,16 +138,16 @@ class TestTwoDimensional:
         assert np.abs(ham - np.diag(np.diag(ham))).max() == 0.0
         inside = set(volume.sites)
         for idx in range(2**9):
-            config = sa.index_to_config(volume, idx)
+            spins = index_spins(volume.sites, idx)
             energy = 0.0
             for site in volume.sites:
-                s = config.spin(site)
+                s = spins[site]
                 energy -= h * s
                 for axis in (0, 1):
                     for step in (-1, 1):
                         nb = tuple(c + (step if a == axis else 0) for a, c in enumerate(site))
                         if nb in inside:
-                            energy -= 0.5 * J * s * config.spin(nb)  # each bond seen twice
+                            energy -= 0.5 * J * s * spins[nb]  # each bond seen twice
                         else:
                             energy -= J * s  # frozen all-up neighbor
             assert ham[idx, idx] == pytest.approx(energy, abs=1e-12)
@@ -219,16 +176,7 @@ class TestInstantiation:
         for inst in sa.instantiate_terms(model, volume, ALL_UP):
             assert set(inst.support) <= allowed
 
-    def test_interior_only_drops_crossing_terms(self):
-        model = sa.preset_tfim(1.0, 0.0, 0.0)
-        volume = sa.chain(3)
-        interior = sa.assemble_hamiltonian(model, volume, ALL_UP, interior_only=True)
-        # two interior bonds only
-        config_energies = np.diag(interior)
-        assert config_energies[0] == pytest.approx(-2.0)
-
-    @pytest.mark.parametrize("interior_only", [False, True])
-    def test_equals_loop_reference_exactly(self, interior_only):
+    def test_equals_loop_reference_exactly(self):
         golden = Path(__file__).parent / "golden"
         chain_model = sa.build_interaction(sa.parse_config((golden / "dm.cfg").read_text()))
         square_model = sa.build_interaction(sa.parse_config((golden / "generic2d.cfg").read_text()))
@@ -239,8 +187,8 @@ class TestInstantiation:
              sa.GroundStateConfig((2, 1), {(0, 0): 1, (1, 0): -1})),
         )
         for model, volume, boundary in cases:
-            h = sa.assemble_hamiltonian(model, volume, boundary, interior_only=interior_only)
-            reference = loop_assemble(model, volume, boundary, interior_only)
+            h = sa.assemble_hamiltonian(model, volume, boundary)
+            reference = loop_assemble(model, volume, boundary)
             assert np.array_equal(h, reference)
             assert np.iscomplexobj(h) == bool(reference.imag.any())
 
@@ -258,8 +206,7 @@ class TestExactHermiticity:
     """
 
     @pytest.mark.parametrize("case", ["tfim", "dm", "generic2d"])
-    @pytest.mark.parametrize("interior_only", [False, True])
-    def test_assembled_h_is_exactly_hermitian(self, case, interior_only):
+    def test_assembled_h_is_exactly_hermitian(self, case):
         golden = Path(__file__).parent / "golden"
         config = sa.parse_config((golden / f"{case}.cfg").read_text())
         model, boundary = sa.build_interaction(config), sa.build_boundary(config)
@@ -271,7 +218,7 @@ class TestExactHermiticity:
         }[case]
         for volume in volumes:
             assert volume.n_sites <= 8
-            h = sa.assemble_hamiltonian(model, volume, boundary, interior_only=interior_only)
+            h = sa.assemble_hamiltonian(model, volume, boundary)
             assert np.array_equal(h, h.conj().T)
 
 

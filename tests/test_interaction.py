@@ -61,7 +61,7 @@ class TestPerturbationBound:
 class TestClassicalEnergy:
     def test_all_up_free_sum(self):
         model = sa.preset_tfim(1.0, 0.0, 0.0)
-        config = sa.Configuration.uniform([(0,), (1,), (2,)], 1)
+        config = sa.Configuration({(0,): 1, (1,): 1, (2,): 1})
         assert sa.classical_energy(model, config) == pytest.approx(-2.0)
 
     def test_flipped_interior_spin(self):
@@ -82,7 +82,7 @@ class TestClassicalEnergy:
     def test_missing_site_with_volume(self):
         model = sa.preset_tfim(1.0, 0.0, 0.0)
         volume = sa.chain(3)
-        config = sa.Configuration.uniform(volume.sites, 1)  # no envelope values
+        config = sa.Configuration({s: 1 for s in volume.sites})  # no envelope values
         with pytest.raises(ValueError):
             sa.classical_energy(model, config, volume=volume)
 
@@ -90,7 +90,7 @@ class TestClassicalEnergy:
         model = sa.preset_tfim(1.0, 0.0, 0.0)
         volume = sa.chain(3)
         envelope = sa.boundary_envelope(volume, model.R)
-        config = sa.Configuration.uniform(set(volume.sites) | set(envelope), 1)
+        config = sa.Configuration({s: 1 for s in set(volume.sites) | envelope})
         assert sa.classical_energy(model, config, volume=volume) == pytest.approx(-4.0)
 
     def test_translation_invariance(self):

@@ -126,23 +126,6 @@ class TestBoundaryEnvelope:
             ) <= 2
 
 
-class TestTranslate:
-    def test_shift(self):
-        assert sa.translate([(0,), (1,)], (3,)) == {(3,), (4,)}
-
-    def test_identity(self):
-        pts = {(0, 1), (2, 2)}
-        assert sa.translate(pts, (0, 0)) == pts
-
-    def test_inverse(self):
-        pts = {(0,), (4,), (7,)}
-        assert sa.translate(sa.translate(pts, (3,)), (-3,)) == pts
-
-    def test_preserves_cardinality(self):
-        pts = {(0, 0), (1, 1), (-2, 3)}
-        assert len(sa.translate(pts, (5, -7))) == len(pts)
-
-
 class TestConfiguration:
     def test_values_validated(self):
         with pytest.raises(ValueError):

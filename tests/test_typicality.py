@@ -49,34 +49,18 @@ class TestTypicalSubspace:
 class TestMassCurve:
     def test_free_family_is_constant_one(self):
         family = [sa.gibbs_ensemble(np.zeros((2**n, 2**n)), beta=2.0) for n in (2, 3, 4)]
-        masses = sa.typical_mass_curve(family, delta=0.2, h_ref=1.0)
+        masses = [sa.typical_subspace(e, 1.0, 0.2).mass for e in family]
         np.testing.assert_allclose(masses, 1.0, atol=1e-12)
 
     def test_masses_match_oracle(self, exhibit_ensembles):
         family = [exhibit_ensembles[n] for n in sorted(exhibit_ensembles)]
-        masses = sa.typical_mass_curve(family, delta=EXHIBIT["delta"])
+        masses = [sa.typical_subspace(e, None, EXHIBIT["delta"]).mass for e in family]
         for ens, mass in zip(family, masses):
             h_ref = sa.entropy_bits(ens) / ens.n_sites
             _, oracle = window_filter(
                 ens.log_weights * sa.LOG2E, ens.n_sites, h_ref, EXHIBIT["delta"]
             )
             assert mass == pytest.approx(oracle, abs=1e-12)
-
-    def test_mixed_betas_rejected(self):
-        family = [
-            chain_ensemble(3, 1.0, 0.5, 0.2, beta=1.0),
-            chain_ensemble(4, 1.0, 0.5, 0.2, beta=2.0),
-        ]
-        with pytest.raises(ValueError):
-            sa.typical_mass_curve(family, delta=0.2)
-
-    def test_nonincreasing_sizes_rejected(self):
-        family = [
-            chain_ensemble(4, 1.0, 0.5, 0.2, beta=1.0),
-            chain_ensemble(4, 1.0, 0.5, 0.2, beta=1.0),
-        ]
-        with pytest.raises(ValueError):
-            sa.typical_mass_curve(family, delta=0.2)
 
 
 class TestDimensionRate:
@@ -129,6 +113,13 @@ class TestBestRateMass:
         oracle = float(np.sort(np.exp(ens.log_weights))[::-1][:count].sum())
         assert sa.best_rate_mass(ens, rate) == pytest.approx(oracle, abs=1e-13)
 
+    def test_huge_rate_counts_every_state(self):
+        ens = chain_ensemble(5, 1.0, 0.5, 0.2, beta=1.0)
+        assert sa.best_rate_mass(ens, 1e300) == sa.best_rate_mass(ens, 1.0)
+        assert sa.best_rate_mass(ens, 1e300) == pytest.approx(1.0, abs=1e-12)
+        free = sa.gibbs_ensemble(np.zeros((8, 8)), beta=1.0)
+        assert sa.best_rate_mass(free, 1e300) == 1.0
+
     def test_negative_rate_rejected(self):
         ens = sa.gibbs_ensemble(np.zeros((4, 4)), beta=1.0)
         with pytest.raises(ValueError):
@@ -163,7 +154,7 @@ class TestWarmTemperatureTrends:
 
     def test_mass_grows_from_smallest_to_largest(self, warm_ensembles):
         family = [warm_ensembles[n] for n in sorted(warm_ensembles)]
-        masses = sa.typical_mass_curve(family, delta=0.15)
+        masses = [sa.typical_subspace(e, None, 0.15).mass for e in family]
         assert masses[-1] > masses[0]
 
     def test_subrate_mass_strictly_decreases(self, warm_ensembles):
@@ -178,14 +169,3 @@ class TestWarmTemperatureTrends:
     def test_lln_residual_strictly_decreases(self, warm_ensembles):
         residuals = [sa.lln_residual(warm_ensembles[n], 1.0) for n in sorted(warm_ensembles)]
         assert all(a > b for a, b in zip(residuals, residuals[1:]))
-
-
-class TestAepReport:
-    def test_rows_keyed_by_increasing_volume(self, exhibit_ensembles):
-        family = [exhibit_ensembles[n] for n in sorted(exhibit_ensembles)]
-        rows = sa.build_aep_report(family, delta=0.15, rates=(0.25,), ts=(1.0,))
-        sizes = [r.n_sites for r in rows]
-        assert sizes == sorted(sizes) and len(set(sizes)) == len(sizes)
-        for row in rows:
-            assert len(row.best_rate_masses) == 1
-            assert len(row.lln_residuals) == 1
