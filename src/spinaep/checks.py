@@ -22,7 +22,7 @@ from .gibbs import (
     thermo_densities,
 )
 from .hamiltonian import assemble_hamiltonian
-from .interaction import GroundStateConfig, classical_energy, preset_tfim
+from .interaction import GroundStateConfig, Interaction, LocalTerm, classical_energy, preset_tfim
 from .lattice import Configuration, boundary_envelope, chain
 from .typicality import typical_subspace
 
@@ -42,6 +42,20 @@ class CheckResult:
 
 def _hamiltonian(n_sites: int, lam: float, boundary: GroundStateConfig = ALL_UP) -> np.ndarray:
     return assemble_hamiltonian(preset_tfim(1.0, 0.5, lam), chain(n_sites), boundary)
+
+
+def _dm_hamiltonian(n_sites: int = 6, lam: float = 0.2) -> np.ndarray:
+    """The TFIM chain plus the imaginary bond of the ``dm`` test config.
+
+    The bond couples ``|01>`` and ``|10>`` by ``0.03 i``; reflection swaps
+    the two states, so H goes over into its complex conjugate and
+    diagonalize solves it in real form.
+    """
+    quantum = np.zeros((4, 4), dtype=complex)
+    quantum[1, 2], quantum[2, 1] = 0.03j, -0.03j
+    bond = LocalTerm(((0,), (1,)), np.zeros(4), quantum)
+    model = Interaction(terms=preset_tfim(1.0, 0.5, lam).terms + (bond,), R=1, lam=lam)
+    return assemble_hamiltonian(model, chain(n_sites), ALL_UP)
 
 
 def _ensemble(h: np.ndarray, beta: float) -> GibbsEnsemble:
@@ -99,10 +113,7 @@ def _check_entropy_identity(n_sites: int = 6, beta: float = 2.0, lam: float = 0.
     return CheckResult("entropy-rate identity", res <= 1e-10, f"residual {res:.3e}")
 
 
-def _check_values_only(
-    route: str, boundary: GroundStateConfig, n_sites: int = 6, lam: float = 0.2
-) -> CheckResult:
-    h = _hamiltonian(n_sites, lam, boundary)
+def _check_values_only(route: str, h: np.ndarray) -> CheckResult:
     dense = eigenpairs(h).energies
     gap = float(np.abs(diagonalize(h).energies - dense).max())
     bound = 1e-12 * float(np.abs(dense).max())
@@ -154,8 +165,9 @@ def run_checks() -> list[CheckResult]:
         _check_classical_entropy(),
         _check_energy_derivative(),
         _check_entropy_identity(),
-        _check_values_only("parity blocks", ALL_UP),
-        _check_values_only("full solve", NEEL),
+        _check_values_only("parity blocks", _hamiltonian(6, 0.2)),
+        _check_values_only("real form", _dm_hamiltonian()),
+        _check_values_only("full solve", _hamiltonian(6, 0.2, NEEL)),
         _check_typical_filter(),
         _check_codec(),
     ]

@@ -14,6 +14,7 @@ internal sums are in nats.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -94,35 +95,124 @@ def _bit_reversal(n_bits: int) -> np.ndarray:
     return mirrored
 
 
-def _commutes(h: np.ndarray, perm: np.ndarray, rows: np.ndarray) -> bool:
+# bytes of each temporary of a chunked pass over H. At 11 sites, 2 MiB
+# temporaries left about 6 MiB of freed heap resident under the real solve's
+# copy, and half-matrix temporaries (17 MiB) up to 30 MiB under the codec
+# that follows; at 256 KiB the passes also run 1.5-3x faster, in cache
+_CHUNK_BYTES = 256 << 10
+
+
+def _chunk_rows(h: np.ndarray) -> int:
+    """Rows of ``h`` in ``_CHUNK_BYTES``, at least one."""
+    return max(1, _CHUNK_BYTES // (h.shape[1] * h.itemsize))
+
+
+def _commutes(h: np.ndarray, perm: np.ndarray, rows: np.ndarray, *, conjugate: bool = False) -> bool:
     """Whether ``h[s, perm] == h[perm[s], :]`` bit for bit for every ``s`` in ``rows``.
 
-    Compares row chunks, 16 rows first, and stops at the first mismatch, so
-    a matrix without the symmetry costs a few rows and no permuted copy of
-    the whole matrix is made.
+    With ``conjugate``, whether ``h[s, perm] == conj(h[perm[s], :])``.
+    Compares row chunks, at most 16 rows first, doubling up to
+    :func:`_chunk_rows` rows, and stops at the first mismatch, so a matrix without the symmetry
+    costs a few rows and no permuted copy of the whole matrix is made.
     """
-    start, size = 0, 16
+    cap = _chunk_rows(h)
+    start, size = 0, min(16, cap)
     while start < rows.size:
         chunk = rows[start:start + size]
-        if not np.array_equal(np.take(h[chunk], perm, axis=1), h[perm[chunk]]):
+        mirrored = h[perm[chunk]]
+        if conjugate:
+            np.conj(mirrored, out=mirrored)
+        if not np.array_equal(np.take(h[chunk], perm, axis=1), mirrored):
             return False
         start += size
-        size = min(2 * size, 512)
+        size = min(2 * size, cap)
     return True
 
 
-def _parity_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The even and odd blocks of ``h`` under bit reversal ``R``, or ``None``.
+def _mirror_combined(
+    h: np.ndarray, mirror: np.ndarray, rows: np.ndarray, add: bool
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Row chunks ``(start, h[s] + h[R s])`` over the ``s`` of ``rows``, or ``h[s] - h[R s]``.
+
+    Each chunk holds :func:`_chunk_rows` rows, so no half of ``h`` is formed.
+    """
+    step = _chunk_rows(h)
+    for start in range(0, rows.size, step):
+        chunk = rows[start:start + step]
+        combined = h[chunk]
+        if add:
+            combined += h[mirror[chunk]]
+        else:
+            combined -= h[mirror[chunk]]
+        yield start, combined
+
+
+def _scale_palindromes(block: np.ndarray, palindromes: np.ndarray) -> None:
+    """Scale the palindrome rows, then the palindrome columns, by ``sqrt(1/2)`` in place."""
+    for p in palindromes:
+        block[p] *= math.sqrt(0.5)
+    for p in palindromes:
+        block[:, p] *= math.sqrt(0.5)
+
+
+def _parity_blocks(h: np.ndarray, mirror: np.ndarray, reps: np.ndarray, pairs: np.ndarray,
+                   palindromes: np.ndarray) -> list[np.ndarray]:
+    """The even and odd blocks of an ``h`` with ``R h R == h``.
+
+    ``s`` of ``reps`` stands for ``(|s> + |R s>) / sqrt 2`` in the even
+    block, or for ``|s>`` when ``s`` is a palindrome, and ``s`` of ``pairs``
+    for ``(|s> - |R s>) / sqrt 2`` in the odd block, which has no
+    palindromes: ``(dim + 2^ceil(n/2)) / 2`` and ``(dim - 2^ceil(n/2)) / 2``
+    states. An entry is ``h[s, t] +- h[R s, t]``, scaled by ``sqrt(1/2)`` on
+    each palindrome row and column of the even block; ``h[R s, t] ==
+    h[s, R t]``, so a Hermitian ``h`` gives blocks that equal their
+    conjugate transposes bit for bit.
+    """
+    even = np.empty((reps.size, reps.size), dtype=h.dtype)
+    for start, combined in _mirror_combined(h, mirror, reps, add=True):
+        even[start:start + combined.shape[0]] = combined[:, reps]
+    _scale_palindromes(even, palindromes)
+    odd = np.empty((pairs.size, pairs.size), dtype=h.dtype)
+    for start, combined in _mirror_combined(h, mirror, pairs, add=False):
+        odd[start:start + combined.shape[0]] = combined[:, pairs]
+    return [even, odd]
+
+
+def _real_form(h: np.ndarray, mirror: np.ndarray, reps: np.ndarray, pairs: np.ndarray,
+               palindromes: np.ndarray) -> np.ndarray:
+    """A complex ``h`` with ``R h R == conj(h)`` as a real symmetric matrix.
+
+    The basis is ``(|s> + |R s>) / sqrt 2`` for each ``s`` of ``reps``, or
+    ``|s>`` when ``s`` is a palindrome, then ``i (|s> - |R s>) / sqrt 2`` for
+    each ``s`` of ``pairs``: ``R`` combined with complex conjugation fixes
+    each of these states, so ``h`` is real in this basis. The first rows are
+    ``Re`` of ``h[s] + h[R s]`` at the ``reps`` columns and ``-Im`` at the
+    ``pairs`` columns, the others ``Im`` of ``h[s] - h[R s]`` at the ``reps``
+    columns and ``Re`` at the ``pairs`` columns; palindrome rows and columns
+    are scaled by ``sqrt(1/2)``. ``h[R s, t] == conj(h[s, R t])``, so a
+    Hermitian ``h`` gives a matrix that equals its transpose bit for bit.
+    """
+    n_reps = reps.size
+    m = np.empty(h.shape)
+    for start, combined in _mirror_combined(h, mirror, reps, add=True):
+        out = m[start:start + combined.shape[0]]
+        out[:, :n_reps] = combined.real[:, reps]
+        out[:, n_reps:] = -combined.imag[:, pairs]
+    for start, combined in _mirror_combined(h, mirror, pairs, add=False):
+        out = m[n_reps + start:n_reps + start + combined.shape[0]]
+        out[:, :n_reps] = combined.imag[:, reps]
+        out[:, n_reps:] = combined.real[:, pairs]
+    _scale_palindromes(m, palindromes)
+    return m
+
+
+def _reflection_blocks(h: np.ndarray) -> list[np.ndarray] | None:
+    """The blocks whose merged spectra are that of ``h``, or ``None``.
 
     ``None`` unless ``h`` is a float or complex matrix on ``n >= 2`` qubits
-    with ``R h R == h`` bit for bit. One index ``s <= R s`` of each orbit
-    stands for ``(|s> + |R s>) / sqrt 2`` in the even block, or for ``|s>``
-    when ``s`` is a palindrome, and for ``(|s> - |R s>) / sqrt 2`` in the odd
-    block, which has no palindromes: ``(dim + 2^ceil(n/2)) / 2`` and
-    ``(dim - 2^ceil(n/2)) / 2`` states. An entry is ``h[s, t] +- h[R s, t]``,
-    scaled by ``sqrt(1/2)`` on each palindrome row and column of the even
-    block; ``h[R s, t] == h[s, R t]``, so a Hermitian ``h`` gives blocks that
-    equal their conjugate transposes bit for bit.
+    that bit reversal ``R`` maps, bit for bit, onto itself (the two
+    :func:`_parity_blocks`) or, if complex, onto its conjugate (the one
+    :func:`_real_form`). One index ``s <= R s`` stands for each orbit.
     """
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.dtype.kind not in "fc":
         return None
@@ -132,21 +222,19 @@ def _parity_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     mirror = _bit_reversal(n_bits)
     reps = np.flatnonzero(np.arange(dim) <= mirror)
-    # R is an involution, so the rows s <= R s decide the whole matrix
-    if not _commutes(h, mirror, reps):
-        return None
     palindromes = np.flatnonzero(mirror[reps] == reps)
     pairs = np.delete(reps, palindromes)
-    even = np.take(h[reps] + h[mirror[reps]], reps, axis=1)
-    even[palindromes] *= math.sqrt(0.5)
-    even[:, palindromes] *= math.sqrt(0.5)
-    odd = np.take(h[pairs] - h[mirror[pairs]], pairs, axis=1)
-    return even, odd
+    # R is an involution, so the rows s <= R s decide the whole matrix
+    if _commutes(h, mirror, reps):
+        return _parity_blocks(h, mirror, reps, pairs, palindromes)
+    if h.dtype.kind == "c" and _commutes(h, mirror, reps, conjugate=True):
+        return [_real_form(h, mirror, reps, pairs, palindromes)]
+    return None
 
 
 def _eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of ``h``, from its parity blocks where it has them."""
-    blocks = _parity_blocks(h)
+    """Ascending eigenvalues of ``h``, from its reflection blocks where it has them."""
+    blocks = _reflection_blocks(h)
     if blocks is None:
         return np.linalg.eigvalsh(h)
     return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
@@ -158,8 +246,12 @@ def diagonalize(h: np.ndarray) -> Spectrum:
     When ``h`` commutes bit for bit with the bit-reversal permutation of
     the basis, as the Hamiltonian of a reflection-symmetric model on a
     chain does, the energies are the merged spectra of its even and odd
-    blocks, each about half the dimension, so about a quarter of the work;
-    otherwise they come from one full solve.
+    blocks, each about half the dimension, so about a quarter of the work.
+    When a complex ``h`` instead goes over into its complex conjugate under
+    bit reversal, as a chain with a reflection-odd imaginary bond does, the
+    energies come from one real symmetric matrix of the same dimension,
+    also about a quarter of the work of the complex solve. Otherwise they
+    come from one full solve.
 
     With no eigenpairs to check, the energies are held to the two trace
     identities ``tr H = sum E_j`` and ``||H||_F^2 = sum E_j^2``, within

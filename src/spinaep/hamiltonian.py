@@ -37,16 +37,21 @@ def _bit_patterns(n_total: int, positions: Sequence[int]) -> np.ndarray:
     return bits @ np.array([1 << (n_total - 1 - p) for p in positions], dtype=np.int64)
 
 
+def _embedding(sites: Sequence[Site], volume: Volume) -> np.ndarray:
+    """Basis indices of the volume by pattern on ``sites`` (rows) and on the rest (columns)."""
+    n = volume.n_sites
+    positions = [volume.index_of(s) for s in sites]
+    rest = sorted(set(range(n)) - set(positions))
+    return _bit_patterns(n, positions)[:, None] + _bit_patterns(n, rest)
+
+
 def _scatter_add(target: np.ndarray, op: np.ndarray, sites: Sequence[Site], volume: Volume) -> None:
     """Accumulate ``op`` acting on the given tensor factors into ``target``.
 
     Entry ``(i, j)`` of ``op`` lands on every pair of basis indices that agree
     outside ``sites``; each entry of ``target`` receives at most one addition.
     """
-    n = volume.n_sites
-    positions = [volume.index_of(s) for s in sites]
-    rest = sorted(set(range(n)) - set(positions))
-    index = _bit_patterns(n, positions)[:, None] + _bit_patterns(n, rest)
+    index = _embedding(sites, volume)
     target[index[:, None, :], index[None, :, :]] += op[:, :, None]
 
 
@@ -105,7 +110,14 @@ def instantiate_terms(
 
 
 def _sum_terms(volume: Volume, blocks: Iterable[tuple[np.ndarray, Sequence[Site]]]) -> np.ndarray:
-    """Sum of the blocks embedded into the volume, in the given order.
+    """Sum of the blocks embedded into the volume.
+
+    Off the diagonal the blocks are added in the given order. Each diagonal
+    entry is the sum of its per-block contributions taken in ascending
+    order, which no reordering of the blocks changes: a reflection maps a
+    symmetric model's blocks onto themselves, so ``H[R s, R s] == H[s, s]``
+    bit for bit however the couplings round. The diagonal of a Hermitian
+    block is real.
 
     The sum is accumulated in float64 when no block has an imaginary part.
     Otherwise it is complex, and still returned real when no imaginary part
@@ -115,8 +127,15 @@ def _sum_terms(volume: Volume, blocks: Iterable[tuple[np.ndarray, Sequence[Site]
     real = not any(block.imag.any() for block, _ in blocks)
     dim = 1 << volume.n_sites
     h = np.zeros((dim, dim), dtype=float if real else complex)
-    for block, sites in blocks:
+    diagonals = np.zeros((len(blocks), dim))
+    for row, (block, sites) in zip(diagonals, blocks):
         _scatter_add(h, block.real if real else block, sites, volume)
+        row[_embedding(sites, volume)] = block.diagonal().real[:, None]
+    diagonals.sort(axis=0)
+    diagonal = diagonals[0]
+    for row in diagonals[1:]:
+        diagonal += row
+    np.fill_diagonal(h, diagonal)
     if real or h.imag.any():
         return h
     return np.ascontiguousarray(h.real)
@@ -138,7 +157,8 @@ def assemble_hamiltonian(
     quantum part (checked to ``HERMITICITY_TOL``, then symmetrized), freezing
     keeps a principal sub-block, and the scatter adds the exact conjugates
     ``op[a, b]`` and ``op[b, a]`` at mirrored positions in the same term
-    order, so both triangles round alike. No runtime check is made.
+    order, so both triangles round alike, and the diagonal is real. No
+    runtime check is made.
     """
     terms = instantiate_terms(interaction, volume, boundary)
     return _sum_terms(volume, ((inst.matrix, inst.sites_in) for inst in terms))

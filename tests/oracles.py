@@ -113,13 +113,16 @@ def loop_assemble(model, volume, boundary) -> np.ndarray:
     """Boundary-pinned Hamiltonian summed entry by entry and bit by bit.
 
     Terms come in the package's order (orbit representative, then sorted base
-    offset) and every entry of a term's block is added, zeros included, so
-    the result must equal the vectorized assembly exactly.
+    offset) and every entry of a term's block is added, zeros included. A
+    diagonal entry instead sums its per-term contributions in ascending
+    order, starting from the smallest. So the result must equal the
+    vectorized assembly exactly.
     """
     sites = list(volume.sites)
     n = len(sites)
     pos = {s: i for i, s in enumerate(sites)}
     H = np.zeros((2**n, 2**n), dtype=complex)
+    diagonal = [[] for _ in range(2**n)]
 
     def bit(index, site):
         if site in pos:
@@ -142,7 +145,16 @@ def loop_assemble(model, volume, boundary) -> np.ndarray:
                     r = c = 0
                     for s in support:
                         r, c = 2 * r + bit(a, s), 2 * c + bit(b, s)
-                    H[a, b] += full[r, c]
+                    if a == b:
+                        diagonal[a].append(full[r, c].real)
+                    else:
+                        H[a, b] += full[r, c]
+    for a, values in enumerate(diagonal):
+        values.sort()
+        total = values[0]
+        for value in values[1:]:
+            total += value
+        H[a, a] = total
     return H
 
 

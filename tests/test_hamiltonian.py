@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from pathlib import Path
 
@@ -227,10 +228,19 @@ class TestRealAccumulation:
 
     @staticmethod
     def complex_then_real(model, volume, boundary) -> np.ndarray:
-        """The sum accumulated in complex, then returned real if no imaginary part survives."""
+        """The sum accumulated in complex, then returned real if no imaginary part survives.
+
+        Each diagonal entry is the sum of the terms' real diagonal
+        contributions in ascending order, as the assembly takes it.
+        """
         h = np.zeros((1 << volume.n_sites,) * 2, dtype=complex)
+        diagonals = []
         for inst in sa.instantiate_terms(model, volume, boundary):
             _scatter_add(h, inst.matrix, inst.sites_in, volume)
+            alone = np.zeros_like(h)
+            _scatter_add(alone, inst.matrix, inst.sites_in, volume)
+            diagonals.append(alone.diagonal().real)
+        np.fill_diagonal(h, functools.reduce(np.add, np.sort(diagonals, axis=0)))
         return h if h.imag.any() else np.ascontiguousarray(h.real)
 
     @pytest.mark.parametrize("case, volume", [
@@ -262,3 +272,25 @@ class TestRealAccumulation:
         h = _sum_terms(volume, [(up, [(0,)]), (-up, [(0,)])])
         assert h.dtype == np.float64
         assert not h.any()
+
+
+
+class TestTermOrder:
+    """The assembled H does not depend on the order in which the terms come."""
+
+    @pytest.mark.parametrize("case", ["tfim", "dm"])
+    def test_shuffled_terms_give_the_same_h_bit_for_bit(self, case):
+        volume = sa.chain(9)
+        if case == "tfim":
+            # couplings whose sums round differently in different orders
+            model, boundary = sa.preset_tfim(0.7, 0.3, 0.2), ALL_UP
+        else:
+            config = sa.parse_config((Path(__file__).parent / "golden" / "dm.cfg").read_text())
+            model, boundary = sa.build_interaction(config), sa.build_boundary(config)
+        blocks = [(inst.matrix, inst.sites_in) for inst in sa.instantiate_terms(model, volume, boundary)]
+        h = _sum_terms(volume, blocks)
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            shuffled = _sum_terms(volume, [blocks[k] for k in rng.permutation(len(blocks))])
+            assert shuffled.dtype == h.dtype
+            assert shuffled.tobytes() == h.tobytes()

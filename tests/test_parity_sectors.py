@@ -1,17 +1,21 @@
-"""The parity-block solve of ``diagonalize`` against the dense route.
+"""The reflection routes of ``diagonalize`` against the dense route.
 
 A Hamiltonian that commutes bit for bit with the bit-reversal permutation
-of the basis is solved as an even and an odd block; every other matrix takes
-one full solve. Which route ran is read from the shapes that
-``numpy.linalg.eigvalsh`` is called with.
+``R`` of the basis is solved as an even and an odd block. A complex one with
+``R H R == conj(H)`` bit for bit is solved as one real symmetric matrix.
+Every other matrix takes one full solve. Which route ran is read from the
+matrices that ``numpy.linalg.eigvalsh`` is called with.
 """
 
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinaep as sa
+from spinaep.gibbs import _bit_reversal
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ALL_UP = sa.GroundStateConfig.uniform(1, +1)
@@ -65,15 +69,63 @@ def test_symmetric_complex_chain_blocks_match_the_dense_route(n_sites, eigvalsh_
     assert_blocks_match_dense(h, eigvalsh_calls, n_sites)
 
 
+def assert_real_form_matches_dense(h: np.ndarray, calls: list[np.ndarray]) -> None:
+    energies = sa.diagonalize(h).energies
+    assert len(calls) == 1
+    (real_form,) = calls
+    assert real_form.dtype == np.float64 and real_form.shape == h.shape
+    assert np.array_equal(real_form, real_form.T)
+    dense = sa.eigenpairs(h).energies
+    assert np.abs(energies - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def assert_full_solve(h: np.ndarray, calls: list[np.ndarray]) -> None:
+    sa.diagonalize(h)
+    assert [(c.dtype, c.shape) for c in calls] == [(h.dtype, h.shape)]
+
+
+@pytest.mark.parametrize("n_sites", [3, 5, 7, 9])
+def test_dm_chain_real_form_matches_the_dense_route(n_sites, eigvalsh_calls):
+    # an odd chain mirrors the period-2 Neel boundary onto itself
+    model, boundary = golden_model("dm")
+    h = sa.assemble_hamiltonian(model, sa.chain(n_sites), boundary)
+    assert h.dtype == np.complex128
+    assert_real_form_matches_dense(h, eigvalsh_calls)
+
+
+@pytest.mark.parametrize("n_sites", [3, 5, 7, 9, 11])
+def test_dm_chain_goes_over_into_its_conjugate_under_reflection(n_sites):
+    model, boundary = golden_model("dm")
+    h = sa.assemble_hamiltonian(model, sa.chain(n_sites), boundary)
+    mirror = _bit_reversal(n_sites)
+    mirrored = h[mirror][:, mirror]
+    assert np.array_equal(mirrored, h.conj())
+    assert not np.array_equal(mirrored, h)
+
+
 @pytest.mark.parametrize("case, volume", [
-    ("dm", sa.chain(7)),
+    ("dm", sa.chain(6)),
     ("generic2d", sa.build_box((0, 0), (2, 2))),
 ])
 def test_models_without_the_symmetry_take_the_full_solve(case, volume, eigvalsh_calls):
+    # on an even chain the Neel boundary pins the two ends to opposite spins
     model, boundary = golden_model(case)
     h = sa.assemble_hamiltonian(model, volume, boundary)
-    sa.diagonalize(h)
-    assert [c.shape for c in eigvalsh_calls] == [h.shape]
+    assert h.dtype == np.complex128
+    assert_full_solve(h, eigvalsh_calls)
+
+
+@pytest.mark.parametrize("J, h_field, n_sites", [
+    (0.7, 0.5, 5), (0.7, 0.5, 8), (0.7, 0.5, 11), (1.0, 0.3, 5), (1.0, 0.3, 11),
+])
+def test_tfim_chain_with_inexact_couplings_takes_the_parity_blocks(J, h_field, n_sites, eigvalsh_calls):
+    # the diagonal sums these couplings in an order that mirroring keeps
+    h = sa.assemble_hamiltonian(sa.preset_tfim(J, h_field, 0.2), sa.chain(n_sites), ALL_UP)
+    if n_sites > 10:
+        sa.diagonalize(h)
+        assert [c.shape for c in eigvalsh_calls] == block_shapes(n_sites)
+    else:
+        assert_blocks_match_dense(h, eigvalsh_calls, n_sites)
 
 
 def bit_reversed(index: int, n_sites: int) -> int:
@@ -108,3 +160,94 @@ def test_one_diagonal_entry_in_the_last_rows_moved_by_one_ulp_takes_the_full_sol
 def test_matrices_outside_the_block_rule_take_the_full_solve(h, eigvalsh_calls):
     np.testing.assert_array_equal(sa.diagonalize(h).energies, np.linalg.eigvalsh(h))
     assert eigvalsh_calls[0].shape == h.shape
+
+
+def imaginary_bond_entries(h: np.ndarray, n_sites: int) -> list[tuple[int, int]]:
+    """Upper-triangle entries with an imaginary part, in rows ``s <= R s``."""
+    rows, cols = np.nonzero(np.triu(h.imag != 0))
+    return [(s, t) for s, t in zip(rows, cols) if s <= bit_reversed(s, n_sites)]
+
+
+@pytest.mark.parametrize("pick", [min, max], ids=["first-row", "last-row"])
+def test_one_imaginary_entry_moved_by_one_ulp_takes_the_full_solve(pick, eigvalsh_calls):
+    # the conjugate test reads rows in chunks too; a fault in any one counts
+    n_sites = 7
+    model, boundary = golden_model("dm")
+    h = sa.assemble_hamiltonian(model, sa.chain(n_sites), boundary)
+    s, t = pick(imaginary_bond_entries(h, n_sites))
+    h[s, t] = complex(h[s, t].real, np.nextafter(h[s, t].imag, np.inf))
+    h[t, s] = np.conj(h[s, t])
+    assert np.array_equal(h, h.conj().T)
+    assert_full_solve(h, eigvalsh_calls)
+
+
+# Random chains of at most 6 qubits built to be R-symmetric, R K-symmetric
+# (reflection with complex conjugation) or neither. Off-diagonal entries are
+# multiples of 1/64, so their sums are exact in any order; the classical
+# parts are arbitrary floats, which the assembly sums in sorted order.
+DYADIC = st.integers(-32, 32).map(lambda k: k / 64)
+CLASSICAL = st.floats(-0.5, 0.5)
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+@st.composite
+def hermitian_dyadic(draw, dim: int) -> np.ndarray:
+    re = np.array(draw(st.lists(DYADIC, min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
+    im = np.array(draw(st.lists(DYADIC, min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
+    p = np.triu(re + 1j * im, 1)
+    return p + p.conj().T + np.diag(np.diag(re))
+
+
+@st.composite
+def reflection_chains(draw) -> tuple[str, np.ndarray]:
+    kind = draw(st.sampled_from(["R", "RK", "neither"]))
+    n_sites = draw(st.integers(2, 6))
+    p = draw(hermitian_dyadic(4))
+    a, b, d = draw(CLASSICAL), draw(CLASSICAL), draw(CLASSICAL)
+    site_classical = [draw(CLASSICAL), draw(CLASSICAL)]
+    x = complex(draw(DYADIC), draw(DYADIC))
+    if kind == "R":
+        bond_quantum = p + SWAP @ p @ SWAP
+    elif kind == "RK":
+        # a swap-odd imaginary entry, so H is complex and not R-symmetric
+        p[1, 2] = p[2, 1] = p[1, 2].real
+        y = draw(DYADIC.filter(bool))
+        bond_quantum = p + (SWAP @ p @ SWAP).conj()
+        bond_quantum[1, 2] += 1j * y
+        bond_quantum[2, 1] -= 1j * y
+        x = x.real  # a conjugation-invariant site term
+    else:
+        bond_quantum = p
+    bond = sa.LocalTerm(((0,), (1,)), np.array([a, b, b, d]), bond_quantum)
+    site = sa.LocalTerm(((0,),), np.array(site_classical), np.array([[0, x], [np.conj(x), 0]]))
+    terms = (bond, site)
+    boundary = ALL_UP
+    if kind == "neither":
+        # an Ising bond against ends pinned to opposite spins breaks both
+        # symmetries: E(s) - E(R s) is 4 j, beyond the 2 that a, b, d can offset
+        n_sites += n_sites % 2
+        j = draw(st.floats(1.0, 2.0))
+        terms += (sa.LocalTerm(((0,), (1,)), np.array([-j, j, j, -j]), np.zeros((4, 4))),)
+        boundary = sa.GroundStateConfig((2,), {(0,): +1, (1,): -1})
+    model = sa.Interaction(terms=terms, R=1, lam=0.25)
+    return kind, sa.assemble_hamiltonian(model, sa.chain(n_sites), boundary)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(reflection_chains())
+def test_random_chains_take_the_route_of_their_symmetry(case):
+    kind, h = case
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as solve:
+        energies = sa.diagonalize(h).energies
+    calls = [args[0] for args, _ in solve.call_args_list]
+    n_sites = h.shape[0].bit_length() - 1
+    if kind == "R":
+        assert [c.shape for c in calls] == block_shapes(n_sites)
+    elif kind == "RK":
+        assert [(c.dtype, c.shape) for c in calls] == [(np.float64, h.shape)]
+    else:
+        assert [(c.dtype, c.shape) for c in calls] == [(h.dtype, h.shape)]
+    # the solver reads one triangle, so each matrix it gets must be exactly Hermitian
+    assert all(np.array_equal(c, c.conj().T) for c in calls)
+    dense = sa.eigenpairs(h).energies
+    assert np.abs(energies - dense).max() <= 1e-12 * np.abs(dense).max()

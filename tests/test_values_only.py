@@ -221,3 +221,16 @@ def test_check_uses_the_eigenpair_route(monkeypatch, capsys):
 def test_check_runs_the_parity_blocks_and_the_full_solve(eigvalsh_calls):
     assert main(["check", "--quiet"]) == 0
     assert {(36, 36), (28, 28), (64, 64)} <= {a.shape for a in eigvalsh_calls}
+
+
+def test_check_runs_the_real_form(monkeypatch):
+    shapes = []
+    real_form = gibbs._real_form
+
+    def recording(h, *args):
+        shapes.append((h.dtype, h.shape))
+        return real_form(h, *args)
+
+    monkeypatch.setattr(gibbs, "_real_form", recording)
+    assert main(["check", "--quiet"]) == 0
+    assert shapes == [(np.complex128, (64, 64))]
