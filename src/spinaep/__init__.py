@@ -3,12 +3,10 @@ rates, typical subspaces, and a fixed-length typical-state codec."""
 
 from .codec import (
     Codebook,
-    CodecRecord,
     Decomposition,
     build_codebook,
     compress,
     decompress,
-    encode_decode_maps,
     fidelity,
     make_decomposition,
     typical_projector,

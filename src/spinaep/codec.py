@@ -5,20 +5,22 @@ smallest that can address the subspace. States outside the window compress
 to an explicit flag (``None``), never to a wrong codeword. The projection
 fidelity of the scheme is decomposition-independent and equals the typical
 mass. A decomposition is held in eigenbasis coordinates, mixed by a seeded
-structured random isometry (random phases and unitary FFTs), so a window's
-fidelity reads the window's rows of its coefficients and needs neither a
-projector nor a product-basis vector. The tests and ``spinaep check`` pin it
-against the dense projector route on small volumes.
+structured random isometry (random phases and unitary FFTs) that is applied,
+not stored: one FFT per row sums each eigenstate's captured mass in
+O(dim m log m) time and O(m) memory plus one chunk. A window's fidelity sums
+its captured masses, with neither a projector nor a product-basis vector.
+The tests and ``spinaep check`` pin it against the dense projector route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
-from ._arrays import readonly
+from ._arrays import chunk_rows, readonly
 from .errors import EmptySubspaceError, InvalidCodewordError
 from .gibbs import GibbsEnsemble, Spectrum
 from .typicality import TypicalSubspace
@@ -95,53 +97,88 @@ def _squared_column_norms(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a.real, a.real) + np.einsum("ij,ij->j", a.imag, a.imag)
 
 
+def _coefficient_rows(sqrt_kappa: np.ndarray, phases: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Row chunks ``(start, rows)`` of ``diag(sqrt_kappa) U^T``, before column normalization.
+
+    Row ``j`` of ``D_1 F D_2 F`` is ``d_1j / sqrt(m) * G[(j + l) mod m]``
+    over ``l``, ``G = F d_2``, so a row of ``U^T`` is one FFT of ``d_3 * roll(G, -j)``.
+    """
+    d1, d2, d3 = phases
+    m = d1.size
+    g = np.fft.fft(d2, norm="ortho")
+    shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate([g, g]), m)
+    scale = sqrt_kappa * d1[:sqrt_kappa.size] / np.sqrt(m)
+    step = chunk_rows(m * g.itemsize)
+    for start in range(0, scale.size, step):
+        rows = shifted[start:min(start + step, scale.size)] * d3
+        np.fft.fft(rows, axis=1, norm="ortho", out=rows)
+        rows *= scale[start:start + len(rows), None]
+        yield start, rows
+
+
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """A convex pure-state decomposition of a density matrix, in its eigenbasis.
 
-    Column ``i`` of ``coefficients`` holds ``<psi_j|phi_i>``, the coordinates
-    of the unit vector ``phi_i`` in the eigenvectors ``psi_j``, the columns of
-    ``basis``, or ``None`` when the spectrum was solved for energies only.
-    The vectors are not necessarily orthogonal or independent.
+    Unit vectors ``phi_i`` with weights ``p_i``, held as the phases and
+    ``sqrt(kappa)`` that generate their coordinates ``<psi_j|phi_i>``
+    (``coefficients``) and as each eigenstate's captured mass ``sum_i p_i
+    |<psi_j|phi_i>|^2``. ``basis`` holds the ``psi_j`` as columns, or
+    ``None`` for an energies-only spectrum. The vectors need not be orthogonal.
     """
 
     weights: np.ndarray  # (m,) nonnegative, summing to one
-    coefficients: np.ndarray  # (dim, m) columns of unit norm
+    captured: np.ndarray  # (dim,) nonnegative, summing to one
+    phases: np.ndarray  # (3, m) unit-modulus diagonals D_1, D_2, D_3
+    sqrt_kappa: np.ndarray  # (dim,) square roots of the eigenstate weights
     basis: np.ndarray | None  # (dim, dim) orthonormal eigenvectors as columns
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        c = np.asarray(self.coefficients)
-        if w.ndim != 1 or c.ndim != 2 or c.shape[1] != w.size:
-            raise ValueError("weights must be (m,) and coefficients (dim, m)")
+        w, r, k = (np.asarray(a, dtype=float) for a in (self.weights, self.captured, self.sqrt_kappa))
+        d = np.asarray(self.phases, dtype=complex)
+        if w.ndim != 1 or d.shape != (3, w.size) or k.ndim != 1 or r.shape != k.shape or k.size > w.size:
+            raise ValueError("need weights (m,), phases (3, m), captured and sqrt_kappa (dim,), dim <= m")
         if self.basis is not None:
             b = np.asarray(self.basis)
-            if b.shape != (c.shape[0],) * 2:
+            if b.shape != (k.size,) * 2:
                 raise ValueError("basis must be (dim, dim)")
             object.__setattr__(self, "basis", readonly(b))
         # not-below comparisons so NaN entries count as failures
-        if not np.all(w >= 0):
-            raise ValueError("weights must be nonnegative")
-        if not abs(w.sum() - 1.0) <= 1e-12:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1 within 1e-12")
-        norms = np.sqrt(_squared_column_norms(c))
-        if not np.abs(norms - 1.0).max() <= 1e-10:
-            raise ValueError("decomposition coefficients must have unit-norm columns within 1e-10")
-        object.__setattr__(self, "weights", readonly(w))
-        object.__setattr__(self, "coefficients", readonly(c))
+        for name, values in (("weights", w), ("captured masses", r)):
+            if not np.all(values >= 0) or not abs(values.sum() - 1.0) <= 1e-12:
+                raise ValueError(f"{name} must be nonnegative and sum to 1 within 1e-12")
+        if not np.all((k >= 0) & (k <= 1)) or not np.abs(np.abs(d) - 1.0).max() <= 1e-10:
+            raise ValueError("need sqrt_kappa in [0, 1] and phases of unit modulus within 1e-10")
+        for name, value in (("weights", w), ("captured", r), ("phases", d), ("sqrt_kappa", k)):
+            object.__setattr__(self, name, readonly(value))
 
     @property
     def size(self) -> int:
         return int(self.weights.size)
 
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """The (dim, m) coordinates ``<psi_j|phi_i>``, columns of unit norm.
+
+        Formed on first access and kept, at O(dim m log m) cost; only the
+        tests and the dense cross-checks need them. A zero-weight column
+        carries no mass and holds the first eigenvector.
+        """
+        c = np.empty((self.sqrt_kappa.size, self.size), dtype=complex)
+        for start, rows in _coefficient_rows(self.sqrt_kappa, self.phases):
+            c[start:start + len(rows)] = rows
+        norms = np.sqrt(_squared_column_norms(c))
+        c /= np.maximum(norms, 1e-300)
+        c[:, norms == 0] = np.eye(c.shape[0], 1)
+        c.setflags(write=False)
+        return c
+
     @property
     def vectors(self) -> np.ndarray:
         """The vectors in the product basis, ``basis @ coefficients`` with unit columns.
 
-        Formed anew on each access at O(dim^2 m) cost; the codec never needs
-        them, they serve the dense cross-checks. Without a basis these are
-        the held coefficients, the same vectors in eigenbasis coordinates,
-        and no product is formed.
+        Formed anew on each access at O(dim^2 m) cost for the dense
+        cross-checks; without a basis, the coefficients themselves.
         """
         if self.basis is None:
             return self.coefficients
@@ -159,81 +196,42 @@ def make_decomposition(
     isometry ``U = (F D_3 F D_2 F D_1)[:, :dim]``, ``m >= dim``: each ``D``
     is a diagonal of random phases and ``F`` the unitary DFT of length
     ``m``, a randomized Fourier transform after Ailon and Chazelle (STOC
-    2006). Forming U costs O(m dim log m) FFT work. U has orthonormal
-    columns, so the ``m`` normalized vectors, with eigenbasis coefficients
-    the columns of ``C = diag(sqrt(kappa)) U^T``, non-orthogonal in general,
-    have weighted projectors that sum to the state. U is not
-    Haar-distributed; the fidelity identity holds for any isometry.
+    2006). U has orthonormal columns, so the ``m`` normalized vectors, with
+    eigenbasis coefficients the columns of ``C = diag(sqrt(kappa)) U^T``,
+    non-orthogonal in general, have weighted projectors that sum to the
+    state. U is not Haar-distributed; the fidelity identity holds for any
+    isometry. U is applied, not stored: one pass over row chunks of C, one
+    FFT per row, sums the column weights ``sum_j |C_ji|^2`` and the captured
+    masses ``sum_i |C_ji|^2``, in O(dim m log m) time and O(m) memory plus
+    one chunk.
     """
     dim = ensemble.dim
     if m < dim:
         raise ValueError(f"need m >= {dim} vectors to span the state, got {m}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    # U^T = D_1 F D_2 F D_3 F on its first dim rows: scale columns, then FFT each row
-    coefficients = np.eye(dim, m, dtype=complex)
-    for _ in range(3):
-        coefficients *= np.exp(2j * np.pi * rng.random(m))
-        np.fft.fft(coefficients, axis=1, norm="ortho", out=coefficients)
-    coefficients *= np.exp(0.5 * ensemble.log_weights)[:, None]
-    weights = _squared_column_norms(coefficients)
-    norms = np.sqrt(weights)
-    coefficients /= np.maximum(norms, 1e-300)
-    # zero-weight directions carry no mass; park them on the first eigenvector
-    coefficients[:, norms == 0] = np.eye(dim, 1)
-    weights = weights / weights.sum()
-    weights.setflags(write=False)
-    coefficients.setflags(write=False)
-    return Decomposition(weights=weights, coefficients=coefficients, basis=ensemble.spectrum.vectors)
-
-
-@dataclass(frozen=True)
-class CodecRecord:
-    """Trace of one decomposition vector through encode, compress, decode."""
-
-    source_index: int
-    typical_index: int | None
-    codeword: str | None
-    decoded_index: int | None
-
-    @property
-    def encodable(self) -> bool:
-        return self.typical_index is not None
-
-
-def encode_decode_maps(decomposition: Decomposition, subspace: TypicalSubspace) -> list[CodecRecord]:
-    """Run every decomposition vector through the compression scheme.
-
-    Encoding picks the typical eigenstate of largest overlap modulus;
-    decoding picks the decomposition vector of largest overlap modulus with
-    the encoded eigenstate. Ties break to the smallest index. Vectors with
-    vanishing typical component are recorded as unencodable.
-    """
-    codebook = build_codebook(subspace)
-    overlaps = np.abs(decomposition.coefficients[subspace.indices])  # (dim_typ, m)
-    records = []
-    for i in range(decomposition.size):
-        column = overlaps[:, i]
-        if float(np.linalg.norm(column)) <= 1e-12:
-            records.append(CodecRecord(i, None, None, None))
-            continue
-        row = int(np.argmax(column))
-        j = int(subspace.indices[row])
-        decoded = int(np.argmax(overlaps[row, :]))
-        records.append(CodecRecord(i, j, compress(codebook, j), decoded))
-    return records
+    phases = np.exp(2j * np.pi * rng.random((3, m)))
+    sqrt_kappa = np.exp(0.5 * ensemble.log_weights)
+    weights = np.zeros(m)
+    captured = np.empty(dim)
+    for start, rows in _coefficient_rows(sqrt_kappa, phases):
+        mass = np.square(rows.real)
+        mass += np.square(rows.imag)
+        weights += mass.sum(axis=0)
+        captured[start:start + len(rows)] = mass.sum(axis=1)
+    total = weights.sum()
+    return Decomposition(weights=weights / total, captured=captured / total, phases=phases,
+                         sqrt_kappa=sqrt_kappa, basis=ensemble.spectrum.vectors)
 
 
 def fidelity(decomposition: Decomposition, subspace: TypicalSubspace) -> float:
     """Success weight of projecting the decomposition onto the typical subspace.
 
-    ``sum_i p_i <phi_i|P|phi_i> = sum_i p_i sum_{j typical} |<psi_j|phi_i>|^2``,
-    read from the window's rows of the coefficients in O(dim_typ m). It
-    equals the typical mass for every decomposition. No eigenvector enters:
-    the eigenbasis is orthonormal by definition, so the value rests only on
-    the energies, which :func:`~spinaep.gibbs.diagonalize` holds to the trace
-    identities, and on the isometry of :func:`make_decomposition`.
+    ``sum_i p_i <phi_i|P|phi_i> = sum_{j typical} sum_i p_i |<psi_j|phi_i>|^2``,
+    the window's captured masses summed in O(dim_typ). It equals the typical
+    mass for every decomposition. No eigenvector enters, so the value rests
+    only on the energies, which :func:`~spinaep.gibbs.diagonalize` holds to
+    the trace identities, and on the isometry of :func:`make_decomposition`.
     """
-    if 1 << subspace.n_sites != decomposition.coefficients.shape[0]:
+    if 1 << subspace.n_sites != decomposition.captured.size:
         raise ValueError("subspace dimension does not match the decomposition")
-    captured = _squared_column_norms(decomposition.coefficients[subspace.indices])
-    return float(np.sum(decomposition.weights * captured))
+    return float(np.sum(decomposition.captured[subspace.indices]))

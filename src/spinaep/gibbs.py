@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._arrays import readonly
+from ._arrays import chunk_rows, readonly
 from .errors import NumericError
 
 LOG2E = math.log2(math.e)
@@ -95,27 +95,15 @@ def _bit_reversal(n_bits: int) -> np.ndarray:
     return mirrored
 
 
-# bytes of each temporary of a chunked pass over H. At 11 sites, 2 MiB
-# temporaries left about 6 MiB of freed heap resident under the real solve's
-# copy, and half-matrix temporaries (17 MiB) up to 30 MiB under the codec
-# that follows; at 256 KiB the passes also run 1.5-3x faster, in cache
-_CHUNK_BYTES = 256 << 10
-
-
-def _chunk_rows(h: np.ndarray) -> int:
-    """Rows of ``h`` in ``_CHUNK_BYTES``, at least one."""
-    return max(1, _CHUNK_BYTES // (h.shape[1] * h.itemsize))
-
-
 def _commutes(h: np.ndarray, perm: np.ndarray, rows: np.ndarray, *, conjugate: bool = False) -> bool:
     """Whether ``h[s, perm] == h[perm[s], :]`` bit for bit for every ``s`` in ``rows``.
 
     With ``conjugate``, whether ``h[s, perm] == conj(h[perm[s], :])``.
-    Compares row chunks, at most 16 rows first, doubling up to
-    :func:`_chunk_rows` rows, and stops at the first mismatch, so a matrix without the symmetry
+    Compares row chunks, at most 16 rows first, doubling up to ``chunk_rows``
+    rows, and stops at the first mismatch, so a matrix without the symmetry
     costs a few rows and no permuted copy of the whole matrix is made.
     """
-    cap = _chunk_rows(h)
+    cap = chunk_rows(h.shape[1] * h.itemsize)
     start, size = 0, min(16, cap)
     while start < rows.size:
         chunk = rows[start:start + size]
@@ -134,9 +122,9 @@ def _mirror_combined(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Row chunks ``(start, h[s] + h[R s])`` over the ``s`` of ``rows``, or ``h[s] - h[R s]``.
 
-    Each chunk holds :func:`_chunk_rows` rows, so no half of ``h`` is formed.
+    Each chunk holds ``chunk_rows`` rows, so no half of ``h`` is formed.
     """
-    step = _chunk_rows(h)
+    step = chunk_rows(h.shape[1] * h.itemsize)
     for start in range(0, rows.size, step):
         chunk = rows[start:start + step]
         combined = h[chunk]

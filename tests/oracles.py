@@ -174,3 +174,22 @@ def projector_fidelity(weights: np.ndarray, vectors: np.ndarray, projector: np.n
     """``sum_i p_i <phi_i|P|phi_i>``, the projector applied to every vector."""
     quad = np.einsum("ij,ij->j", vectors.conj(), projector @ vectors).real
     return float(np.sum(weights * quad))
+
+
+def three_fft_decomposition(log_weights: np.ndarray, m: int, seed: int):
+    """Weights and unit coefficient columns of ``diag(sqrt kappa) U^T`` by three full FFT passes.
+
+    The dense (dim, m) matrix starts as the identity's first rows; each of
+    the three layers scales its columns by a phase diagonal, drawn in order
+    from the seeded generator, and FFTs every row.
+    """
+    rng = np.random.default_rng(seed)
+    dim = log_weights.size
+    coefficients = np.eye(dim, m, dtype=complex)
+    for _ in range(3):
+        coefficients *= np.exp(2j * np.pi * rng.random(m))
+        np.fft.fft(coefficients, axis=1, norm="ortho", out=coefficients)
+    coefficients *= np.exp(0.5 * log_weights)[:, None]
+    weights = np.einsum("ij,ij->j", coefficients.conj(), coefficients).real
+    coefficients /= np.sqrt(weights)
+    return weights / weights.sum(), coefficients

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import spinaep as sa
 from spinaep.errors import EmptySubspaceError, InvalidCodewordError
 
 from conftest import chain_ensemble, chain_hamiltonian, dense_ensemble
-from oracles import product_basis_decomposition, projector_fidelity, qr_isometry
+from oracles import product_basis_decomposition, projector_fidelity, qr_isometry, three_fft_decomposition
 
 # The sweep-dm11 benchmark chain: complex Hermitian H, Neel cell boundary.
 COMPLEX_MODEL = Path(__file__).resolve().parent / "golden" / "dm.cfg"
@@ -143,6 +144,14 @@ def complex_ensemble(n_sites: int) -> sa.GibbsEnsemble:
     return dense_ensemble(h, config.beta)
 
 
+def decomposition_fields(**changes):
+    """Constructor fields of a valid two-state decomposition, with ``changes`` applied."""
+    fields = {"weights": np.array([0.5, 0.5]), "captured": np.array([0.25, 0.75]),
+              "phases": np.ones((3, 2), dtype=complex), "sqrt_kappa": np.sqrt([0.25, 0.75]),
+              "basis": np.eye(2)}
+    return {**fields, **changes}
+
+
 class TestDecomposition:
     def test_product_vectors_reconstruct_density_matrix(self, warm_ensemble):
         v = warm_ensemble.spectrum.vectors
@@ -171,14 +180,25 @@ class TestDecomposition:
         assert abs(decomp.weights.sum() - 1.0) <= 1e-12
 
     def test_nan_weight_rejected(self):
-        with pytest.raises(ValueError):
-            sa.Decomposition(weights=np.array([0.5, np.nan]), coefficients=np.eye(2), basis=np.eye(2))
+        sa.Decomposition(**decomposition_fields())
+        for field in ("weights", "captured"):
+            with pytest.raises(ValueError):
+                sa.Decomposition(**decomposition_fields(**{field: np.array([0.5, np.nan])}))
+            with pytest.raises(ValueError):
+                sa.Decomposition(**decomposition_fields(**{field: np.array([1.5, -0.5])}))
+            with pytest.raises(ValueError):
+                sa.Decomposition(**decomposition_fields(**{field: np.array([0.5, 0.5 + 1e-11])}))
 
     def test_nan_vector_rejected(self):
-        coefficients = np.eye(2)
-        coefficients[1, 1] = np.nan
+        # a vector's coordinates come from the phases and sqrt(kappa)
+        phases = np.ones((3, 2), dtype=complex)
+        phases[2, 1] = np.nan
         with pytest.raises(ValueError):
-            sa.Decomposition(weights=np.array([0.5, 0.5]), coefficients=coefficients, basis=np.eye(2))
+            sa.Decomposition(**decomposition_fields(phases=phases))
+        with pytest.raises(ValueError):
+            sa.Decomposition(**decomposition_fields(phases=2 * np.ones((3, 2), dtype=complex)))
+        with pytest.raises(ValueError):
+            sa.Decomposition(**decomposition_fields(sqrt_kappa=np.array([0.5, np.nan])))
 
     def test_too_few_vectors_rejected(self, warm_ensemble):
         with pytest.raises(ValueError):
@@ -194,48 +214,6 @@ class TestDecomposition:
         a = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, seed=9)
         b = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, seed=10)
         assert np.abs(a.coefficients - b.coefficients).max() > 0.1
-
-
-class TestEncodeDecode:
-    def test_eigenbasis_maps_are_identity_on_typical(self, warm_ensemble):
-        sub = subspace_of(warm_ensemble, 0.3)
-        decomp = sa.Decomposition(
-            weights=warm_ensemble.weights, coefficients=np.eye(warm_ensemble.dim),
-            basis=warm_ensemble.spectrum.vectors,
-        )
-        records = sa.encode_decode_maps(decomp, sub)
-        typical = set(int(j) for j in sub.indices)
-        for rec in records:
-            if rec.source_index in typical:
-                assert rec.typical_index == rec.source_index
-                assert rec.decoded_index == rec.source_index
-
-    def test_everything_encodable_under_zero_hamiltonian(self):
-        ens = sa.gibbs_ensemble(np.zeros((16, 16)), beta=1.0)
-        sub = sa.typical_subspace(ens, 1.0, 0.2)
-        decomp = sa.make_decomposition(ens, 16, seed=1)
-        records = sa.encode_decode_maps(decomp, sub)
-        assert all(rec.encodable for rec in records)
-
-    def test_encoding_matches_argmax_oracle(self, warm_ensemble):
-        sub = subspace_of(warm_ensemble, 0.3)
-        decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, seed=13)
-        records = sa.encode_decode_maps(decomp, sub)
-        v_typ = warm_ensemble.spectrum.vectors[:, sub.indices]
-        vectors = decomp.vectors
-        for rec in records[:10]:
-            overlaps = [abs(v_typ[:, t].conj() @ vectors[:, rec.source_index])
-                        for t in range(sub.dim)]
-            best = int(np.argmax(overlaps))
-            assert rec.typical_index == int(sub.indices[best])
-
-    def test_codeword_decompresses_to_encoded_state(self, warm_ensemble):
-        sub = subspace_of(warm_ensemble, 0.3)
-        book = sa.build_codebook(sub)
-        decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, seed=21)
-        for rec in sa.encode_decode_maps(decomp, sub):
-            if rec.encodable:
-                assert sa.decompress(book, rec.codeword) == rec.typical_index
 
 
 def window(ens, indices):
@@ -302,6 +280,38 @@ class TestDenseRoute:
         assert abs(value - same) <= 1e-12
         assert abs(value - gaussian) <= 1e-12
         assert abs(value - sub.mass) <= 1e-12
+
+
+class TestStreamedRows:
+    """The one-FFT row pass against the dense three-FFT reference."""
+
+    @pytest.mark.parametrize("extra", [0, 16])
+    def test_matches_three_fft_reference(self, small_ensemble, extra):
+        ens = small_ensemble
+        sub = subspace_of(ens, 0.3)
+        assert 1 < sub.dim < ens.dim
+        decomp = sa.make_decomposition(ens, ens.dim + extra, seed=5)
+        weights, coefficients = three_fft_decomposition(ens.log_weights, ens.dim + extra, seed=5)
+        assert np.abs(decomp.coefficients - coefficients).max() <= 1e-14
+        assert np.abs(decomp.weights / weights - 1.0).max() <= 1e-14
+        rows = coefficients[sub.indices]
+        old = float(np.sum(weights * np.einsum("ij,ij->j", rows.conj(), rows).real))
+        assert abs(sa.fidelity(decomp, sub) - old) <= 1e-14
+
+    def test_fidelity_forms_no_dense_matrix(self):
+        # the (1024, 1024) complex coefficients alone would take 16 MiB
+        ens = chain_ensemble(10, 1.0, 0.5, 0.2, beta=2.0)
+        sub = subspace_of(ens, 0.15)
+        tracemalloc.start()
+        try:
+            decomp = sa.make_decomposition(ens, ens.dim, seed=7)
+            value = sa.fidelity(decomp, sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert "coefficients" not in vars(decomp)
+        assert abs(value - sub.mass) <= 1e-10
 
 
 class TestProjectorRankBound:

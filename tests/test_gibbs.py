@@ -255,8 +255,8 @@ class TestImmutability:
         sub = sa.typical_subspace(ens, sa.entropy_bits(ens) / ens.n_sites, 0.5)
         assert sub.dim
         decomp = sa.make_decomposition(ens, ens.dim, seed=3)
-        for array in (decomp.weights, decomp.coefficients, sub.indices,
-                      sa.build_codebook(sub).indices):
+        for array in (decomp.weights, decomp.captured, decomp.phases, decomp.sqrt_kappa,
+                      decomp.coefficients, sub.indices, sa.build_codebook(sub).indices):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[..., 0] = 0
@@ -267,7 +267,9 @@ def frozen_type_case(name: str):
     return {
         "Spectrum": (sa.Spectrum, {"energies": np.array([0.0, 1.0]), "vectors": np.eye(2)}),
         "Decomposition": (sa.Decomposition, {"weights": np.array([0.25, 0.75]),
-                                             "coefficients": np.eye(2, dtype=complex),
+                                             "captured": np.array([0.5, 0.5]),
+                                             "phases": np.ones((3, 2), dtype=complex),
+                                             "sqrt_kappa": np.sqrt([0.5, 0.5]),
                                              "basis": np.eye(2)}),
         "LocalTerm": (sa.LocalTerm, {"support": ((0,),),
                                      "classical_part": np.array([-1.0, 1.0]),
