@@ -35,7 +35,7 @@ from .gibbs import (
     gibbs_ensemble,
     thermo_densities,
 )
-from .hamiltonian import assemble_hamiltonian, instantiate_terms
+from .hamiltonian import HamiltonianRows, assemble_hamiltonian, hamiltonian_rows, instantiate_terms
 from .interaction import (
     GroundStateConfig,
     Interaction,

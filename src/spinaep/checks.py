@@ -21,7 +21,7 @@ from .gibbs import (
     LOG2E, GibbsEnsemble, diagonalize, eigenpairs, entropy_bits, expectation, gibbs_ensemble,
     thermo_densities,
 )
-from .hamiltonian import assemble_hamiltonian
+from .hamiltonian import assemble_hamiltonian, hamiltonian_rows
 from .interaction import GroundStateConfig, Interaction, LocalTerm, classical_energy, preset_tfim
 from .lattice import Configuration, boundary_envelope, chain
 from .typicality import typical_subspace
@@ -44,7 +44,7 @@ def _hamiltonian(n_sites: int, lam: float, boundary: GroundStateConfig = ALL_UP)
     return assemble_hamiltonian(preset_tfim(1.0, 0.5, lam), chain(n_sites), boundary)
 
 
-def _dm_hamiltonian(n_sites: int = 6, lam: float = 0.2) -> np.ndarray:
+def _dm_model(lam: float = 0.2) -> Interaction:
     """The TFIM chain plus the imaginary bond of the ``dm`` test config.
 
     The bond couples ``|01>`` and ``|10>`` by ``0.03 i``; reflection swaps
@@ -54,8 +54,7 @@ def _dm_hamiltonian(n_sites: int = 6, lam: float = 0.2) -> np.ndarray:
     quantum = np.zeros((4, 4), dtype=complex)
     quantum[1, 2], quantum[2, 1] = 0.03j, -0.03j
     bond = LocalTerm(((0,), (1,)), np.zeros(4), quantum)
-    model = Interaction(terms=preset_tfim(1.0, 0.5, lam).terms + (bond,), R=1, lam=lam)
-    return assemble_hamiltonian(model, chain(n_sites), ALL_UP)
+    return Interaction(terms=preset_tfim(1.0, 0.5, lam).terms + (bond,), R=1, lam=lam)
 
 
 def _ensemble(h: np.ndarray, beta: float) -> GibbsEnsemble:
@@ -122,6 +121,15 @@ def _check_values_only(route: str, h: np.ndarray) -> CheckResult:
     )
 
 
+def _check_generated_rows(route: str, model: Interaction, n_sites: int = 6) -> CheckResult:
+    volume = chain(n_sites)
+    generated = diagonalize(hamiltonian_rows(model, volume, ALL_UP)).energies
+    dense = diagonalize(assemble_hamiltonian(model, volume, ALL_UP)).energies
+    same = np.array_equal(generated, dense)
+    detail = "bit for bit equal" if same else f"max gap {np.abs(generated - dense).max():.3e}"
+    return CheckResult(f"generated rows against the dense matrix, {route}", same, detail)
+
+
 def _check_typical_filter(n_sites: int = 6, beta: float = 0.5, lam: float = 0.2) -> CheckResult:
     ens = _ensemble(_hamiltonian(n_sites, lam), beta)
     h_ref = entropy_bits(ens) / n_sites
@@ -166,8 +174,10 @@ def run_checks() -> list[CheckResult]:
         _check_energy_derivative(),
         _check_entropy_identity(),
         _check_values_only("parity blocks", _hamiltonian(6, 0.2)),
-        _check_values_only("real form", _dm_hamiltonian()),
+        _check_values_only("real form", assemble_hamiltonian(_dm_model(), chain(6), ALL_UP)),
         _check_values_only("full solve", _hamiltonian(6, 0.2, NEEL)),
+        _check_generated_rows("parity blocks", preset_tfim(1.0, 0.5, 0.2)),
+        _check_generated_rows("real form", _dm_model()),
         _check_typical_filter(),
         _check_codec(),
     ]

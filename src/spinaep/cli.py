@@ -21,7 +21,7 @@ from .codec import build_codebook, fidelity, make_decomposition
 from .config import ExperimentConfig, build_boundary, build_interaction, override, parse_config
 from .errors import CapabilityError, ConfigError, NumericError, QubitCapError, SpinAepError
 from .gibbs import GibbsEnsemble, LOG2E, ThermoDensities, gibbs_ensemble, thermo_densities
-from .hamiltonian import assemble_hamiltonian
+from .hamiltonian import hamiltonian_rows
 from .interaction import GroundStateConfig, Interaction, check_perturbation_bound, find_periodic_ground_states
 from .lattice import build_hypercube
 from .typicality import AepRow, aep_row, typical_subspace
@@ -69,8 +69,7 @@ def _model_warnings(interaction: Interaction, boundary: GroundStateConfig) -> li
 def _run_volume(config: ExperimentConfig, interaction: Interaction,
                 boundary: GroundStateConfig, n: int) -> tuple[GibbsEnsemble, ThermoDensities]:
     volume = build_hypercube(n, config.d, max_qubits=config.max_qubits)
-    h_matrix = assemble_hamiltonian(interaction, volume, boundary)
-    ensemble = gibbs_ensemble(h_matrix, config.beta)
+    ensemble = gibbs_ensemble(hamiltonian_rows(interaction, volume, boundary), config.beta)
     return ensemble, thermo_densities(ensemble)
 
 

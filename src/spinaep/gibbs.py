@@ -14,7 +14,6 @@ internal sums are in nats.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from ._arrays import chunk_rows, readonly
 from .errors import NumericError
+from .hamiltonian import HamiltonianRows
 
 LOG2E = math.log2(math.e)
 
@@ -95,170 +95,176 @@ def _bit_reversal(n_bits: int) -> np.ndarray:
     return mirrored
 
 
-def _commutes(h: np.ndarray, perm: np.ndarray, rows: np.ndarray, *, conjugate: bool = False) -> bool:
-    """Whether ``h[s, perm] == h[perm[s], :]`` bit for bit for every ``s`` in ``rows``.
+class _DenseRows:
+    """Rows of a dense matrix, read as :class:`~spinaep.hamiltonian.HamiltonianRows` generates them."""
 
-    With ``conjugate``, whether ``h[s, perm] == conj(h[perm[s], :])``.
-    Compares row chunks, at most 16 rows first, doubling up to ``chunk_rows``
-    rows, and stops at the first mismatch, so a matrix without the symmetry
-    costs a few rows and no permuted copy of the whole matrix is made.
+    def __init__(self, h: np.ndarray) -> None:
+        self.h, self.shape, self.dtype = h, h.shape, h.dtype
+
+    def rows(self, index: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
+        rows = np.ascontiguousarray(self.h[index])
+        return rows if mirror is None else np.take(rows, mirror, axis=1)
+
+    def dense(self) -> np.ndarray:
+        return self.h
+
+
+def _reflection_pass(source, conjugate: bool) -> tuple[list[np.ndarray], complex, float] | None:
+    """The reflection blocks of ``source`` and the trace and Frobenius sums of its rows, or ``None``.
+
+    One pass over row chunks of the representatives ``s <= R s``, where
+    ``R`` reverses the bits of an index, at most 16 rows first, doubling up
+    to ``chunk_rows`` rows. Each chunk generates rows ``s`` and, with the
+    columns permuted by ``R``, rows ``R s``, and tests ``h[R s, R t] ==
+    h[s, t]`` bit for bit, or ``conj(h[s, t])`` with ``conjugate``. The first
+    mismatch returns ``None``, and the partial blocks go with it. A passing
+    chunk adds to the sums and writes its rows of the blocks.
+
+    Without ``conjugate``, the blocks are the even and the odd one of an
+    ``h`` with ``R h R == h``. ``s`` of ``reps`` stands for ``(|s> + |R s>)
+    / sqrt 2`` in the even block, or for ``|s>`` when ``s`` is a palindrome,
+    and ``s`` of ``pairs`` for ``(|s> - |R s>) / sqrt 2`` in the odd block,
+    which has no palindromes: ``(dim + 2^ceil(n/2)) / 2`` and ``(dim -
+    2^ceil(n/2)) / 2`` states. An entry is ``h[s, t] +- h[R s, t]``.
+
+    With ``conjugate``, the one block is a complex ``h`` with ``R h R ==
+    conj(h)`` as a real symmetric matrix, in the basis ``(|s> + |R s>) /
+    sqrt 2`` for each ``s`` of ``reps``, or ``|s>`` when ``s`` is a
+    palindrome, then ``i (|s> - |R s>) / sqrt 2`` for each ``s`` of
+    ``pairs``: ``R`` combined with complex conjugation fixes each of these
+    states, so ``h`` is real in this basis. The first rows are ``Re`` of
+    ``h[s] + h[R s]`` at the ``reps`` columns and ``-Im`` at the ``pairs``
+    columns, the others ``Im`` of ``h[s] - h[R s]`` at the ``reps`` columns
+    and ``Re`` at the ``pairs`` columns.
+
+    Once a chunk has passed, ``h[R s, t]`` is ``h[s, R t]``, or its
+    conjugate, bit for bit, so the blocks are read from rows ``s`` alone.
+    Palindrome rows and columns are scaled by ``sqrt(1/2)``. A Hermitian
+    ``h`` gives blocks that equal their conjugate transposes bit for bit.
+    Blocks of a complex ``h`` whose imaginary parts all cancel are returned
+    real, as the dense assembly returns that ``h``.
     """
-    cap = chunk_rows(h.shape[1] * h.itemsize)
-    start, size = 0, min(16, cap)
-    while start < rows.size:
-        chunk = rows[start:start + size]
-        mirrored = h[perm[chunk]]
+    dim = source.shape[0]
+    mirror = _bit_reversal(dim.bit_length() - 1)
+    reps = np.flatnonzero(np.arange(dim) <= mirror)
+    mirror_reps = mirror[reps]
+    paired = mirror_reps != reps
+    palindromes = np.flatnonzero(~paired)  # positions in reps
+    n_reps = reps.size
+    if conjugate:
+        blocks = [np.empty((dim, dim))]
+        even, odd = blocks[0][:n_reps], blocks[0][n_reps:]
+    else:
+        n_pairs = n_reps - palindromes.size
+        blocks = [np.empty((n_reps, n_reps), source.dtype), np.empty((n_pairs, n_pairs), source.dtype)]
+        even, odd = blocks
+    trace, frobenius, imaginary = 0.0, 0.0, False
+    cap = chunk_rows(dim * source.dtype.itemsize)
+    start, size, odd_start = 0, min(16, cap), 0
+    while start < n_reps:
+        stop = min(start + size, n_reps)
+        chunk = reps[start:stop]
+        rows = source.rows(chunk)
+        mirrored = source.rows(mirror[chunk], mirror)
         if conjugate:
             np.conj(mirrored, out=mirrored)
-        if not np.array_equal(np.take(h[chunk], perm, axis=1), mirrored):
-            return False
-        start += size
-        size = min(2 * size, cap)
-    return True
-
-
-def _mirror_combined(
-    h: np.ndarray, mirror: np.ndarray, rows: np.ndarray, add: bool
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Row chunks ``(start, h[s] + h[R s])`` over the ``s`` of ``rows``, or ``h[s] - h[R s]``.
-
-    Each chunk holds ``chunk_rows`` rows, so no half of ``h`` is formed.
-    """
-    step = chunk_rows(h.shape[1] * h.itemsize)
-    for start in range(0, rows.size, step):
-        chunk = rows[start:start + step]
-        combined = h[chunk]
-        if add:
-            combined += h[mirror[chunk]]
+        # real and imaginary parts side by side: compared and summed faster than complex
+        flat = rows.view(rows.real.dtype)
+        if not np.array_equal(flat, mirrored.view(flat.dtype)):
+            return None
+        del mirrored
+        # row R s holds the entries of row s, so a pair adds its row twice
+        weight = 1.0 + paired[start:stop]
+        trace += weight @ rows[np.arange(chunk.size), chunk]
+        frobenius += weight @ np.einsum("ij,ij->i", flat, flat)
+        imaginary = imaginary or (rows.dtype.kind == "c" and bool(flat[:, 1::2].any()))
+        local_pairs = np.flatnonzero(paired[start:stop])
+        odd_stop = odd_start + local_pairs.size
+        even_rows, odd_rows = even[start:stop], odd[odd_start:odd_stop]
+        # h[s, t] and h[R s, t] at the reps columns t, where h[R s, t] is h[s, R t]
+        own, other = np.take(rows, reps, axis=1), np.take(rows, mirror_reps, axis=1)
+        if conjugate:
+            np.conj(other, out=other)
+            plus = own + other
+            even_rows[:, :n_reps] = plus.real
+            np.negative(plus.imag[:, paired], out=even_rows[:, n_reps:])
+            minus = np.subtract(own[local_pairs], other[local_pairs])
+            odd_rows[:, :n_reps] = minus.imag
+            odd_rows[:, n_reps:] = minus.real[:, paired]
+            odd_rows[:, palindromes] *= math.sqrt(0.5)
         else:
-            combined -= h[mirror[chunk]]
-        yield start, combined
+            np.add(own, other, out=even_rows)
+            odd_rows[:] = np.subtract(own[local_pairs], other[local_pairs])[:, paired]
+        # rows first, then columns, so a palindrome entry is scaled in that order
+        even_rows[np.flatnonzero(~paired[start:stop])] *= math.sqrt(0.5)
+        even_rows[:, palindromes] *= math.sqrt(0.5)
+        start, size, odd_start = stop, min(2 * size, cap), odd_stop
+    if source.dtype.kind == "c" and not imaginary:
+        blocks = [np.ascontiguousarray(block.real) for block in blocks]
+    return blocks, trace, frobenius
 
 
-def _scale_palindromes(block: np.ndarray, palindromes: np.ndarray) -> None:
-    """Scale the palindrome rows, then the palindrome columns, by ``sqrt(1/2)`` in place."""
-    for p in palindromes:
-        block[p] *= math.sqrt(0.5)
-    for p in palindromes:
-        block[:, p] *= math.sqrt(0.5)
+def _solve_matrices(source) -> tuple[list[np.ndarray], complex, float]:
+    """The matrices whose merged spectra are that of ``source``, and the trace and Frobenius sums.
 
-
-def _parity_blocks(h: np.ndarray, mirror: np.ndarray, reps: np.ndarray, pairs: np.ndarray,
-                   palindromes: np.ndarray) -> list[np.ndarray]:
-    """The even and odd blocks of an ``h`` with ``R h R == h``.
-
-    ``s`` of ``reps`` stands for ``(|s> + |R s>) / sqrt 2`` in the even
-    block, or for ``|s>`` when ``s`` is a palindrome, and ``s`` of ``pairs``
-    for ``(|s> - |R s>) / sqrt 2`` in the odd block, which has no
-    palindromes: ``(dim + 2^ceil(n/2)) / 2`` and ``(dim - 2^ceil(n/2)) / 2``
-    states. An entry is ``h[s, t] +- h[R s, t]``, scaled by ``sqrt(1/2)`` on
-    each palindrome row and column of the even block; ``h[R s, t] ==
-    h[s, R t]``, so a Hermitian ``h`` gives blocks that equal their
-    conjugate transposes bit for bit.
+    The reflection blocks are tried for a float or complex matrix on ``n >=
+    2`` qubits: the parity blocks, then, if complex, the real form. If
+    neither test passes, the dense matrix alone takes one full solve.
     """
-    even = np.empty((reps.size, reps.size), dtype=h.dtype)
-    for start, combined in _mirror_combined(h, mirror, reps, add=True):
-        even[start:start + combined.shape[0]] = combined[:, reps]
-    _scale_palindromes(even, palindromes)
-    odd = np.empty((pairs.size, pairs.size), dtype=h.dtype)
-    for start, combined in _mirror_combined(h, mirror, pairs, add=False):
-        odd[start:start + combined.shape[0]] = combined[:, pairs]
-    return [even, odd]
-
-
-def _real_form(h: np.ndarray, mirror: np.ndarray, reps: np.ndarray, pairs: np.ndarray,
-               palindromes: np.ndarray) -> np.ndarray:
-    """A complex ``h`` with ``R h R == conj(h)`` as a real symmetric matrix.
-
-    The basis is ``(|s> + |R s>) / sqrt 2`` for each ``s`` of ``reps``, or
-    ``|s>`` when ``s`` is a palindrome, then ``i (|s> - |R s>) / sqrt 2`` for
-    each ``s`` of ``pairs``: ``R`` combined with complex conjugation fixes
-    each of these states, so ``h`` is real in this basis. The first rows are
-    ``Re`` of ``h[s] + h[R s]`` at the ``reps`` columns and ``-Im`` at the
-    ``pairs`` columns, the others ``Im`` of ``h[s] - h[R s]`` at the ``reps``
-    columns and ``Re`` at the ``pairs`` columns; palindrome rows and columns
-    are scaled by ``sqrt(1/2)``. ``h[R s, t] == conj(h[s, R t])``, so a
-    Hermitian ``h`` gives a matrix that equals its transpose bit for bit.
-    """
-    n_reps = reps.size
-    m = np.empty(h.shape)
-    for start, combined in _mirror_combined(h, mirror, reps, add=True):
-        out = m[start:start + combined.shape[0]]
-        out[:, :n_reps] = combined.real[:, reps]
-        out[:, n_reps:] = -combined.imag[:, pairs]
-    for start, combined in _mirror_combined(h, mirror, pairs, add=False):
-        out = m[n_reps + start:n_reps + start + combined.shape[0]]
-        out[:, :n_reps] = combined.imag[:, reps]
-        out[:, n_reps:] = combined.real[:, pairs]
-    _scale_palindromes(m, palindromes)
-    return m
-
-
-def _reflection_blocks(h: np.ndarray) -> list[np.ndarray] | None:
-    """The blocks whose merged spectra are that of ``h``, or ``None``.
-
-    ``None`` unless ``h`` is a float or complex matrix on ``n >= 2`` qubits
-    that bit reversal ``R`` maps, bit for bit, onto itself (the two
-    :func:`_parity_blocks`) or, if complex, onto its conjugate (the one
-    :func:`_real_form`). One index ``s <= R s`` stands for each orbit.
-    """
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.dtype.kind not in "fc":
-        return None
-    dim = h.shape[0]
+    dim = source.shape[0]
     n_bits = dim.bit_length() - 1
-    if n_bits < 2 or dim != 1 << n_bits:
-        return None
-    mirror = _bit_reversal(n_bits)
-    reps = np.flatnonzero(np.arange(dim) <= mirror)
-    palindromes = np.flatnonzero(mirror[reps] == reps)
-    pairs = np.delete(reps, palindromes)
-    # R is an involution, so the rows s <= R s decide the whole matrix
-    if _commutes(h, mirror, reps):
-        return _parity_blocks(h, mirror, reps, pairs, palindromes)
-    if h.dtype.kind == "c" and _commutes(h, mirror, reps, conjugate=True):
-        return [_real_form(h, mirror, reps, pairs, palindromes)]
-    return None
+    if (len(source.shape) == 2 and source.shape[1] == dim == 1 << n_bits and n_bits >= 2
+            and source.dtype.kind in "fc"):
+        result = _reflection_pass(source, conjugate=False)
+        if result is None and source.dtype.kind == "c":
+            result = _reflection_pass(source, conjugate=True)
+        if result is not None:
+            return result
+    h = source.dense()
+    return [h], np.trace(h), np.vdot(h, h).real
 
 
-def _eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of ``h``, from its reflection blocks where it has them."""
-    blocks = _reflection_blocks(h)
-    if blocks is None:
-        return np.linalg.eigvalsh(h)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
+def _eigenvalues(matrices: list[np.ndarray]) -> np.ndarray:
+    """The merged ascending eigenvalues of the matrices."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in matrices]))
 
 
-def diagonalize(h: np.ndarray) -> Spectrum:
+def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     """Energies of a Hermitian matrix, ascending, without eigenvectors.
 
-    When ``h`` commutes bit for bit with the bit-reversal permutation of
-    the basis, as the Hamiltonian of a reflection-symmetric model on a
-    chain does, the energies are the merged spectra of its even and odd
-    blocks, each about half the dimension, so about a quarter of the work.
-    When a complex ``h`` instead goes over into its complex conjugate under
-    bit reversal, as a chain with a reflection-odd imaginary bond does, the
-    energies come from one real symmetric matrix of the same dimension,
-    also about a quarter of the work of the complex solve. Otherwise they
-    come from one full solve.
+    ``h`` is a dense matrix or the row generator of
+    :func:`~spinaep.hamiltonian.hamiltonian_rows`; either is read row by row
+    in one pass. When ``h`` commutes bit for bit with the bit-reversal
+    permutation of the basis, as the Hamiltonian of a reflection-symmetric
+    model on a chain does, the energies are the merged spectra of its even
+    and odd blocks, each about half the dimension, so about a quarter of
+    the work. When a complex ``h`` instead goes over into its complex
+    conjugate under bit reversal, as a chain with a reflection-odd imaginary
+    bond does, the energies come from one real symmetric matrix of the same
+    dimension, also about a quarter of the work of the complex solve. On
+    these two routes a generator's dense matrix is never formed. Otherwise
+    the energies come from one full solve of the dense matrix, which a
+    generator assembles once.
 
     With no eigenpairs to check, the energies are held to the two trace
     identities ``tr H = sum E_j`` and ``||H||_F^2 = sum E_j^2``, within
     ``TRACE_IDENTITY_K * dim * eps`` times ``|H|`` and ``|H|^2``; a
     :class:`NumericError` carries the offending gap. Both identities read
-    ``h`` itself, not its blocks, so a faulty block fails them too. The
-    Frobenius norm is taken over the whole matrix, so an ``h`` whose two
+    the rows of ``h`` itself, not its blocks, so a faulty block fails them
+    too. The Frobenius sum is taken over every row, so an ``h`` whose two
     triangles disagree fails it, although the solver reads one triangle
     only. The check costs O(dim^2) against the solver's O(dim^3).
     """
-    h = np.asarray(h)
+    source = h if isinstance(h, HamiltonianRows) else _DenseRows(np.asarray(h))
     try:
-        energies = _eigenvalues(h)
+        matrices, trace, frobenius = _solve_matrices(source)
+        energies = _eigenvalues(matrices)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
     scale = float(np.abs(energies).max(initial=0.0))
     tol = TRACE_IDENTITY_K * energies.size * np.finfo(float).eps * scale
-    trace_gap = float(abs(np.trace(h) - energies.sum()))
-    frobenius_gap = float(abs(np.vdot(h, h).real - energies @ energies))
+    trace_gap = float(abs(trace - energies.sum()))
+    frobenius_gap = float(abs(frobenius - energies @ energies))
     # not-below comparisons so NaN gaps count as failures
     if not trace_gap <= tol:
         raise NumericError(f"trace identity gap {trace_gap:.3e} exceeds {tol:.3e}")
@@ -327,10 +333,12 @@ class GibbsEnsemble:
         return weights
 
 
-def gibbs_ensemble(h: np.ndarray, beta: float, *, spectrum: Spectrum | None = None) -> GibbsEnsemble:
+def gibbs_ensemble(h: np.ndarray | HamiltonianRows, beta: float, *,
+                   spectrum: Spectrum | None = None) -> GibbsEnsemble:
     """Gibbs ensemble of ``h`` at inverse temperature ``beta > 0``.
 
-    The spectrum comes from :func:`diagonalize`, energies only. Passing a
+    ``h`` is a dense matrix or a row generator. The spectrum comes from
+    :func:`diagonalize`, energies only. Passing a
     precomputed ``spectrum`` skips the eigensolve; pass
     ``spectrum=eigenpairs(h)`` where eigenvectors are needed.
     """
@@ -338,7 +346,8 @@ def gibbs_ensemble(h: np.ndarray, beta: float, *, spectrum: Spectrum | None = No
         raise ValueError(f"beta must be > 0, got {beta}")
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    h = np.asarray(h)
+    if not isinstance(h, HamiltonianRows):
+        h = np.asarray(h)
     if spectrum is None:
         spectrum = diagonalize(h)
     elif spectrum.dim != h.shape[0]:

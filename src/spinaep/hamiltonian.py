@@ -1,4 +1,4 @@
-"""Dense Hermitian operators on a finite volume in the product spin basis.
+"""Hamiltonians on a finite volume in the product spin basis, row by row or dense.
 
 Basis layout: a basis index is read as a bitstring over the volume's
 lexicographic site enumeration, first site = most significant bit, with
@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._arrays import chunk_rows
 from .errors import SpinAepError
 from .interaction import (
     GroundStateConfig,
@@ -35,24 +36,6 @@ def _bit_patterns(n_total: int, positions: Sequence[int]) -> np.ndarray:
     k = len(positions)
     bits = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k - 1, -1, -1)) & 1
     return bits @ np.array([1 << (n_total - 1 - p) for p in positions], dtype=np.int64)
-
-
-def _embedding(sites: Sequence[Site], volume: Volume) -> np.ndarray:
-    """Basis indices of the volume by pattern on ``sites`` (rows) and on the rest (columns)."""
-    n = volume.n_sites
-    positions = [volume.index_of(s) for s in sites]
-    rest = sorted(set(range(n)) - set(positions))
-    return _bit_patterns(n, positions)[:, None] + _bit_patterns(n, rest)
-
-
-def _scatter_add(target: np.ndarray, op: np.ndarray, sites: Sequence[Site], volume: Volume) -> None:
-    """Accumulate ``op`` acting on the given tensor factors into ``target``.
-
-    Entry ``(i, j)`` of ``op`` lands on every pair of basis indices that agree
-    outside ``sites``; each entry of ``target`` receives at most one addition.
-    """
-    index = _embedding(sites, volume)
-    target[index[:, None, :], index[None, :, :]] += op[:, :, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,36 +92,84 @@ def instantiate_terms(
     return out
 
 
-def _sum_terms(volume: Volume, blocks: Iterable[tuple[np.ndarray, Sequence[Site]]]) -> np.ndarray:
-    """Sum of the blocks embedded into the volume.
 
-    Off the diagonal the blocks are added in the given order. Each diagonal
-    entry is the sum of its per-block contributions taken in ascending
+class HamiltonianRows:
+    """Rows of a sum of Hermitian blocks embedded into a volume, without the dense matrix.
+
+    :meth:`rows` returns ``H[index]`` for any index array. An entry off the
+    diagonal receives each block's entry once, in block order, starting from
+    zero. A diagonal entry sums its per-block contributions in ascending
     order, which no reordering of the blocks changes: a reflection maps a
     symmetric model's blocks onto themselves, so ``H[R s, R s] == H[s, s]``
     bit for bit however the couplings round. The diagonal of a Hermitian
-    block is real.
-
-    The sum is accumulated in float64 when no block has an imaginary part.
-    Otherwise it is complex, and still returned real when no imaginary part
-    survives the sum.
+    block is real. Rows are float64 when no block has an imaginary part, else
+    complex; :meth:`dense` still returns a real matrix when no imaginary part
+    survives the sum. The generator holds O(blocks * dim) integers.
     """
-    blocks = list(blocks)
-    real = not any(block.imag.any() for block, _ in blocks)
-    dim = 1 << volume.n_sites
-    h = np.zeros((dim, dim), dtype=float if real else complex)
-    diagonals = np.zeros((len(blocks), dim))
-    for row, (block, sites) in zip(diagonals, blocks):
-        _scatter_add(h, block.real if real else block, sites, volume)
-        row[_embedding(sites, volume)] = block.diagonal().real[:, None]
-    diagonals.sort(axis=0)
-    diagonal = diagonals[0]
-    for row in diagonals[1:]:
-        diagonal += row
-    np.fill_diagonal(h, diagonal)
-    if real or h.imag.any():
-        return h
-    return np.ascontiguousarray(h.real)
+
+    def __init__(self, volume: Volume, blocks: Iterable[tuple[np.ndarray, Sequence[Site]]]) -> None:
+        blocks = [(np.asarray(block), [volume.index_of(s) for s in sites]) for block, sites in blocks]
+        n, width = volume.n_sites, max(block.shape[0] for block, _ in blocks)
+        self.shape = (1 << n, 1 << n)
+        self.dtype = np.dtype(complex if any(block.imag.any() for block, _ in blocks) else float)
+        # Row i meets block t through the pattern p of its bits on the block's
+        # sites, key t * width + p: block row p lands on the columns i +
+        # offsets[c] - offsets[p]. A block on fewer sites is padded with zeros
+        # at step 0, on the diagonal, which is written last.
+        self._keys = np.empty((len(blocks), self.shape[0]), dtype=np.intp)
+        self._steps = np.zeros((len(blocks) * width, width), dtype=np.intp)
+        self._values = np.zeros((len(blocks) * width, width), dtype=self.dtype)
+        self._diagonals = np.zeros(len(blocks) * width)
+        basis = np.arange(self.shape[0])
+        for t, (block, positions) in enumerate(blocks):
+            offsets = _bit_patterns(n, positions)
+            keys = slice(t * width, t * width + offsets.size)
+            self._keys[t] = t * width
+            for j, p in enumerate(positions):
+                self._keys[t] += ((basis >> (n - 1 - p)) & 1) << (len(positions) - 1 - j)
+            self._steps[keys, :offsets.size] = offsets[None, :] - offsets[:, None]
+            self._values[keys, :offsets.size] = block if self.dtype == complex else block.real
+            self._diagonals[keys] = block.diagonal().real
+
+    def _fill(self, out: np.ndarray, index: np.ndarray, mirror: np.ndarray | None) -> None:
+        """Add the rows ``index`` into the zeroed ``out``, columns permuted by ``mirror``."""
+        keys = self._keys[:, index]  # (blocks, rows)
+        columns, diagonal = index[:, None] + self._steps[keys], index
+        if mirror is not None:
+            columns, diagonal = mirror[columns], mirror[index]
+        columns += np.arange(0, out.size, out.shape[1])[:, None]
+        # one addition per block and entry, the blocks in order
+        np.add.at(out.reshape(-1), columns.reshape(-1), self._values[keys].reshape(-1))
+        ordered = np.sort(self._diagonals[keys], axis=0)
+        out[np.arange(index.size), diagonal] = np.add.accumulate(ordered, axis=0)[-1]
+
+    def rows(self, index, mirror: np.ndarray | None = None) -> np.ndarray:
+        """``H[index]``, or ``H[index][:, mirror]`` for a permutation ``mirror`` that is its own inverse."""
+        index = np.asarray(index, dtype=np.intp).reshape(-1)
+        out = np.zeros((index.size, self.shape[1]), dtype=self.dtype)
+        self._fill(out, index, mirror)
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The whole matrix, filled in row chunks; each row's entries take four arrays."""
+        dim = self.shape[0]
+        h = np.zeros(self.shape, dtype=self.dtype)
+        step = chunk_rows(self._keys.shape[0] * self._steps.shape[1] * (24 + self.dtype.itemsize))
+        for start in range(0, dim, step):
+            self._fill(h[start:start + step], np.arange(start, min(start + step, dim)), None)
+        if self.dtype == float or h.imag.any():
+            return h
+        return np.ascontiguousarray(h.real)
+
+
+def hamiltonian_rows(
+    interaction: Interaction,
+    volume: Volume,
+    boundary: GroundStateConfig,
+) -> HamiltonianRows:
+    """Row generator of the boundary-pinned Hamiltonian on the volume, the one path from a model to H."""
+    terms = instantiate_terms(interaction, volume, boundary)
+    return HamiltonianRows(volume, ((inst.matrix, inst.sites_in) for inst in terms))
 
 
 def assemble_hamiltonian(
@@ -155,11 +186,9 @@ def assemble_hamiltonian(
     the eigensolvers, which read one triangle, see the whole matrix: each
     :class:`~spinaep.interaction.LocalTerm` stores an exactly Hermitian
     quantum part (checked to ``HERMITICITY_TOL``, then symmetrized), freezing
-    keeps a principal sub-block, and the scatter adds the exact conjugates
+    keeps a principal sub-block, and the rows add the exact conjugates
     ``op[a, b]`` and ``op[b, a]`` at mirrored positions in the same term
     order, so both triangles round alike, and the diagonal is real. No
     runtime check is made.
     """
-    terms = instantiate_terms(interaction, volume, boundary)
-    return _sum_terms(volume, ((inst.matrix, inst.sites_in) for inst in terms))
-
+    return hamiltonian_rows(interaction, volume, boundary).dense()

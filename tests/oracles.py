@@ -109,6 +109,21 @@ def _connected(cells: set) -> bool:
     return len(seen) == len(cells)
 
 
+def embed_block(op: np.ndarray, positions, n: int) -> np.ndarray:
+    """``op`` on the given MSB-first bit positions of ``n`` qubits, the identity elsewhere.
+
+    Entry ``(a, b)`` is ``op[pattern(a), pattern(b)]`` where ``a`` and ``b``
+    agree off ``positions``, and zero elsewhere, each set once.
+    """
+    index = np.arange(2**n)
+    pattern = np.zeros_like(index)
+    for p in positions:
+        pattern = 2 * pattern + ((index >> (n - 1 - p)) & 1)
+    rest = (2**n - 1) & ~sum(1 << (n - 1 - p) for p in positions)
+    same_rest = (index[:, None] & rest) == (index[None, :] & rest)
+    return np.where(same_rest, op[pattern[:, None], pattern[None, :]], 0)
+
+
 def loop_assemble(model, volume, boundary) -> np.ndarray:
     """Boundary-pinned Hamiltonian summed entry by entry and bit by bit.
 

@@ -1,15 +1,19 @@
 import functools
+import itertools
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinaep as sa
-from spinaep.hamiltonian import _scatter_add, _sum_terms
+from spinaep.gibbs import _bit_reversal
 from spinaep.interaction import support_config_index
 
-from oracles import index_spins, kron_chain_tfim, kron_site_op, loop_assemble, SX, SZ
+from oracles import embed_block, index_spins, kron_chain_tfim, kron_site_op, loop_assemble, SX, SZ
+
+GOLDEN = Path(__file__).parent / "golden"
 
 ALL_UP = sa.GroundStateConfig.uniform(1, +1)
 
@@ -75,10 +79,8 @@ class TestBasisIndexing:
 
 
 def embed(op: np.ndarray, sites, volume: sa.Volume) -> np.ndarray:
-    """``op`` on the given sites and the identity elsewhere, through the assembly's scatter."""
-    out = np.zeros((1 << volume.n_sites,) * 2, dtype=op.dtype)
-    _scatter_add(out, op, sites, volume)
-    return out
+    """``op`` on the given sites and the identity elsewhere, through the row generator."""
+    return sa.HamiltonianRows(volume, [(op, sites)]).dense()
 
 
 class TestEmbedLocal:
@@ -113,6 +115,14 @@ class TestEmbedLocal:
     def test_site_outside_volume(self):
         with pytest.raises(ValueError):
             embed(np.eye(2), [(5,)], sa.chain(2))
+
+    def test_each_entry_receives_one_addition_per_block(self):
+        # a second addition of any entry would double it
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        op = a + a.conj().T
+        out = embed(op, [(0,), (2,)], sa.chain(4))
+        assert out.tobytes() == embed_block(op, [0, 2], 4).tobytes()
 
 
 def ising_2d_model(J: float, h: float, lam: float) -> sa.Interaction:
@@ -233,12 +243,13 @@ class TestRealAccumulation:
         Each diagonal entry is the sum of the terms' real diagonal
         contributions in ascending order, as the assembly takes it.
         """
-        h = np.zeros((1 << volume.n_sites,) * 2, dtype=complex)
+        n = volume.n_sites
+        h = np.zeros((1 << n,) * 2, dtype=complex)
         diagonals = []
         for inst in sa.instantiate_terms(model, volume, boundary):
-            _scatter_add(h, inst.matrix, inst.sites_in, volume)
-            alone = np.zeros_like(h)
-            _scatter_add(alone, inst.matrix, inst.sites_in, volume)
+            positions = [volume.index_of(s) for s in inst.sites_in]
+            alone = embed_block(inst.matrix.astype(complex), positions, n)
+            h += alone
             diagonals.append(alone.diagonal().real)
         np.fill_diagonal(h, functools.reduce(np.add, np.sort(diagonals, axis=0)))
         return h if h.imag.any() else np.ascontiguousarray(h.real)
@@ -269,7 +280,7 @@ class TestRealAccumulation:
     def test_cancelling_imaginary_parts_give_a_real_sum(self):
         volume = sa.chain(2)
         up = np.array([[0.0, 1j], [-1j, 0.0]])
-        h = _sum_terms(volume, [(up, [(0,)]), (-up, [(0,)])])
+        h = sa.HamiltonianRows(volume, [(up, [(0,)]), (-up, [(0,)])]).dense()
         assert h.dtype == np.float64
         assert not h.any()
 
@@ -288,9 +299,81 @@ class TestTermOrder:
             config = sa.parse_config((Path(__file__).parent / "golden" / "dm.cfg").read_text())
             model, boundary = sa.build_interaction(config), sa.build_boundary(config)
         blocks = [(inst.matrix, inst.sites_in) for inst in sa.instantiate_terms(model, volume, boundary)]
-        h = _sum_terms(volume, blocks)
+        h = sa.HamiltonianRows(volume, blocks).dense()
         rng = np.random.default_rng(11)
         for _ in range(4):
-            shuffled = _sum_terms(volume, [blocks[k] for k in rng.permutation(len(blocks))])
+            shuffled = sa.HamiltonianRows(volume, [blocks[k] for k in rng.permutation(len(blocks))]).dense()
             assert shuffled.dtype == h.dtype
             assert shuffled.tobytes() == h.tobytes()
+
+
+def bits(a: np.ndarray) -> bytes:
+    """The bytes of ``a`` as complex128, so real rows and complex references compare bit for bit."""
+    return np.asarray(a, dtype=complex).tobytes()
+
+
+def assert_rows_match_references(model, volume, boundary, seed: int = 0) -> None:
+    """Generated rows, plain and bit-reversed, equal the dense and the loop assembly bit for bit.
+
+    The index sets are unsorted, with gaps: part of a permutation, every
+    third index from the top, the last index alone, and all of them shuffled.
+    """
+    rows = sa.hamiltonian_rows(model, volume, boundary)
+    dense = sa.assemble_hamiltonian(model, volume, boundary)
+    reference = loop_assemble(model, volume, boundary)
+    assert bits(dense) == bits(reference)
+    dim, rng = dense.shape[0], np.random.default_rng(seed)
+    mirror = _bit_reversal(volume.n_sites)
+    for index in (rng.permutation(dim)[:max(1, dim // 3)], np.arange(dim)[::-3],
+                  np.array([dim - 1]), rng.permutation(dim)):
+        assert bits(rows.rows(index)) == bits(reference[index])
+        assert bits(rows.rows(index, mirror)) == bits(reference[index][:, mirror])
+
+
+class TestGeneratedRows:
+    """The row generator against the dense assembly and the entry-by-entry loop."""
+
+    @pytest.mark.parametrize("case, volume", [
+        ("tfim", sa.chain(5)),
+        ("dm", sa.chain(6)),
+        ("generic2d", sa.build_box((0, 0), (1, 2))),
+    ])
+    def test_golden_models(self, case, volume):
+        config = sa.parse_config((GOLDEN / f"{case}.cfg").read_text())
+        assert_rows_match_references(sa.build_interaction(config), volume, sa.build_boundary(config))
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_generic_models(self, data):
+        model, volume, boundary = data.draw(generic_models())
+        assert_rows_match_references(model, volume, boundary, seed=data.draw(st.integers(0, 99)))
+
+
+# supports of diameter 1: a site, bonds along each axis and, in d = 2, a corner
+SUPPORTS = {
+    1: [((0,),), ((0,), (1,))],
+    2: [((0, 0),), ((0, 0), (1, 0)), ((0, 0), (0, 1)), ((0, 0), (1, 0), (0, 1))],
+}
+COUPLING = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def generic_models(draw) -> tuple[sa.Interaction, sa.Volume, sa.GroundStateConfig]:
+    """Random models of at most 6 qubits in d = 1 or 2, with complex quantum
+    parts and a random period cell as the boundary."""
+    d = draw(st.sampled_from([1, 2]))
+    if d == 1:
+        volume = sa.chain(draw(st.integers(1, 6)))
+    else:
+        volume = sa.build_box((0, 0), (draw(st.integers(0, 2)), draw(st.integers(0, 1))))
+    terms = []
+    for support in draw(st.lists(st.sampled_from(SUPPORTS[d]), min_size=1, max_size=3)):
+        k = 1 << len(support)
+        classical = np.array(draw(st.lists(COUPLING, min_size=k, max_size=k)))
+        parts = np.array(draw(st.lists(COUPLING, min_size=2 * k * k, max_size=2 * k * k)))
+        quantum = (parts[:k * k] + 1j * parts[k * k:]).reshape(k, k)
+        terms.append(sa.LocalTerm(support, classical, quantum + quantum.conj().T))
+    periods = tuple(draw(st.integers(1, 2)) for _ in range(d))
+    cell = {site: draw(st.sampled_from([1, -1]))
+            for site in itertools.product(*(range(p) for p in periods))}
+    return sa.Interaction(terms=tuple(terms), R=1, lam=0.5), volume, sa.GroundStateConfig(periods, cell)

@@ -7,6 +7,7 @@ Every other matrix takes one full solve. Which route ran is read from the
 matrices that ``numpy.linalg.eigvalsh`` is called with.
 """
 
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinaep as sa
+from spinaep import gibbs
 from spinaep.gibbs import _bit_reversal
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -251,3 +253,123 @@ def test_random_chains_take_the_route_of_their_symmetry(case):
     assert all(np.array_equal(c, c.conj().T) for c in calls)
     dense = sa.eigenpairs(h).energies
     assert np.abs(energies - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+# The same routes with H fed as its row generator, which the CLI passes.
+
+def test_generator_without_the_plain_symmetry_tries_the_conjugate_test(monkeypatch, eigvalsh_calls):
+    model, boundary = golden_model("dm")
+    rows = sa.hamiltonian_rows(model, sa.chain(7), boundary)
+    passes = []
+    reflection_pass = gibbs._reflection_pass
+
+    def recording(source, conjugate):
+        result = reflection_pass(source, conjugate)
+        passes.append((conjugate, result is not None))
+        return result
+
+    monkeypatch.setattr(gibbs, "_reflection_pass", recording)
+    energies = sa.diagonalize(rows).energies
+    assert passes == [(False, False), (True, True)]
+    assert [(c.dtype, c.shape) for c in eigvalsh_calls] == [(np.float64, (128, 128))]
+    np.testing.assert_array_equal(energies, sa.diagonalize(sa.assemble_hamiltonian(
+        model, sa.chain(7), boundary)).energies)
+
+
+class NudgedRows(sa.HamiltonianRows):
+    """A row generator whose diagonal entry ``(s, s)`` is moved up by one ulp."""
+
+    def __init__(self, rows: sa.HamiltonianRows, s: int) -> None:
+        vars(self).update(vars(rows))
+        self.s = s
+
+    def rows(self, index, mirror=None):
+        out = super().rows(index, mirror)
+        column = self.s if mirror is None else mirror[self.s]
+        for i in np.flatnonzero(np.asarray(index) == self.s):
+            out[i, column] = np.nextafter(out[i, column], np.inf)
+        return out
+
+    def dense(self):
+        h = super().dense()
+        h[self.s, self.s] = np.nextafter(h[self.s, self.s], np.inf)
+        return h
+
+
+def recorded_solves(monkeypatch) -> list[tuple[np.dtype, tuple[int, ...]]]:
+    """The dtype and shape of each ``eigvalsh`` input, recorded without a copy."""
+    calls = []
+    solve = np.linalg.eigvalsh
+
+    def recording(a):
+        calls.append((a.dtype, a.shape))
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return calls
+
+
+def traced_peak(function) -> int:
+    tracemalloc.start()
+    try:
+        function()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generator_failing_in_its_last_rows_frees_its_blocks_before_the_full_solve(monkeypatch):
+    # the symmetry test fails on the last chunk, after almost all of both blocks are written
+    n_sites = 10
+    rows = sa.hamiltonian_rows(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(n_sites), ALL_UP)
+    s = max(i for i in range(1 << n_sites) if i < bit_reversed(i, n_sites))
+    nudged = NudgedRows(rows, s)
+    h = nudged.dense()
+    calls = recorded_solves(monkeypatch)
+    peak = traced_peak(lambda: sa.diagonalize(nudged))
+    assert calls == [(h.dtype, h.shape)]
+    # the dense H is 8 MiB and the partial blocks about 4 MiB more
+    block_bytes = sum(a * b for a, b in block_shapes(n_sites)) * h.itemsize
+    assert peak < h.nbytes + block_bytes / 2
+    np.testing.assert_array_equal(sa.diagonalize(nudged).energies, sa.diagonalize(h).energies)
+
+
+def test_generator_of_the_even_neel_dm_chain_takes_the_full_solve(eigvalsh_calls):
+    model, boundary = golden_model("dm")
+    rows = sa.hamiltonian_rows(model, sa.chain(6), boundary)
+    energies = sa.diagonalize(rows).energies
+    assert [(c.dtype, c.shape) for c in eigvalsh_calls] == [(np.complex128, (64, 64))]
+    np.testing.assert_array_equal(energies, sa.diagonalize(sa.assemble_hamiltonian(
+        model, sa.chain(6), boundary)).energies)
+
+
+def test_generator_whose_imaginary_parts_cancel_takes_the_real_parity_blocks(eigvalsh_calls):
+    quantum = np.array([[0.0, 0.125j], [-0.125j, 0.0]])
+    cancelling = (sa.LocalTerm(((0,),), np.zeros(2), quantum),
+                  sa.LocalTerm(((0,),), np.zeros(2), -quantum))
+    model = sa.Interaction(terms=sa.preset_tfim(1.0, 0.5, 0.2).terms + cancelling, R=1, lam=0.2)
+    rows = sa.hamiltonian_rows(model, sa.chain(7), ALL_UP)
+    h = sa.assemble_hamiltonian(model, sa.chain(7), ALL_UP)
+    assert rows.dtype == np.complex128 and h.dtype == np.float64
+    energies = sa.diagonalize(rows).energies
+    assert [(c.dtype, c.shape) for c in eigvalsh_calls] == [(np.float64, s) for s in block_shapes(7)]
+    np.testing.assert_array_equal(energies, sa.diagonalize(h).energies)
+
+
+@pytest.mark.parametrize("case", ["real form", "parity blocks"])
+def test_generator_solve_forms_no_dense_matrix(case, monkeypatch):
+    n_sites = 10
+    dim = 1 << n_sites
+    if case == "real form":
+        model, _ = golden_model("dm")  # a uniform boundary mirrors onto itself at any length
+        solves, dense_bytes = [(np.float64, (dim, dim))], 16 * dim * dim
+    else:
+        model = sa.preset_tfim(1.0, 0.5, 0.2)
+        solves, dense_bytes = [(np.float64, s) for s in block_shapes(n_sites)], 8 * dim * dim
+    rows = sa.hamiltonian_rows(model, sa.chain(n_sites), ALL_UP)
+    calls = recorded_solves(monkeypatch)
+    peak = traced_peak(lambda: sa.diagonalize(rows))
+    assert calls == solves
+    budget = 1.5 * sum(8 * a * b for _, (a, b) in solves)  # 12 and 6.3 MiB
+    assert dense_bytes > budget
+    assert peak < budget

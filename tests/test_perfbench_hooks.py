@@ -57,5 +57,7 @@ def test_traced_sweep_fills_the_counters(tmp_path):
     result = json.loads(record.read_text(encoding="utf-8"))
     assert result["exit_code"] == 0
     assert result["missing"] == []
-    assert result["counters"]["hamiltonian.calls"] == 3
+    # the sweep reads H row by row and forms no dense matrix
+    assert result["counters"]["hamiltonian.calls"] == 0
+    assert result["counters"]["hamiltonian.h_bytes"] == 0
     assert result["counters"]["codec.decomposition_bytes"] > 0

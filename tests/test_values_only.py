@@ -224,13 +224,15 @@ def test_check_runs_the_parity_blocks_and_the_full_solve(eigvalsh_calls):
 
 
 def test_check_runs_the_real_form(monkeypatch):
-    shapes = []
-    real_form = gibbs._real_form
+    passes = []
+    reflection_pass = gibbs._reflection_pass
 
-    def recording(h, *args):
-        shapes.append((h.dtype, h.shape))
-        return real_form(h, *args)
+    def recording(source, conjugate):
+        result = reflection_pass(source, conjugate)
+        if conjugate and result is not None:
+            passes.append((source.dtype, source.shape, tuple(m.shape for m in result[0])))
+        return result
 
-    monkeypatch.setattr(gibbs, "_real_form", recording)
+    monkeypatch.setattr(gibbs, "_reflection_pass", recording)
     assert main(["check", "--quiet"]) == 0
-    assert shapes == [(np.complex128, (64, 64))]
+    assert passes and set(passes) == {(np.dtype(complex), (64, 64), ((64, 64),))}
