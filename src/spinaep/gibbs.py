@@ -140,24 +140,31 @@ def _reflection_pass(source, conjugate: bool) -> tuple[list[np.ndarray], complex
     Once a chunk has passed, ``h[R s, t]`` is ``h[s, R t]``, or its
     conjugate, bit for bit, so the blocks are read from rows ``s`` alone.
     Palindrome rows and columns are scaled by ``sqrt(1/2)``. A Hermitian
-    ``h`` gives blocks that equal their conjugate transposes bit for bit.
-    Blocks of a complex ``h`` whose imaginary parts all cancel are returned
-    real, as the dense assembly returns that ``h``.
+    ``h`` gives blocks that equal their conjugate transposes bit for bit,
+    so one triangle holds a whole block. Blocks of a complex ``h`` whose
+    imaginary parts all cancel are returned real, as the dense assembly
+    returns that ``h``.
+
+    Both parity blocks share one ``(n_reps, n_reps)`` buffer, valid only in
+    the lower triangles that ``eigvalsh`` reads (``UPLO='L'``): the even
+    block is the buffer's, and odd row ``o`` is stored conjugated above the
+    diagonal, ``buffer[o, o + 1:n_pairs + 1] = conj(odd[o, o:])``, so the odd
+    block is that of the view ``buffer[:n_pairs, 1:n_pairs + 1].T``. A chunk
+    writes and scales its even rows before its odd rows, and later chunks
+    write only rows past them.
     """
     dim = source.shape[0]
     mirror = _bit_reversal(dim.bit_length() - 1)
     reps = np.flatnonzero(np.arange(dim) <= mirror)
     mirror_reps = mirror[reps]
     paired = mirror_reps != reps
-    palindromes = np.flatnonzero(~paired)  # positions in reps
-    n_reps = reps.size
+    palindromes, pairs = np.flatnonzero(~paired), np.flatnonzero(paired)  # positions in reps
+    n_reps, n_pairs = reps.size, pairs.size
     if conjugate:
-        blocks = [np.empty((dim, dim))]
-        even, odd = blocks[0][:n_reps], blocks[0][n_reps:]
+        buffer = np.empty((dim, dim))
+        even, odd = buffer[:n_reps], buffer[n_reps:]
     else:
-        n_pairs = n_reps - palindromes.size
-        blocks = [np.empty((n_reps, n_reps), source.dtype), np.empty((n_pairs, n_pairs), source.dtype)]
-        even, odd = blocks
+        buffer = even = np.empty((n_reps, n_reps), source.dtype)
     trace, frobenius, imaginary = 0.0, 0.0, False
     cap = chunk_rows(dim * source.dtype.itemsize)
     start, size, odd_start = 0, min(16, cap), 0
@@ -180,28 +187,34 @@ def _reflection_pass(source, conjugate: bool) -> tuple[list[np.ndarray], complex
         imaginary = imaginary or (rows.dtype.kind == "c" and bool(flat[:, 1::2].any()))
         local_pairs = np.flatnonzero(paired[start:stop])
         odd_stop = odd_start + local_pairs.size
-        even_rows, odd_rows = even[start:stop], odd[odd_start:odd_stop]
+        even_rows = even[start:stop]
         # h[s, t] and h[R s, t] at the reps columns t, where h[R s, t] is h[s, R t]
         own, other = np.take(rows, reps, axis=1), np.take(rows, mirror_reps, axis=1)
+        del rows, flat  # freed before the block temporaries: a lower peak RSS
         if conjugate:
             np.conj(other, out=other)
             plus = own + other
             even_rows[:, :n_reps] = plus.real
             np.negative(plus.imag[:, paired], out=even_rows[:, n_reps:])
             minus = np.subtract(own[local_pairs], other[local_pairs])
+            odd_rows = odd[odd_start:odd_stop]
             odd_rows[:, :n_reps] = minus.imag
             odd_rows[:, n_reps:] = minus.real[:, paired]
             odd_rows[:, palindromes] *= math.sqrt(0.5)
         else:
             np.add(own, other, out=even_rows)
-            odd_rows[:] = np.subtract(own[local_pairs], other[local_pairs])[:, paired]
         # rows first, then columns, so a palindrome entry is scaled in that order
         even_rows[np.flatnonzero(~paired[start:stop])] *= math.sqrt(0.5)
         even_rows[:, palindromes] *= math.sqrt(0.5)
+        if not conjugate:
+            # odd row o, conjugated, above the diagonal of even row o, where odd_stop <= stop
+            odd_rows = np.take(np.subtract(own, other, out=own)[local_pairs], pairs, axis=1)
+            upper = np.arange(n_pairs) >= np.arange(odd_start, odd_stop)[:, None]
+            np.copyto(buffer[odd_start:odd_stop, 1:n_pairs + 1], np.conj(odd_rows), where=upper)
         start, size, odd_start = stop, min(2 * size, cap), odd_stop
     if source.dtype.kind == "c" and not imaginary:
-        blocks = [np.ascontiguousarray(block.real) for block in blocks]
-    return blocks, trace, frobenius
+        buffer = np.ascontiguousarray(buffer.real)
+    return ([buffer] if conjugate else [buffer, buffer[:n_pairs, 1:n_pairs + 1].T]), trace, frobenius
 
 
 def _solve_matrices(source) -> tuple[list[np.ndarray], complex, float]:
@@ -225,7 +238,7 @@ def _solve_matrices(source) -> tuple[list[np.ndarray], complex, float]:
 
 
 def _eigenvalues(matrices: list[np.ndarray]) -> np.ndarray:
-    """The merged ascending eigenvalues of the matrices."""
+    """The merged ascending eigenvalues of the matrices, each read in its lower triangle only."""
     return np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in matrices]))
 
 
@@ -242,9 +255,11 @@ def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     conjugate under bit reversal, as a chain with a reflection-odd imaginary
     bond does, the energies come from one real symmetric matrix of the same
     dimension, also about a quarter of the work of the complex solve. On
-    these two routes a generator's dense matrix is never formed. Otherwise
-    the energies come from one full solve of the dense matrix, which a
-    generator assembles once.
+    these two routes a generator's dense matrix is never formed, and the
+    parity blocks share one buffer: the even block below the diagonal, the
+    odd one conjugated above it, each read in its lower triangle by
+    ``eigvalsh`` (``UPLO='L'``). Otherwise the energies come from one full
+    solve of the dense matrix, which a generator assembles once.
 
     With no eigenpairs to check, the energies are held to the two trace
     identities ``tr H = sum E_j`` and ``||H||_F^2 = sum E_j^2``, within

@@ -77,6 +77,33 @@ def index_spins(sites, index: int) -> dict:
     return {site: 1 - 2 * ((index >> (n - 1 - pos)) & 1) for pos, site in enumerate(sites)}
 
 
+def parity_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of an ``h`` that commutes with bit reversal ``R``, from explicit states.
+
+    The states of each block, in ascending ``s <= R s``: ``(|s> + |R s>) /
+    sqrt 2`` in the even block, or ``|s>`` for a palindrome, and ``(|s> -
+    |R s>) / sqrt 2`` in the odd one. With ``R h R == h`` the entry for
+    states ``s`` and ``t`` is ``d_s d_t (h k_t)[s]``, where ``k_t`` is the
+    unnormalized ``|t> +- |R t>`` (``2 |t>`` for a palindrome) and ``d`` is
+    ``sqrt(1/2)`` at a palindrome, 1 elsewhere. Each ``(h k_t)[s]`` sums at
+    most two nonzero products, each exact, so any summation order gives the
+    same float, and ``d`` scales rows first. Both blocks are asserted
+    exactly Hermitian.
+    """
+    n = h.shape[0].bit_length() - 1
+    index = np.arange(2**n)
+    mirror = np.array([int(format(i, f"0{n}b")[::-1], 2) for i in index])
+    reps = index[index <= mirror]
+    pairs = reps[reps != mirror[reps]]
+    basis = np.eye(2**n)
+    d = np.where(reps == mirror[reps], np.sqrt(0.5), 1.0)
+    even = (h @ (basis[:, reps] + basis[:, mirror[reps]]))[reps] * d[:, None] * d[None, :]
+    odd = (h @ (basis[:, pairs] - basis[:, mirror[pairs]]))[pairs]
+    for block in (even, odd):
+        assert np.array_equal(block, block.conj().T)
+    return even, odd
+
+
 def min_connected_superset_size(sites: set, box_lo, box_hi) -> int:
     """Brute-force smallest connected superset within a box (subset bitmask scan)."""
     cells = list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(box_lo, box_hi))))

@@ -1,10 +1,11 @@
 """The reflection routes of ``diagonalize`` against the dense route.
 
 A Hamiltonian that commutes bit for bit with the bit-reversal permutation
-``R`` of the basis is solved as an even and an odd block. A complex one with
-``R H R == conj(H)`` bit for bit is solved as one real symmetric matrix.
-Every other matrix takes one full solve. Which route ran is read from the
-matrices that ``numpy.linalg.eigvalsh`` is called with.
+``R`` of the basis is solved as an even and an odd block, both held in one
+buffer and each valid in the lower triangle that ``eigvalsh`` reads. A
+complex one with ``R H R == conj(H)`` bit for bit is solved as one real
+symmetric matrix. Every other matrix takes one full solve. Which route ran
+is read from the matrices that ``numpy.linalg.eigvalsh`` is called with.
 """
 
 import tracemalloc
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import spinaep as sa
 from spinaep import gibbs
 from spinaep.gibbs import _bit_reversal
+from oracles import parity_blocks
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ALL_UP = sa.GroundStateConfig.uniform(1, +1)
@@ -49,11 +51,18 @@ def golden_model(case: str) -> tuple[sa.Interaction, sa.GroundStateConfig]:
     return sa.build_interaction(config), sa.build_boundary(config)
 
 
+def assert_lower_triangles_match_the_oracle(h: np.ndarray, calls: list[np.ndarray]) -> None:
+    """Each solver input holds the oracle block bit for bit in the triangle the solver reads."""
+    blocks = parity_blocks(h)
+    assert len(calls) == len(blocks)
+    for solved, block in zip(calls, blocks):
+        assert np.array_equal(np.tril(solved), np.tril(block))
+
+
 def assert_blocks_match_dense(h: np.ndarray, calls: list[np.ndarray], n_sites: int) -> None:
     energies = sa.diagonalize(h).energies
     assert [c.shape for c in calls] == block_shapes(n_sites)
-    for block in calls:
-        assert np.array_equal(block, block.conj().T)
+    assert_lower_triangles_match_the_oracle(h, calls)
     dense = sa.eigenpairs(h).energies
     assert np.abs(energies - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -243,14 +252,15 @@ def test_random_chains_take_the_route_of_their_symmetry(case):
         energies = sa.diagonalize(h).energies
     calls = [args[0] for args, _ in solve.call_args_list]
     n_sites = h.shape[0].bit_length() - 1
+    # the solver reads the lower triangle: the parity blocks' must be the
+    # oracle's, and a real form or a full H, held whole, exactly Hermitian
     if kind == "R":
         assert [c.shape for c in calls] == block_shapes(n_sites)
-    elif kind == "RK":
-        assert [(c.dtype, c.shape) for c in calls] == [(np.float64, h.shape)]
+        assert_lower_triangles_match_the_oracle(h, calls)
     else:
-        assert [(c.dtype, c.shape) for c in calls] == [(h.dtype, h.shape)]
-    # the solver reads one triangle, so each matrix it gets must be exactly Hermitian
-    assert all(np.array_equal(c, c.conj().T) for c in calls)
+        expected = np.float64 if kind == "RK" else h.dtype
+        assert [(c.dtype, c.shape) for c in calls] == [(expected, h.shape)]
+        assert all(np.array_equal(c, c.conj().T) for c in calls)
     dense = sa.eigenpairs(h).energies
     assert np.abs(energies - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -343,11 +353,16 @@ def test_generator_of_the_even_neel_dm_chain_takes_the_full_solve(eigvalsh_calls
         model, sa.chain(6), boundary)).energies)
 
 
-def test_generator_whose_imaginary_parts_cancel_takes_the_real_parity_blocks(eigvalsh_calls):
+def cancelling_model() -> sa.Interaction:
+    """The TFIM chain plus two site terms whose imaginary parts cancel in every sum."""
     quantum = np.array([[0.0, 0.125j], [-0.125j, 0.0]])
     cancelling = (sa.LocalTerm(((0,),), np.zeros(2), quantum),
                   sa.LocalTerm(((0,),), np.zeros(2), -quantum))
-    model = sa.Interaction(terms=sa.preset_tfim(1.0, 0.5, 0.2).terms + cancelling, R=1, lam=0.2)
+    return sa.Interaction(terms=sa.preset_tfim(1.0, 0.5, 0.2).terms + cancelling, R=1, lam=0.2)
+
+
+def test_generator_whose_imaginary_parts_cancel_takes_the_real_parity_blocks(eigvalsh_calls):
+    model = cancelling_model()
     rows = sa.hamiltonian_rows(model, sa.chain(7), ALL_UP)
     h = sa.assemble_hamiltonian(model, sa.chain(7), ALL_UP)
     assert rows.dtype == np.complex128 and h.dtype == np.float64
@@ -373,3 +388,31 @@ def test_generator_solve_forms_no_dense_matrix(case, monkeypatch):
     budget = 1.5 * sum(8 * a * b for _, (a, b) in solves)  # 12 and 6.3 MiB
     assert dense_bytes > budget
     assert peak < budget
+
+
+@pytest.mark.parametrize("model, n_sites", [
+    *[(sa.preset_tfim(0.7, 0.5, 0.2), n) for n in range(2, 11)],
+    *[(symmetric_complex_model(), n) for n in (2, 5, 8)],
+    (cancelling_model(), 7),
+], ids=[*[f"tfim-{n}" for n in range(2, 11)], "complex-2", "complex-5", "complex-8", "cancelling-7"])
+def test_packed_blocks_give_the_oracle_energies_bit_for_bit(model, n_sites, eigvalsh_calls):
+    # a complex block is stored conjugated above the diagonal; the cancelling
+    # model's rows are complex and its blocks real
+    rows = sa.hamiltonian_rows(model, sa.chain(n_sites), ALL_UP)
+    energies = sa.diagonalize(rows).energies
+    h = sa.assemble_hamiltonian(model, sa.chain(n_sites), ALL_UP)
+    blocks = parity_blocks(h)
+    assert [(c.dtype, c.shape) for c in eigvalsh_calls] == [(h.dtype, b.shape) for b in blocks]
+    expected = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+    np.testing.assert_array_equal(energies, expected)
+
+
+def test_parity_route_holds_one_buffer(monkeypatch):
+    # at 10 sites the two 256 KiB row chunks alone are 0.23 times the even block
+    n_sites = 11
+    rows = sa.hamiltonian_rows(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(n_sites), ALL_UP)
+    calls = recorded_solves(monkeypatch)
+    peak = traced_peak(lambda: sa.diagonalize(rows))
+    assert calls == [(np.float64, s) for s in block_shapes(n_sites)]
+    even_bytes = 8 * block_shapes(n_sites)[0][0] ** 2  # 8.5 MiB; both blocks 16 MiB
+    assert peak < 1.15 * even_bytes
