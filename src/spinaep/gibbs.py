@@ -120,38 +120,33 @@ def _reflection_pass(source, conjugate: bool) -> tuple[list[np.ndarray], complex
     mismatch returns ``None``, and the partial blocks go with it. A passing
     chunk adds to the sums and writes its rows of the blocks.
 
-    Without ``conjugate``, the blocks are the even and the odd one of an
-    ``h`` with ``R h R == h``. ``s`` of ``reps`` stands for ``(|s> + |R s>)
-    / sqrt 2`` in the even block, or for ``|s>`` when ``s`` is a palindrome,
-    and ``s`` of ``pairs`` for ``(|s> - |R s>) / sqrt 2`` in the odd block,
-    which has no palindromes: ``(dim + 2^ceil(n/2)) / 2`` and ``(dim -
-    2^ceil(n/2)) / 2`` states. An entry is ``h[s, t] +- h[R s, t]``.
-
-    With ``conjugate``, the one block is a complex ``h`` with ``R h R ==
-    conj(h)`` as a real symmetric matrix, in the basis ``(|s> + |R s>) /
-    sqrt 2`` for each ``s`` of ``reps``, or ``|s>`` when ``s`` is a
-    palindrome, then ``i (|s> - |R s>) / sqrt 2`` for each ``s`` of
-    ``pairs``: ``R`` combined with complex conjugation fixes each of these
-    states, so ``h`` is real in this basis. The first rows are ``Re`` of
-    ``h[s] + h[R s]`` at the ``reps`` columns and ``-Im`` at the ``pairs``
-    columns, the others ``Im`` of ``h[s] - h[R s]`` at the ``reps`` columns
-    and ``Re`` at the ``pairs`` columns.
-
     Once a chunk has passed, ``h[R s, t]`` is ``h[s, R t]``, or its
-    conjugate, bit for bit, so the blocks are read from rows ``s`` alone.
-    Palindrome rows and columns are scaled by ``sqrt(1/2)``. A Hermitian
-    ``h`` gives blocks that equal their conjugate transposes bit for bit,
-    so one triangle holds a whole block. Blocks of a complex ``h`` whose
-    imaginary parts all cancel are returned real, as the dense assembly
-    returns that ``h``.
+    conjugate, bit for bit, so both routes read one pair of sums of rows
+    ``s`` alone, each computed once: ``P = h[s, t] + h[s, R t]`` at the
+    ``reps`` columns ``t``, and ``M = h[s, t] - h[s, R t]`` at the ``pairs``
+    rows and columns. ``P``'s palindrome rows, then its palindrome columns,
+    are scaled by ``sqrt(1/2)``; ``M`` has no palindromes. A Hermitian ``h``
+    gives blocks whose lower triangles, the only part ``eigvalsh`` reads
+    (``UPLO='L'``), hold the whole block.
 
-    Both parity blocks share one ``(n_reps, n_reps)`` buffer, valid only in
-    the lower triangles that ``eigvalsh`` reads (``UPLO='L'``): the even
-    block is the buffer's, and odd row ``o`` is stored conjugated above the
-    diagonal, ``buffer[o, o + 1:n_pairs + 1] = conj(odd[o, o:])``, so the odd
-    block is that of the view ``buffer[:n_pairs, 1:n_pairs + 1].T``. A chunk
-    writes and scales its even rows before its odd rows, and later chunks
-    write only rows past them.
+    Without ``conjugate``, ``R h R == h``, and ``P`` and ``M`` are the even
+    and the odd block, in the states ``(|s> + |R s>) / sqrt 2``, or ``|s>``
+    for a palindrome, and ``(|s> - |R s>) / sqrt 2``: ``(dim +
+    2^ceil(n/2)) / 2`` and ``(dim - 2^ceil(n/2)) / 2`` of them. Both share
+    one ``(n_reps, n_reps)`` buffer of ``h``'s dtype: the even block is the
+    buffer's, and odd row ``o`` is stored conjugated above the diagonal,
+    ``buffer[o, o + 1:n_pairs + 1] = conj(M[o, o:])``, so the odd block is
+    that of the view ``buffer[:n_pairs, 1:n_pairs + 1].T``. A chunk writes
+    its even rows before its odd rows, and later chunks write only rows
+    past them.
+
+    With ``conjugate``, a complex ``h`` has ``R h R == conj(h)``. ``R``
+    combined with complex conjugation fixes the states ``(|s> + |R s>) /
+    sqrt 2``, or ``|s>`` for a palindrome, for ``s`` of ``reps``, then ``i
+    (|s> - |R s>) / sqrt 2`` for ``s`` of ``pairs``, so ``h`` is real in
+    them: one real symmetric ``(dim, dim)`` matrix whose lower triangle is
+    ``Re P``, then ``Im P`` at the ``pairs`` rows and ``Re M``. The
+    transpose of the ``Im P`` block, above the diagonal, is left unwritten.
     """
     dim = source.shape[0]
     mirror = _bit_reversal(dim.bit_length() - 1)
@@ -160,12 +155,8 @@ def _reflection_pass(source, conjugate: bool) -> tuple[list[np.ndarray], complex
     paired = mirror_reps != reps
     palindromes, pairs = np.flatnonzero(~paired), np.flatnonzero(paired)  # positions in reps
     n_reps, n_pairs = reps.size, pairs.size
-    if conjugate:
-        buffer = np.empty((dim, dim))
-        even, odd = buffer[:n_reps], buffer[n_reps:]
-    else:
-        buffer = even = np.empty((n_reps, n_reps), source.dtype)
-    trace, frobenius, imaginary = 0.0, 0.0, False
+    buffer = np.empty((dim, dim)) if conjugate else np.empty((n_reps, n_reps), source.dtype)
+    trace, frobenius = 0.0, 0.0
     cap = chunk_rows(dim * source.dtype.itemsize)
     start, size, odd_start = 0, min(16, cap), 0
     while start < n_reps:
@@ -184,36 +175,27 @@ def _reflection_pass(source, conjugate: bool) -> tuple[list[np.ndarray], complex
         weight = 1.0 + paired[start:stop]
         trace += weight @ rows[np.arange(chunk.size), chunk]
         frobenius += weight @ np.einsum("ij,ij->i", flat, flat)
-        imaginary = imaginary or (rows.dtype.kind == "c" and bool(flat[:, 1::2].any()))
         local_pairs = np.flatnonzero(paired[start:stop])
         odd_stop = odd_start + local_pairs.size
-        even_rows = even[start:stop]
-        # h[s, t] and h[R s, t] at the reps columns t, where h[R s, t] is h[s, R t]
-        own, other = np.take(rows, reps, axis=1), np.take(rows, mirror_reps, axis=1)
+        # h[s, t] and h[s, R t] at the reps columns t
+        plus, other = np.take(rows, reps, axis=1), np.take(rows, mirror_reps, axis=1)
         del rows, flat  # freed before the block temporaries: a lower peak RSS
-        if conjugate:
-            np.conj(other, out=other)
-            plus = own + other
-            even_rows[:, :n_reps] = plus.real
-            np.negative(plus.imag[:, paired], out=even_rows[:, n_reps:])
-            minus = np.subtract(own[local_pairs], other[local_pairs])
-            odd_rows = odd[odd_start:odd_stop]
-            odd_rows[:, :n_reps] = minus.imag
-            odd_rows[:, n_reps:] = minus.real[:, paired]
-            odd_rows[:, palindromes] *= math.sqrt(0.5)
-        else:
-            np.add(own, other, out=even_rows)
+        minus = np.take(np.subtract(plus[local_pairs], other[local_pairs]), pairs, axis=1)
+        np.add(plus, other, out=plus)
         # rows first, then columns, so a palindrome entry is scaled in that order
-        even_rows[np.flatnonzero(~paired[start:stop])] *= math.sqrt(0.5)
-        even_rows[:, palindromes] *= math.sqrt(0.5)
-        if not conjugate:
+        plus[np.flatnonzero(~paired[start:stop])] *= math.sqrt(0.5)
+        plus[:, palindromes] *= math.sqrt(0.5)
+        if conjugate:
+            odd_rows = buffer[n_reps + odd_start:n_reps + odd_stop]
+            buffer[start:stop, :n_reps] = plus.real
+            odd_rows[:, :n_reps] = plus.imag[local_pairs]
+            odd_rows[:, n_reps:] = minus.real
+        else:
+            buffer[start:stop] = plus
             # odd row o, conjugated, above the diagonal of even row o, where odd_stop <= stop
-            odd_rows = np.take(np.subtract(own, other, out=own)[local_pairs], pairs, axis=1)
             upper = np.arange(n_pairs) >= np.arange(odd_start, odd_stop)[:, None]
-            np.copyto(buffer[odd_start:odd_stop, 1:n_pairs + 1], np.conj(odd_rows), where=upper)
+            np.copyto(buffer[odd_start:odd_stop, 1:n_pairs + 1], np.conj(minus), where=upper)
         start, size, odd_start = stop, min(2 * size, cap), odd_stop
-    if source.dtype.kind == "c" and not imaginary:
-        buffer = np.ascontiguousarray(buffer.real)
     return ([buffer] if conjugate else [buffer, buffer[:n_pairs, 1:n_pairs + 1].T]), trace, frobenius
 
 
@@ -245,21 +227,23 @@ def _eigenvalues(matrices: list[np.ndarray]) -> np.ndarray:
 def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     """Energies of a Hermitian matrix, ascending, without eigenvectors.
 
-    ``h`` is a dense matrix or the row generator of
-    :func:`~spinaep.hamiltonian.hamiltonian_rows`; either is read row by row
-    in one pass. When ``h`` commutes bit for bit with the bit-reversal
-    permutation of the basis, as the Hamiltonian of a reflection-symmetric
-    model on a chain does, the energies are the merged spectra of its even
-    and odd blocks, each about half the dimension, so about a quarter of
-    the work. When a complex ``h`` instead goes over into its complex
-    conjugate under bit reversal, as a chain with a reflection-odd imaginary
-    bond does, the energies come from one real symmetric matrix of the same
-    dimension, also about a quarter of the work of the complex solve. On
-    these two routes a generator's dense matrix is never formed, and the
-    parity blocks share one buffer: the even block below the diagonal, the
-    odd one conjugated above it, each read in its lower triangle by
-    ``eigvalsh`` (``UPLO='L'``). Otherwise the energies come from one full
-    solve of the dense matrix, which a generator assembles once.
+    ``h`` is a dense matrix, solved in the dtype the caller gives it, or the
+    row generator of :func:`~spinaep.hamiltonian.hamiltonian_rows`, whose
+    dtype is complex only when an imaginary part survives in ``h``; either
+    is read row by row in one pass. When ``h`` commutes bit for bit with the
+    bit-reversal permutation ``R`` of the basis, as the Hamiltonian of a
+    reflection-symmetric model on a chain does, the energies are the merged
+    spectra of its even and odd blocks, each about half the dimension, so
+    about a quarter of the work. When a complex ``h`` instead goes over
+    into its complex conjugate under bit reversal, as a chain with a
+    reflection-odd imaginary bond does, the energies come from one real
+    symmetric matrix of the same dimension, also about a quarter of the
+    work of the complex solve. Both routes are written from one pair of
+    sums of rows ``s``, ``h[s, t] + h[s, R t]`` and ``h[s, t] - h[s, R
+    t]``, in the lower triangles that ``eigvalsh`` reads (``UPLO='L'``), and
+    a generator's dense matrix is never formed. Otherwise the energies come
+    from one full solve of the dense matrix, which a generator assembles
+    once.
 
     With no eigenpairs to check, the energies are held to the two trace
     identities ``tr H = sum E_j`` and ``||H||_F^2 = sum E_j^2``, within

@@ -102,9 +102,10 @@ class HamiltonianRows:
     order, which no reordering of the blocks changes: a reflection maps a
     symmetric model's blocks onto themselves, so ``H[R s, R s] == H[s, s]``
     bit for bit however the couplings round. The diagonal of a Hermitian
-    block is real. Rows are float64 when no block has an imaginary part, else
-    complex; :meth:`dense` still returns a real matrix when no imaginary part
-    survives the sum. The generator holds O(blocks * dim) integers.
+    block is real. Rows are float64 when every generated row is real, else
+    complex: when some block has an imaginary part, the rows are scanned once
+    here, up to the first chunk with an imaginary entry. The generator holds
+    O(blocks * dim) integers.
     """
 
     def __init__(self, volume: Volume, blocks: Iterable[tuple[np.ndarray, Sequence[Site]]]) -> None:
@@ -130,6 +131,10 @@ class HamiltonianRows:
             self._steps[keys, :offsets.size] = offsets[None, :] - offsets[:, None]
             self._values[keys, :offsets.size] = block if self.dtype == complex else block.real
             self._diagonals[keys] = block.diagonal().real
+        step = chunk_rows(basis.size * self.dtype.itemsize)
+        chunks = (basis[start:start + step] for start in range(0, basis.size, step))
+        if self.dtype == complex and not any(self.rows(chunk).imag.any() for chunk in chunks):
+            self.dtype, self._values = np.dtype(float), np.ascontiguousarray(self._values.real)
 
     def _fill(self, out: np.ndarray, index: np.ndarray, mirror: np.ndarray | None) -> None:
         """Add the rows ``index`` into the zeroed ``out``, columns permuted by ``mirror``."""
@@ -157,9 +162,7 @@ class HamiltonianRows:
         step = chunk_rows(self._keys.shape[0] * self._steps.shape[1] * (24 + self.dtype.itemsize))
         for start in range(0, dim, step):
             self._fill(h[start:start + step], np.arange(start, min(start + step, dim)), None)
-        if self.dtype == float or h.imag.any():
-            return h
-        return np.ascontiguousarray(h.real)
+        return h
 
 
 def hamiltonian_rows(

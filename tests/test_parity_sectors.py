@@ -4,8 +4,9 @@ A Hamiltonian that commutes bit for bit with the bit-reversal permutation
 ``R`` of the basis is solved as an even and an odd block, both held in one
 buffer and each valid in the lower triangle that ``eigvalsh`` reads. A
 complex one with ``R H R == conj(H)`` bit for bit is solved as one real
-symmetric matrix. Every other matrix takes one full solve. Which route ran
-is read from the matrices that ``numpy.linalg.eigvalsh`` is called with.
+symmetric matrix, written in its lower triangle only. Every other matrix
+takes one full solve. Which route ran is read from the matrices that
+``numpy.linalg.eigvalsh`` is called with.
 """
 
 import tracemalloc
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import spinaep as sa
 from spinaep import gibbs
 from spinaep.gibbs import _bit_reversal
-from oracles import parity_blocks
+from oracles import loop_assemble, parity_blocks, real_form
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ALL_UP = sa.GroundStateConfig.uniform(1, +1)
@@ -51,9 +52,8 @@ def golden_model(case: str) -> tuple[sa.Interaction, sa.GroundStateConfig]:
     return sa.build_interaction(config), sa.build_boundary(config)
 
 
-def assert_lower_triangles_match_the_oracle(h: np.ndarray, calls: list[np.ndarray]) -> None:
+def assert_lower_triangles_match_the_oracle(calls: list[np.ndarray], blocks: list[np.ndarray]) -> None:
     """Each solver input holds the oracle block bit for bit in the triangle the solver reads."""
-    blocks = parity_blocks(h)
     assert len(calls) == len(blocks)
     for solved, block in zip(calls, blocks):
         assert np.array_equal(np.tril(solved), np.tril(block))
@@ -62,7 +62,7 @@ def assert_lower_triangles_match_the_oracle(h: np.ndarray, calls: list[np.ndarra
 def assert_blocks_match_dense(h: np.ndarray, calls: list[np.ndarray], n_sites: int) -> None:
     energies = sa.diagonalize(h).energies
     assert [c.shape for c in calls] == block_shapes(n_sites)
-    assert_lower_triangles_match_the_oracle(h, calls)
+    assert_lower_triangles_match_the_oracle(calls, parity_blocks(h))
     dense = sa.eigenpairs(h).energies
     assert np.abs(energies - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -82,10 +82,8 @@ def test_symmetric_complex_chain_blocks_match_the_dense_route(n_sites, eigvalsh_
 
 def assert_real_form_matches_dense(h: np.ndarray, calls: list[np.ndarray]) -> None:
     energies = sa.diagonalize(h).energies
-    assert len(calls) == 1
-    (real_form,) = calls
-    assert real_form.dtype == np.float64 and real_form.shape == h.shape
-    assert np.array_equal(real_form, real_form.T)
+    assert [(c.dtype, c.shape) for c in calls] == [(np.float64, h.shape)]
+    assert_lower_triangles_match_the_oracle(calls, [real_form(h)])
     dense = sa.eigenpairs(h).energies
     assert np.abs(energies - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -252,14 +250,16 @@ def test_random_chains_take_the_route_of_their_symmetry(case):
         energies = sa.diagonalize(h).energies
     calls = [args[0] for args, _ in solve.call_args_list]
     n_sites = h.shape[0].bit_length() - 1
-    # the solver reads the lower triangle: the parity blocks' must be the
-    # oracle's, and a real form or a full H, held whole, exactly Hermitian
+    # the solver reads the lower triangle: the parity blocks' and the real
+    # form's must be the oracle's, and a full H, held whole, exactly Hermitian
     if kind == "R":
         assert [c.shape for c in calls] == block_shapes(n_sites)
-        assert_lower_triangles_match_the_oracle(h, calls)
+        assert_lower_triangles_match_the_oracle(calls, parity_blocks(h))
+    elif kind == "RK":
+        assert [(c.dtype, c.shape) for c in calls] == [(np.float64, h.shape)]
+        assert_lower_triangles_match_the_oracle(calls, [real_form(h)])
     else:
-        expected = np.float64 if kind == "RK" else h.dtype
-        assert [(c.dtype, c.shape) for c in calls] == [(expected, h.shape)]
+        assert [(c.dtype, c.shape) for c in calls] == [(h.dtype, h.shape)]
         assert all(np.array_equal(c, c.conj().T) for c in calls)
     dense = sa.eigenpairs(h).energies
     assert np.abs(energies - dense).max() <= 1e-12 * np.abs(dense).max()
@@ -365,10 +365,30 @@ def test_generator_whose_imaginary_parts_cancel_takes_the_real_parity_blocks(eig
     model = cancelling_model()
     rows = sa.hamiltonian_rows(model, sa.chain(7), ALL_UP)
     h = sa.assemble_hamiltonian(model, sa.chain(7), ALL_UP)
-    assert rows.dtype == np.complex128 and h.dtype == np.float64
+    assert rows.dtype == np.float64 and h.dtype == np.float64
     energies = sa.diagonalize(rows).energies
     assert [(c.dtype, c.shape) for c in eigvalsh_calls] == [(np.float64, s) for s in block_shapes(7)]
     np.testing.assert_array_equal(energies, sa.diagonalize(h).energies)
+
+
+@pytest.mark.parametrize("case", ["dm", "symmetric complex", "cancelling"])
+def test_generator_rows_are_complex_exactly_when_an_imaginary_part_survives(case):
+    # the entry-by-entry loop sums in complex, in the generator's order
+    volume = sa.chain(5)
+    model, boundary = {
+        "dm": golden_model("dm"),
+        "symmetric complex": (symmetric_complex_model(), ALL_UP),
+        "cancelling": (cancelling_model(), ALL_UP),
+    }[case]
+    rows = sa.hamiltonian_rows(model, volume, boundary)
+    generated = rows.rows(np.arange(rows.shape[0]))
+    reference = loop_assemble(model, volume, boundary)
+    if case == "cancelling":
+        assert rows.dtype == np.float64 and not reference.imag.any()
+        assert generated.tobytes() == np.ascontiguousarray(reference.real).tobytes()
+    else:
+        assert rows.dtype == np.complex128 and reference.imag.any()
+        assert generated.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("case", ["real form", "parity blocks"])
@@ -397,7 +417,7 @@ def test_generator_solve_forms_no_dense_matrix(case, monkeypatch):
 ], ids=[*[f"tfim-{n}" for n in range(2, 11)], "complex-2", "complex-5", "complex-8", "cancelling-7"])
 def test_packed_blocks_give_the_oracle_energies_bit_for_bit(model, n_sites, eigvalsh_calls):
     # a complex block is stored conjugated above the diagonal; the cancelling
-    # model's rows are complex and its blocks real
+    # model has complex terms and real rows
     rows = sa.hamiltonian_rows(model, sa.chain(n_sites), ALL_UP)
     energies = sa.diagonalize(rows).energies
     h = sa.assemble_hamiltonian(model, sa.chain(n_sites), ALL_UP)
@@ -407,10 +427,12 @@ def test_packed_blocks_give_the_oracle_energies_bit_for_bit(model, n_sites, eigv
     np.testing.assert_array_equal(energies, expected)
 
 
-def test_parity_route_holds_one_buffer(monkeypatch):
+@pytest.mark.parametrize("model", [sa.preset_tfim(1.0, 0.5, 0.2), cancelling_model()],
+                         ids=["tfim", "cancelling"])
+def test_parity_route_holds_one_buffer(model, monkeypatch):
     # at 10 sites the two 256 KiB row chunks alone are 0.23 times the even block
     n_sites = 11
-    rows = sa.hamiltonian_rows(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(n_sites), ALL_UP)
+    rows = sa.hamiltonian_rows(model, sa.chain(n_sites), ALL_UP)
     calls = recorded_solves(monkeypatch)
     peak = traced_peak(lambda: sa.diagonalize(rows))
     assert calls == [(np.float64, s) for s in block_shapes(n_sites)]

@@ -37,19 +37,21 @@ def test_layer_call_resolves(module, attr):
 
 
 
-def test_traced_sweep_fills_the_counters(tmp_path):
-    """A traced sweep of the TFIM golden config counts its work.
+@pytest.mark.parametrize("case", ["tfim", "dm"])
+def test_traced_sweep_fills_the_counters(case, tmp_path):
+    """A traced sweep of a golden config counts its work.
 
     Resolving the names above misses a change that keeps a hooked function
     but breaks what the tracer reads from its result, such as
-    ``Decomposition.vectors``.
+    ``Decomposition.vectors``. The TFIM chains take the parity blocks, and
+    the dm chains of 3, 5 and 7 sites the real form.
     """
     root = CHILD.parents[1]
     record = tmp_path / "record.json"
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, str(CHILD), str(record), "trace", "--", "sweep",
-         "--config", str(root / "tests" / "golden" / "tfim.cfg"),
+         "--config", str(root / "tests" / "golden" / f"{case}.cfg"),
          "--out", str(tmp_path / "out"), "--quiet"],
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
