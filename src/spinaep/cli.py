@@ -93,8 +93,19 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -
     sweep_rows: list[tuple] = []
     aep_rows: list[tuple[int, AepRow]] = []
 
+    # Every volume is solved before the first decomposition, whose imports
+    # would otherwise be resident during the later, larger solves.
+    solved = []
     for n in config.volumes:
         ens, densities = _run_volume(config, interaction, boundary, n)
+        solved.append((n, ens, densities))
+        if not quiet:
+            print(
+                f"n={n} sites={ens.n_sites} S={densities.h_bits * ens.n_sites:.6f} bits "
+                f"h={densities.h_bits:.6f} bits/site"
+            )
+
+    for n, ens, densities in solved:
         s_bits = densities.h_bits * ens.n_sites
         decomposition = make_decomposition(
             ens, ens.dim, seed=np.random.default_rng([config.seed, n])
@@ -114,11 +125,6 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -
                 zip(config.rates, row.best_rate_masses), zip(config.ts, row.lln_residuals)
             ):
                 sweep_rows.append(window_columns + (rate, mass, t, residual, fid, length))
-        if not quiet:
-            print(
-                f"n={n} sites={ens.n_sites} S={s_bits:.6f} bits "
-                f"h={densities.h_bits:.6f} bits/site"
-            )
 
     sweep_path = out_dir / "sweep.csv"
     _write_csv(sweep_path, SWEEP_COLUMNS, sweep_rows)

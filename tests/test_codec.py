@@ -3,11 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinaep as sa
 from spinaep.errors import EmptySubspaceError, InvalidCodewordError
 
-from conftest import chain_ensemble, chain_hamiltonian, dense_ensemble
+from conftest import chain_ensemble, chain_hamiltonian, dense_ensemble, generic_models
 from oracles import product_basis_decomposition, projector_fidelity, qr_isometry, three_fft_decomposition
 
 # The sweep-dm11 benchmark chain: complex Hermitian H, Neel cell boundary.
@@ -248,6 +249,24 @@ class TestFidelity:
         small = sa.TypicalSubspace(indices=np.arange(4), h_ref=1.0, delta=0.1, mass=0.5, n_sites=2)
         with pytest.raises(ValueError):
             sa.fidelity(decomp, small)
+
+
+class TestGenericChains:
+    """The numeric contracts on random generic chains, through the CLI's path:
+    the row generator, the values-only solve and the streamed decomposition."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(generic_models(dims=(1,)), st.floats(0.1, 3.0), st.integers(0, 2**32 - 1))
+    def test_weights_identity_and_fidelity(self, model, beta, seed):
+        interaction, volume, boundary = model
+        ens = sa.gibbs_ensemble(sa.hamiltonian_rows(interaction, volume, boundary), beta)
+        densities = sa.thermo_densities(ens)
+        assert abs(ens.weights.sum() - 1.0) <= 1e-12
+        assert densities.identity_residual <= 1e-10
+        decomp = sa.make_decomposition(ens, ens.dim, seed=seed)
+        for delta in (0.1, 0.5):
+            sub = sa.typical_subspace(ens, densities.h_bits, delta)
+            assert abs(sa.fidelity(decomp, sub) - sub.mass) <= 1e-10
 
 
 @pytest.fixture(scope="module", params=["tfim", "complex"])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import spinaep as sa
+from spinaep import cli
 from spinaep.cli import main
 from spinaep.config import _KEYS
 from spinaep.errors import ConfigError
@@ -16,6 +17,7 @@ from spinaep.errors import ConfigError
 from oracles import classical_chain_entropy_bits
 
 CONFIG_DOC = Path(__file__).resolve().parents[1] / "docs" / "config-format.md"
+GOLDEN_TFIM = Path(__file__).resolve().parent / "golden" / "tfim.cfg"
 
 
 def rows_of(path):
@@ -292,6 +294,65 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o2"),
                      "--seed", "42", "--quiet"]) == 0
         assert (tmp_path / "o1" / "sweep.csv").read_bytes() == (tmp_path / "o2" / "sweep.csv").read_bytes()
+
+    def test_progress_line_follows_each_solve(self, tmp_path, monkeypatch, capsys):
+        solve, decompose = cli._run_volume, cli.make_decomposition
+
+        def marked_solve(config, interaction, boundary, n):
+            print(f"solving n={n}")
+            return solve(config, interaction, boundary, n)
+
+        def marked_decompose(ensemble, *args, **kwargs):
+            print(f"decomposing sites={ensemble.n_sites}")
+            return decompose(ensemble, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_run_volume", marked_solve)
+        monkeypatch.setattr(cli, "make_decomposition", marked_decompose)
+        config = sa.parse_config(GOLDEN_TFIM.read_text(encoding="utf-8"))
+        cli.run_sweep(config, tmp_path)
+        volumes = {row["n"]: row for row in rows_of(GOLDEN_TFIM.with_suffix("") / "sweep.csv")}
+        expected = []
+        for n, row in volumes.items():
+            s_bits, h_bits = float(row["S_bits"]), float(row["h_bits"])
+            expected += [
+                f"solving n={n}",
+                f"n={n} sites={row['n_sites']} S={s_bits:.6f} bits h={h_bits:.6f} bits/site",
+            ]
+        expected += [f"decomposing sites={row['n_sites']}" for row in volumes.values()]
+        expected.append(f"wrote {tmp_path / 'sweep.csv'} and {tmp_path / 'aep.csv'}")
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_cap_in_a_later_volume_exits_before_any_codec_work(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "make_decomposition", lambda *args, **kwargs: calls.append(args))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(ISING_CONFIG, encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--max-qubits", "3", "--quiet"]) == 3
+        assert calls == []
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_every_volume_is_solved_before_numpy_random_loads(self, tmp_path):
+        """The first decomposition imports numpy.random, which stays resident:
+        the sweep solves all its volumes first, so its peak is its largest solve."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        probe = (
+            "import sys\n"
+            "from spinaep import cli\n"
+            "loaded, solve = [], cli.gibbs_ensemble\n"
+            "def probed(*args, **kwargs):\n"
+            "    loaded.append('numpy.random' in sys.modules)\n"
+            "    return solve(*args, **kwargs)\n"
+            "cli.gibbs_ensemble = probed\n"
+            "assert cli.main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2], '--quiet']) == 0\n"
+            "print(loaded)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, str(GOLDEN_TFIM), str(tmp_path)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[False, False, False]"
 
 
 class TestGenericSweep:

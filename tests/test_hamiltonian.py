@@ -11,6 +11,7 @@ import spinaep as sa
 from spinaep.gibbs import _bit_reversal
 from spinaep.interaction import support_config_index
 
+from conftest import generic_models
 from oracles import embed_block, index_spins, kron_chain_tfim, kron_site_op, loop_assemble, SX, SZ
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -347,33 +348,3 @@ class TestGeneratedRows:
     def test_generic_models(self, data):
         model, volume, boundary = data.draw(generic_models())
         assert_rows_match_references(model, volume, boundary, seed=data.draw(st.integers(0, 99)))
-
-
-# supports of diameter 1: a site, bonds along each axis and, in d = 2, a corner
-SUPPORTS = {
-    1: [((0,),), ((0,), (1,))],
-    2: [((0, 0),), ((0, 0), (1, 0)), ((0, 0), (0, 1)), ((0, 0), (1, 0), (0, 1))],
-}
-COUPLING = st.floats(-1.0, 1.0, allow_nan=False)
-
-
-@st.composite
-def generic_models(draw) -> tuple[sa.Interaction, sa.Volume, sa.GroundStateConfig]:
-    """Random models of at most 6 qubits in d = 1 or 2, with complex quantum
-    parts and a random period cell as the boundary."""
-    d = draw(st.sampled_from([1, 2]))
-    if d == 1:
-        volume = sa.chain(draw(st.integers(1, 6)))
-    else:
-        volume = sa.build_box((0, 0), (draw(st.integers(0, 2)), draw(st.integers(0, 1))))
-    terms = []
-    for support in draw(st.lists(st.sampled_from(SUPPORTS[d]), min_size=1, max_size=3)):
-        k = 1 << len(support)
-        classical = np.array(draw(st.lists(COUPLING, min_size=k, max_size=k)))
-        parts = np.array(draw(st.lists(COUPLING, min_size=2 * k * k, max_size=2 * k * k)))
-        quantum = (parts[:k * k] + 1j * parts[k * k:]).reshape(k, k)
-        terms.append(sa.LocalTerm(support, classical, quantum + quantum.conj().T))
-    periods = tuple(draw(st.integers(1, 2)) for _ in range(d))
-    cell = {site: draw(st.sampled_from([1, -1]))
-            for site in itertools.product(*(range(p) for p in periods))}
-    return sa.Interaction(terms=tuple(terms), R=1, lam=0.5), volume, sa.GroundStateConfig(periods, cell)

@@ -63,3 +63,9 @@ def test_traced_sweep_fills_the_counters(case, tmp_path):
     assert result["counters"]["hamiltonian.calls"] == 0
     assert result["counters"]["hamiltonian.h_bytes"] == 0
     assert result["counters"]["codec.decomposition_bytes"] > 0
+    # every volume is solved before the first decomposition
+    spans = result["spans"]  # [name, start, end, parent, rss_start_kib, rss_end_kib]
+    last_solve = max(end for name, _, end, *_ in spans if name == "gibbs.ensemble")
+    decompositions = [start for name, start, *_ in spans if name == "codec.decomposition"]
+    assert len(decompositions) == 3
+    assert min(decompositions) > last_solve
