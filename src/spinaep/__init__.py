@@ -59,9 +59,7 @@ from .lattice import (
     linf_diameter,
 )
 from .typicality import (
-    AepRow,
     TypicalSubspace,
-    aep_row,
     best_rate_mass,
     dimension_rate,
     lln_residual,

@@ -24,7 +24,7 @@ from .gibbs import GibbsEnsemble, LOG2E, ThermoDensities, gibbs_ensemble, thermo
 from .hamiltonian import hamiltonian_rows
 from .interaction import GroundStateConfig, Interaction, check_perturbation_bound, find_periodic_ground_states
 from .lattice import build_hypercube
-from .typicality import AepRow, aep_row, typical_subspace
+from .typicality import best_rate_mass, dimension_rate, lln_residual, typical_subspace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,7 +91,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -
 
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_rows: list[tuple] = []
-    aep_rows: list[tuple[int, AepRow]] = []
+    aep_rows: list[tuple] = []
 
     # Every volume is solved before the first decomposition, whose imports
     # would otherwise be resident during the later, larger solves.
@@ -106,23 +106,26 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -
             )
 
     for n, ens, densities in solved:
-        s_bits = densities.h_bits * ens.n_sites
         decomposition = make_decomposition(
             ens, ens.dim, seed=np.random.default_rng([config.seed, n])
         )
         volume_columns = (
-            n, ens.n_sites, config.beta, config.lam, s_bits,
+            n, ens.n_sites, config.beta, config.lam, densities.h_bits * ens.n_sites,
             densities.f, densities.g, densities.h_bits, densities.identity_residual,
         )
+        # The best-rate and LLN columns depend on the volume only.
+        masses = [best_rate_mass(ens, rate) for rate in config.rates]
+        residuals = [lln_residual(ens, t) for t in config.ts]
         for delta in config.deltas:
             sub = typical_subspace(ens, config.h_ref, delta)
-            row = aep_row(ens, sub, config.rates, config.ts)
+            dim_rate = dimension_rate(sub)
             fid = fidelity(decomposition, sub)
             length = build_codebook(sub).length if sub.dim else None
-            aep_rows.append((n, row))
-            window_columns = volume_columns + (row.delta, row.dim, row.mass, row.dim_rate)
+            aep_rows.append((n, ens.n_sites, sub.h_ref, delta, sub.mass, sub.dim, dim_rate,
+                             *masses, *residuals))
+            window_columns = volume_columns + (delta, sub.dim, sub.mass, dim_rate)
             for (rate, mass), (t, residual) in itertools.product(
-                zip(config.rates, row.best_rate_masses), zip(config.ts, row.lln_residuals)
+                zip(config.rates, masses), zip(config.ts, residuals)
             ):
                 sweep_rows.append(window_columns + (rate, mass, t, residual, fid, length))
 
@@ -132,11 +135,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -
     aep_header += [f"best_rate_mass[R={rate:g}]" for rate in config.rates]
     aep_header += [f"lln_residual[t={t:g}]" for t in config.ts]
     aep_path = out_dir / "aep.csv"
-    _write_csv(aep_path, aep_header, [
-        (n, row.n_sites, row.h_ref, row.delta, row.mass, row.dim, row.dim_rate,
-         *row.best_rate_masses, *row.lln_residuals)
-        for n, row in sorted(aep_rows, key=lambda item: (item[1].delta, item[0]))
-    ])
+    _write_csv(aep_path, aep_header, sorted(aep_rows, key=lambda row: (row[3], row[0])))
 
     if not quiet:
         print(f"wrote {sweep_path} and {aep_path}")
@@ -253,6 +252,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, SpinAepError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entrypoint() -> None:

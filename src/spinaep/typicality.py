@@ -8,7 +8,6 @@ per-volume entropy rate; a fixed externally supplied rate is also accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -90,37 +89,3 @@ def lln_residual(ensemble: GibbsEnsemble, t: float) -> float:
     g = thermo_densities(ensemble).g
     phi = characteristic_function(ensemble, t / ensemble.n_sites)
     return float(abs(phi - np.exp(1j * t * g)))
-
-
-@dataclass(frozen=True)
-class AepRow:
-    """One volume's concentration diagnostics at a fixed window width."""
-
-    n_sites: int
-    h_ref: float
-    delta: float
-    mass: float
-    dim: int
-    dim_rate: float | None
-    best_rate_masses: tuple[float, ...]
-    lln_residuals: tuple[float, ...]
-
-
-def aep_row(
-    ensemble: GibbsEnsemble,
-    subspace: TypicalSubspace,
-    rates: Sequence[float] = (),
-    ts: Sequence[float] = (),
-) -> AepRow:
-    """One volume's concentration diagnostics at the window of ``subspace``."""
-    return AepRow(
-        n_sites=ensemble.n_sites,
-        h_ref=subspace.h_ref,
-        delta=subspace.delta,
-        mass=subspace.mass,
-        dim=subspace.dim,
-        dim_rate=dimension_rate(subspace),
-        best_rate_masses=tuple(best_rate_mass(ensemble, r) for r in rates),
-        lln_residuals=tuple(lln_residual(ensemble, t) for t in ts),
-    )
-

@@ -252,14 +252,18 @@ class TestFidelity:
 
 
 class TestGenericChains:
-    """The numeric contracts on random generic chains, through the CLI's path:
-    the row generator, the values-only solve and the streamed decomposition."""
+    """The numeric contracts on random generic d = 1 and d = 2 models, through
+    the CLI's path: the row generator, the values-only solve, the streamed
+    decomposition and the codebook."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(generic_models(dims=(1,)), st.floats(0.1, 3.0), st.integers(0, 2**32 - 1))
+    @given(generic_models(), st.floats(0.1, 3.0), st.integers(0, 2**32 - 1))
     def test_weights_identity_and_fidelity(self, model, beta, seed):
         interaction, volume, boundary = model
-        ens = sa.gibbs_ensemble(sa.hamiltonian_rows(interaction, volume, boundary), beta)
+        rows = sa.hamiltonian_rows(interaction, volume, boundary)
+        dense = sa.eigenpairs(sa.assemble_hamiltonian(interaction, volume, boundary)).energies
+        assert np.abs(sa.diagonalize(rows).energies - dense).max() <= 1e-12 * np.abs(dense).max()
+        ens = sa.gibbs_ensemble(rows, beta)
         densities = sa.thermo_densities(ens)
         assert abs(ens.weights.sum() - 1.0) <= 1e-12
         assert densities.identity_residual <= 1e-10
@@ -267,7 +271,15 @@ class TestGenericChains:
         for delta in (0.1, 0.5):
             sub = sa.typical_subspace(ens, densities.h_bits, delta)
             assert abs(sa.fidelity(decomp, sub) - sub.mass) <= 1e-10
-
+            if sub.dim:
+                book = sa.build_codebook(sub)
+                typical = set(sub.indices.tolist())
+                for j in range(ens.dim):
+                    word = sa.compress(book, j)
+                    if j in typical:
+                        assert sa.decompress(book, word) == j
+                    else:
+                        assert word is None
 
 @pytest.fixture(scope="module", params=["tfim", "complex"])
 def small_ensemble(request):

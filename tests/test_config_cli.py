@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spinaep as sa
-from spinaep import cli
+from spinaep import cli, typicality
 from spinaep.cli import main
 from spinaep.config import _KEYS
 from spinaep.errors import ConfigError
@@ -355,6 +355,55 @@ class TestSweep:
         assert proc.stdout.strip() == "[False, False, False]"
 
 
+class TestVolumeColumns:
+    """The best-rate and LLN columns belong to a volume, the other aep.csv
+    columns to one of its windows."""
+
+    def test_computed_once_per_volume(self, tmp_path, monkeypatch):
+        calls = {"best_rate_mass": 0, "lln_residual": 0}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(typicality, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(typicality, name, counted)
+            monkeypatch.setattr(cli, name, counted, raising=False)
+        assert main(["sweep", "--config", str(GOLDEN_TFIM), "--out", str(tmp_path), "--quiet"]) == 0
+        # 3 volumes x 2 rates and 3 volumes x 2 times, whatever the 2 deltas
+        assert calls == {"best_rate_mass": 6, "lln_residual": 6}
+
+    def test_rows_of_descending_and_repeated_deltas(self, tmp_path):
+        text = GOLDEN_TFIM.read_text(encoding="utf-8")
+        text = "".join(line for line in text.splitlines(True) if not line.startswith("delta"))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text + "delta = 0.3\ndelta = 0.15\ndelta = 0.3\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+        deltas, volumes = (0.3, 0.15, 0.3), (1, 2, 3)
+        sweep = rows_of(tmp_path / "sweep.csv")
+        aep = rows_of(tmp_path / "aep.csv")
+        # sweep.csv in config order, 2 rates x 2 times per window; aep.csv by delta, then n
+        assert [(int(r["n"]), float(r["delta"])) for r in sweep] == [
+            (n, d) for n in volumes for d in deltas for _ in range(4)
+        ]
+        assert [(float(r["delta"]), int(r["n"])) for r in aep] == sorted(
+            (d, n) for n in volumes for d in deltas
+        )
+        volume_cells = [k for k in aep[0] if k.startswith(("best_rate_mass[", "lln_residual["))]
+        assert len(volume_cells) == 4
+        for n in volumes:
+            cells = {tuple(r[k] for k in volume_cells) for r in aep if int(r["n"]) == n}
+            assert len(cells) == 1
+            [(mass_a, mass_b, residual_a, residual_b)] = cells
+            assert {
+                (r["best_rate_R"], r["best_rate_mass"], r["lln_t"], r["lln_residual"])
+                for r in sweep if int(r["n"]) == n
+            } == {
+                (rate, mass, t, residual)
+                for rate, mass in (("0.25", mass_a), ("0.5", mass_b))
+                for t, residual in (("1", residual_a), ("2", residual_b))
+            }
+
+
 class TestGenericSweep:
     def test_generic_model_sweep_matches_preset_sweep(self, tmp_path):
         preset_cfg = tmp_path / "preset.cfg"
@@ -417,6 +466,24 @@ class TestOtherSubcommands:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("ok") >= 6
+
+    @pytest.mark.parametrize("command, output", [
+        ("sweep", "sweep.csv"), ("spectrum", "spectrum_n1.csv"), ("codec-demo", "codebook_n2.txt"),
+    ])
+    @pytest.mark.parametrize("case", ["out is a file", "out is under a file", "output is a directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command, output, case):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(ISING_CONFIG, encoding="utf-8")
+        out = tmp_path / "out"
+        if case == "output is a directory":
+            (out / output).mkdir(parents=True)
+        else:
+            out.write_text("", encoding="utf-8")
+            if case == "out is under a file":
+                out = out / "sub"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("output error: ")
 
     def test_codec_demo_empty_window_exits_4(self, tmp_path, capsys):
         # at beta=0.5 the five-site window at delta=0.15 holds no states
