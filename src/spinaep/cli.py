@@ -113,11 +113,12 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -
             n, ens.n_sites, config.beta, config.lam, densities.h_bits * ens.n_sites,
             densities.f, densities.g, densities.h_bits, densities.identity_residual,
         )
-        # The best-rate and LLN columns depend on the volume only.
+        # The reference rate, best-rate and LLN columns depend on the volume only.
+        h_ref = densities.h_bits if config.h_ref is None else config.h_ref
         masses = [best_rate_mass(ens, rate) for rate in config.rates]
-        residuals = [lln_residual(ens, t) for t in config.ts]
+        residuals = [lln_residual(ens, densities.g, t) for t in config.ts]
         for delta in config.deltas:
-            sub = typical_subspace(ens, config.h_ref, delta)
+            sub = typical_subspace(ens, h_ref, delta)
             dim_rate = dimension_rate(sub)
             fid = fidelity(decomposition, sub)
             length = build_codebook(sub).length if sub.dim else None
@@ -166,9 +167,9 @@ def run_codec_demo(config: ExperimentConfig, out_dir: Path, *, quiet: bool = Fal
     boundary = build_boundary(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = config.volumes[-1]
-    ens, _ = _run_volume(config, interaction, boundary, n)
+    ens, densities = _run_volume(config, interaction, boundary, n)
     delta = config.deltas[0]
-    sub = typical_subspace(ens, config.h_ref, delta)
+    sub = typical_subspace(ens, densities.h_bits if config.h_ref is None else config.h_ref, delta)
     if sub.dim == 0:
         raise NumericError(f"empty typical subspace in codec-demo at n={n}, delta={delta:g}")
     codebook = build_codebook(sub)

@@ -16,22 +16,13 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import ConfigError
-from .interaction import GroundStateConfig, Interaction, LocalTerm, preset_tfim
+from .interaction import GroundStateConfig, Interaction, LocalTerm, canonical_support, preset_tfim
 from .lattice import DEFAULT_QUBIT_CAP, linf_diameter
 
 CONFIG_FORMAT_VERSION = 1
 
 _TERM_FIELDS = {"support", "classical", "quantum"}
 _U64_MAX = 2**64 - 1
-
-
-@dataclass(frozen=True)
-class GenericTermSpec:
-    """Raw generic-model term: offsets plus matrix data, pre-validation."""
-
-    support: tuple[tuple[int, ...], ...]
-    classical: tuple[float, ...]
-    quantum: tuple[tuple[int, int, float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -56,7 +47,7 @@ class ExperimentConfig:
     seed: int = 12345
     max_qubits: int = DEFAULT_QUBIT_CAP
     out: str | None = None
-    terms: tuple[GenericTermSpec, ...] = ()
+    terms: tuple[LocalTerm, ...] = ()
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
 
@@ -171,7 +162,7 @@ _KEYS = {
 }
 
 
-def _parse_term(idx: int, entry: dict[str, tuple[str, int]], d: int, issues: _Issues) -> GenericTermSpec | None:
+def _parse_term(idx: int, entry: dict[str, tuple[str, int]], d: int, issues: _Issues) -> LocalTerm | None:
     """One ``term.<idx>.*`` block, or ``None`` once its first problem is in ``issues``."""
     if "support" not in entry or "classical" not in entry:
         issues.add(next(iter(entry.values()))[1], f"term.{idx}", "needs support and classical fields")
@@ -181,17 +172,23 @@ def _parse_term(idx: int, entry: dict[str, tuple[str, int]], d: int, issues: _Is
         support = _split(";", _split(",", _integer))(entry["support"][0])
         if any(len(s) != d for s in support):
             raise ValueError(f"sites must have dimension {d}")
+        if canonical_support(support) != support:
+            raise ValueError("sites must be distinct and in ascending lexicographic order")
         part = "classical"
         classical = tuple(_number(v) for v in entry["classical"][0].replace(",", " ").split())
         dim = 2 ** len(support)
         if len(classical) != dim:
             raise ValueError(f"need {dim} entries for {len(support)} sites, got {len(classical)}")
-        part = "quantum"
-        quantum = _split(";", _matrix_entry(dim))(entry["quantum"][0]) if "quantum" in entry else ()
+        quantum = np.zeros((dim, dim), dtype=complex)
+        if "quantum" in entry:
+            part = "quantum"
+            for row, col, re_, im in _split(";", _matrix_entry(dim))(entry["quantum"][0]):
+                quantum[row, col] += re_ + 1j * im
+        # all that LocalTerm checks beyond the above is that the quantum part is Hermitian
+        return LocalTerm(support=support, classical_part=classical, quantum_part=quantum)
     except ValueError as exc:
         issues.add(entry[part][1], f"term.{idx}.{part}", str(exc))
         return None
-    return GenericTermSpec(support=support, classical=classical, quantum=quantum)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -280,7 +277,7 @@ def parse_config(text: str) -> ExperimentConfig:
             if key in raws:
                 issues.add(line_of(key), key, "only meaningful with boundary = cell")
 
-    terms: list[GenericTermSpec] = []
+    terms: list[LocalTerm] = []
     warnings: list[str] = []
     # an invalid model has its diagnostic already; checks against either model would add noise
     model = config.model if "model" in parsed or "model" not in raws else None
@@ -294,10 +291,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if not term_fields:
             issues.add(None, "term", "model = generic needs at least one term.<index>.* block")
         for idx in sorted(term_fields):
-            spec = _parse_term(idx, term_fields[idx], config.d, issues)
-            if spec is not None:
-                terms.append(spec)
-        if "lambda" in raws and terms and all(not t.quantum for t in terms):
+            term = _parse_term(idx, term_fields[idx], config.d, issues)
+            if term is not None:
+                terms.append(term)
+        if "lambda" in raws and terms and not any(t.quantum_part.any() for t in terms):
             warnings.append("lambda is set but no generic term carries a quantum part")
 
     issues.raise_if_any()
@@ -324,27 +321,8 @@ def build_boundary(config: ExperimentConfig) -> GroundStateConfig:
 
 
 def build_interaction(config: ExperimentConfig) -> Interaction:
-    """Materialize the configured model as an interaction."""
+    """Materialize the configured model as an interaction; its range is the largest term diameter."""
     if config.model == "tfim":
         return preset_tfim(config.J, config.h_field, config.lam, c=config.c)
-    local_terms = []
-    for spec in config.terms:
-        dim = 2 ** len(spec.support)
-        quantum = np.zeros((dim, dim), dtype=complex)
-        for row, col, re_, im in spec.quantum:
-            quantum[row, col] += re_ + 1j * im
-        try:
-            local_terms.append(
-                LocalTerm(
-                    support=spec.support,
-                    classical_part=np.asarray(spec.classical),
-                    quantum_part=quantum,
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid generic term: {exc}") from exc
-    radius = max(linf_diameter(t.support) for t in local_terms)
-    try:
-        return Interaction(terms=tuple(local_terms), R=radius, lam=config.lam, c=config.c)
-    except ValueError as exc:
-        raise ConfigError(f"invalid generic interaction: {exc}") from exc
+    radius = max(linf_diameter(t.support) for t in config.terms)
+    return Interaction(terms=config.terms, R=radius, lam=config.lam, c=config.c)

@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._arrays import chunk_rows
-from .errors import SpinAepError
 from .interaction import (
     GroundStateConfig,
     Interaction,
@@ -24,7 +23,7 @@ from .interaction import (
     _instantiation_offsets,
     support_config_index,
 )
-from .lattice import SPIN_UP, Site, Volume, boundary_envelope
+from .lattice import SPIN_UP, Site, Volume
 
 
 def _bit_patterns(n_total: int, positions: Sequence[int]) -> np.ndarray:
@@ -71,10 +70,10 @@ def instantiate_terms(
     boundary: GroundStateConfig,
 ) -> list[InstantiatedTerm]:
     """Every translated term meeting the volume, boundary-frozen and ordered
-    deterministically (orbit representative first, then base offset)."""
+    deterministically (orbit representative first, then base offset). No
+    term is wider than R, so each lies in the volume and its range-R envelope."""
     if boundary.d != volume.d or interaction.d != volume.d:
         raise ValueError("interaction, volume, and boundary dimensions must agree")
-    envelope = boundary_envelope(volume, interaction.R)
     out: list[InstantiatedTerm] = []
     for term, offsets in _instantiation_offsets(interaction, volume.sites).items():
         for off in offsets:
@@ -83,14 +82,8 @@ def instantiate_terms(
             )
             if not any(s in volume for s in support):
                 continue
-            if any(s not in volume and s not in envelope for s in support):
-                raise SpinAepError(
-                    f"term support {support!r} extends beyond the volume and its "
-                    f"range-{interaction.R} envelope; inconsistent interaction range"
-                )
             out.append(_freeze_term(term, support, volume, boundary))
     return out
-
 
 
 class HamiltonianRows:

@@ -36,10 +36,28 @@ def support_config_index(support: Sequence[Site], spin_at: Callable[[Site], int]
     return idx
 
 
+def canonical_support(support: Iterable[Sequence[int]]) -> tuple[Site, ...]:
+    """The distinct sites of a support in ascending lexicographic order.
+
+    Raises ``ValueError`` for an empty support, sites of different
+    dimensions, or more than ``MAX_SUPPORT_SITES`` sites.
+    """
+    sites = tuple(sorted({tuple(s) for s in support}))
+    if not sites:
+        raise ValueError("a term needs a nonempty support")
+    if any(len(s) != len(sites[0]) for s in sites):
+        raise ValueError("support sites have inconsistent dimensions")
+    if len(sites) > MAX_SUPPORT_SITES:
+        raise ValueError(f"support has {len(sites)} sites, beyond the cap of {MAX_SUPPORT_SITES}")
+    return sites
+
+
 @dataclass(frozen=True, eq=False)
 class LocalTerm:
     """One local interaction term on a set of site offsets.
 
+    The support is stored sorted, by :func:`canonical_support`, and both
+    matrices are read in that site order (first site = most significant bit).
     ``classical_part`` holds the diagonal entries of the classical piece in
     the configuration basis of the support (energy units); ``quantum_part``
     is the Hermitian perturbation on the same factor ordering. A quantum part
@@ -52,16 +70,7 @@ class LocalTerm:
     quantum_part: np.ndarray
 
     def __post_init__(self) -> None:
-        support = tuple(sorted({tuple(s) for s in self.support}))
-        if not support:
-            raise ValueError("a term needs a nonempty support")
-        d = len(support[0])
-        if any(len(s) != d for s in support):
-            raise ValueError("support sites have inconsistent dimensions")
-        if len(support) > MAX_SUPPORT_SITES:
-            raise ValueError(
-                f"support has {len(support)} sites, beyond the cap of {MAX_SUPPORT_SITES}"
-            )
+        support = canonical_support(self.support)
         dim = 2 ** len(support)
         classical = np.asarray(self.classical_part, dtype=float)
         if classical.shape != (dim,):
@@ -130,8 +139,6 @@ class Interaction:
 
 def preset_tfim(J: float, h_field: float, lam: float, *, c: float = 1.0) -> Interaction:
     """Transverse-field Ising chain: -J z z on bonds, -h_field z and -lam x on sites."""
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
     bond = LocalTerm(
         support=((0,), (1,)),
         classical_part=np.array([-J, J, J, -J]),

@@ -1,8 +1,8 @@
 """Typical subspaces and concentration diagnostics for Gibbs ensembles.
 
 A state is delta-typical when its log2 weight per site sits within delta of
-a reference entropy rate. At desk scale the reference defaults to the
-per-volume entropy rate; a fixed externally supplied rate is also accepted.
+a reference entropy rate ``h_ref``, which the caller passes: the CLI passes
+the volume's own entropy rate unless the config fixes one.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._arrays import readonly
-from .gibbs import LOG2E, GibbsEnsemble, entropy_bits, thermo_densities, characteristic_function
+from .gibbs import LOG2E, GibbsEnsemble, characteristic_function
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,16 +37,11 @@ class TypicalSubspace:
         return int(self.indices.size)
 
 
-def typical_subspace(ensemble: GibbsEnsemble, h_ref: float | None, delta: float) -> TypicalSubspace:
-    """States whose log2 weight lies in ``[-n(h_ref+delta), -n(h_ref-delta)]``.
-
-    ``h_ref=None`` uses the ensemble's own entropy rate, ``entropy_bits / n``.
-    """
+def typical_subspace(ensemble: GibbsEnsemble, h_ref: float, delta: float) -> TypicalSubspace:
+    """States whose log2 weight lies in ``[-n(h_ref+delta), -n(h_ref-delta)]``."""
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     n = ensemble.n_sites
-    if h_ref is None:
-        h_ref = entropy_bits(ensemble) / n
     log2_weights = ensemble.log_weights * LOG2E
     lo = -n * (h_ref + delta)
     hi = -n * (h_ref - delta)
@@ -79,13 +74,13 @@ def best_rate_mass(ensemble: GibbsEnsemble, rate: float) -> float:
     return float(min(np.exp(ensemble.log_weights[:count]).sum(), 1.0))
 
 
-def lln_residual(ensemble: GibbsEnsemble, t: float) -> float:
+def lln_residual(ensemble: GibbsEnsemble, g: float, t: float) -> float:
     """Distance between the rescaled phase average and the pure energy phase.
 
-    Compares the characteristic function at ``t / n`` with
-    ``exp(i t g)`` for the per-site energy ``g``; zero at ``t = 0``, and it
-    shrinks with volume when energy fluctuations stay extensive.
+    Compares the characteristic function at ``t / n`` with ``exp(i t g)``,
+    ``g`` being the ensemble's energy per site (``thermo_densities(...).g``);
+    zero at ``t = 0``, and it shrinks with volume when energy fluctuations
+    stay extensive.
     """
-    g = thermo_densities(ensemble).g
     phi = characteristic_function(ensemble, t / ensemble.n_sites)
     return float(abs(phi - np.exp(1j * t * g)))

@@ -202,8 +202,9 @@ def test_criterion_09_codec_round_trip(exhibit_ensembles, grid_ensembles):
 
 
 def test_criterion_10_lln_residual(exhibit_ensembles):
-    residuals = [sa.lln_residual(exhibit_ensembles[n], 1.0) for n in EXHIBIT_SIZES]
-    zeros = [sa.lln_residual(exhibit_ensembles[n], 0.0) for n in EXHIBIT_SIZES]
+    energies = {n: sa.thermo_densities(exhibit_ensembles[n]).g for n in EXHIBIT_SIZES}
+    residuals = [sa.lln_residual(exhibit_ensembles[n], energies[n], 1.0) for n in EXHIBIT_SIZES]
+    zeros = [sa.lln_residual(exhibit_ensembles[n], energies[n], 0.0) for n in EXHIBIT_SIZES]
     decreasing = all(a > b for a, b in zip(residuals, residuals[1:]))
     exact_zero = all(z == 0.0 for z in zeros)
     ok = decreasing and exact_zero

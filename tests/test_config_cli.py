@@ -16,7 +16,8 @@ from spinaep.errors import ConfigError
 
 from oracles import classical_chain_entropy_bits
 
-CONFIG_DOC = Path(__file__).resolve().parents[1] / "docs" / "config-format.md"
+REPO = Path(__file__).resolve().parents[1]
+CONFIG_DOC = REPO / "docs" / "config-format.md"
 GOLDEN_TFIM = Path(__file__).resolve().parent / "golden" / "tfim.cfg"
 
 
@@ -39,6 +40,29 @@ def diagnostics(text):
     with pytest.raises(ConfigError) as info:
         sa.parse_config(text)
     return str(info.value).splitlines()[1:]
+
+
+def shipped_configs():
+    """Every config the repo ships or documents, as pytest params named by where it lives."""
+    paths = [*sorted((REPO / "tests" / "golden").glob("*.cfg")),
+             *sorted((REPO / "perfbench" / "configs").glob("*.cfg"))]
+    params = [pytest.param(p.read_text(encoding="utf-8"), id=p.relative_to(REPO).as_posix()) for p in paths]
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    [minimal] = re.findall(r"A minimal config.*?```\n(.*?)```", readme, re.S)
+    [example] = re.findall(r"## Example\n\n```\n(.*?)```", CONFIG_DOC.read_text(encoding="utf-8"), re.S)
+    return params + [pytest.param(minimal, id="README.md"), pytest.param(example, id="docs/config-format.md")]
+
+
+# a reversed support and a non-Hermitian quantum part, on lines 2 and 6
+TWO_BAD_TERMS = (
+    "model = generic\n"
+    "term.0.support = 1; 0\n"
+    "term.0.classical = 1, -1, -1, 1\n"
+    "term.1.support = 0\n"
+    "term.1.classical = 0, 0\n"
+    "term.1.quantum = 0,1,1,0\n"
+)
+SITE_ORDER = "sites must be distinct and in ascending lexicographic order"
 
 
 class TestParseConfig:
@@ -134,6 +158,42 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="generic"):
             sa.parse_config("term.0.support = 0\nterm.0.classical = 0, 0\n")
 
+    @pytest.mark.parametrize("text", shipped_configs())
+    def test_shipped_config_builds_without_warnings(self, text):
+        config = sa.parse_config(text)
+        assert config.warnings == ()
+        assert cli._model_warnings(sa.build_interaction(config), sa.build_boundary(config)) == []
+
+
+class TestTermDiagnostics:
+    """Every problem of a term block is found at parse time and reported on its
+    field's line; TestGenericModel has the lone non-Hermitian quantum part."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("model = generic\nterm.0.support = 0; 1; 2; 3; 4; 5; 6\nterm.0.classical = 0, 0\n",
+         ["line 2: term.0.support: support has 7 sites, beyond the cap of 6"]),
+        ("model = generic\nterm.0.support = 1; 0\nterm.0.classical = 1, -1, -1, 1\n",
+         [f"line 2: term.0.support: {SITE_ORDER}"]),
+        ("model = generic\nd = 2\nterm.0.support = 0,1; 0,0\nterm.0.classical = 1, -1, -1, 1\n",
+         [f"line 3: term.0.support: {SITE_ORDER}"]),
+        ("model = generic\nterm.0.support = 0; 0\nterm.0.classical = 1, -1, -1, 1\n",
+         [f"line 2: term.0.support: {SITE_ORDER}"]),
+        (TWO_BAD_TERMS,
+         [f"line 2: term.0.support: {SITE_ORDER}",
+          "line 6: term.1.quantum: quantum_part is not Hermitian within tolerance"]),
+    ], ids=["seven-sites", "reversed", "reversed-2d", "repeated-site", "two-bad-terms"])
+    def test_reported_on_its_line(self, text, expected):
+        assert diagnostics(text) == expected
+
+    def test_sweep_exits_2_before_any_output(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TWO_BAD_TERMS + "volume = 1\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["config error: invalid config:", *diagnostics(TWO_BAD_TERMS)]
+        assert not (tmp_path / "out").exists()
+
 
 class TestGenericModel:
     TEXT = (
@@ -163,9 +223,7 @@ class TestGenericModel:
             "term.0.classical = 0, 0\n"
             "term.0.quantum = 0,1,1,0\n"
         )
-        config = sa.parse_config(text)
-        with pytest.raises(ConfigError, match="Hermitian"):
-            sa.build_interaction(config)
+        assert diagnostics(text) == ["line 4: term.0.quantum: quantum_part is not Hermitian within tolerance"]
 
 
 FREE_CONFIG = """
@@ -360,17 +418,18 @@ class TestVolumeColumns:
     columns to one of its windows."""
 
     def test_computed_once_per_volume(self, tmp_path, monkeypatch):
-        calls = {"best_rate_mass": 0, "lln_residual": 0}
+        calls = {"best_rate_mass": 0, "lln_residual": 0, "thermo_densities": 0}
         for name in calls:
-            def counted(*args, name=name, original=getattr(typicality, name)):
+            def counted(*args, name=name, original=getattr(sa, name)):
                 calls[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(typicality, name, counted)
-            monkeypatch.setattr(cli, name, counted, raising=False)
+            for module in (typicality, cli):
+                monkeypatch.setattr(module, name, counted, raising=False)
         assert main(["sweep", "--config", str(GOLDEN_TFIM), "--out", str(tmp_path), "--quiet"]) == 0
-        # 3 volumes x 2 rates and 3 volumes x 2 times, whatever the 2 deltas
-        assert calls == {"best_rate_mass": 6, "lln_residual": 6}
+        # 3 volumes x 2 rates and 3 volumes x 2 times, whatever the 2 deltas;
+        # the densities once per volume
+        assert calls == {"best_rate_mass": 6, "lln_residual": 6, "thermo_densities": 3}
 
     def test_rows_of_descending_and_repeated_deltas(self, tmp_path):
         text = GOLDEN_TFIM.read_text(encoding="utf-8")

@@ -181,12 +181,18 @@ class TestTwoDimensional:
 
 class TestInstantiation:
     def test_every_crossing_term_stays_in_envelope(self):
-        model = sa.preset_tfim(1.0, 0.5, 0.2)
-        volume = sa.chain(3)
-        envelope = sa.boundary_envelope(volume, model.R)
-        allowed = set(volume.sites) | set(envelope)
-        for inst in sa.instantiate_terms(model, volume, ALL_UP):
-            assert set(inst.support) <= allowed
+        """Each instantiated support lies in the volume and its range-R envelope,
+        on every volume of the golden models; some of them cross the boundary."""
+        for case in ("tfim", "dm", "generic2d"):
+            config = sa.parse_config((GOLDEN / f"{case}.cfg").read_text())
+            model, boundary = sa.build_interaction(config), sa.build_boundary(config)
+            for n in config.volumes:
+                volume = sa.build_hypercube(n, config.d)
+                allowed = set(volume.sites) | sa.boundary_envelope(volume, model.R)
+                terms = sa.instantiate_terms(model, volume, boundary)
+                assert any(len(inst.sites_in) < len(inst.support) for inst in terms), (case, n)
+                for inst in terms:
+                    assert set(inst.support) <= allowed, (case, n, inst.support)
 
     def test_equals_loop_reference_exactly(self):
         golden = Path(__file__).parent / "golden"

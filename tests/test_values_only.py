@@ -177,7 +177,7 @@ class TestValuesOnlyEnsemble:
 
     @pytest.mark.parametrize("delta, dim", [(0.0001, 0), (0.5, 5)], ids=["empty", "nonempty"])
     def test_typical_projector_names_eigenpairs(self, ensemble, delta, dim):
-        sub = sa.typical_subspace(ensemble, None, delta)
+        sub = sa.typical_subspace(ensemble, sa.entropy_bits(ensemble) / ensemble.n_sites, delta)
         assert sub.dim == dim
         with pytest.raises(ValueError, match="eigenpairs"):
             sa.typical_projector(sub, ensemble.spectrum)
@@ -190,7 +190,7 @@ class TestValuesOnlyEnsemble:
         decomp = sa.make_decomposition(ensemble, ensemble.dim, seed=5)
         assert decomp.basis is None
         assert decomp.vectors is decomp.coefficients
-        sub = sa.typical_subspace(ensemble, None, 0.5)
+        sub = sa.typical_subspace(ensemble, sa.entropy_bits(ensemble) / ensemble.n_sites, 0.5)
         assert 0 < sub.mass < 1
         assert abs(sa.fidelity(decomp, sub) - sub.mass) <= 1e-12
 
