@@ -23,7 +23,7 @@ from .errors import CapabilityError, ConfigError, NumericError, QubitCapError, S
 from .gibbs import GibbsEnsemble, LOG2E, ThermoDensities, gibbs_ensemble, thermo_densities
 from .hamiltonian import hamiltonian_rows
 from .interaction import GroundStateConfig, Interaction, check_perturbation_bound, find_periodic_ground_states
-from .lattice import build_hypercube
+from .lattice import Volume, build_hypercube
 from .typicality import best_rate_mass, dimension_rate, lln_residual, typical_subspace
 
 EXIT_OK = 0
@@ -49,16 +49,15 @@ def _fmt(value) -> str:
 
 def _model_warnings(interaction: Interaction, boundary: GroundStateConfig) -> list[str]:
     notes = []
-    for report in check_perturbation_bound(interaction):
-        if not report.satisfied:
-            notes.append(
-                f"term {report.term_index}: quantum norm {report.spectral_norm:.4g} "
-                f"exceeds the smallness bound {report.bound:.4g}"
-            )
     try:
-        ground_states = find_periodic_ground_states(
-            interaction, max_period=max(2, *boundary.periods)
-        )
+        notes += [
+            f"term {r.term_index}: quantum norm {r.spectral_norm:.4g} exceeds the smallness bound {r.bound:.4g}"
+            for r in check_perturbation_bound(interaction) if not r.satisfied
+        ]
+    except CapabilityError:
+        notes.append("smallness bound not verified (search bound exceeded)")
+    try:
+        ground_states = find_periodic_ground_states(interaction, max_period=max(2, *boundary.periods))
         if boundary.minimal_form() not in ground_states:
             notes.append("boundary configuration is not a classical ground state of the model")
     except CapabilityError:
@@ -66,9 +65,21 @@ def _model_warnings(interaction: Interaction, boundary: GroundStateConfig) -> li
     return notes
 
 
+def _set_up(config: ExperimentConfig, out_dir: Path, quiet: bool) -> tuple[Interaction, GroundStateConfig, list[Volume]]:
+    """The model, its boundary and every volume, the warnings printed unless ``quiet``;
+    a volume over the qubit cap raises before ``out_dir`` is made or any volume solved."""
+    interaction = build_interaction(config)
+    boundary = build_boundary(config)
+    if not quiet:
+        for note in (*config.warnings, *_model_warnings(interaction, boundary)):
+            print(f"warning: {note}", file=sys.stderr)
+    volumes = [build_hypercube(n, config.d, max_qubits=config.max_qubits) for n in config.volumes]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return interaction, boundary, volumes
+
+
 def _run_volume(config: ExperimentConfig, interaction: Interaction,
-                boundary: GroundStateConfig, n: int) -> tuple[GibbsEnsemble, ThermoDensities]:
-    volume = build_hypercube(n, config.d, max_qubits=config.max_qubits)
+                boundary: GroundStateConfig, volume: Volume) -> tuple[GibbsEnsemble, ThermoDensities]:
     ensemble = gibbs_ensemble(hamiltonian_rows(interaction, volume, boundary), config.beta)
     return ensemble, thermo_densities(ensemble)
 
@@ -82,22 +93,15 @@ def _write_csv(path: Path, header: Iterable[str], rows: Iterable[tuple]) -> None
 
 def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -> list[Path]:
     """Execute the configured sweep and write ``sweep.csv`` and ``aep.csv``."""
-    interaction = build_interaction(config)
-    boundary = build_boundary(config)
-    notes = list(config.warnings) + _model_warnings(interaction, boundary)
-    if notes and not quiet:
-        for note in notes:
-            print(f"warning: {note}", file=sys.stderr)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
+    interaction, boundary, volumes = _set_up(config, out_dir, quiet)
     sweep_rows: list[tuple] = []
     aep_rows: list[tuple] = []
 
     # Every volume is solved before the first decomposition, whose imports
     # would otherwise be resident during the later, larger solves.
     solved = []
-    for n in config.volumes:
-        ens, densities = _run_volume(config, interaction, boundary, n)
+    for n, volume in zip(config.volumes, volumes):
+        ens, densities = _run_volume(config, interaction, boundary, volume)
         solved.append((n, ens, densities))
         if not quiet:
             print(
@@ -145,12 +149,10 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -
 
 def run_spectrum(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -> list[Path]:
     """Dump energies and log2 weights for every configured volume."""
-    interaction = build_interaction(config)
-    boundary = build_boundary(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    interaction, boundary, volumes = _set_up(config, out_dir, quiet)
     paths = []
-    for n in config.volumes:
-        ens, _ = _run_volume(config, interaction, boundary, n)
+    for n, volume in zip(config.volumes, volumes):
+        ens, _ = _run_volume(config, interaction, boundary, volume)
         path = out_dir / f"spectrum_n{n}.csv"
         log2k = ens.log_weights * LOG2E
         _write_csv(path, ("j", "energy", "log2_kappa"),
@@ -163,11 +165,9 @@ def run_spectrum(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False
 
 def run_codec_demo(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -> list[Path]:
     """Codebook and projection fidelity for the largest configured volume."""
-    interaction = build_interaction(config)
-    boundary = build_boundary(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    interaction, boundary, volumes = _set_up(config, out_dir, quiet)
     n = config.volumes[-1]
-    ens, densities = _run_volume(config, interaction, boundary, n)
+    ens, densities = _run_volume(config, interaction, boundary, volumes[-1])
     delta = config.deltas[0]
     sub = typical_subspace(ens, densities.h_bits if config.h_ref is None else config.h_ref, delta)
     if sub.dim == 0:
@@ -247,10 +247,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QubitCapError, CapabilityError) as exc:
+    except QubitCapError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (NumericError, SpinAepError) as exc:
+    except SpinAepError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -172,8 +172,7 @@ def _parse_term(idx: int, entry: dict[str, tuple[str, int]], d: int, issues: _Is
         support = _split(";", _split(",", _integer))(entry["support"][0])
         if any(len(s) != d for s in support):
             raise ValueError(f"sites must have dimension {d}")
-        if canonical_support(support) != support:
-            raise ValueError("sites must be distinct and in ascending lexicographic order")
+        support = canonical_support(support)
         part = "classical"
         classical = tuple(_number(v) for v in entry["classical"][0].replace(",", " ").split())
         dim = 2 ** len(support)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._arrays import chunk_rows, readonly
 from .errors import NumericError
-from .hamiltonian import HamiltonianRows
+from .hamiltonian import HamiltonianRows, _bit_patterns
 
 LOG2E = math.log2(math.e)
 
@@ -86,15 +86,6 @@ class Spectrum:
         return self.vectors
 
 
-def _bit_reversal(n_bits: int) -> np.ndarray:
-    """The permutation of ``range(2**n_bits)`` that reverses each index's bits."""
-    index = np.arange(1 << n_bits)
-    mirrored = np.zeros_like(index)
-    for k in range(n_bits):
-        mirrored |= ((index >> k) & 1) << (n_bits - 1 - k)
-    return mirrored
-
-
 class _DenseRows:
     """Rows of a dense matrix, read as :class:`~spinaep.hamiltonian.HamiltonianRows` generates them."""
 
@@ -149,7 +140,8 @@ def _reflection_pass(source, conjugate: bool) -> tuple[list[np.ndarray], complex
     transpose of the ``Im P`` block, above the diagonal, is left unwritten.
     """
     dim = source.shape[0]
-    mirror = _bit_reversal(dim.bit_length() - 1)
+    n = dim.bit_length() - 1
+    mirror = _bit_patterns(n, range(n - 1, -1, -1))
     reps = np.flatnonzero(np.arange(dim) <= mirror)
     mirror_reps = mirror[reps]
     paired = mirror_reps != reps

@@ -20,7 +20,7 @@ from .interaction import (
     GroundStateConfig,
     Interaction,
     LocalTerm,
-    _instantiation_offsets,
+    _translates,
     support_config_index,
 )
 from .lattice import SPIN_UP, Site, Volume
@@ -30,11 +30,14 @@ def _bit_patterns(n_total: int, positions: Sequence[int]) -> np.ndarray:
     """Index offsets of all bit assignments over the given MSB-first positions.
 
     Entry ``v`` places the bits of ``v`` (MSB first) at ``positions`` of an
-    ``n_total``-bit index.
+    ``n_total``-bit index; one position at a time, so no temporary exceeds 2^k entries.
     """
     k = len(positions)
-    bits = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return bits @ np.array([1 << (n_total - 1 - p) for p in positions], dtype=np.int64)
+    values = np.arange(1 << k, dtype=np.int64)
+    out = np.zeros_like(values)
+    for j, p in enumerate(positions):
+        out |= ((values >> (k - 1 - j)) & 1) << (n_total - 1 - p)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,18 +53,12 @@ def _freeze_term(
     term: LocalTerm, support: tuple[Site, ...], volume: Volume, boundary: GroundStateConfig
 ) -> InstantiatedTerm:
     inside = [s in volume for s in support]
-    sites_in = tuple(s for s, flag in zip(support, inside) if flag)
-    full = term.full_matrix()
-    if all(inside):
-        return InstantiatedTerm(support, sites_in, full)
     # outside bits from the boundary, inside bits zero, then every inside pattern
-    frozen = support_config_index(
-        support, lambda s: SPIN_UP if s in volume else boundary.spin(s)
-    )
+    frozen = support_config_index(support, lambda s: SPIN_UP if s in volume else boundary.spin(s))
     in_positions = [pos for pos, flag in enumerate(inside) if flag]
     picks = frozen + _bit_patterns(len(support), in_positions)
-    block = full[np.ix_(picks, picks)]
-    return InstantiatedTerm(support, sites_in, block)
+    sites_in = tuple(s for s, flag in zip(support, inside) if flag)
+    return InstantiatedTerm(support, sites_in, term.full_matrix()[np.ix_(picks, picks)])
 
 
 def instantiate_terms(
@@ -69,21 +66,17 @@ def instantiate_terms(
     volume: Volume,
     boundary: GroundStateConfig,
 ) -> list[InstantiatedTerm]:
-    """Every translated term meeting the volume, boundary-frozen and ordered
-    deterministically (orbit representative first, then base offset). No
-    term is wider than R, so each lies in the volume and its range-R envelope."""
+    """Every translate of every term that meets the volume, once each,
+    boundary-frozen: the terms in the interaction's order, a term listed
+    twice giving its translates twice, and each term's translates by
+    ascending offset. No term is wider than R, so each translate lies in the
+    volume and its range-R envelope."""
     if boundary.d != volume.d or interaction.d != volume.d:
         raise ValueError("interaction, volume, and boundary dimensions must agree")
-    out: list[InstantiatedTerm] = []
-    for term, offsets in _instantiation_offsets(interaction, volume.sites).items():
-        for off in offsets:
-            support = tuple(
-                tuple(c + o for c, o in zip(site, off)) for site in term.support
-            )
-            if not any(s in volume for s in support):
-                continue
-            out.append(_freeze_term(term, support, volume, boundary))
-    return out
+    return [
+        _freeze_term(term, support, volume, boundary)
+        for term, support in _translates(interaction, volume.sites)
+    ]
 
 
 class HamiltonianRows:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .lattice import (
 
 MAX_SUPPORT_SITES = 6
 HERMITICITY_TOL = 1e-12
+MAX_CELL_SITES = 16
+GROUND_STATE_TIE_TOL = 1e-12
 
 
 def support_config_index(support: Sequence[Site], spin_at: Callable[[Site], int]) -> int:
@@ -37,16 +39,19 @@ def support_config_index(support: Sequence[Site], spin_at: Callable[[Site], int]
 
 
 def canonical_support(support: Iterable[Sequence[int]]) -> tuple[Site, ...]:
-    """The distinct sites of a support in ascending lexicographic order.
+    """A support's sites as a tuple of site tuples, in the order given.
 
     Raises ``ValueError`` for an empty support, sites of different
-    dimensions, or more than ``MAX_SUPPORT_SITES`` sites.
+    dimensions, sites not distinct and in ascending lexicographic order, or
+    more than ``MAX_SUPPORT_SITES`` sites.
     """
-    sites = tuple(sorted({tuple(s) for s in support}))
+    sites = tuple(tuple(s) for s in support)
     if not sites:
         raise ValueError("a term needs a nonempty support")
     if any(len(s) != len(sites[0]) for s in sites):
         raise ValueError("support sites have inconsistent dimensions")
+    if any(a >= b for a, b in zip(sites, sites[1:])):
+        raise ValueError("sites must be distinct and in ascending lexicographic order")
     if len(sites) > MAX_SUPPORT_SITES:
         raise ValueError(f"support has {len(sites)} sites, beyond the cap of {MAX_SUPPORT_SITES}")
     return sites
@@ -56,8 +61,9 @@ def canonical_support(support: Iterable[Sequence[int]]) -> tuple[Site, ...]:
 class LocalTerm:
     """One local interaction term on a set of site offsets.
 
-    The support is stored sorted, by :func:`canonical_support`, and both
-    matrices are read in that site order (first site = most significant bit).
+    The support lists distinct sites in ascending lexicographic order, as
+    :func:`canonical_support` checks, and both matrices are read in that site
+    order (first site = most significant bit).
     ``classical_part`` holds the diagonal entries of the classical piece in
     the configuration basis of the support (energy units); ``quantum_part``
     is the Hermitian perturbation on the same factor ordering. A quantum part
@@ -168,7 +174,8 @@ def check_perturbation_bound(interaction: Interaction) -> list[PerturbationRepor
     """Check ``|Q| <= c * lam**s`` for every term, s being the connected span size.
 
     The spectral norm is compared against the bound; the Hilbert-Schmidt norm
-    is reported alongside. The result is advisory and never raises.
+    is reported alongside. The result is advisory; a support whose bounding
+    box exceeds ``MAX_SPAN_SEARCH_SITES`` raises :class:`CapabilityError`.
     """
     reports = []
     for i, term in enumerate(interaction.terms):
@@ -181,20 +188,18 @@ def check_perturbation_bound(interaction: Interaction) -> list[PerturbationRepor
     return reports
 
 
-def _instantiation_offsets(
-    interaction: Interaction, anchor_sites: Iterable[Site]
-) -> dict[LocalTerm, list[Site]]:
-    """Base translations whose translated support could touch the anchor set."""
-    anchors = [tuple(s) for s in anchor_sites]
-    out: dict[LocalTerm, list[Site]] = {}
+def _translates(interaction: Interaction, anchors: Collection[Site]) -> Iterator[tuple[LocalTerm, tuple[Site, ...]]]:
+    """``(term, support)`` for every translate of every term that covers an
+    anchor site, once each: the terms in order, each term's translates by
+    ascending offset."""
     for term in interaction.terms:
         offsets = {
-            tuple(x - s for x, s in zip(site, sup))
-            for site in anchors
-            for sup in term.support
+            tuple(a - s for a, s in zip(anchor, site))
+            for anchor in anchors
+            for site in term.support
         }
-        out[term] = sorted(offsets)
-    return out
+        for off in sorted(offsets):
+            yield term, tuple(tuple(c + o for c, o in zip(site, off)) for site in term.support)
 
 
 def classical_energy(
@@ -211,21 +216,11 @@ def classical_energy(
     the boundary-pinned Hamiltonian's term selection).
     """
     domain = config.sites
-    anchors = volume.sites if volume is not None else sorted(domain)
     total = 0.0
-    for term, offsets in _instantiation_offsets(interaction, anchors).items():
-        for off in offsets:
-            translated = tuple(
-                tuple(c + o for c, o in zip(site, off)) for site in term.support
-            )
-            if volume is None:
-                if not all(s in domain for s in translated):
-                    continue
-            else:
-                if not any(s in volume for s in translated):
-                    continue
-            idx = support_config_index(translated, config.spin)
-            total += float(term.classical_part[idx])
+    for term, support in _translates(interaction, domain if volume is None else volume.sites):
+        if volume is None and not all(s in domain for s in support):
+            continue
+        total += float(term.classical_part[support_config_index(support, config.spin)])
     return total
 
 
@@ -305,25 +300,20 @@ def energy_density(interaction: Interaction, state: GroundStateConfig) -> float:
     return total / len(cell)
 
 
-def find_periodic_ground_states(
-    interaction: Interaction,
-    max_period: int,
-    *,
-    max_cell_sites: int = 16,
-    tie_tol: float = 1e-12,
-) -> list[GroundStateConfig]:
+def find_periodic_ground_states(interaction: Interaction, max_period: int) -> list[GroundStateConfig]:
     """All periodic configurations of period <= max_period minimizing the
     classical energy density, by exhaustive search over one period cell.
 
-    Configurations tied with the minimum within ``tie_tol`` are all returned,
-    reduced to their minimal periods and sorted deterministically.
+    Period cells beyond ``MAX_CELL_SITES`` sites raise :class:`CapabilityError`.
+    Configurations tied with the minimum within ``GROUND_STATE_TIE_TOL`` are
+    all returned, reduced to their minimal periods and sorted deterministically.
     """
     if max_period < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
     d = interaction.d
-    if max_period**d > max_cell_sites:
+    if max_period**d > MAX_CELL_SITES:
         raise CapabilityError(
-            f"period cell has {max_period**d} sites, beyond the bound of {max_cell_sites}"
+            f"period cell has {max_period**d} sites, beyond the bound of {MAX_CELL_SITES}"
         )
 
     # periods not dividing each other give distinct patterns, so every period
@@ -340,6 +330,6 @@ def find_periodic_ground_states(
             key = (state.periods, tuple(sorted(state.cell_values.items())))
             candidates.setdefault(key, (e, state))
     best = min(e for e, _ in candidates.values())
-    minimal = [s for e, s in candidates.values() if e <= best + tie_tol]
+    minimal = [s for e, s in candidates.values() if e <= best + GROUND_STATE_TIE_TOL]
     minimal.sort(key=lambda s: (s.periods, tuple(sorted(s.cell_values.items()))))
     return minimal

@@ -17,6 +17,7 @@ from .errors import CapabilityError, QubitCapError
 Site = tuple[int, ...]
 
 DEFAULT_QUBIT_CAP = 12
+MAX_SPAN_SEARCH_SITES = 16
 
 # Bit convention for the product basis: spin +1 maps to bit 0, spin -1 to bit 1.
 SPIN_UP = 1
@@ -155,12 +156,12 @@ def _is_connected(sites: frozenset[Site]) -> bool:
     return len(seen) == len(sites)
 
 
-def connected_span_size(sites: Iterable[Site], *, max_search_sites: int = 16) -> int:
+def connected_span_size(sites: Iterable[Site]) -> int:
     """Size of the smallest nearest-neighbor connected superset of ``sites``.
 
     Connectivity is taken in the l1 sense (sites at distance 1 are adjacent).
     A minimal connected superset can always be found inside the bounding box,
-    which is searched exhaustively; boxes larger than ``max_search_sites``
+    which is searched exhaustively; boxes larger than ``MAX_SPAN_SEARCH_SITES``
     raise :class:`CapabilityError` since the operation is only meant for
     small interaction supports.
     """
@@ -175,9 +176,9 @@ def connected_span_size(sites: Iterable[Site], *, max_search_sites: int = 16) ->
     box_size = 1
     for l, h in zip(lo, hi):
         box_size *= h - l + 1
-    if box_size > max_search_sites:
+    if box_size > MAX_SPAN_SEARCH_SITES:
         raise CapabilityError(
-            f"bounding box has {box_size} sites, beyond the search bound of {max_search_sites}"
+            f"bounding box has {box_size} sites, beyond the search bound of {MAX_SPAN_SEARCH_SITES}"
         )
     if _is_connected(pts):
         return len(pts)

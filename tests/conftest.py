@@ -70,7 +70,7 @@ def grid_ensembles() -> list[sa.GibbsEnsemble]:
 # supports of diameter 1: a site, bonds along each axis and, in d = 2, a corner
 SUPPORTS = {
     1: [((0,),), ((0,), (1,))],
-    2: [((0, 0),), ((0, 0), (1, 0)), ((0, 0), (0, 1)), ((0, 0), (1, 0), (0, 1))],
+    2: [((0, 0),), ((0, 0), (1, 0)), ((0, 0), (0, 1)), ((0, 0), (0, 1), (1, 0))],
 }
 COUPLING = st.floats(-1.0, 1.0, allow_nan=False)
 

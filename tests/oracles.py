@@ -77,6 +77,15 @@ def index_spins(sites, index: int) -> dict:
     return {site: 1 - 2 * ((index >> (n - 1 - pos)) & 1) for pos, site in enumerate(sites)}
 
 
+def bit_reversal(n: int) -> np.ndarray:
+    """The permutation of ``range(2**n)`` that reverses each index's ``n`` bits, one bit at a time."""
+    mirror = np.zeros(2**n, dtype=np.int64)
+    for index in range(2**n):
+        for k in range(n):
+            mirror[index] |= ((index >> k) & 1) << (n - 1 - k)
+    return mirror
+
+
 def parity_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Even and odd blocks of an ``h`` that commutes with bit reversal ``R``, from explicit states.
 
@@ -92,7 +101,7 @@ def parity_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = h.shape[0].bit_length() - 1
     index = np.arange(2**n)
-    mirror = np.array([int(format(i, f"0{n}b")[::-1], 2) for i in index])
+    mirror = bit_reversal(n)
     reps = index[index <= mirror]
     pairs = reps[reps != mirror[reps]]
     basis = np.eye(2**n)
@@ -120,7 +129,7 @@ def real_form(h: np.ndarray) -> np.ndarray:
     """
     n = h.shape[0].bit_length() - 1
     index = np.arange(2**n)
-    mirror = np.array([int(format(i, f"0{n}b")[::-1], 2) for i in index])
+    mirror = bit_reversal(n)
     reps = index[index <= mirror]
     pairs = reps[reps != mirror[reps]]
     basis = np.eye(2**n)

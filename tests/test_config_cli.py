@@ -356,9 +356,9 @@ class TestSweep:
     def test_progress_line_follows_each_solve(self, tmp_path, monkeypatch, capsys):
         solve, decompose = cli._run_volume, cli.make_decomposition
 
-        def marked_solve(config, interaction, boundary, n):
-            print(f"solving n={n}")
-            return solve(config, interaction, boundary, n)
+        def marked_solve(config, interaction, boundary, volume):
+            print(f"solving n={volume.sites[-1][0]}")  # the hypercube [-n, n]^d
+            return solve(config, interaction, boundary, volume)
 
         def marked_decompose(ensemble, *args, **kwargs):
             print(f"decomposing sites={ensemble.n_sites}")
@@ -485,6 +485,59 @@ class TestGenericSweep:
         for name, cfg in (("p", preset_cfg), ("g", generic_cfg)):
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / name), "--quiet"]) == 0
         assert (tmp_path / "p" / "sweep.csv").read_bytes() == (tmp_path / "g" / "sweep.csv").read_bytes()
+
+
+COMMANDS = ("sweep", "spectrum", "codec-demo")
+# each config draws one warning: from the config, then two from the model
+WARNED_CONFIGS = {
+    "lambda is set but no generic term carries a quantum part": (
+        "model = generic\nlambda = 0.2\nbeta = 2.0\nterm.0.support = 0\n"
+        "term.0.classical = -1, 1\nvolume = 1\nvolume = 2\ndelta = 0.15\n"
+    ),
+    "boundary configuration is not a classical ground state of the model":
+        ISING_CONFIG.replace("J = 1.0", "J = -1.0"),
+    # a bond whose bounding box is beyond the span search: the run goes on, quiet or not
+    "smallness bound not verified (search bound exceeded)": (
+        "model = generic\nbeta = 2.0\nterm.0.support = 0; 17\n"
+        "term.0.classical = -1, 1, 1, -1\nvolume = 1\nvolume = 2\ndelta = 0.15\n"
+    ),
+}
+
+
+class TestSetUp:
+    """Every command prints the config and model warnings unless --quiet, and
+    checks every volume against the qubit cap before it solves one."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("warning", list(WARNED_CONFIGS))
+    def test_warnings_printed(self, tmp_path, capsys, command, warning):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(WARNED_CONFIGS[warning], encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == f"warning: {warning}\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("warning", list(WARNED_CONFIGS))
+    def test_quiet_prints_nothing_and_skips_the_model_checks(self, tmp_path, capsys, monkeypatch,
+                                                             command, warning):
+        calls = []
+        monkeypatch.setattr(cli, "check_perturbation_bound", lambda *args: calls.append(args) or [])
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(WARNED_CONFIGS[warning], encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        assert calls == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_cap_in_the_last_volume_exits_3_before_any_solve(self, tmp_path, capsys, monkeypatch, command):
+        calls = []
+        monkeypatch.setattr(cli, "gibbs_ensemble", lambda *args, **kwargs: calls.append(args))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(ISING_CONFIG + "volume = 6\n", encoding="utf-8")  # 3, 5 and 13 sites
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith("size limit: box (-6,)..(6,) has 13 sites")
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestOtherSubcommands:

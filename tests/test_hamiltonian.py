@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinaep as sa
-from spinaep.gibbs import _bit_reversal
 from spinaep.interaction import support_config_index
 
 from conftest import generic_models
-from oracles import embed_block, index_spins, kron_chain_tfim, kron_site_op, loop_assemble, SX, SZ
+from oracles import bit_reversal, embed_block, index_spins, kron_chain_tfim, kron_site_op, loop_assemble, SX, SZ
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -210,6 +209,56 @@ class TestInstantiation:
             assert np.array_equal(h, reference)
             assert np.iscomplexobj(h) == bool(reference.imag.any())
 
+    def test_a_term_listed_twice_counts_twice(self):
+        """A term object listed twice adds like two equal distinct terms, in H and in the classical energy."""
+        def bond():
+            return sa.LocalTerm(((0,), (1,)), np.array([-1.0, 1.0, 1.0, -1.0]), np.zeros((4, 4)))
+
+        once = bond()
+        repeated = sa.Interaction((once, once), R=1, lam=0.0)
+        distinct = sa.Interaction((bond(), bond()), R=1, lam=0.0)
+        volume = sa.chain(3)
+        h = sa.assemble_hamiltonian(repeated, volume, ALL_UP)
+        assert h[0, 0] == -8.0  # four bonds meet the volume, each counted twice
+        assert h.tobytes() == sa.assemble_hamiltonian(distinct, volume, ALL_UP).tobytes()
+        envelope = ALL_UP.restricted_to(sa.boundary_envelope(volume, 1))
+        for idx in range(8):
+            config = sa.Configuration(index_spins(volume.sites, idx)).merge(envelope)
+            for kwargs in ({}, {"volume": volume}):
+                energy = sa.classical_energy(repeated, config, **kwargs)
+                assert energy == sa.classical_energy(distinct, config, **kwargs)
+            assert energy == h[idx, idx]
+
+    @staticmethod
+    def brute_force_supports(model, volume) -> list[tuple]:
+        """Every translate meeting the volume, from a box of offsets wide enough to hold them all."""
+        reach = 1 + max(abs(c) for term in model.terms for site in term.support for c in site)
+        lo = [min(s[i] for s in volume.sites) - reach for i in range(volume.d)]
+        hi = [max(s[i] for s in volume.sites) + reach for i in range(volume.d)]
+        supports = []
+        for term in model.terms:
+            for off in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+                support = tuple(tuple(c + o for c, o in zip(site, off)) for site in term.support)
+                if any(s in volume for s in support):
+                    supports.append(support)
+        return supports
+
+    @pytest.mark.parametrize("case", ["tfim", "dm", "generic2d"])
+    def test_supports_match_brute_force_on_golden_models(self, case):
+        config = sa.parse_config((GOLDEN / f"{case}.cfg").read_text())
+        model, boundary = sa.build_interaction(config), sa.build_boundary(config)
+        for n in config.volumes:
+            volume = sa.build_hypercube(n, config.d)
+            supports = [inst.support for inst in sa.instantiate_terms(model, volume, boundary)]
+            assert supports == self.brute_force_supports(model, volume), (case, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(generic_models())
+    def test_supports_match_brute_force_on_generic_models(self, case):
+        model, volume, boundary = case
+        supports = [inst.support for inst in sa.instantiate_terms(model, volume, boundary)]
+        assert supports == self.brute_force_supports(model, volume)
+
     def test_frozen_block_is_hermitian(self):
         model = sa.preset_tfim(1.0, 0.5, 0.4)
         for inst in sa.instantiate_terms(model, sa.chain(3), ALL_UP):
@@ -330,7 +379,7 @@ def assert_rows_match_references(model, volume, boundary, seed: int = 0) -> None
     reference = loop_assemble(model, volume, boundary)
     assert bits(dense) == bits(reference)
     dim, rng = dense.shape[0], np.random.default_rng(seed)
-    mirror = _bit_reversal(volume.n_sites)
+    mirror = bit_reversal(volume.n_sites)
     for index in (rng.permutation(dim)[:max(1, dim // 3)], np.arange(dim)[::-3],
                   np.array([dim - 1]), rng.permutation(dim)):
         assert bits(rows.rows(index)) == bits(reference[index])

@@ -204,3 +204,9 @@ class TestLocalTermValidation:
         )
         with pytest.raises(ValueError):
             sa.Interaction(terms=(term,), R=1, lam=0.0)
+
+    @pytest.mark.parametrize("support", [((1,), (0,)), ((0,), (0,)), ((0, 1), (0, 0)), ((1, 0), (1, 0))],
+                             ids=["reversed", "repeated", "reversed-2d", "repeated-2d"])
+    def test_support_out_of_order_rejected(self, support):
+        with pytest.raises(ValueError, match="sites must be distinct and in ascending lexicographic order"):
+            sa.LocalTerm(support=support, classical_part=np.zeros(4), quantum_part=np.zeros((4, 4)))

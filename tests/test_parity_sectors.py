@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 import spinaep as sa
 from spinaep import gibbs
-from spinaep.gibbs import _bit_reversal
-from oracles import loop_assemble, parity_blocks, real_form
+from spinaep.hamiltonian import _bit_patterns
+from oracles import bit_reversal, loop_assemble, parity_blocks, real_form
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ALL_UP = sa.GroundStateConfig.uniform(1, +1)
@@ -106,7 +106,7 @@ def test_dm_chain_real_form_matches_the_dense_route(n_sites, eigvalsh_calls):
 def test_dm_chain_goes_over_into_its_conjugate_under_reflection(n_sites):
     model, boundary = golden_model("dm")
     h = sa.assemble_hamiltonian(model, sa.chain(n_sites), boundary)
-    mirror = _bit_reversal(n_sites)
+    mirror = bit_reversal(n_sites)
     mirrored = h[mirror][:, mirror]
     assert np.array_equal(mirrored, h.conj())
     assert not np.array_equal(mirrored, h)
@@ -137,8 +137,11 @@ def test_tfim_chain_with_inexact_couplings_takes_the_parity_blocks(J, h_field, n
         assert_blocks_match_dense(h, eigvalsh_calls, n_sites)
 
 
-def bit_reversed(index: int, n_sites: int) -> int:
-    return int(format(index, f"0{n_sites}b")[::-1], 2)
+@pytest.mark.parametrize("n_sites", range(13))
+def test_solver_mirror_is_the_bit_reversal(n_sites):
+    mirror = _bit_patterns(n_sites, range(n_sites - 1, -1, -1))
+    assert mirror.dtype == np.int64
+    assert np.array_equal(mirror, bit_reversal(n_sites))
 
 
 def test_one_mirrored_entry_moved_by_one_ulp_takes_the_full_solve(eigvalsh_calls):
@@ -158,7 +161,7 @@ def test_one_diagonal_entry_in_the_last_rows_moved_by_one_ulp_takes_the_full_sol
     # the symmetry test reads rows in chunks; a fault in the last one counts too
     n_sites = 9
     h = sa.assemble_hamiltonian(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(n_sites), ALL_UP)
-    s = max(i for i in range(1 << n_sites) if i < bit_reversed(i, n_sites))
+    s = np.flatnonzero(np.arange(1 << n_sites) < bit_reversal(n_sites))[-1]
     h[s, s] = np.nextafter(h[s, s], np.inf)
     sa.diagonalize(h)
     assert [c.shape for c in eigvalsh_calls] == [h.shape]
@@ -174,7 +177,8 @@ def test_matrices_outside_the_block_rule_take_the_full_solve(h, eigvalsh_calls):
 def imaginary_bond_entries(h: np.ndarray, n_sites: int) -> list[tuple[int, int]]:
     """Upper-triangle entries with an imaginary part, in rows ``s <= R s``."""
     rows, cols = np.nonzero(np.triu(h.imag != 0))
-    return [(s, t) for s, t in zip(rows, cols) if s <= bit_reversed(s, n_sites)]
+    mirror = bit_reversal(n_sites)
+    return [(s, t) for s, t in zip(rows, cols) if s <= mirror[s]]
 
 
 @pytest.mark.parametrize("pick", [min, max], ids=["first-row", "last-row"])
@@ -332,7 +336,7 @@ def test_generator_failing_in_its_last_rows_frees_its_blocks_before_the_full_sol
     # the symmetry test fails on the last chunk, after almost all of both blocks are written
     n_sites = 10
     rows = sa.hamiltonian_rows(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(n_sites), ALL_UP)
-    s = max(i for i in range(1 << n_sites) if i < bit_reversed(i, n_sites))
+    s = np.flatnonzero(np.arange(1 << n_sites) < bit_reversal(n_sites))[-1]
     nudged = NudgedRows(rows, s)
     h = nudged.dense()
     calls = recorded_solves(monkeypatch)
