@@ -18,8 +18,8 @@ from scipy.linalg import expm
 
 from .codec import build_codebook, compress, decompress, fidelity, make_decomposition, typical_projector
 from .gibbs import (
-    LOG2E, GibbsEnsemble, diagonalize, eigenpairs, entropy_bits, expectation, gibbs_ensemble,
-    thermo_densities,
+    LOG2E, GibbsEnsemble, _DenseRows, _eigenvalues, _lapack_solver, _solve_matrices, diagonalize,
+    eigenpairs, entropy_bits, expectation, gibbs_ensemble, thermo_densities,
 )
 from .hamiltonian import assemble_hamiltonian, hamiltonian_rows
 from .interaction import GroundStateConfig, Interaction, LocalTerm, classical_energy, preset_tfim
@@ -121,6 +121,19 @@ def _check_values_only(route: str, h: np.ndarray) -> CheckResult:
     )
 
 
+def _check_in_place_solve(route: str, h: np.ndarray) -> CheckResult:
+    """The route's buffer solved as ``diagonalize`` solves it, against ``eigvalsh`` of its blocks."""
+    matrix, n_odd, _, _ = _solve_matrices(_DenseRows(h))
+    blocks = [matrix, matrix[:n_odd, 1:n_odd + 1].T] if n_odd else [matrix]
+    expected = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))  # on copies
+    solver = _lapack_solver(matrix.dtype)
+    how = (f"in place by {solver.__name__}" if solver is not None
+           else "on a copy by numpy.linalg.eigvalsh, no LAPACK symbol found")
+    same = np.array_equal(_eigenvalues(matrix, n_odd), expected)
+    verdict = "bit for bit equal to" if same else "differs from"
+    return CheckResult(f"in-place solve, {route}", same, f"solved {how}; {verdict} numpy.linalg.eigvalsh")
+
+
 def _check_generated_rows(route: str, model: Interaction, n_sites: int = 6) -> CheckResult:
     volume = chain(n_sites)
     generated = diagonalize(hamiltonian_rows(model, volume, ALL_UP)).energies
@@ -176,6 +189,8 @@ def run_checks() -> list[CheckResult]:
         _check_values_only("parity blocks", _hamiltonian(6, 0.2)),
         _check_values_only("real form", assemble_hamiltonian(_dm_model(), chain(6), ALL_UP)),
         _check_values_only("full solve", _hamiltonian(6, 0.2, NEEL)),
+        _check_in_place_solve("parity blocks", _hamiltonian(6, 0.2)),
+        _check_in_place_solve("real form", assemble_hamiltonian(_dm_model(), chain(6), ALL_UP)),
         _check_generated_rows("parity blocks", preset_tfim(1.0, 0.5, 0.2)),
         _check_generated_rows("real form", _dm_model()),
         _check_typical_filter(),

@@ -13,9 +13,10 @@ internal sums are in nats.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -96,12 +97,87 @@ class _DenseRows:
         rows = np.ascontiguousarray(self.h[index])
         return rows if mirror is None else np.take(rows, mirror, axis=1)
 
-    def dense(self) -> np.ndarray:
-        return self.h
+
+# dsyevd and zheevd of the LAPACK that numpy links, with 64-bit integers;
+# numpy solves single precision in double, so those dtypes take its eigvalsh
+_SOLVER_SYMBOLS = {
+    np.dtype(np.float64): "scipy_dsyevd_64_",
+    np.dtype(np.complex128): "scipy_zheevd_64_",
+}
 
 
-def _reflection_pass(source, conjugate: bool) -> tuple[list[np.ndarray], complex, float] | None:
-    """The reflection blocks of ``source`` and the trace and Frobenius sums of its rows, or ``None``.
+@cache
+def _lapack_solver(dtype: np.dtype):
+    """The ctypes function of the values-only solver for ``dtype``, or ``None`` if it is not found.
+
+    Resolved at the first solve of each dtype, in the library of numpy's
+    own ``eigvalsh``, so importing the package loads nothing.
+    """
+    try:
+        solver = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), _SOLVER_SYMBOLS[dtype])
+    except (KeyError, OSError, AttributeError):
+        return None
+    integer, pointer = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    # JOBZ, UPLO, N, A, LDA, W, then WORK, RWORK if complex and IWORK with their lengths, INFO
+    workspaces = [pointer, integer] * (3 if dtype.kind == "c" else 2)
+    solver.argtypes = [ctypes.c_char_p, ctypes.c_char_p, integer, pointer, integer, pointer,
+                       *workspaces, integer]
+    solver.restype = None
+    return solver
+
+
+def _eigvalsh_lower(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian matrix in the lower triangle of ``a``, which is overwritten.
+
+    ``a`` is a square column-major view: adjacent rows adjacent in memory,
+    columns any stride apart, which becomes LAPACK's leading dimension.
+    ?syevd or ?heevd (``JOBZ='N'``, ``UPLO='L'``) solves it in place after
+    the same workspace query that ``numpy.linalg.eigvalsh`` makes on its
+    copy, so the energies are numpy's bit for bit at half the memory. The
+    upper triangle is neither read nor written. When the symbol is not
+    found, or for a dtype other than float64 and complex128,
+    ``numpy.linalg.eigvalsh`` solves a copy instead. A solve that
+    does not converge raises ``numpy.linalg.LinAlgError``, as numpy does.
+    """
+    solver = _lapack_solver(a.dtype)
+    if solver is None:
+        return np.linalg.eigvalsh(a)
+    n = a.shape[0]
+    if (a.shape != (n, n) or not a.flags.writeable
+            or n > 1 and (a.strides[0] != a.itemsize or a.strides[1] % a.itemsize)):
+        raise ValueError("the in-place solve needs a writeable square column-major matrix")
+    energies = np.empty(n, np.finfo(a.dtype).dtype)
+    complex_ = a.dtype.kind == "c"
+    # WORK, then RWORK for a complex matrix, then IWORK
+    kinds = [a.dtype, energies.dtype, np.int64] if complex_ else [a.dtype, np.int64]
+    names = ["JOBZ", "UPLO", "N", "A", "LDA", "W", "WORK", "LWORK",
+             *(["RWORK", "LRWORK"] if complex_ else []), "IWORK", "LIWORK"]
+
+    def run(workspaces: list[np.ndarray], lengths: list[int]) -> None:
+        info = ctypes.c_int64()
+        arguments = [x for w, size in zip(workspaces, lengths) for x in (w.ctypes, _int_ref(size))]
+        solver(b"N", b"L", _int_ref(n), a.ctypes, _int_ref(max(1, a.strides[1] // a.itemsize)),
+               energies.ctypes, *arguments, ctypes.byref(info))
+        if info.value < 0:
+            raise ValueError(f"{solver.__name__}: argument {-info.value} ({names[-info.value - 1]}) "
+                             "had an illegal value")
+        if info.value > 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    workspaces = [np.zeros(1, kind) for kind in kinds]
+    run(workspaces, [-1] * len(kinds))  # the query: each optimal length in element 0
+    workspaces = [np.empty(int(w[0].real), w.dtype) for w in workspaces]
+    run(workspaces, [w.size for w in workspaces])
+    return energies
+
+
+def _int_ref(value: int):
+    """A pointer to ``value`` as a LAPACK integer."""
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _reflection_pass(source, conjugate: bool) -> tuple[np.ndarray, int, complex, float] | None:
+    """The reflection buffer of ``source``, its odd block size and the trace and Frobenius sums, or ``None``.
 
     One pass over row chunks of the representatives ``s <= R s``, where
     ``R`` reverses the bits of an index, at most 16 rows first, doubling up
@@ -117,8 +193,9 @@ def _reflection_pass(source, conjugate: bool) -> tuple[list[np.ndarray], complex
     ``reps`` columns ``t``, and ``M = h[s, t] - h[s, R t]`` at the ``pairs``
     rows and columns. ``P``'s palindrome rows, then its palindrome columns,
     are scaled by ``sqrt(1/2)``; ``M`` has no palindromes. A Hermitian ``h``
-    gives blocks whose lower triangles, the only part ``eigvalsh`` reads
-    (``UPLO='L'``), hold the whole block.
+    gives blocks whose lower triangles, the only part the solve reads
+    (``UPLO='L'``), hold the whole block. The buffer is column-major, so
+    the solve runs in place on it.
 
     Without ``conjugate``, ``R h R == h``, and ``P`` and ``M`` are the even
     and the odd block, in the states ``(|s> + |R s>) / sqrt 2``, or ``|s>``
@@ -126,10 +203,10 @@ def _reflection_pass(source, conjugate: bool) -> tuple[list[np.ndarray], complex
     2^ceil(n/2)) / 2`` and ``(dim - 2^ceil(n/2)) / 2`` of them. Both share
     one ``(n_reps, n_reps)`` buffer of ``h``'s dtype: the even block is the
     buffer's, and odd row ``o`` is stored conjugated above the diagonal,
-    ``buffer[o, o + 1:n_pairs + 1] = conj(M[o, o:])``, so the odd block is
-    that of the view ``buffer[:n_pairs, 1:n_pairs + 1].T``. A chunk writes
-    its even rows before its odd rows, and later chunks write only rows
-    past them.
+    ``buffer[o, o + 1:n_pairs + 1] = conj(M[o, o:])``, so the odd block, of
+    size ``n_pairs``, is that of the view ``buffer[:n_pairs, 1:n_pairs +
+    1].T``. A chunk writes its even rows before its odd rows, and later
+    chunks write only rows past them.
 
     With ``conjugate``, a complex ``h`` has ``R h R == conj(h)``. ``R``
     combined with complex conjugation fixes the states ``(|s> + |R s>) /
@@ -137,7 +214,8 @@ def _reflection_pass(source, conjugate: bool) -> tuple[list[np.ndarray], complex
     (|s> - |R s>) / sqrt 2`` for ``s`` of ``pairs``, so ``h`` is real in
     them: one real symmetric ``(dim, dim)`` matrix whose lower triangle is
     ``Re P``, then ``Im P`` at the ``pairs`` rows and ``Re M``. The
-    transpose of the ``Im P`` block, above the diagonal, is left unwritten.
+    transpose of the ``Im P`` block, above the diagonal, is left unwritten,
+    and the odd block size is 0.
     """
     dim = source.shape[0]
     n = dim.bit_length() - 1
@@ -147,7 +225,8 @@ def _reflection_pass(source, conjugate: bool) -> tuple[list[np.ndarray], complex
     paired = mirror_reps != reps
     palindromes, pairs = np.flatnonzero(~paired), np.flatnonzero(paired)  # positions in reps
     n_reps, n_pairs = reps.size, pairs.size
-    buffer = np.empty((dim, dim)) if conjugate else np.empty((n_reps, n_reps), source.dtype)
+    shape, dtype = ((dim, dim), float) if conjugate else ((n_reps, n_reps), source.dtype)
+    buffer = np.empty(shape, dtype, order="F")
     trace, frobenius = 0.0, 0.0
     cap = chunk_rows(dim * source.dtype.itemsize)
     start, size, odd_start = 0, min(16, cap), 0
@@ -188,15 +267,17 @@ def _reflection_pass(source, conjugate: bool) -> tuple[list[np.ndarray], complex
             upper = np.arange(n_pairs) >= np.arange(odd_start, odd_stop)[:, None]
             np.copyto(buffer[odd_start:odd_stop, 1:n_pairs + 1], np.conj(minus), where=upper)
         start, size, odd_start = stop, min(2 * size, cap), odd_stop
-    return ([buffer] if conjugate else [buffer, buffer[:n_pairs, 1:n_pairs + 1].T]), trace, frobenius
+    return buffer, 0 if conjugate else n_pairs, trace, frobenius
 
 
-def _solve_matrices(source) -> tuple[list[np.ndarray], complex, float]:
-    """The matrices whose merged spectra are that of ``source``, and the trace and Frobenius sums.
+def _solve_matrices(source) -> tuple[np.ndarray, int, complex, float]:
+    """The matrix that holds ``source``'s spectrum, its odd block size and the trace and Frobenius sums.
 
     The reflection blocks are tried for a float or complex matrix on ``n >=
     2`` qubits: the parity blocks, then, if complex, the real form. If
-    neither test passes, the dense matrix alone takes one full solve.
+    neither test passes, the dense matrix alone takes one full solve: a
+    caller's, returned read-only because it is solved on a copy, or a
+    generator's, filled column-major so that it is solved in place.
     """
     dim = source.shape[0]
     n_bits = dim.bit_length() - 1
@@ -207,13 +288,33 @@ def _solve_matrices(source) -> tuple[list[np.ndarray], complex, float]:
             result = _reflection_pass(source, conjugate=True)
         if result is not None:
             return result
-    h = source.dense()
-    return [h], np.trace(h), np.vdot(h, h).real
+    if isinstance(source, _DenseRows):
+        h = source.h.view()
+        h.setflags(write=False)
+        return h, 0, np.trace(h), np.vdot(h, h).real
+    h = source.dense(order="F")
+    # h.T, row-major, holds the same entries: vdot would copy a column-major h
+    return h, 0, np.trace(h), np.vdot(h.T, h.T).real
 
 
-def _eigenvalues(matrices: list[np.ndarray]) -> np.ndarray:
-    """The merged ascending eigenvalues of the matrices, each read in its lower triangle only."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in matrices]))
+def _eigenvalues(matrix: np.ndarray, n_odd: int) -> np.ndarray:
+    """The merged ascending eigenvalues of a route's matrix, read in its lower triangle.
+
+    A read-only matrix, a caller's, is solved by ``numpy.linalg.eigvalsh``
+    on a copy; any other is solved in place. The odd parity block of size
+    ``n_odd``, stored above the diagonal, survives that solve. It is then
+    copied, a column at a time, into the strict lower triangle, where it is
+    the lower triangle of the view ``matrix[1:n_odd + 1, :n_odd]``, which
+    is solved in place too. No temporary exceeds one column.
+    """
+    if not matrix.flags.writeable:
+        return np.linalg.eigvalsh(matrix)
+    energies = _eigvalsh_lower(matrix)
+    if not n_odd:
+        return energies
+    for o in range(n_odd):
+        matrix[o + 1:n_odd + 1, o] = matrix[o, o + 1:n_odd + 1]
+    return np.sort(np.concatenate([energies, _eigvalsh_lower(matrix[1:n_odd + 1, :n_odd])]))
 
 
 def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
@@ -232,10 +333,14 @@ def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     symmetric matrix of the same dimension, also about a quarter of the
     work of the complex solve. Both routes are written from one pair of
     sums of rows ``s``, ``h[s, t] + h[s, R t]`` and ``h[s, t] - h[s, R
-    t]``, in the lower triangles that ``eigvalsh`` reads (``UPLO='L'``), and
-    a generator's dense matrix is never formed. Otherwise the energies come
-    from one full solve of the dense matrix, which a generator assembles
-    once.
+    t]``, in the lower triangles that LAPACK ?syevd or ?heevd reads
+    (``UPLO='L'``), into one column-major buffer that it solves in place,
+    and a generator's dense matrix is never formed. Otherwise the energies
+    come from one full solve of the dense matrix: a generator assembles it
+    once, column-major, and it is solved in place, while a caller's matrix
+    is left as it is and solved by ``numpy.linalg.eigvalsh`` on a copy.
+    Every in-place solve gives ``numpy.linalg.eigvalsh``'s energies bit for
+    bit, and falls back to it when numpy's LAPACK lacks the symbol.
 
     With no eigenpairs to check, the energies are held to the two trace
     identities ``tr H = sum E_j`` and ``||H||_F^2 = sum E_j^2``, within
@@ -248,8 +353,8 @@ def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     """
     source = h if isinstance(h, HamiltonianRows) else _DenseRows(np.asarray(h))
     try:
-        matrices, trace, frobenius = _solve_matrices(source)
-        energies = _eigenvalues(matrices)
+        matrix, n_odd, trace, frobenius = _solve_matrices(source)
+        energies = _eigenvalues(matrix, n_odd)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
     scale = float(np.abs(energies).max(initial=0.0))

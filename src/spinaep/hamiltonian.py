@@ -141,13 +141,22 @@ class HamiltonianRows:
         self._fill(out, index, mirror)
         return out
 
-    def dense(self) -> np.ndarray:
-        """The whole matrix, filled in row chunks; each row's entries take four arrays."""
+    def dense(self, order: str = "C") -> np.ndarray:
+        """The whole matrix in ``order``, filled in row chunks; each row's entries take four arrays.
+
+        A column-major matrix receives each chunk's rows from a row-major temporary.
+        """
         dim = self.shape[0]
-        h = np.zeros(self.shape, dtype=self.dtype)
+        h = np.zeros(self.shape, dtype=self.dtype, order=order)
         step = chunk_rows(self._keys.shape[0] * self._steps.shape[1] * (24 + self.dtype.itemsize))
         for start in range(0, dim, step):
-            self._fill(h[start:start + step], np.arange(start, min(start + step, dim)), None)
+            index = np.arange(start, min(start + step, dim))
+            if h.flags.c_contiguous:
+                self._fill(h[start:start + step], index, None)
+            else:
+                rows = np.zeros((index.size, dim), dtype=self.dtype)
+                self._fill(rows, index, None)
+                h[start:start + step] = rows
         return h
 
 

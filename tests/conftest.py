@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import spinaep as sa
+from spinaep import gibbs
 
 EXHIBIT = {"J": 1.0, "h": 0.5, "lam": 0.2, "beta": 2.0, "delta": 0.15}
 EXHIBIT_SIZES = (4, 6, 8, 10)
@@ -12,18 +13,38 @@ EXHIBIT_SIZES = (4, 6, 8, 10)
 GRID_POINTS = tuple(itertools.product((0.0, 1.0), (0.0, 0.5), (0.0, 0.2, 0.35), (0.5, 2.0)))
 
 
+def record_solves(monkeypatch) -> list[np.ndarray]:
+    """Copies of the matrices the values-only solves are given, each taken before its solve.
+
+    A route's own buffer goes to ``gibbs._eigvalsh_lower``, which overwrites
+    it, and a caller's dense matrix to ``numpy.linalg.eigvalsh``; a fallback
+    of the former into the latter is recorded once.
+    """
+    calls, inside = [], []
+    in_place, numpy_solve = gibbs._eigvalsh_lower, np.linalg.eigvalsh
+
+    def recording_in_place(a):
+        calls.append(np.array(a))
+        inside.append(True)
+        try:
+            return in_place(a)
+        finally:
+            inside.pop()
+
+    def recording_numpy(a):
+        if not inside:
+            calls.append(np.array(a))
+        return numpy_solve(a)
+
+    monkeypatch.setattr(gibbs, "_eigvalsh_lower", recording_in_place)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_numpy)
+    return calls
+
+
 @pytest.fixture
 def eigvalsh_calls(monkeypatch) -> list[np.ndarray]:
-    """Copies of the matrices ``numpy.linalg.eigvalsh`` is called with during the test."""
-    calls = []
-    solve = np.linalg.eigvalsh
-
-    def recording(a):
-        calls.append(np.array(a))
-        return solve(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    return calls
+    """Copies of the matrices the values-only solves are given during the test."""
+    return record_solves(monkeypatch)
 
 
 def chain_hamiltonian(n_sites: int, J: float, h: float, lam: float,

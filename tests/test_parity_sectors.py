@@ -2,16 +2,16 @@
 
 A Hamiltonian that commutes bit for bit with the bit-reversal permutation
 ``R`` of the basis is solved as an even and an odd block, both held in one
-buffer and each valid in the lower triangle that ``eigvalsh`` reads. A
+buffer and each valid in the lower triangle that the solve reads. A
 complex one with ``R H R == conj(H)`` bit for bit is solved as one real
 symmetric matrix, written in its lower triangle only. Every other matrix
-takes one full solve. Which route ran is read from the matrices that
-``numpy.linalg.eigvalsh`` is called with.
+takes one full solve. Which route ran is read from the matrices that the
+solves are given: copies of a route's buffer taken before the in-place
+solve overwrites it, or a caller's dense matrix.
 """
 
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import spinaep as sa
 from spinaep import gibbs
 from spinaep.hamiltonian import _bit_patterns
+from conftest import record_solves
 from oracles import bit_reversal, loop_assemble, parity_blocks, real_form
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -250,9 +251,9 @@ def reflection_chains(draw) -> tuple[str, np.ndarray]:
 @given(reflection_chains())
 def test_random_chains_take_the_route_of_their_symmetry(case):
     kind, h = case
-    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as solve:
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = record_solves(monkeypatch)
         energies = sa.diagonalize(h).energies
-    calls = [args[0] for args, _ in solve.call_args_list]
     n_sites = h.shape[0].bit_length() - 1
     # the solver reads the lower triangle: the parity blocks' and the real
     # form's must be the oracle's, and a full H, held whole, exactly Hermitian
@@ -304,22 +305,22 @@ class NudgedRows(sa.HamiltonianRows):
             out[i, column] = np.nextafter(out[i, column], np.inf)
         return out
 
-    def dense(self):
-        h = super().dense()
+    def dense(self, order="C"):
+        h = super().dense(order)
         h[self.s, self.s] = np.nextafter(h[self.s, self.s], np.inf)
         return h
 
 
 def recorded_solves(monkeypatch) -> list[tuple[np.dtype, tuple[int, ...]]]:
-    """The dtype and shape of each ``eigvalsh`` input, recorded without a copy."""
+    """The dtype and shape of each in-place solve's input, recorded without a copy."""
     calls = []
-    solve = np.linalg.eigvalsh
+    solve = gibbs._eigvalsh_lower
 
     def recording(a):
         calls.append((a.dtype, a.shape))
         return solve(a)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(gibbs, "_eigvalsh_lower", recording)
     return calls
 
 
