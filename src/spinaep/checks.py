@@ -191,6 +191,7 @@ def run_checks() -> list[CheckResult]:
         _check_values_only("full solve", _hamiltonian(6, 0.2, NEEL)),
         _check_in_place_solve("parity blocks", _hamiltonian(6, 0.2)),
         _check_in_place_solve("real form", assemble_hamiltonian(_dm_model(), chain(6), ALL_UP)),
+        _check_in_place_solve("full solve", _hamiltonian(6, 0.2, NEEL)),
         _check_generated_rows("parity blocks", preset_tfim(1.0, 0.5, 0.2)),
         _check_generated_rows("real form", _dm_model()),
         _check_typical_filter(),

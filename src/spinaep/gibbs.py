@@ -91,11 +91,17 @@ class _DenseRows:
     """Rows of a dense matrix, read as :class:`~spinaep.hamiltonian.HamiltonianRows` generates them."""
 
     def __init__(self, h: np.ndarray) -> None:
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ValueError(f"h must be a square matrix, got shape {h.shape}")
         self.h, self.shape, self.dtype = h, h.shape, h.dtype
 
     def rows(self, index: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
         rows = np.ascontiguousarray(self.h[index])
         return rows if mirror is None else np.take(rows, mirror, axis=1)
+
+    def dense(self, order: str) -> np.ndarray:
+        """A copy of the whole matrix in ``order``; the caller's array is never written."""
+        return np.array(self.h, order=order)
 
 
 # dsyevd and zheevd of the LAPACK that numpy links, with 64-bit integers;
@@ -276,39 +282,31 @@ def _solve_matrices(source) -> tuple[np.ndarray, int, complex, float]:
     The reflection blocks are tried for a float or complex matrix on ``n >=
     2`` qubits: the parity blocks, then, if complex, the real form. If
     neither test passes, the dense matrix alone takes one full solve: a
-    caller's, returned read-only because it is solved on a copy, or a
-    generator's, filled column-major so that it is solved in place.
+    column-major copy of a caller's matrix, or a generator's matrix filled
+    column-major, either solved in place.
     """
     dim = source.shape[0]
     n_bits = dim.bit_length() - 1
-    if (len(source.shape) == 2 and source.shape[1] == dim == 1 << n_bits and n_bits >= 2
-            and source.dtype.kind in "fc"):
+    if n_bits >= 2 and dim == 1 << n_bits and source.dtype.kind in "fc":
         result = _reflection_pass(source, conjugate=False)
         if result is None and source.dtype.kind == "c":
             result = _reflection_pass(source, conjugate=True)
         if result is not None:
             return result
-    if isinstance(source, _DenseRows):
-        h = source.h.view()
-        h.setflags(write=False)
-        return h, 0, np.trace(h), np.vdot(h, h).real
     h = source.dense(order="F")
     # h.T, row-major, holds the same entries: vdot would copy a column-major h
     return h, 0, np.trace(h), np.vdot(h.T, h.T).real
 
 
 def _eigenvalues(matrix: np.ndarray, n_odd: int) -> np.ndarray:
-    """The merged ascending eigenvalues of a route's matrix, read in its lower triangle.
+    """The merged ascending eigenvalues of a route's column-major matrix, read in its lower triangle.
 
-    A read-only matrix, a caller's, is solved by ``numpy.linalg.eigvalsh``
-    on a copy; any other is solved in place. The odd parity block of size
-    ``n_odd``, stored above the diagonal, survives that solve. It is then
-    copied, a column at a time, into the strict lower triangle, where it is
-    the lower triangle of the view ``matrix[1:n_odd + 1, :n_odd]``, which
-    is solved in place too. No temporary exceeds one column.
+    The matrix is solved in place. The odd parity block of size ``n_odd``,
+    stored above the diagonal, survives that solve. It is then copied, a
+    column at a time, into the strict lower triangle, where it is the lower
+    triangle of the view ``matrix[1:n_odd + 1, :n_odd]``, which is solved in
+    place too. No temporary exceeds one column.
     """
-    if not matrix.flags.writeable:
-        return np.linalg.eigvalsh(matrix)
     energies = _eigvalsh_lower(matrix)
     if not n_odd:
         return energies
@@ -336,11 +334,12 @@ def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     t]``, in the lower triangles that LAPACK ?syevd or ?heevd reads
     (``UPLO='L'``), into one column-major buffer that it solves in place,
     and a generator's dense matrix is never formed. Otherwise the energies
-    come from one full solve of the dense matrix: a generator assembles it
-    once, column-major, and it is solved in place, while a caller's matrix
-    is left as it is and solved by ``numpy.linalg.eigvalsh`` on a copy.
-    Every in-place solve gives ``numpy.linalg.eigvalsh``'s energies bit for
-    bit, and falls back to it when numpy's LAPACK lacks the symbol.
+    come from one full solve of the dense matrix, in place: a generator
+    assembles it once, column-major, and a caller's matrix is copied
+    column-major once, so the caller's array is never written. Every
+    in-place solve gives ``numpy.linalg.eigvalsh``'s energies bit for bit,
+    and falls back to it when numpy's LAPACK lacks the symbol. A caller's
+    ``h`` that is not a square matrix raises ``ValueError``.
 
     With no eigenpairs to check, the energies are held to the two trace
     identities ``tr H = sum E_j`` and ``||H||_F^2 = sum E_j^2``, within

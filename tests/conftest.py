@@ -16,28 +16,15 @@ GRID_POINTS = tuple(itertools.product((0.0, 1.0), (0.0, 0.5), (0.0, 0.2, 0.35), 
 def record_solves(monkeypatch) -> list[np.ndarray]:
     """Copies of the matrices the values-only solves are given, each taken before its solve.
 
-    A route's own buffer goes to ``gibbs._eigvalsh_lower``, which overwrites
-    it, and a caller's dense matrix to ``numpy.linalg.eigvalsh``; a fallback
-    of the former into the latter is recorded once.
+    Every solve goes to ``gibbs._eigvalsh_lower``, which overwrites its input.
     """
-    calls, inside = [], []
-    in_place, numpy_solve = gibbs._eigvalsh_lower, np.linalg.eigvalsh
+    calls, solve = [], gibbs._eigvalsh_lower
 
-    def recording_in_place(a):
+    def recording(a):
         calls.append(np.array(a))
-        inside.append(True)
-        try:
-            return in_place(a)
-        finally:
-            inside.pop()
+        return solve(a)
 
-    def recording_numpy(a):
-        if not inside:
-            calls.append(np.array(a))
-        return numpy_solve(a)
-
-    monkeypatch.setattr(gibbs, "_eigvalsh_lower", recording_in_place)
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording_numpy)
+    monkeypatch.setattr(gibbs, "_eigvalsh_lower", recording)
     return calls
 
 

@@ -261,8 +261,13 @@ class TestGenericChains:
     def test_weights_identity_and_fidelity(self, model, beta, seed):
         interaction, volume, boundary = model
         rows = sa.hamiltonian_rows(interaction, volume, boundary)
-        dense = sa.eigenpairs(sa.assemble_hamiltonian(interaction, volume, boundary)).energies
-        assert np.abs(sa.diagonalize(rows).energies - dense).max() <= 1e-12 * np.abs(dense).max()
+        h = sa.assemble_hamiltonian(interaction, volume, boundary)
+        dense = sa.eigenpairs(h).energies
+        energies = sa.diagonalize(rows).energies
+        assert np.abs(energies - dense).max() <= 1e-12 * np.abs(dense).max()
+        # a caller's matrix, in either layout, takes the generator's solve
+        for caller in (h, np.asfortranarray(h)):
+            assert sa.diagonalize(caller).energies.tobytes() == energies.tobytes()
         ens = sa.gibbs_ensemble(rows, beta)
         densities = sa.thermo_densities(ens)
         assert abs(ens.weights.sum() - 1.0) <= 1e-12

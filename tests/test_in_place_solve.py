@@ -7,8 +7,10 @@ come back untouched, and a caller's matrix must never be written.
 """
 
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -174,14 +176,41 @@ def test_every_route_matches_the_eigenpairs(route, monkeypatch):
     assert np.abs(energies - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_caller_matrix_is_left_byte_identical(route):
+def test_caller_matrix_is_left_byte_identical(route, order):
     model, volume, boundary = ROUTES[route]
-    h = sa.assemble_hamiltonian(model, volume, boundary)
+    h = np.array(sa.assemble_hamiltonian(model, volume, boundary), order=order)
     before = h.tobytes()
-    sa.diagonalize(h)
+    energies = sa.diagonalize(h).energies
     assert h.tobytes() == before
     assert h.flags.writeable
+    # the caller's matrix takes the generator's route, in either layout
+    rows = sa.hamiltonian_rows(model, volume, boundary)
+    assert energies.tobytes() == sa.diagonalize(rows).energies.tobytes()
+    if route.startswith("full solve"):
+        assert energies.tobytes() == np.linalg.eigvalsh(h).tobytes()
+
+
+def test_caller_matrix_is_copied_once():
+    # np.vdot of a column-major matrix would copy it whole: a peak of 2 h.nbytes
+    h = random_matrix(500, np.complex128, seed=5)
+    h = np.asfortranarray(h + h.conj().T)
+    expected = np.linalg.eigvalsh(h)
+    tracemalloc.start()
+    try:
+        energies = sa.diagonalize(h).energies
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert energies.tobytes() == expected.tobytes()
+    assert peak <= 1.25 * h.nbytes
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2), (4,)])
+def test_caller_matrix_that_is_not_square_is_refused(shape):
+    with pytest.raises(ValueError, match=re.escape(f"h must be a square matrix, got shape {shape}")):
+        sa.diagonalize(np.zeros(shape))
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -248,7 +277,7 @@ def test_check_reports_the_in_place_solve(capsys):
     assert in_place_lines(capsys.readouterr().out) == [
         f"ok   in-place solve, {route}: solved in place by scipy_dsyevd_64_; "
         "bit for bit equal to numpy.linalg.eigvalsh"
-        for route in ("parity blocks", "real form")
+        for route in ("parity blocks", "real form", "full solve")
     ]
 
 
@@ -257,7 +286,7 @@ def test_check_reports_the_fallback(capsys, no_lapack_symbols):
     assert in_place_lines(capsys.readouterr().out) == [
         f"ok   in-place solve, {route}: solved on a copy by numpy.linalg.eigvalsh, no LAPACK "
         "symbol found; bit for bit equal to numpy.linalg.eigvalsh"
-        for route in ("parity blocks", "real form")
+        for route in ("parity blocks", "real form", "full solve")
     ]
 
 
@@ -268,5 +297,6 @@ def test_check_fails_when_the_in_place_solve_moves_an_energy(monkeypatch, capsys
     assert main(["check", "--quiet"]) == EXIT_NUMERIC
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "FAIL in-place solve, parity blocks", "FAIL in-place solve, real form"]
+        "FAIL in-place solve, parity blocks", "FAIL in-place solve, real form",
+        "FAIL in-place solve, full solve"]
     assert all("differs from numpy.linalg.eigvalsh" in line for line in lines)
