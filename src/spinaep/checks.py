@@ -54,11 +54,11 @@ def _dm_model(lam: float = 0.2) -> Interaction:
     quantum = np.zeros((4, 4), dtype=complex)
     quantum[1, 2], quantum[2, 1] = 0.03j, -0.03j
     bond = LocalTerm(((0,), (1,)), np.zeros(4), quantum)
-    return Interaction(terms=preset_tfim(1.0, 0.5, lam).terms + (bond,), R=1, lam=lam)
+    return Interaction(terms=preset_tfim(1.0, 0.5, lam).terms + (bond,), lam=lam)
 
 
 def _ensemble(h: np.ndarray, beta: float) -> GibbsEnsemble:
-    return gibbs_ensemble(h, beta, spectrum=eigenpairs(h))
+    return gibbs_ensemble(eigenpairs(h), beta)
 
 
 def _check_expm_oracle(n_sites: int = 5, beta: float = 1.5, lam: float = 0.3) -> CheckResult:
@@ -98,9 +98,8 @@ def _check_energy_derivative(n_sites: int = 5, beta: float = 1.2, lam: float = 0
     ens = _ensemble(h, beta)
     mine = expectation(ens, h)
     step = 1e-5
-    spectrum = ens.spectrum
-    up = gibbs_ensemble(h, beta + step, spectrum=spectrum).log_partition
-    down = gibbs_ensemble(h, beta - step, spectrum=spectrum).log_partition
+    up = gibbs_ensemble(ens.spectrum, beta + step).log_partition
+    down = gibbs_ensemble(ens.spectrum, beta - step).log_partition
     oracle = -(up - down) / (2 * step)
     rel = abs(mine - oracle) / max(abs(oracle), 1.0)
     return CheckResult("energy as log-partition derivative", rel <= 1e-5, f"relative gap {rel:.3e}")

@@ -20,7 +20,7 @@ import numpy as np
 from .codec import build_codebook, fidelity, make_decomposition
 from .config import ExperimentConfig, build_boundary, build_interaction, override, parse_config
 from .errors import CapabilityError, ConfigError, NumericError, QubitCapError, SpinAepError
-from .gibbs import GibbsEnsemble, LOG2E, ThermoDensities, gibbs_ensemble, thermo_densities
+from .gibbs import GibbsEnsemble, LOG2E, ThermoDensities, diagonalize, gibbs_ensemble, thermo_densities
 from .hamiltonian import hamiltonian_rows
 from .interaction import GroundStateConfig, Interaction, check_perturbation_bound, find_periodic_ground_states
 from .lattice import Volume, build_hypercube
@@ -80,7 +80,7 @@ def _set_up(config: ExperimentConfig, out_dir: Path, quiet: bool) -> tuple[Inter
 
 def _run_volume(config: ExperimentConfig, interaction: Interaction,
                 boundary: GroundStateConfig, volume: Volume) -> tuple[GibbsEnsemble, ThermoDensities]:
-    ensemble = gibbs_ensemble(hamiltonian_rows(interaction, volume, boundary), config.beta)
+    ensemble = gibbs_ensemble(diagonalize(hamiltonian_rows(interaction, volume, boundary)), config.beta)
     return ensemble, thermo_densities(ensemble)
 
 

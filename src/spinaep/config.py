@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .interaction import GroundStateConfig, Interaction, LocalTerm, canonical_support, preset_tfim
-from .lattice import DEFAULT_QUBIT_CAP, linf_diameter
+from .lattice import DEFAULT_QUBIT_CAP
 
 CONFIG_FORMAT_VERSION = 1
 
@@ -320,8 +320,7 @@ def build_boundary(config: ExperimentConfig) -> GroundStateConfig:
 
 
 def build_interaction(config: ExperimentConfig) -> Interaction:
-    """Materialize the configured model as an interaction; its range is the largest term diameter."""
+    """Materialize the configured model as an interaction."""
     if config.model == "tfim":
         return preset_tfim(config.J, config.h_field, config.lam, c=config.c)
-    radius = max(linf_diameter(t.support) for t in config.terms)
-    return Interaction(terms=config.terms, R=radius, lam=config.lam, c=config.c)
+    return Interaction(terms=config.terms, lam=config.lam, c=config.c)

@@ -2,7 +2,8 @@
 
 :func:`diagonalize` solves for energies only, which is all the entropy rate,
 the typical windows and the codec read; :func:`eigenpairs` also returns the
-eigenvectors, for the callers that need them.
+eigenvectors, for the callers that need them. :func:`gibbs_ensemble` takes
+either spectrum, and no Hamiltonian.
 
 All statistical weights live in natural-log domain: at low temperature the
 linear-domain weights underflow double precision well before ten qubits, so
@@ -82,7 +83,7 @@ class Spectrum:
         if self.vectors is None:
             raise ValueError(
                 f"{caller} needs eigenvectors, and this spectrum holds energies only; "
-                "pass spectrum=eigenpairs(h)"
+                "solve with eigenpairs(h)"
             )
         return self.vectors
 
@@ -349,6 +350,13 @@ def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     too. The Frobenius sum is taken over every row, so an ``h`` whose two
     triangles disagree fails it, although the solver reads one triangle
     only. The check costs O(dim^2) against the solver's O(dim^3).
+
+    Two faults stay below the identities: two energies closer than
+    ``TRACE_IDENTITY_K * dim * eps * |H|^2 / (2 e)`` moved by ``+e`` and
+    ``-e``, and one upper-triangle entry changed by less than about
+    ``sqrt(TRACE_IDENTITY_K * dim * eps) * |H|`` where it is zero or the
+    change is orthogonal in phase to it; a generator's exact Hermiticity
+    excludes the second.
     """
     source = h if isinstance(h, HamiltonianRows) else _DenseRows(np.asarray(h))
     try:
@@ -399,19 +407,18 @@ def eigenpairs(h: np.ndarray) -> Spectrum:
 
 @dataclass(frozen=True, eq=False)
 class GibbsEnsemble:
-    """Thermal state of a Hamiltonian: its spectrum plus log-domain weights.
+    """Thermal state of a spectrum: the spectrum plus log-domain weights.
 
     ``log_weights[j]`` is the natural log of the j-th state probability,
-    ``-beta * E_j - log_partition``; they sum to one by construction. The
-    Hamiltonian itself is not kept: callers that need it, such as
-    :func:`eigenvalue_via_energy`, pass the matrix they built.
+    ``-beta * E_j - log_partition``; they sum to one by construction. No
+    Hamiltonian is kept: callers that need one, such as
+    :func:`eigenvalue_via_energy`, pass the matrix they solved.
     """
 
     beta: float
     spectrum: Spectrum
     log_weights: np.ndarray
     log_partition: float
-    n_sites: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "log_weights", readonly(self.log_weights))
@@ -419,6 +426,11 @@ class GibbsEnsemble:
     @property
     def dim(self) -> int:
         return self.spectrum.dim
+
+    @property
+    def n_sites(self) -> int:
+        """The qubit count ``n`` of the ``2**n`` states."""
+        return self.dim.bit_length() - 1
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -428,48 +440,38 @@ class GibbsEnsemble:
         return weights
 
 
-def gibbs_ensemble(h: np.ndarray | HamiltonianRows, beta: float, *,
-                   spectrum: Spectrum | None = None) -> GibbsEnsemble:
-    """Gibbs ensemble of ``h`` at inverse temperature ``beta > 0``.
+def gibbs_ensemble(spectrum: Spectrum, beta: float) -> GibbsEnsemble:
+    """Gibbs ensemble of ``spectrum`` at inverse temperature ``beta > 0``.
 
-    ``h`` is a dense matrix or a row generator. The spectrum comes from
-    :func:`diagonalize`, energies only. Passing a
-    precomputed ``spectrum`` skips the eigensolve; pass
-    ``spectrum=eigenpairs(h)`` where eigenvectors are needed.
+    ``spectrum`` holds ``2**n`` states, ``n >= 1``: :func:`diagonalize` gives
+    the energies only, :func:`eigenpairs` the eigenvectors too, which
+    :func:`expectation` and the typical projector read.
     """
+    if not isinstance(spectrum, Spectrum):
+        raise TypeError(f"gibbs_ensemble takes a Spectrum, got {type(spectrum).__name__}: "
+                        "pass diagonalize(h), or eigenpairs(h) for the eigenvectors")
     if not beta > 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    if not isinstance(h, HamiltonianRows):
-        h = np.asarray(h)
-    if spectrum is None:
-        spectrum = diagonalize(h)
-    elif spectrum.dim != h.shape[0]:
-        raise ValueError("spectrum dimension does not match the Hamiltonian")
     dim = spectrum.dim
-    n_sites = dim.bit_length() - 1
-    if dim != 1 << n_sites:
-        raise ValueError(f"dimension {dim} is not a power of two")
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(f"a spectrum of {dim} states is not one of 2**n states with n >= 1")
     log_weights = -beta * spectrum.energies
     log_partition = logsumexp(log_weights)
     log_weights -= log_partition
     log_weights.setflags(write=False)
     return GibbsEnsemble(
-        beta=float(beta),
-        spectrum=spectrum,
-        log_weights=log_weights,
-        log_partition=log_partition,
-        n_sites=n_sites,
+        beta=float(beta), spectrum=spectrum, log_weights=log_weights, log_partition=log_partition
     )
 
 
 def eigenvalue_via_energy(ensemble: GibbsEnsemble, h: np.ndarray, j: int) -> float:
     """Log weight of state ``j`` recomputed through the energy quadratic form.
 
-    Evaluates ``-beta <psi_j|H|psi_j> - log Xi`` with ``h`` the Hamiltonian
-    the ensemble was built from, rather than reading the stored eigenvalue;
-    the two agree to the spectrum residual tolerance.
+    Evaluates ``-beta <psi_j|H|psi_j> - log Xi`` with ``h`` the matrix whose
+    :func:`eigenpairs` the ensemble holds, rather than reading the stored
+    eigenvalue; the two agree to the spectrum residual tolerance.
     """
     if not 0 <= j < ensemble.dim:
         raise ValueError(f"state index {j} outside [0, {ensemble.dim})")

@@ -111,11 +111,11 @@ class Interaction:
     """A finite-range interaction: orbit representatives plus global parameters.
 
     ``lam`` is the perturbation parameter in [0, 1) and ``c`` the norm
-    constant used when checking that quantum parts are genuinely small.
+    constant used when checking that quantum parts are genuinely small. The
+    range :attr:`R` is read off the terms.
     """
 
     terms: tuple[LocalTerm, ...]
-    R: int
     lam: float
     c: float = 1.0
 
@@ -126,14 +126,6 @@ class Interaction:
         d = terms[0].d
         if any(t.d != d for t in terms):
             raise ValueError("terms have inconsistent dimensions")
-        if self.R < 0:
-            raise ValueError(f"range must be >= 0, got {self.R}")
-        for i, t in enumerate(terms):
-            diam = linf_diameter(t.support)
-            if diam > self.R:
-                raise ValueError(
-                    f"term {i} has support diameter {diam}, beyond the declared range {self.R}"
-                )
         if not 0.0 <= self.lam < 1.0:
             raise ValueError(f"lam must lie in [0, 1), got {self.lam}")
         object.__setattr__(self, "terms", terms)
@@ -141,6 +133,11 @@ class Interaction:
     @property
     def d(self) -> int:
         return self.terms[0].d
+
+    @property
+    def R(self) -> int:
+        """The range: the largest support diameter of a term."""
+        return max(linf_diameter(t.support) for t in self.terms)
 
 
 def preset_tfim(J: float, h_field: float, lam: float, *, c: float = 1.0) -> Interaction:
@@ -155,7 +152,7 @@ def preset_tfim(J: float, h_field: float, lam: float, *, c: float = 1.0) -> Inte
         classical_part=np.array([-h_field, h_field]),
         quantum_part=np.array([[0.0, -lam], [-lam, 0.0]]),
     )
-    return Interaction(terms=(bond, onsite), R=1, lam=lam, c=c)
+    return Interaction(terms=(bond, onsite), lam=lam, c=c)
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,12 @@ def chain_hamiltonian(n_sites: int, J: float, h: float, lam: float,
 
 def dense_ensemble(h: np.ndarray, beta: float) -> sa.GibbsEnsemble:
     """Ensemble through the eigenpair route, for tests that read eigenvectors."""
-    return sa.gibbs_ensemble(h, beta, spectrum=sa.eigenpairs(h))
+    return sa.gibbs_ensemble(sa.eigenpairs(h), beta)
 
 
 def chain_ensemble(n_sites: int, J: float, h: float, lam: float, beta: float,
                    boundary_spin: int = 1) -> sa.GibbsEnsemble:
-    return sa.gibbs_ensemble(chain_hamiltonian(n_sites, J, h, lam, boundary_spin), beta)
+    return sa.gibbs_ensemble(sa.diagonalize(chain_hamiltonian(n_sites, J, h, lam, boundary_spin)), beta)
 
 
 @pytest.fixture(scope="session")
@@ -102,4 +102,4 @@ def generic_models(draw) -> tuple[sa.Interaction, sa.Volume, sa.GroundStateConfi
     periods = tuple(draw(st.integers(1, 2)) for _ in range(d))
     cell = {site: draw(st.sampled_from([1, -1]))
             for site in itertools.product(*(range(p) for p in periods))}
-    return sa.Interaction(terms=tuple(terms), R=1, lam=0.5), volume, sa.GroundStateConfig(periods, cell)
+    return sa.Interaction(terms=tuple(terms), lam=0.5), volume, sa.GroundStateConfig(periods, cell)

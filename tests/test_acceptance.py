@@ -70,7 +70,7 @@ def test_criterion_04_matrix_exponential_oracle():
     worst = 0.0
     for beta, lam in ((0.7, 0.1), (1.5, 0.3), (3.0, 0.0)):
         h = chain_hamiltonian(6, 1.0, 0.5, lam)
-        ens = sa.gibbs_ensemble(h, beta)
+        ens = sa.gibbs_ensemble(sa.diagonalize(h), beta)
         rho = expm(-beta * np.asarray(h, dtype=complex))
         rho /= np.trace(rho).real
         oracle = np.sort(np.linalg.eigvalsh(rho))

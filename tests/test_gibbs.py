@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -68,18 +71,18 @@ class TestLogSumExp:
 
 class TestGibbsEnsemble:
     def test_zero_hamiltonian_is_maximally_mixed(self):
-        ens = sa.gibbs_ensemble(np.zeros((8, 8)), beta=3.7)
+        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((8, 8))), beta=3.7)
         np.testing.assert_allclose(np.exp(ens.log_weights), np.full(8, 1 / 8), atol=1e-15)
 
     def test_single_site_closed_form(self):
         beta = 1.3
-        ens = sa.gibbs_ensemble(np.diag([-2.0, 2.0]), beta)
+        ens = sa.gibbs_ensemble(sa.diagonalize(np.diag([-2.0, 2.0])), beta)
         expected_up = 1.0 / (1.0 + np.exp(-4 * beta))
         assert np.exp(ens.log_weights[0]) == pytest.approx(expected_up, abs=1e-14)
 
     def test_matches_matrix_exponential_oracle(self):
         h = chain_hamiltonian(6, 1.0, 0.5, 0.2)
-        ens = sa.gibbs_ensemble(h, 2.0)
+        ens = sa.gibbs_ensemble(sa.diagonalize(h), 2.0)
         rho = expm(-2.0 * np.asarray(h, dtype=complex))
         rho /= np.trace(rho).real
         oracle = np.sort(np.linalg.eigvalsh(rho))
@@ -91,15 +94,15 @@ class TestGibbsEnsemble:
 
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError):
-            sa.gibbs_ensemble(np.zeros((2, 2)), 0.0)
+            sa.gibbs_ensemble(sa.diagonalize(np.zeros((2, 2))), 0.0)
 
     def test_unitary_invariance_of_weights(self):
         h = np.asarray(chain_hamiltonian(4, 1.0, 0.5, 0.3), dtype=complex)
         rng = np.random.default_rng(8)
         q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
         rotated = q @ h @ q.conj().T
-        a = np.sort(sa.gibbs_ensemble(h, 1.1).log_weights)
-        b = np.sort(sa.gibbs_ensemble(rotated, 1.1).log_weights)
+        a = np.sort(sa.gibbs_ensemble(sa.diagonalize(h), 1.1).log_weights)
+        b = np.sort(sa.gibbs_ensemble(sa.diagonalize(rotated), 1.1).log_weights)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -131,12 +134,12 @@ class TestEigenvalueViaEnergy:
 
 class TestEntropy:
     def test_maximally_mixed(self):
-        ens = sa.gibbs_ensemble(np.zeros((32, 32)), beta=1.0)
+        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((32, 32))), beta=1.0)
         assert sa.entropy_bits(ens) == pytest.approx(5.0, abs=1e-12)
 
     def test_single_site_binary_entropy(self):
         beta = 0.8
-        ens = sa.gibbs_ensemble(np.diag([-2.0, 2.0]), beta)
+        ens = sa.gibbs_ensemble(sa.diagonalize(np.diag([-2.0, 2.0])), beta)
         p = 1.0 / (1.0 + np.exp(-4 * beta))
         expected = -p * np.log2(p) - (1 - p) * np.log2(1 - p)
         assert sa.entropy_bits(ens) == pytest.approx(expected, abs=1e-12)
@@ -175,8 +178,8 @@ class TestExpectation:
         beta, step = 1.5, 1e-5
         h = chain_hamiltonian(6, 1.0, 0.5, 0.2)
         ens = dense_ensemble(h, beta)
-        up = sa.gibbs_ensemble(h, beta + step, spectrum=ens.spectrum).log_partition
-        down = sa.gibbs_ensemble(h, beta - step, spectrum=ens.spectrum).log_partition
+        up = sa.gibbs_ensemble(ens.spectrum, beta + step).log_partition
+        down = sa.gibbs_ensemble(ens.spectrum, beta - step).log_partition
         oracle = -(up - down) / (2 * step)
         mine = sa.expectation(ens, h)
         assert abs(mine - oracle) / abs(oracle) <= 1e-5
@@ -193,14 +196,14 @@ class TestCharacteristicFunction:
             assert sa.characteristic_function(ens, 0.0) == 1.0 + 0.0j
 
     def test_zero_hamiltonian_constant(self):
-        ens = sa.gibbs_ensemble(np.zeros((8, 8)), beta=1.0)
+        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((8, 8))), beta=1.0)
         for tau in (0.0, 0.3, 2.0, -11.0):
             assert sa.characteristic_function(ens, tau) == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
     def test_matches_matrix_exponential_oracle(self):
         beta, tau = 2.0, 0.7
         h = chain_hamiltonian(6, 1.0, 0.5, 0.2)
-        ens = sa.gibbs_ensemble(h, beta)
+        ens = sa.gibbs_ensemble(sa.diagonalize(h), beta)
         h = np.asarray(h, dtype=complex)
         rho = expm(-beta * h)
         rho /= np.trace(rho).real
@@ -218,7 +221,7 @@ class TestCharacteristicFunction:
 class TestThermoDensities:
     def test_zero_hamiltonian_closed_forms(self):
         beta = 1.7
-        ens = sa.gibbs_ensemble(np.zeros((16, 16)), beta=beta)
+        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((16, 16))), beta=beta)
         densities = sa.thermo_densities(ens)
         assert densities.f == pytest.approx(-np.log(2) / beta, abs=1e-14)
         assert densities.g == pytest.approx(0.0, abs=1e-14)
@@ -226,7 +229,7 @@ class TestThermoDensities:
 
     def test_single_site_closed_forms(self):
         beta = 0.9
-        ens = sa.gibbs_ensemble(np.diag([-2.0, 2.0]), beta)
+        ens = sa.gibbs_ensemble(sa.diagonalize(np.diag([-2.0, 2.0])), beta)
         densities = sa.thermo_densities(ens)
         xi = np.exp(2 * beta) + np.exp(-2 * beta)
         p = np.exp(2 * beta) / xi
@@ -322,10 +325,26 @@ class TestSpectrumValidation:
         with pytest.raises(ValueError, match="finite"):
             sa.Spectrum(energies=np.array(energies), vectors=np.eye(len(energies)))
 
-    def test_spectrum_dimension_mismatch_rejected(self):
-        spec = sa.diagonalize(np.diag([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            sa.gibbs_ensemble(np.zeros((4, 4)), 1.0, spectrum=spec)
+    @pytest.mark.parametrize("source", [
+        lambda: np.zeros(4),
+        lambda: np.zeros((4, 7)),
+        lambda: np.zeros((4, 4)),
+        lambda: sa.hamiltonian_rows(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(2), sa.GroundStateConfig.uniform(1, 1)),
+    ], ids=["vector", "wide", "square", "rows"])
+    def test_input_that_is_not_a_spectrum_is_refused(self, source):
+        with pytest.raises(TypeError, match=r"diagonalize\(h\).*eigenpairs\(h\)"):
+            sa.gibbs_ensemble(source(), 1.0)
+
+    @pytest.mark.parametrize("energies", [[], [0.0], [0.0, 1.0, 2.0]], ids=["empty", "one-state", "three-states"])
+    def test_spectrum_of_other_than_2_to_the_n_states_is_refused(self, energies):
+        spectrum = sa.diagonalize(np.diag(np.array(energies)))
+        with pytest.raises(ValueError, match=rf"a spectrum of {len(energies)} states is not one of 2\*\*n states with n >= 1"):
+            sa.gibbs_ensemble(spectrum, 1.0)
+
+    def test_parameters_are_the_spectrum_and_beta(self):
+        assert list(inspect.signature(sa.gibbs_ensemble).parameters) == ["spectrum", "beta"]
+        assert "n_sites" not in {f.name for f in dataclasses.fields(sa.GibbsEnsemble)}
+        assert sa.gibbs_ensemble(sa.Spectrum(np.zeros(8)), 1.0).n_sites == 3
 
     def test_nan_input_rejected(self):
         bad = np.diag([np.nan, 1.0])

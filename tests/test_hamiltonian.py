@@ -135,7 +135,7 @@ def ising_2d_model(J: float, h: float, lam: float) -> sa.Interaction:
         quantum_part=np.array([[0.0, -lam], [-lam, 0.0]]),
     )
     return sa.Interaction(
-        terms=(bond(((0, 0), (1, 0))), bond(((0, 0), (0, 1))), onsite), R=1, lam=max(lam, 0.0)
+        terms=(bond(((0, 0), (1, 0))), bond(((0, 0), (0, 1))), onsite), lam=max(lam, 0.0)
     )
 
 
@@ -215,8 +215,8 @@ class TestInstantiation:
             return sa.LocalTerm(((0,), (1,)), np.array([-1.0, 1.0, 1.0, -1.0]), np.zeros((4, 4)))
 
         once = bond()
-        repeated = sa.Interaction((once, once), R=1, lam=0.0)
-        distinct = sa.Interaction((bond(), bond()), R=1, lam=0.0)
+        repeated = sa.Interaction((once, once), lam=0.0)
+        distinct = sa.Interaction((bond(), bond()), lam=0.0)
         volume = sa.chain(3)
         h = sa.assemble_hamiltonian(repeated, volume, ALL_UP)
         assert h[0, 0] == -8.0  # four bonds meet the volume, each counted twice

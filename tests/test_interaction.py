@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ class TestPerturbationBound:
             classical_part=np.zeros(2),
             quantum_part=np.array([[0.0, 0.5], [0.5, 0.0]]),
         )
-        model = sa.Interaction(terms=(term,), R=0, lam=0.1, c=1.0)
+        model = sa.Interaction(terms=(term,), lam=0.1, c=1.0)
         (report,) = sa.check_perturbation_bound(model)
         assert not report.satisfied
         assert report.bound == pytest.approx(0.1)
@@ -196,14 +198,19 @@ class TestLocalTermValidation:
         assert np.array_equal(term.quantum_part, term.quantum_part.conj().T)
         assert np.abs(term.quantum_part - quantum).max() <= 1e-14
 
-    def test_range_violation_rejected(self):
-        term = sa.LocalTerm(
-            support=((0,), (2,)),
-            classical_part=np.zeros(4),
-            quantum_part=np.zeros((4, 4)),
-        )
-        with pytest.raises(ValueError):
-            sa.Interaction(terms=(term,), R=1, lam=0.0)
+    def test_range_is_the_largest_support_diameter(self):
+        def model(*supports):
+            return sa.Interaction(terms=tuple(
+                sa.LocalTerm(support, np.zeros(2 ** len(support)), np.zeros((2 ** len(support),) * 2))
+                for support in supports
+            ), lam=0.0)
+
+        golden = Path(__file__).parent / "golden" / "generic2d.cfg"
+        assert sa.preset_tfim(1.0, 0.5, 0.2).R == 1
+        assert model(((0,),)).R == 0
+        assert model(((0,),), ((0,), (2,))).R == 2
+        assert sa.build_interaction(sa.parse_config(golden.read_text())).R == 1
+        assert "R" not in {f.name for f in dataclasses.fields(sa.Interaction)}
 
     @pytest.mark.parametrize("support", [((1,), (0,)), ((0,), (0,)), ((0, 1), (0, 0)), ((1, 0), (1, 0))],
                              ids=["reversed", "repeated", "reversed-2d", "repeated-2d"])

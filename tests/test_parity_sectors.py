@@ -45,7 +45,7 @@ def symmetric_complex_model() -> sa.Interaction:
     bond = sa.LocalTerm(((0,), (1,)), np.array([-1.0, 1.0, 1.0, -1.0]), bond_quantum)
     site = sa.LocalTerm(((0,),), np.array([-0.5, 0.5]),
                         np.array([[0.0, -0.25 + 0.125j], [-0.25 - 0.125j, 0.0]]))
-    return sa.Interaction(terms=(bond, site), R=1, lam=0.25)
+    return sa.Interaction(terms=(bond, site), lam=0.25)
 
 
 def golden_model(case: str) -> tuple[sa.Interaction, sa.GroundStateConfig]:
@@ -243,7 +243,7 @@ def reflection_chains(draw) -> tuple[str, np.ndarray]:
         j = draw(st.floats(1.0, 2.0))
         terms += (sa.LocalTerm(((0,), (1,)), np.array([-j, j, j, -j]), np.zeros((4, 4))),)
         boundary = sa.GroundStateConfig((2,), {(0,): +1, (1,): -1})
-    model = sa.Interaction(terms=terms, R=1, lam=0.25)
+    model = sa.Interaction(terms=terms, lam=0.25)
     return kind, sa.assemble_hamiltonian(model, sa.chain(n_sites), boundary)
 
 
@@ -363,7 +363,7 @@ def cancelling_model() -> sa.Interaction:
     quantum = np.array([[0.0, 0.125j], [-0.125j, 0.0]])
     cancelling = (sa.LocalTerm(((0,),), np.zeros(2), quantum),
                   sa.LocalTerm(((0,),), np.zeros(2), -quantum))
-    return sa.Interaction(terms=sa.preset_tfim(1.0, 0.5, 0.2).terms + cancelling, R=1, lam=0.2)
+    return sa.Interaction(terms=sa.preset_tfim(1.0, 0.5, 0.2).terms + cancelling, lam=0.2)
 
 
 def test_generator_whose_imaginary_parts_cancel_takes_the_real_parity_blocks(eigvalsh_calls):

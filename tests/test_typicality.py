@@ -13,7 +13,7 @@ def lln_residual(ens, t):
 
 class TestTypicalSubspace:
     def test_zero_hamiltonian_full_window(self):
-        ens = sa.gibbs_ensemble(np.zeros((32, 32)), beta=1.0)
+        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((32, 32))), beta=1.0)
         sub = sa.typical_subspace(ens, h_ref=1.0, delta=0.2)
         assert sub.dim == 32
         assert sub.mass == pytest.approx(1.0, abs=1e-12)
@@ -36,7 +36,7 @@ class TestTypicalSubspace:
         assert sub.mass == pytest.approx(mass, abs=1e-12)
 
     def test_delta_must_be_positive(self):
-        ens = sa.gibbs_ensemble(np.zeros((4, 4)), beta=1.0)
+        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((4, 4))), beta=1.0)
         with pytest.raises(ValueError):
             sa.typical_subspace(ens, 1.0, 0.0)
 
@@ -52,7 +52,7 @@ class TestTypicalSubspace:
 
 class TestMassCurve:
     def test_free_family_is_constant_one(self):
-        family = [sa.gibbs_ensemble(np.zeros((2**n, 2**n)), beta=2.0) for n in (2, 3, 4)]
+        family = [sa.gibbs_ensemble(sa.diagonalize(np.zeros((2**n, 2**n))), beta=2.0) for n in (2, 3, 4)]
         masses = [sa.typical_subspace(e, 1.0, 0.2).mass for e in family]
         np.testing.assert_allclose(masses, 1.0, atol=1e-12)
 
@@ -69,7 +69,7 @@ class TestMassCurve:
 
 class TestDimensionRate:
     def test_zero_hamiltonian_rate_one(self):
-        ens = sa.gibbs_ensemble(np.zeros((64, 64)), beta=1.0)
+        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((64, 64))), beta=1.0)
         sub = sa.typical_subspace(ens, 1.0, 0.1)
         assert sa.dimension_rate(sub) == pytest.approx(1.0)
 
@@ -121,11 +121,11 @@ class TestBestRateMass:
         ens = chain_ensemble(5, 1.0, 0.5, 0.2, beta=1.0)
         assert sa.best_rate_mass(ens, 1e300) == sa.best_rate_mass(ens, 1.0)
         assert sa.best_rate_mass(ens, 1e300) == pytest.approx(1.0, abs=1e-12)
-        free = sa.gibbs_ensemble(np.zeros((8, 8)), beta=1.0)
+        free = sa.gibbs_ensemble(sa.diagonalize(np.zeros((8, 8))), beta=1.0)
         assert sa.best_rate_mass(free, 1e300) == 1.0
 
     def test_negative_rate_rejected(self):
-        ens = sa.gibbs_ensemble(np.zeros((4, 4)), beta=1.0)
+        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((4, 4))), beta=1.0)
         with pytest.raises(ValueError):
             sa.best_rate_mass(ens, -0.1)
 
@@ -136,7 +136,7 @@ class TestLlnResidual:
             assert lln_residual(ens, 0.0) == 0.0
 
     def test_zero_hamiltonian_is_zero_everywhere(self):
-        ens = sa.gibbs_ensemble(np.zeros((16, 16)), beta=1.0)
+        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((16, 16))), beta=1.0)
         for t in (0.0, 0.5, 3.0):
             assert lln_residual(ens, t) <= 1e-14
 

@@ -159,7 +159,7 @@ def test_energies_match_the_eigenpair_route(hamiltonian):
 class TestValuesOnlyEnsemble:
     @pytest.fixture(scope="class")
     def ensemble(self) -> sa.GibbsEnsemble:
-        return sa.gibbs_ensemble(golden_hamiltonian("dm", sa.chain(4)), beta=0.5)
+        return sa.gibbs_ensemble(sa.diagonalize(golden_hamiltonian("dm", sa.chain(4))), beta=0.5)
 
     def test_holds_no_vectors(self, ensemble):
         assert ensemble.spectrum.vectors is None
