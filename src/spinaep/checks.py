@@ -21,7 +21,7 @@ from .gibbs import (
     LOG2E, GibbsEnsemble, _DenseRows, _eigenvalues, _lapack_solver, _solve_matrices, diagonalize,
     eigenpairs, entropy_bits, expectation, gibbs_ensemble, thermo_densities,
 )
-from .hamiltonian import assemble_hamiltonian, hamiltonian_rows
+from .hamiltonian import HamiltonianRows, assemble_hamiltonian, hamiltonian_rows
 from .interaction import GroundStateConfig, Interaction, LocalTerm, classical_energy, preset_tfim
 from .lattice import Configuration, boundary_envelope, chain
 from .typicality import typical_subspace
@@ -40,8 +40,8 @@ class CheckResult:
     detail: str
 
 
-def _hamiltonian(n_sites: int, lam: float, boundary: GroundStateConfig = ALL_UP) -> np.ndarray:
-    return assemble_hamiltonian(preset_tfim(1.0, 0.5, lam), chain(n_sites), boundary)
+def _hamiltonian(n_sites: int, lam: float) -> np.ndarray:
+    return assemble_hamiltonian(preset_tfim(1.0, 0.5, lam), chain(n_sites), ALL_UP)
 
 
 def _dm_model(lam: float = 0.2) -> Interaction:
@@ -133,10 +133,9 @@ def _check_in_place_solve(route: str, h: np.ndarray) -> CheckResult:
     return CheckResult(f"in-place solve, {route}", same, f"solved {how}; {verdict} numpy.linalg.eigvalsh")
 
 
-def _check_generated_rows(route: str, model: Interaction, n_sites: int = 6) -> CheckResult:
-    volume = chain(n_sites)
-    generated = diagonalize(hamiltonian_rows(model, volume, ALL_UP)).energies
-    dense = diagonalize(assemble_hamiltonian(model, volume, ALL_UP)).energies
+def _check_generated_rows(route: str, rows: HamiltonianRows, h: np.ndarray) -> CheckResult:
+    generated = diagonalize(rows).energies
+    dense = diagonalize(h).energies
     same = np.array_equal(generated, dense)
     detail = "bit for bit equal" if same else f"max gap {np.abs(generated - dense).max():.3e}"
     return CheckResult(f"generated rows against the dense matrix, {route}", same, detail)
@@ -158,6 +157,13 @@ def _check_typical_filter(n_sites: int = 6, beta: float = 0.5, lam: float = 0.2)
     return CheckResult("typical window filter", ok, f"dim {sub.dim}, mass {sub.mass:.6f}")
 
 
+def _product_vectors(eigenvectors: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """A decomposition's vectors in the product basis, ``V @ coefficients`` with unit columns."""
+    vectors = eigenvectors @ coefficients
+    vectors /= np.linalg.norm(vectors, axis=0)
+    return vectors
+
+
 def _check_codec(n_sites: int = 6, beta: float = 0.5, lam: float = 0.2, seed: int = 7) -> CheckResult:
     ens = _ensemble(_hamiltonian(n_sites, lam), beta)
     sub = typical_subspace(ens, entropy_bits(ens) / n_sites, 0.3)
@@ -168,7 +174,7 @@ def _check_codec(n_sites: int = 6, beta: float = 0.5, lam: float = 0.2, seed: in
     decomp = make_decomposition(ens, ens.dim, seed=seed)
     fid = fidelity(decomp, sub)
     # dense route: product-basis vectors through the typical projector
-    vectors = decomp.vectors
+    vectors = _product_vectors(ens.spectrum.vectors, decomp.coefficients)
     quad = np.einsum("ij,ij->j", vectors.conj(), typical_projector(sub, ens.spectrum) @ vectors).real
     dense_gap = abs(fid - float(np.sum(decomp.weights * quad)))
     gap = abs(fid - sub.mass)
@@ -180,19 +186,22 @@ def _check_codec(n_sites: int = 6, beta: float = 0.5, lam: float = 0.2, seed: in
 
 def run_checks() -> list[CheckResult]:
     """Run the whole oracle suite on six qubits or fewer."""
+    volume = chain(6)
+    # one chain per solve route, each with its generated rows and its dense H
+    routes = [
+        (name, hamiltonian_rows(model, volume, boundary), assemble_hamiltonian(model, volume, boundary))
+        for name, model, boundary in (("parity blocks", preset_tfim(1.0, 0.5, 0.2), ALL_UP),
+                                      ("real form", _dm_model(), ALL_UP),
+                                      ("full solve", preset_tfim(1.0, 0.5, 0.2), NEEL))
+    ]
     return [
         _check_expm_oracle(),
         _check_classical_entropy(),
         _check_energy_derivative(),
         _check_entropy_identity(),
-        _check_values_only("parity blocks", _hamiltonian(6, 0.2)),
-        _check_values_only("real form", assemble_hamiltonian(_dm_model(), chain(6), ALL_UP)),
-        _check_values_only("full solve", _hamiltonian(6, 0.2, NEEL)),
-        _check_in_place_solve("parity blocks", _hamiltonian(6, 0.2)),
-        _check_in_place_solve("real form", assemble_hamiltonian(_dm_model(), chain(6), ALL_UP)),
-        _check_in_place_solve("full solve", _hamiltonian(6, 0.2, NEEL)),
-        _check_generated_rows("parity blocks", preset_tfim(1.0, 0.5, 0.2)),
-        _check_generated_rows("real form", _dm_model()),
+        *(_check_values_only(name, h) for name, _, h in routes),
+        *(_check_in_place_solve(name, h) for name, _, h in routes),
+        *(_check_generated_rows(name, rows, h) for name, rows, h in routes),
         _check_typical_filter(),
         _check_codec(),
     ]

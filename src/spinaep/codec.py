@@ -85,10 +85,9 @@ def typical_projector(subspace: TypicalSubspace, spectrum: Spectrum) -> np.ndarr
 
     Needs the eigenvectors: pass a spectrum from :func:`~spinaep.gibbs.eigenpairs`.
     """
-    vectors = spectrum.require_vectors("typical_projector")
-    if subspace.dim == 0:
-        return np.zeros((spectrum.dim, spectrum.dim), dtype=complex)
-    v = vectors[:, subspace.indices]
+    if 1 << subspace.n_sites != spectrum.dim:
+        raise ValueError("subspace dimension does not match the spectrum")
+    v = spectrum.require_vectors("typical_projector")[:, subspace.indices]
     return v @ v.conj().T
 
 
@@ -123,26 +122,20 @@ class Decomposition:
     Unit vectors ``phi_i`` with weights ``p_i``, held as the phases and
     ``sqrt(kappa)`` that generate their coordinates ``<psi_j|phi_i>``
     (``coefficients``) and as each eigenstate's captured mass ``sum_i p_i
-    |<psi_j|phi_i>|^2``. ``basis`` holds the ``psi_j`` as columns, or
-    ``None`` for an energies-only spectrum. The vectors need not be orthogonal.
+    |<psi_j|phi_i>|^2``. The vectors need not be orthogonal. No eigenvector is
+    held, so a decomposition is the same whichever solver gave the spectrum.
     """
 
     weights: np.ndarray  # (m,) nonnegative, summing to one
     captured: np.ndarray  # (dim,) nonnegative, summing to one
     phases: np.ndarray  # (3, m) unit-modulus diagonals D_1, D_2, D_3
     sqrt_kappa: np.ndarray  # (dim,) square roots of the eigenstate weights
-    basis: np.ndarray | None  # (dim, dim) orthonormal eigenvectors as columns
 
     def __post_init__(self) -> None:
         w, r, k = (np.asarray(a, dtype=float) for a in (self.weights, self.captured, self.sqrt_kappa))
         d = np.asarray(self.phases, dtype=complex)
         if w.ndim != 1 or d.shape != (3, w.size) or k.ndim != 1 or r.shape != k.shape or k.size > w.size:
             raise ValueError("need weights (m,), phases (3, m), captured and sqrt_kappa (dim,), dim <= m")
-        if self.basis is not None:
-            b = np.asarray(self.basis)
-            if b.shape != (k.size,) * 2:
-                raise ValueError("basis must be (dim, dim)")
-            object.__setattr__(self, "basis", readonly(b))
         # not-below comparisons so NaN entries count as failures
         for name, values in (("weights", w), ("captured masses", r)):
             if not np.all(values >= 0) or not abs(values.sum() - 1.0) <= 1e-12:
@@ -152,10 +145,6 @@ class Decomposition:
         for name, value in (("weights", w), ("captured", r), ("phases", d), ("sqrt_kappa", k)):
             object.__setattr__(self, name, readonly(value))
 
-    @property
-    def size(self) -> int:
-        return int(self.weights.size)
-
     @cached_property
     def coefficients(self) -> np.ndarray:
         """The (dim, m) coordinates ``<psi_j|phi_i>``, columns of unit norm.
@@ -164,7 +153,7 @@ class Decomposition:
         tests and the dense cross-checks need them. A zero-weight column
         carries no mass and holds the first eigenvector.
         """
-        c = np.empty((self.sqrt_kappa.size, self.size), dtype=complex)
+        c = np.empty((self.sqrt_kappa.size, self.weights.size), dtype=complex)
         for start, rows in _coefficient_rows(self.sqrt_kappa, self.phases):
             c[start:start + len(rows)] = rows
         norms = np.sqrt(_squared_column_norms(c))
@@ -173,18 +162,8 @@ class Decomposition:
         c.setflags(write=False)
         return c
 
-    @property
-    def vectors(self) -> np.ndarray:
-        """The vectors in the product basis, ``basis @ coefficients`` with unit columns.
-
-        Formed anew on each access at O(dim^2 m) cost for the dense
-        cross-checks; without a basis, the coefficients themselves.
-        """
-        if self.basis is None:
-            return self.coefficients
-        vectors = self.basis @ self.coefficients
-        vectors /= np.linalg.norm(vectors, axis=0)
-        return vectors
+    # an alias kept because perfbench/child.py sizes a decomposition by ``vectors.nbytes``
+    vectors = property(lambda self: self.coefficients)
 
 
 def make_decomposition(
@@ -203,7 +182,7 @@ def make_decomposition(
     isometry. U is applied, not stored: one pass over row chunks of C, one
     FFT per row, sums the column weights ``sum_j |C_ji|^2`` and the captured
     masses ``sum_i |C_ji|^2``, in O(dim m log m) time and O(m) memory plus
-    one chunk.
+    one chunk. Of the ensemble, only the log weights are read.
     """
     dim = ensemble.dim
     if m < dim:
@@ -220,7 +199,7 @@ def make_decomposition(
         captured[start:start + len(rows)] = mass.sum(axis=1)
     total = weights.sum()
     return Decomposition(weights=weights / total, captured=captured / total, phases=phases,
-                         sqrt_kappa=sqrt_kappa, basis=ensemble.spectrum.vectors)
+                         sqrt_kappa=sqrt_kappa)
 
 
 def fidelity(decomposition: Decomposition, subspace: TypicalSubspace) -> float:

@@ -88,12 +88,18 @@ class Spectrum:
         return self.vectors
 
 
+def _square_matrix(h) -> np.ndarray:
+    """A caller's square matrix, single or half precision widened to double, as the tolerances need."""
+    h = np.asarray(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"h must be a square matrix, got shape {h.shape}")
+    return h.astype(np.promote_types(h.dtype, np.float64), copy=False) if h.dtype.kind in "fc" else h
+
+
 class _DenseRows:
     """Rows of a dense matrix, read as :class:`~spinaep.hamiltonian.HamiltonianRows` generates them."""
 
     def __init__(self, h: np.ndarray) -> None:
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError(f"h must be a square matrix, got shape {h.shape}")
         self.h, self.shape, self.dtype = h, h.shape, h.dtype
 
     def rows(self, index: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
@@ -106,7 +112,7 @@ class _DenseRows:
 
 
 # dsyevd and zheevd of the LAPACK that numpy links, with 64-bit integers;
-# numpy solves single precision in double, so those dtypes take its eigvalsh
+# other dtypes, such as a caller's integer matrix, take numpy's eigvalsh
 _SOLVER_SYMBOLS = {
     np.dtype(np.float64): "scipy_dsyevd_64_",
     np.dtype(np.complex128): "scipy_zheevd_64_",
@@ -319,7 +325,7 @@ def _eigenvalues(matrix: np.ndarray, n_odd: int) -> np.ndarray:
 def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     """Energies of a Hermitian matrix, ascending, without eigenvectors.
 
-    ``h`` is a dense matrix, solved in the dtype the caller gives it, or the
+    ``h`` is a dense matrix, solved in its dtype (single or half precision in double), or the
     row generator of :func:`~spinaep.hamiltonian.hamiltonian_rows`, whose
     dtype is complex only when an imaginary part survives in ``h``; either
     is read row by row in one pass. When ``h`` commutes bit for bit with the
@@ -358,7 +364,7 @@ def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     change is orthogonal in phase to it; a generator's exact Hermiticity
     excludes the second.
     """
-    source = h if isinstance(h, HamiltonianRows) else _DenseRows(np.asarray(h))
+    source = h if isinstance(h, HamiltonianRows) else _DenseRows(_square_matrix(h))
     try:
         matrix, n_odd, trace, frobenius = _solve_matrices(source)
         energies = _eigenvalues(matrix, n_odd)
@@ -380,24 +386,26 @@ def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
 def eigenpairs(h: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a Hermitian matrix, ascending energies.
 
-    The residual ``|H v - E v|`` and the orthonormality of the eigenvector
-    matrix are always verified against the spectrum tolerances; a
-    :class:`NumericError` carries the offending residual. The solver's own
-    arrays are frozen and handed to the :class:`Spectrum` without a copy.
+    ``h`` is read as :func:`diagonalize` reads a caller's matrix, and a 0 x 0
+    one gives an empty spectrum. The residual ``|H v - E v|`` and the
+    orthonormality of the eigenvector matrix are always verified against the
+    spectrum tolerances; a :class:`NumericError` carries the offending
+    residual. The solver's own arrays are frozen and handed to the
+    :class:`Spectrum` without a copy.
     """
-    h = np.asarray(h)
+    h = _square_matrix(h)
     try:
         energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
     scale = float(np.abs(energies).max(initial=0.0))
-    residual = float(np.abs(h @ vectors - vectors * energies).max())
+    residual = float(np.abs(h @ vectors - vectors * energies).max(initial=0.0))
     # not-below comparisons so NaN residuals count as failures
     if not residual <= SPECTRUM_RESIDUAL_TOL * max(scale, 1e-300):
         raise NumericError(
             f"eigenpair residual {residual:.3e} exceeds {SPECTRUM_RESIDUAL_TOL:g} * |H|"
         )
-    gram_dev = float(np.abs(vectors.conj().T @ vectors - np.eye(energies.size)).max())
+    gram_dev = float(np.abs(vectors.conj().T @ vectors - np.eye(energies.size)).max(initial=0.0))
     if not gram_dev <= SPECTRUM_RESIDUAL_TOL:
         raise NumericError(f"eigenvectors deviate from orthonormal by {gram_dev:.3e}")
     energies.setflags(write=False)

@@ -251,6 +251,12 @@ def product_basis_decomposition(eigenvectors: np.ndarray, kappa: np.ndarray, iso
     return weights / weights.sum(), vectors / np.sqrt(weights)
 
 
+def product_vectors(eigenvectors: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """A decomposition's product-basis vectors: the columns of ``V C``, ``C`` its coordinates, normalized."""
+    vectors = eigenvectors @ coefficients
+    return vectors / np.linalg.norm(vectors, axis=0)
+
+
 def projector_fidelity(weights: np.ndarray, vectors: np.ndarray, projector: np.ndarray) -> float:
     """``sum_i p_i <phi_i|P|phi_i>``, the projector applied to every vector."""
     quad = np.einsum("ij,ij->j", vectors.conj(), projector @ vectors).real

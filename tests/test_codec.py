@@ -9,7 +9,9 @@ import spinaep as sa
 from spinaep.errors import EmptySubspaceError, InvalidCodewordError
 
 from conftest import chain_ensemble, chain_hamiltonian, dense_ensemble, generic_models
-from oracles import product_basis_decomposition, projector_fidelity, qr_isometry, three_fft_decomposition
+from oracles import (
+    product_basis_decomposition, product_vectors, projector_fidelity, qr_isometry, three_fft_decomposition,
+)
 
 # The sweep-dm11 benchmark chain: complex Hermitian H, Neel cell boundary.
 COMPLEX_MODEL = Path(__file__).resolve().parent / "golden" / "dm.cfg"
@@ -129,6 +131,12 @@ class TestTypicalProjector:
         proj = sa.typical_projector(sub, warm_ensemble.spectrum)
         assert not proj.any()
 
+    def test_subspace_of_another_volume_rejected(self):
+        three_sites = sa.TypicalSubspace(indices=np.array([0]), h_ref=1.0, delta=0.1, mass=0.5, n_sites=3)
+        four_sites = sa.eigenpairs(np.diag(np.arange(16.0)))
+        with pytest.raises(ValueError, match="does not match the spectrum"):
+            sa.typical_projector(three_sites, four_sites)
+
     def test_idempotent_hermitian_with_trace_dim(self, warm_ensemble):
         sub = subspace_of(warm_ensemble, 0.3)
         proj = sa.typical_projector(sub, warm_ensemble.spectrum)
@@ -148,8 +156,7 @@ def complex_ensemble(n_sites: int) -> sa.GibbsEnsemble:
 def decomposition_fields(**changes):
     """Constructor fields of a valid two-state decomposition, with ``changes`` applied."""
     fields = {"weights": np.array([0.5, 0.5]), "captured": np.array([0.25, 0.75]),
-              "phases": np.ones((3, 2), dtype=complex), "sqrt_kappa": np.sqrt([0.25, 0.75]),
-              "basis": np.eye(2)}
+              "phases": np.ones((3, 2), dtype=complex), "sqrt_kappa": np.sqrt([0.25, 0.75])}
     return {**fields, **changes}
 
 
@@ -159,7 +166,7 @@ class TestDecomposition:
         rho = (v * np.exp(warm_ensemble.log_weights)) @ v.conj().T
         for seed in (0, 1, 2):
             decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim + 16, seed=seed)
-            vectors = decomp.vectors
+            vectors = product_vectors(v, decomp.coefficients)
             assert np.abs((vectors * decomp.weights) @ vectors.conj().T - rho).max() <= 1e-8
 
     @pytest.mark.parametrize("extra", [0, 16])
@@ -173,8 +180,21 @@ class TestDecomposition:
 
     def test_coefficients_are_eigenbasis_overlaps(self, warm_ensemble):
         decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim + 16, seed=8)
-        overlaps = warm_ensemble.spectrum.vectors.conj().T @ decomp.vectors
+        v = warm_ensemble.spectrum.vectors
+        overlaps = v.conj().T @ product_vectors(v, decomp.coefficients)
         assert np.abs(overlaps - decomp.coefficients).max() <= 1e-12
+
+    def test_same_whichever_solver_gave_the_spectrum(self, warm_ensemble):
+        energies, vectors = warm_ensemble.spectrum.energies, warm_ensemble.spectrum.vectors
+        decomps = [
+            sa.make_decomposition(sa.gibbs_ensemble(spectrum, warm_ensemble.beta), warm_ensemble.dim, seed=8)
+            for spectrum in (sa.Spectrum(energies), sa.Spectrum(energies, vectors=vectors))
+        ]
+        for field in ("weights", "captured", "phases", "sqrt_kappa", "coefficients"):
+            assert getattr(decomps[0], field).tobytes() == getattr(decomps[1], field).tobytes()
+        for decomp in decomps:
+            assert not hasattr(decomp, "basis")
+            assert decomp.vectors is decomp.coefficients
 
     def test_weights_sum_to_one(self, warm_ensemble):
         decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim, seed=5)
@@ -308,7 +328,8 @@ class TestDenseRoute:
         projector = sa.typical_projector(sub, ens.spectrum)
         decomp = sa.make_decomposition(ens, ens.dim + extra, seed=seed)
         value = sa.fidelity(decomp, sub)
-        same = projector_fidelity(decomp.weights, decomp.vectors, projector)
+        vectors = product_vectors(ens.spectrum.vectors, decomp.coefficients)
+        same = projector_fidelity(decomp.weights, vectors, projector)
         isometry = qr_isometry(np.random.default_rng(seed), ens.dim + extra, ens.dim)
         gaussian = projector_fidelity(
             *product_basis_decomposition(ens.spectrum.vectors, ens.weights, isometry), projector

@@ -577,7 +577,15 @@ class TestOtherSubcommands:
         assert main(["check"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("ok") >= 6
+        names = [
+            "matrix-exponential eigenvalues", "classical enumeration entropy",
+            "energy as log-partition derivative", "entropy-rate identity",
+            *(f"{check}, {route}"
+              for check in ("values-only energies", "in-place solve", "generated rows against the dense matrix")
+              for route in ("parity blocks", "real form", "full solve")),
+            "typical window filter", "codec round trip and fidelity",
+        ]
+        assert [line.split(": ")[0] for line in out.splitlines()] == [f"ok   {name}" for name in names]
 
     @pytest.mark.parametrize("command, output", [
         ("sweep", "sweep.csv"), ("spectrum", "spectrum_n1.csv"), ("codec-demo", "codebook_n2.txt"),

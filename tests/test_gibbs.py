@@ -272,8 +272,7 @@ def frozen_type_case(name: str):
         "Decomposition": (sa.Decomposition, {"weights": np.array([0.25, 0.75]),
                                              "captured": np.array([0.5, 0.5]),
                                              "phases": np.ones((3, 2), dtype=complex),
-                                             "sqrt_kappa": np.sqrt([0.5, 0.5]),
-                                             "basis": np.eye(2)}),
+                                             "sqrt_kappa": np.sqrt([0.5, 0.5])}),
         "LocalTerm": (sa.LocalTerm, {"support": ((0,),),
                                      "classical_part": np.array([-1.0, 1.0]),
                                      "quantum_part": np.zeros((2, 2), dtype=complex)}),

@@ -213,6 +213,39 @@ def test_caller_matrix_that_is_not_square_is_refused(shape):
         sa.diagonalize(np.zeros(shape))
 
 
+@pytest.mark.parametrize("solve", [sa.diagonalize, sa.eigenpairs], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("shape", [(4, 7), (4,), (0, 0)], ids=["wide", "vector", "empty"])
+def test_both_solvers_read_a_caller_matrix_alike(solve, shape):
+    if shape == (0, 0):
+        assert solve(np.zeros(shape)).dim == 0
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"h must be a square matrix, got shape {shape}")):
+            solve(np.zeros(shape))
+
+
+def single_precision_matrices() -> dict[str, np.ndarray]:
+    """Hermitian matrices below double precision: random ones and the 6-site TFIM H."""
+    tfim = sa.assemble_hamiltonian(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(6), ALL_UP)
+    matrices = {"tfim-float32": tfim.astype(np.float32)}
+    for dtype in (np.float16, np.float32, np.complex64):
+        a = random_matrix(16, dtype, seed=3)
+        matrices[f"random-{np.dtype(dtype).name}"] = (a + a.conj().T) / 2
+    return matrices
+
+
+SINGLE = single_precision_matrices()
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE))
+def test_single_precision_is_solved_in_double(name):
+    h = SINGLE[name]
+    before = h.tobytes()
+    wide = h.astype(np.promote_types(h.dtype, np.float64))
+    assert sa.diagonalize(h).energies.tobytes() == sa.diagonalize(wide).energies.tobytes()
+    assert sa.eigenpairs(h).energies.tobytes() == sa.eigenpairs(wide).energies.tobytes()
+    assert h.tobytes() == before
+
+
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_fallback_gives_the_same_energies(route, no_lapack_symbols, monkeypatch):
     model, volume, boundary = ROUTES[route]
