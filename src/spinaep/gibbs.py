@@ -88,31 +88,31 @@ class Spectrum:
         return self.vectors
 
 
-def _square_matrix(h) -> np.ndarray:
-    """A caller's square matrix, single or half precision widened to double, as the tolerances need."""
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"h must be a square matrix, got shape {h.shape}")
-    return h.astype(np.promote_types(h.dtype, np.float64), copy=False) if h.dtype.kind in "fc" else h
-
-
 class _DenseRows:
-    """Rows of a dense matrix, read as :class:`~spinaep.hamiltonian.HamiltonianRows` generates them."""
+    """The one reader of a caller's square matrix, giving rows as :class:`HamiltonianRows` does.
 
-    def __init__(self, h: np.ndarray) -> None:
-        self.h, self.shape, self.dtype = h, h.shape, h.dtype
+    Entries are read as float64, or complex128 if complex; a dtype that
+    does not cast safely raises ``TypeError`` before any matrix-sized copy.
+    """
+
+    def __init__(self, h) -> None:
+        h = np.asarray(h)
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ValueError(f"h must be a square matrix, got shape {h.shape}")
+        self.h, self.shape, self.dtype = h, h.shape, np.dtype(complex if h.dtype.kind == "c" else float)
+        if not np.can_cast(h.dtype, self.dtype):
+            raise TypeError(f"h of dtype {h.dtype} does not cast safely to {self.dtype}")
 
     def rows(self, index: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
-        rows = np.ascontiguousarray(self.h[index])
+        rows = np.ascontiguousarray(self.h[index], dtype=self.dtype)
         return rows if mirror is None else np.take(rows, mirror, axis=1)
 
     def dense(self, order: str) -> np.ndarray:
         """A copy of the whole matrix in ``order``; the caller's array is never written."""
-        return np.array(self.h, order=order)
+        return np.array(self.h, dtype=self.dtype, order=order)
 
 
-# dsyevd and zheevd of the LAPACK that numpy links, with 64-bit integers;
-# other dtypes, such as a caller's integer matrix, take numpy's eigvalsh
+# dsyevd and zheevd of the LAPACK that numpy links, with 64-bit integers
 _SOLVER_SYMBOLS = {
     np.dtype(np.float64): "scipy_dsyevd_64_",
     np.dtype(np.complex128): "scipy_zheevd_64_",
@@ -128,7 +128,7 @@ def _lapack_solver(dtype: np.dtype):
     """
     try:
         solver = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), _SOLVER_SYMBOLS[dtype])
-    except (KeyError, OSError, AttributeError):
+    except (OSError, AttributeError):
         return None
     integer, pointer = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
     # JOBZ, UPLO, N, A, LDA, W, then WORK, RWORK if complex and IWORK with their lengths, INFO
@@ -147,10 +147,9 @@ def _eigvalsh_lower(a: np.ndarray) -> np.ndarray:
     ?syevd or ?heevd (``JOBZ='N'``, ``UPLO='L'``) solves it in place after
     the same workspace query that ``numpy.linalg.eigvalsh`` makes on its
     copy, so the energies are numpy's bit for bit at half the memory. The
-    upper triangle is neither read nor written. When the symbol is not
-    found, or for a dtype other than float64 and complex128,
-    ``numpy.linalg.eigvalsh`` solves a copy instead. A solve that
-    does not converge raises ``numpy.linalg.LinAlgError``, as numpy does.
+    upper triangle is neither read nor written. Where numpy's LAPACK lacks
+    the symbol, ``numpy.linalg.eigvalsh`` solves a copy. A solve that does
+    not converge raises ``numpy.linalg.LinAlgError``, as numpy does.
     """
     solver = _lapack_solver(a.dtype)
     if solver is None:
@@ -286,15 +285,15 @@ def _reflection_pass(source, conjugate: bool) -> tuple[np.ndarray, int, complex,
 def _solve_matrices(source) -> tuple[np.ndarray, int, complex, float]:
     """The matrix that holds ``source``'s spectrum, its odd block size and the trace and Frobenius sums.
 
-    The reflection blocks are tried for a float or complex matrix on ``n >=
-    2`` qubits: the parity blocks, then, if complex, the real form. If
-    neither test passes, the dense matrix alone takes one full solve: a
-    column-major copy of a caller's matrix, or a generator's matrix filled
-    column-major, either solved in place.
+    The reflection blocks are tried on ``n >= 2`` qubits: the parity blocks,
+    then, if complex, the real form. If neither test passes, the dense
+    matrix alone takes one full solve: a column-major copy of a caller's
+    matrix, or a generator's matrix filled column-major, either solved in
+    place.
     """
     dim = source.shape[0]
     n_bits = dim.bit_length() - 1
-    if n_bits >= 2 and dim == 1 << n_bits and source.dtype.kind in "fc":
+    if n_bits >= 2 and dim == 1 << n_bits:
         result = _reflection_pass(source, conjugate=False)
         if result is None and source.dtype.kind == "c":
             result = _reflection_pass(source, conjugate=True)
@@ -325,10 +324,10 @@ def _eigenvalues(matrix: np.ndarray, n_odd: int) -> np.ndarray:
 def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     """Energies of a Hermitian matrix, ascending, without eigenvectors.
 
-    ``h`` is a dense matrix, solved in its dtype (single or half precision in double), or the
-    row generator of :func:`~spinaep.hamiltonian.hamiltonian_rows`, whose
-    dtype is complex only when an imaginary part survives in ``h``; either
-    is read row by row in one pass. When ``h`` commutes bit for bit with the
+    ``h`` is a dense matrix, read in double precision, or the row generator
+    of :func:`~spinaep.hamiltonian.hamiltonian_rows`, whose dtype is complex
+    only when an imaginary part survives in ``h``; either is read row by row
+    in one pass. When ``h`` commutes bit for bit with the
     bit-reversal permutation ``R`` of the basis, as the Hamiltonian of a
     reflection-symmetric model on a chain does, the energies are the merged
     spectra of its even and odd blocks, each about half the dimension, so
@@ -346,7 +345,8 @@ def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     column-major once, so the caller's array is never written. Every
     in-place solve gives ``numpy.linalg.eigvalsh``'s energies bit for bit,
     and falls back to it when numpy's LAPACK lacks the symbol. A caller's
-    ``h`` that is not a square matrix raises ``ValueError``.
+    ``h`` that is not a square matrix raises ``ValueError``, and one whose
+    dtype does not cast safely to double precision ``TypeError``.
 
     With no eigenpairs to check, the energies are held to the two trace
     identities ``tr H = sum E_j`` and ``||H||_F^2 = sum E_j^2``, within
@@ -364,7 +364,7 @@ def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     change is orthogonal in phase to it; a generator's exact Hermiticity
     excludes the second.
     """
-    source = h if isinstance(h, HamiltonianRows) else _DenseRows(_square_matrix(h))
+    source = h if isinstance(h, HamiltonianRows) else _DenseRows(h)
     try:
         matrix, n_odd, trace, frobenius = _solve_matrices(source)
         energies = _eigenvalues(matrix, n_odd)
@@ -393,7 +393,7 @@ def eigenpairs(h: np.ndarray) -> Spectrum:
     residual. The solver's own arrays are frozen and handed to the
     :class:`Spectrum` without a copy.
     """
-    h = _square_matrix(h)
+    h = np.asarray(h, dtype=_DenseRows(h).dtype)
     try:
         energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:

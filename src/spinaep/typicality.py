@@ -41,11 +41,11 @@ def typical_subspace(ensemble: GibbsEnsemble, h_ref: float, delta: float) -> Typ
     """States whose log2 weight lies in ``[-n(h_ref+delta), -n(h_ref-delta)]``."""
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
+    if not np.isfinite(h_ref):
+        raise ValueError(f"h_ref must be finite, got {h_ref}")
     n = ensemble.n_sites
     log2_weights = ensemble.log_weights * LOG2E
-    lo = -n * (h_ref + delta)
-    hi = -n * (h_ref - delta)
-    mask = (log2_weights >= lo) & (log2_weights <= hi)
+    mask = (log2_weights >= -n * (h_ref + delta)) & (log2_weights <= -n * (h_ref - delta))
     indices = np.nonzero(mask)[0]
     mass = float(ensemble.weights[mask].sum()) if indices.size else 0.0
     return TypicalSubspace(
@@ -68,9 +68,9 @@ def best_rate_mass(ensemble: GibbsEnsemble, rate: float) -> float:
     least 1 captures every state. The log weights are already descending,
     because the energies are ascending and ``beta > 0``.
     """
-    if rate < 0:
+    if not rate >= 0:
         raise ValueError(f"rate must be >= 0, got {rate}")
-    count = 1 << min(int(ensemble.n_sites * rate), ensemble.n_sites)
+    count = 1 << int(min(ensemble.n_sites * rate, ensemble.n_sites))
     return float(min(np.exp(ensemble.log_weights[:count]).sum(), 1.0))
 
 

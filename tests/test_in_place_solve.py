@@ -28,8 +28,11 @@ from test_parity_sectors import ALL_UP, block_shapes, golden_model, symmetric_co
 IN_PLACE = pytest.mark.skipif(gibbs._lapack_solver(np.dtype(float)) is None,
                               reason="numpy's LAPACK lacks scipy_dsyevd_64_")
 SIZES = (1, 2, 5, 64, 300)
-# single precision takes numpy's eigvalsh, which solves it in double
-DTYPES = (np.float64, np.complex128, np.float32, np.complex64)
+# past the reader of a caller's matrix, every solve is of one of these
+DTYPES = (np.float64, np.complex128)
+# long double is double on some platforms, and then it is read like float64
+LONG_DOUBLE = pytest.mark.skipif(np.dtype(np.longdouble).itemsize == 8,
+                                 reason="long double is double precision here")
 
 
 def random_matrix(n: int, dtype, seed: int = 0) -> np.ndarray:
@@ -192,11 +195,20 @@ def test_caller_matrix_is_left_byte_identical(route, order):
         assert energies.tobytes() == np.linalg.eigvalsh(h).tobytes()
 
 
-def test_caller_matrix_is_copied_once():
-    # np.vdot of a column-major matrix would copy it whole: a peak of 2 h.nbytes
-    h = random_matrix(500, np.complex128, seed=5)
-    h = np.asfortranarray(h + h.conj().T)
-    expected = np.linalg.eigvalsh(h)
+def widened(h: np.ndarray) -> np.ndarray:
+    """``h`` as the solvers read it: float64, or complex128 if complex."""
+    return h.astype(np.promote_types(h.dtype, np.float64))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float32, np.int64, np.bool_],
+                         ids=lambda d: np.dtype(d).name)
+def test_caller_matrix_is_copied_once(dtype):
+    # np.vdot of a column-major matrix would copy it whole, and so would a
+    # widening ahead of the column-major copy: a peak of 2 widened bytes
+    a = random_matrix(500, np.complex128 if np.dtype(dtype).kind == "c" else np.float64, seed=5)
+    h = np.asfortranarray((a + a.conj().T).astype(dtype))
+    wide = widened(h)
+    expected = np.linalg.eigvalsh(wide)
     tracemalloc.start()
     try:
         energies = sa.diagonalize(h).energies
@@ -204,7 +216,7 @@ def test_caller_matrix_is_copied_once():
     finally:
         tracemalloc.stop()
     assert energies.tobytes() == expected.tobytes()
-    assert peak <= 1.25 * h.nbytes
+    assert peak <= 1.25 * wide.nbytes
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2), (4,)])
@@ -223,27 +235,78 @@ def test_both_solvers_read_a_caller_matrix_alike(solve, shape):
             solve(np.zeros(shape))
 
 
-def single_precision_matrices() -> dict[str, np.ndarray]:
-    """Hermitian matrices below double precision: random ones and the 6-site TFIM H."""
+def narrow_matrices() -> dict[str, np.ndarray]:
+    """Hermitian matrices the solvers widen: random ones and the 6-site TFIM H.
+
+    The TFIM H commutes with bit reversal bit for bit, and so does each
+    narrow form of it, entry by entry, so each takes the parity blocks.
+    """
     tfim = sa.assemble_hamiltonian(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(6), ALL_UP)
-    matrices = {"tfim-float32": tfim.astype(np.float32)}
+    quarters = np.rint(4 * tfim)  # integers from -40 to 24
+    matrices = {
+        "tfim-bool": quarters != 0,
+        "tfim-int8": quarters.astype(np.int8),
+        "tfim-uint16": (quarters - quarters.min()).astype(np.uint16),
+        "tfim-int64": quarters.astype(np.int64),
+        "tfim-float16": tfim.astype(np.float16),
+        "tfim-float32": tfim.astype(np.float32),
+    }
     for dtype in (np.float16, np.float32, np.complex64):
         a = random_matrix(16, dtype, seed=3)
         matrices[f"random-{np.dtype(dtype).name}"] = (a + a.conj().T) / 2
     return matrices
 
 
-SINGLE = single_precision_matrices()
+NARROW = narrow_matrices()
 
 
-@pytest.mark.parametrize("name", sorted(SINGLE))
-def test_single_precision_is_solved_in_double(name):
-    h = SINGLE[name]
+@pytest.mark.parametrize("name", sorted(NARROW))
+def test_narrow_dtypes_are_solved_as_their_double_widening(name, monkeypatch):
+    h = NARROW[name]
     before = h.tobytes()
-    wide = h.astype(np.promote_types(h.dtype, np.float64))
-    assert sa.diagonalize(h).energies.tobytes() == sa.diagonalize(wide).energies.tobytes()
+    wide = widened(h)
+    calls = record_solves(monkeypatch)
+    energies = sa.diagonalize(h).energies
+    narrow_solves = [(c.dtype, c.shape) for c in calls]
+    calls.clear()
+    assert energies.tobytes() == sa.diagonalize(wide).energies.tobytes()
+    # the route of the widened matrix: the parity blocks for the TFIM H
+    assert narrow_solves == [(c.dtype, c.shape) for c in calls]
     assert sa.eigenpairs(h).energies.tobytes() == sa.eigenpairs(wide).energies.tobytes()
     assert h.tobytes() == before
+
+
+def refused_matrices() -> list:
+    """4 x 4 matrices of dtypes the solvers refuse, the long-double ones where it is wider."""
+    eye = np.eye(4)
+    return [
+        pytest.param(eye.astype(np.longdouble), id="longdouble", marks=LONG_DOUBLE),
+        pytest.param(eye.astype(np.clongdouble), id="clongdouble", marks=LONG_DOUBLE),
+        pytest.param(eye.astype(object), id="object"),
+        pytest.param(eye.astype(str), id="str"),
+    ]
+
+
+@pytest.mark.parametrize("solve", [sa.diagonalize, sa.eigenpairs], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("h", refused_matrices())
+def test_other_dtypes_are_refused_by_both_solvers(solve, h):
+    with pytest.raises(TypeError, match=re.escape(f"h of dtype {h.dtype} does not cast safely")):
+        solve(h)
+
+
+@LONG_DOUBLE
+def test_long_double_is_refused_before_an_allocation():
+    # the 10-site TFIM H in long double: 16 MiB, and its float64 copy 8 MiB
+    h = sa.assemble_hamiltonian(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(10), ALL_UP)
+    h = h.astype(np.longdouble)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TypeError, match=re.escape(f"h of dtype {h.dtype} does not cast safely")):
+            sa.diagonalize(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -256,6 +319,14 @@ def test_fallback_gives_the_same_energies(route, no_lapack_symbols, monkeypatch)
     monkeypatch.undo()
     assert gibbs._lapack_solver(rows.dtype) is not None
     assert fallback.tobytes() == sa.diagonalize(rows).energies.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64], ids=lambda d: np.dtype(d).name)
+def test_fallback_solves_a_widened_copy(dtype, no_lapack_symbols):
+    h = NARROW[f"tfim-{np.dtype(dtype).name}"]
+    before = h.tobytes()
+    assert sa.diagonalize(h).energies.tobytes() == sa.diagonalize(widened(h)).energies.tobytes()
+    assert h.tobytes() == before
 
 
 def test_fallback_solves_a_copy(no_lapack_symbols):

@@ -168,8 +168,7 @@ def test_one_diagonal_entry_in_the_last_rows_moved_by_one_ulp_takes_the_full_sol
     assert [c.shape for c in eigvalsh_calls] == [h.shape]
 
 
-@pytest.mark.parametrize("h", [np.diag([1, 2, 2, 3]), np.eye(3), np.diag([0.0, 1.0])],
-                         ids=["integer", "odd-dimension", "one-qubit"])
+@pytest.mark.parametrize("h", [np.eye(3), np.diag([0.0, 1.0])], ids=["odd-dimension", "one-qubit"])
 def test_matrices_outside_the_block_rule_take_the_full_solve(h, eigvalsh_calls):
     np.testing.assert_array_equal(sa.diagonalize(h).energies, np.linalg.eigvalsh(h))
     assert eigvalsh_calls[0].shape == h.shape

@@ -40,6 +40,12 @@ class TestTypicalSubspace:
         with pytest.raises(ValueError):
             sa.typical_subspace(ens, 1.0, 0.0)
 
+    @pytest.mark.parametrize("h_ref", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_h_ref_must_be_finite(self, h_ref):
+        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((4, 4))), beta=1.0)
+        with pytest.raises(ValueError, match="h_ref must be finite"):
+            sa.typical_subspace(ens, h_ref, 0.2)
+
     def test_window_inclusion_monotone(self):
         ens = chain_ensemble(6, 1.0, 0.5, 0.2, beta=0.5)
         h_ref = sa.entropy_bits(ens) / 6
@@ -123,11 +129,17 @@ class TestBestRateMass:
         assert sa.best_rate_mass(ens, 1e300) == pytest.approx(1.0, abs=1e-12)
         free = sa.gibbs_ensemble(sa.diagonalize(np.zeros((8, 8))), beta=1.0)
         assert sa.best_rate_mass(free, 1e300) == 1.0
+        assert sa.best_rate_mass(ens, np.inf) == sa.best_rate_mass(ens, 1.0)
 
     def test_negative_rate_rejected(self):
         ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((4, 4))), beta=1.0)
         with pytest.raises(ValueError):
             sa.best_rate_mass(ens, -0.1)
+
+    def test_nan_rate_rejected(self):
+        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((4, 4))), beta=1.0)
+        with pytest.raises(ValueError, match="rate must be >= 0, got nan"):
+            sa.best_rate_mass(ens, np.nan)
 
 
 class TestLlnResidual:
