@@ -18,8 +18,8 @@ from scipy.linalg import expm
 
 from .codec import build_codebook, compress, decompress, fidelity, make_decomposition, typical_projector
 from .gibbs import (
-    LOG2E, GibbsEnsemble, _DenseRows, _eigenvalues, _lapack_solver, _solve_matrices, diagonalize,
-    eigenpairs, entropy_bits, expectation, gibbs_ensemble, thermo_densities,
+    LOG2E, GibbsEnsemble, _eigenvalues, _lapack_solver, _solve_matrices, diagonalize, eigenpairs,
+    entropy_bits, expectation, gibbs_ensemble, thermo_densities,
 )
 from .hamiltonian import HamiltonianRows, assemble_hamiltonian, hamiltonian_rows
 from .interaction import GroundStateConfig, Interaction, LocalTerm, classical_energy, preset_tfim
@@ -122,7 +122,7 @@ def _check_values_only(route: str, h: np.ndarray) -> CheckResult:
 
 def _check_in_place_solve(route: str, h: np.ndarray) -> CheckResult:
     """The route's buffer solved as ``diagonalize`` solves it, against ``eigvalsh`` of its blocks."""
-    matrix, n_odd, _, _ = _solve_matrices(_DenseRows(h))
+    matrix, n_odd, _, _ = _solve_matrices(h)
     blocks = [matrix, matrix[:n_odd, 1:n_odd + 1].T] if n_odd else [matrix]
     expected = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))  # on copies
     solver = _lapack_solver(matrix.dtype)

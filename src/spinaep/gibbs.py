@@ -107,9 +107,9 @@ class _DenseRows:
         rows = np.ascontiguousarray(self.h[index], dtype=self.dtype)
         return rows if mirror is None else np.take(rows, mirror, axis=1)
 
-    def dense(self, order: str) -> np.ndarray:
-        """A copy of the whole matrix in ``order``; the caller's array is never written."""
-        return np.array(self.h, dtype=self.dtype, order=order)
+    def dense(self) -> np.ndarray:
+        """A column-major copy of the whole matrix; the caller's array is never written."""
+        return np.array(self.h, dtype=self.dtype, order="F")
 
 
 # dsyevd and zheevd of the LAPACK that numpy links, with 64-bit integers
@@ -191,13 +191,13 @@ def _int_ref(value: int):
 def _reflection_pass(source, conjugate: bool) -> tuple[np.ndarray, int, complex, float] | None:
     """The reflection buffer of ``source``, its odd block size and the trace and Frobenius sums, or ``None``.
 
-    One pass over row chunks of the representatives ``s <= R s``, where
-    ``R`` reverses the bits of an index, at most 16 rows first, doubling up
-    to ``chunk_rows`` rows. Each chunk generates rows ``s`` and, with the
-    columns permuted by ``R``, rows ``R s``, and tests ``h[R s, R t] ==
-    h[s, t]`` bit for bit, or ``conj(h[s, t])`` with ``conjugate``. The first
-    mismatch returns ``None``, and the partial blocks go with it. A passing
-    chunk adds to the sums and writes its rows of the blocks.
+    One pass over row chunks of ``chunk_rows`` representatives ``s <= R s``
+    each, where ``R`` reverses the bits of an index. Each chunk generates
+    rows ``s`` and, with the columns permuted by ``R``, rows ``R s``, and
+    tests ``h[R s, R t] == h[s, t]`` bit for bit, or ``conj(h[s, t])`` with
+    ``conjugate``. The first mismatch returns ``None``, and the partial
+    blocks go with it. A passing chunk adds to the sums and writes its rows
+    of the blocks.
 
     Once a chunk has passed, ``h[R s, t]`` is ``h[s, R t]``, or its
     conjugate, bit for bit, so both routes read one pair of sums of rows
@@ -239,11 +239,10 @@ def _reflection_pass(source, conjugate: bool) -> tuple[np.ndarray, int, complex,
     n_reps, n_pairs = reps.size, pairs.size
     shape, dtype = ((dim, dim), float) if conjugate else ((n_reps, n_reps), source.dtype)
     buffer = np.empty(shape, dtype, order="F")
-    trace, frobenius = 0.0, 0.0
-    cap = chunk_rows(dim * source.dtype.itemsize)
-    start, size, odd_start = 0, min(16, cap), 0
-    while start < n_reps:
-        stop = min(start + size, n_reps)
+    trace, frobenius, odd_start = 0.0, 0.0, 0
+    step = chunk_rows(dim * source.dtype.itemsize)
+    for start in range(0, n_reps, step):
+        stop = min(start + step, n_reps)
         chunk = reps[start:stop]
         rows = source.rows(chunk)
         mirrored = source.rows(mirror[chunk], mirror)
@@ -278,19 +277,21 @@ def _reflection_pass(source, conjugate: bool) -> tuple[np.ndarray, int, complex,
             # odd row o, conjugated, above the diagonal of even row o, where odd_stop <= stop
             upper = np.arange(n_pairs) >= np.arange(odd_start, odd_stop)[:, None]
             np.copyto(buffer[odd_start:odd_stop, 1:n_pairs + 1], np.conj(minus), where=upper)
-        start, size, odd_start = stop, min(2 * size, cap), odd_stop
+        odd_start = odd_stop
     return buffer, 0 if conjugate else n_pairs, trace, frobenius
 
 
-def _solve_matrices(source) -> tuple[np.ndarray, int, complex, float]:
-    """The matrix that holds ``source``'s spectrum, its odd block size and the trace and Frobenius sums.
+def _solve_matrices(h) -> tuple[np.ndarray, int, complex, float]:
+    """The matrix that holds ``h``'s spectrum, its odd block size and the trace and Frobenius sums.
 
+    ``h`` is a row generator, or a caller's matrix read by :class:`_DenseRows`.
     The reflection blocks are tried on ``n >= 2`` qubits: the parity blocks,
     then, if complex, the real form. If neither test passes, the dense
     matrix alone takes one full solve: a column-major copy of a caller's
     matrix, or a generator's matrix filled column-major, either solved in
     place.
     """
+    source = h if isinstance(h, HamiltonianRows) else _DenseRows(h)
     dim = source.shape[0]
     n_bits = dim.bit_length() - 1
     if n_bits >= 2 and dim == 1 << n_bits:
@@ -299,9 +300,9 @@ def _solve_matrices(source) -> tuple[np.ndarray, int, complex, float]:
             result = _reflection_pass(source, conjugate=True)
         if result is not None:
             return result
-    h = source.dense(order="F")
-    # h.T, row-major, holds the same entries: vdot would copy a column-major h
-    return h, 0, np.trace(h), np.vdot(h.T, h.T).real
+    matrix = source.dense() if isinstance(source, _DenseRows) else source.dense(order="F")
+    # matrix.T, row-major, holds the same entries: vdot would copy a column-major matrix
+    return matrix, 0, np.trace(matrix), np.vdot(matrix.T, matrix.T).real
 
 
 def _eigenvalues(matrix: np.ndarray, n_odd: int) -> np.ndarray:
@@ -364,9 +365,8 @@ def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     change is orthogonal in phase to it; a generator's exact Hermiticity
     excludes the second.
     """
-    source = h if isinstance(h, HamiltonianRows) else _DenseRows(h)
     try:
-        matrix, n_odd, trace, frobenius = _solve_matrices(source)
+        matrix, n_odd, trace, frobenius = _solve_matrices(h)
         energies = _eigenvalues(matrix, n_odd)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc

@@ -88,14 +88,26 @@ class HamiltonianRows:
     order, which no reordering of the blocks changes: a reflection maps a
     symmetric model's blocks onto themselves, so ``H[R s, R s] == H[s, s]``
     bit for bit however the couplings round. The diagonal of a Hermitian
-    block is real. Rows are float64 when every generated row is real, else
-    complex: when some block has an imaginary part, the rows are scanned once
-    here, up to the first chunk with an imaginary entry. The generator holds
-    O(blocks * dim) integers.
+    block is real. Each block must be exactly Hermitian and ``2^k x 2^k`` on
+    ``k`` distinct sites; the first that is not raises ``ValueError`` before
+    any table is allocated. Rows are float64 when every generated row is
+    real, else complex: when some block has an imaginary part, the rows are
+    scanned once here, up to the first chunk with an imaginary entry. The
+    generator holds O(blocks * dim) integers.
     """
 
     def __init__(self, volume: Volume, blocks: Iterable[tuple[np.ndarray, Sequence[Site]]]) -> None:
         blocks = [(np.asarray(block), [volume.index_of(s) for s in sites]) for block, sites in blocks]
+        if not blocks:
+            raise ValueError("no blocks: H needs at least one")
+        for t, (block, positions) in enumerate(blocks):
+            k = len(positions)
+            if len(set(positions)) != k:
+                raise ValueError(f"block {t} names a site twice")
+            if block.shape != (1 << k, 1 << k):
+                raise ValueError(f"block {t} on {k} sites must be {1 << k} x {1 << k}, got shape {block.shape}")
+            if not np.array_equal(block, block.conj().T):
+                raise ValueError(f"block {t} is not exactly Hermitian")
         n, width = volume.n_sites, max(block.shape[0] for block, _ in blocks)
         self.shape = (1 << n, 1 << n)
         self.dtype = np.dtype(complex if any(block.imag.any() for block, _ in blocks) else float)
@@ -122,15 +134,15 @@ class HamiltonianRows:
         if self.dtype == complex and not any(self.rows(chunk).imag.any() for chunk in chunks):
             self.dtype, self._values = np.dtype(float), np.ascontiguousarray(self._values.real)
 
-    def _fill(self, out: np.ndarray, index: np.ndarray, mirror: np.ndarray | None) -> None:
-        """Add the rows ``index`` into the zeroed ``out``, columns permuted by ``mirror``."""
+    def _fill(self, out: np.ndarray, index: np.ndarray, mirror: np.ndarray | None, values: np.ndarray) -> None:
+        """Add the rows ``index`` into the zeroed ``out`` from ``values``, columns permuted by ``mirror``."""
         keys = self._keys[:, index]  # (blocks, rows)
         columns, diagonal = index[:, None] + self._steps[keys], index
         if mirror is not None:
             columns, diagonal = mirror[columns], mirror[index]
         columns += np.arange(0, out.size, out.shape[1])[:, None]
         # one addition per block and entry, the blocks in order
-        np.add.at(out.reshape(-1), columns.reshape(-1), self._values[keys].reshape(-1))
+        np.add.at(out.reshape(-1), columns.reshape(-1), values[keys].reshape(-1))
         ordered = np.sort(self._diagonals[keys], axis=0)
         out[np.arange(index.size), diagonal] = np.add.accumulate(ordered, axis=0)[-1]
 
@@ -138,25 +150,23 @@ class HamiltonianRows:
         """``H[index]``, or ``H[index][:, mirror]`` for a permutation ``mirror`` that is its own inverse."""
         index = np.asarray(index, dtype=np.intp).reshape(-1)
         out = np.zeros((index.size, self.shape[1]), dtype=self.dtype)
-        self._fill(out, index, mirror)
+        self._fill(out, index, mirror, self._values)
         return out
 
     def dense(self, order: str = "C") -> np.ndarray:
-        """The whole matrix in ``order``, filled in row chunks; each row's entries take four arrays.
+        """The whole matrix in ``order``, filled in place in row chunks; each row's entries take four arrays.
 
-        A column-major matrix receives each chunk's rows from a row-major temporary.
+        A column-major ``H`` is filled as the rows of ``H.T`` from the transposed blocks: each entry
+        sums the same values in the same block order as in ``H``'s rows, so it rounds alike.
         """
-        dim = self.shape[0]
+        dim, width = self.shape[0], self._steps.shape[1]
         h = np.zeros(self.shape, dtype=self.dtype, order=order)
-        step = chunk_rows(self._keys.shape[0] * self._steps.shape[1] * (24 + self.dtype.itemsize))
+        target, values = h, self._values
+        if not h.flags.c_contiguous:
+            target, values = h.T, values.reshape(-1, width, width).swapaxes(1, 2).reshape(-1, width)
+        step = chunk_rows(self._keys.shape[0] * width * (24 + self.dtype.itemsize))
         for start in range(0, dim, step):
-            index = np.arange(start, min(start + step, dim))
-            if h.flags.c_contiguous:
-                self._fill(h[start:start + step], index, None)
-            else:
-                rows = np.zeros((index.size, dim), dtype=self.dtype)
-                self._fill(rows, index, None)
-                h[start:start + step] = rows
+            self._fill(target[start:start + step], np.arange(start, min(start + step, dim)), None, values)
         return h
 
 

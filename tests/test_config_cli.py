@@ -195,6 +195,47 @@ class TestTermDiagnostics:
         assert not (tmp_path / "out").exists()
 
 
+GENERIC = "model = generic\n"
+ONE_SITE_TERM = GENERIC + "term.0.support = 0\nterm.0.classical = 0, 0\n"
+
+
+class TestDiagnosticTable:
+    """The parser's value, syntax, term-key and boundary diagnostics, each as ``line N: key: message``."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("volume = x\n", "line 1: volume: expected an integer, got 'x'"),
+        ("beta = abc\n", "line 1: beta: expected a number, got 'abc'"),
+        ("beta =\n", "line 1: beta: expected a number, got ''"),
+        ("boundary = cell\nboundary_periods = 2\nboundary_cell = +1; 0\n",
+         "line 3: boundary_cell: values must be +1 or -1, got '0'"),
+        ("model tfim\n", "line 1: syntax: expected 'key = value', got 'model tfim'"),
+        (GENERIC + "term.a.support = 0\n",
+         "line 2: term.a.support: term keys must look like term.<index>.<support|classical|quantum>"),
+        (GENERIC + "term.0.foo = 0\n",
+         "line 2: term.0.foo: term keys must look like term.<index>.<support|classical|quantum>"),
+        (ONE_SITE_TERM + "term.0.support = 0\n", "line 4: term.0.support: repeated term field"),
+        (GENERIC + "term.0.support = 0\n", "line 2: term.0: needs support and classical fields"),
+        (GENERIC + "d = 2\nterm.0.support = 0\nterm.0.classical = 0, 0\n",
+         "line 3: term.0.support: sites must have dimension 2"),
+        (GENERIC + "term.0.support = 0\nterm.0.classical = 1, 2, 3\n",
+         "line 3: term.0.classical: need 2 entries for 1 sites, got 3"),
+        (ONE_SITE_TERM + "term.0.quantum = 0,1,1\n",
+         "line 4: term.0.quantum: entries are row,col,re,im quadruples, got '0,1,1'"),
+        (ONE_SITE_TERM + "term.0.quantum = 0,2,1,0\n",
+         "line 4: term.0.quantum: entry (0, 2) outside the 2x2 matrix"),
+        ("boundary = cell\n", "line 1: boundary: boundary = cell needs boundary_periods and boundary_cell"),
+        ("boundary = cell\nboundary_periods = 2, 1\nboundary_cell = +1; -1\n",
+         "line 2: boundary_periods: need 1 periods, got 2"),
+        ("boundary = cell\nboundary_periods = 2\nboundary_cell = +1\n",
+         "line 3: boundary_cell: need 2 values for the cell, got 1"),
+    ], ids=["volume-not-an-integer", "beta-not-a-number", "beta-empty", "cell-value-zero", "no-equals-sign",
+            "term-index-not-an-integer", "term-field-unknown", "term-field-repeated",
+            "term-without-classical", "site-dimension", "classical-count", "quantum-triple",
+            "quantum-outside-the-matrix", "cell-without-periods", "period-count", "cell-value-count"])
+    def test_reported_in_full(self, text, expected):
+        assert diagnostics(text) == [expected]
+
+
 class TestGenericModel:
     TEXT = (
         "model = generic\n"
@@ -616,3 +657,35 @@ class TestOtherSubcommands:
         assert capsys.readouterr().err.splitlines() == [
             "numeric failure: empty typical subspace in codec-demo at n=2, delta=0.15"
         ]
+
+
+CELL_17 = "; ".join(["+1"] * 17)
+OUTPUTS = {"sweep": ["aep.csv", "sweep.csv"], "spectrum": ["spectrum_n1.csv", "spectrum_n2.csv"],
+           "codec-demo": ["codebook_n2.txt"]}
+
+
+class TestModelWarningsThatRun:
+    """The perturbation and unverified ground-state warnings: printed, and the run goes on."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("text, warning", [
+        ("model = tfim\nlambda = 0.5\nc = 0.1\n",
+         "term 1: quantum norm 0.5 exceeds the smallness bound 0.05"),
+        # a period cell of 17 sites, beyond the ground-state search's MAX_CELL_SITES
+        (f"model = tfim\nboundary = cell\nboundary_periods = 17\nboundary_cell = {CELL_17}\n",
+         "boundary ground-state membership not verified (search bound exceeded)"),
+    ], ids=["perturbation-bound", "unverified-ground-state"])
+    def test_warned_and_written(self, tmp_path, capsys, command, text, warning):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text + "volume = 1\nvolume = 2\ndelta = 0.15\n", encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == f"warning: {warning}\n"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == OUTPUTS[command]
+
+
+def test_module_entry_point_runs_the_quiet_check():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "spinaep", "check", "--quiet"], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -341,6 +342,31 @@ class TestRealAccumulation:
         assert not h.any()
 
 
+class TestMalformedBlocks:
+    """A block that cannot be a Hermitian term on its sites is refused by index, before any table."""
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([], "no blocks: H needs at least one"),
+        ([(np.eye(2), [(0,)]), (np.eye(3), [(0,)])], "block 1 on 1 sites must be 2 x 2, got shape (3, 3)"),
+        ([(np.eye(4), [(0,)])], "block 0 on 1 sites must be 2 x 2, got shape (4, 4)"),
+        ([(np.eye(2), [(1,), (0,)])], "block 0 on 2 sites must be 4 x 4, got shape (2, 2)"),
+        ([(np.ones(4), [(0,), (1,)])], "block 0 on 2 sites must be 4 x 4, got shape (4,)"),
+        ([(np.eye(4), [(0,), (0,)])], "block 0 names a site twice"),
+        ([(np.eye(2), [(0,)]), (np.array([[0, 1j], [0, 0]]), [(1,)])], "block 1 is not exactly Hermitian"),
+        ([(np.array([[1j, 0], [0, 0]]), [(0,)])], "block 0 is not exactly Hermitian"),
+        ([(np.array([[0.0, 1.0], [np.nextafter(1.0, 2.0), 0.0]]), [(0,)])], "block 0 is not exactly Hermitian"),
+    ], ids=["empty", "second-too-small", "too-large", "too-small", "vector", "repeated-site",
+            "upper-only", "imaginary-diagonal", "one-ulp"])
+    def test_refused_with_its_index(self, blocks, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sa.HamiltonianRows(sa.chain(8), blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # the 17-site key table alone would be 1 MiB
+
 
 class TestTermOrder:
     """The assembled H does not depend on the order in which the terms come."""
@@ -403,3 +429,60 @@ class TestGeneratedRows:
     def test_generic_models(self, data):
         model, volume, boundary = data.draw(generic_models())
         assert_rows_match_references(model, volume, boundary, seed=data.draw(st.integers(0, 99)))
+
+
+NEEL = sa.GroundStateConfig((2,), {(0,): +1, (1,): -1})
+
+
+def golden_or_neel_model(case: str) -> tuple[sa.Interaction, sa.GroundStateConfig]:
+    """A golden config's model and boundary, or the TFIM chain pinned by the Neel cell."""
+    if case == "tfim-neel":
+        return sa.preset_tfim(1.0, 0.5, 0.2), NEEL
+    config = sa.parse_config((GOLDEN / f"{case}.cfg").read_text())
+    return sa.build_interaction(config), sa.build_boundary(config)
+
+
+class TestColumnMajorFill:
+    """``dense(order="F")``, filled in place as the rows of ``H.T``, is the row-major fill's bytes."""
+
+    @staticmethod
+    def assert_same_bytes(rows: sa.HamiltonianRows) -> None:
+        column_major = rows.dense(order="F")
+        assert column_major.flags.f_contiguous and column_major.dtype == rows.dtype
+        assert column_major.tobytes(order="F") == np.asfortranarray(rows.dense()).tobytes(order="F")
+
+    @pytest.mark.parametrize("case, volume", [
+        ("tfim", sa.chain(7)),
+        ("tfim-neel", sa.chain(7)),
+        ("dm", sa.chain(8)),
+        ("generic2d", sa.build_box((0, 0), (1, 2))),
+    ])
+    def test_golden_models(self, case, volume):
+        model, boundary = golden_or_neel_model(case)
+        self.assert_same_bytes(sa.hamiltonian_rows(model, volume, boundary))
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(generic_models())
+    def test_generic_models(self, case):
+        self.assert_same_bytes(sa.hamiltonian_rows(*case))
+
+    def test_blocks_that_are_not_symmetric(self):
+        # complex Hermitian blocks, one with signed zeros, on unordered sites: H.T is not H
+        hop = np.array([[0.0, complex(-0.0, 0.5)], [complex(-0.0, -0.5), complex(-0.0, 0.0)]])
+        bond = np.array([[1, 0, 0, 0], [0, -1, 2j, 0], [0, -2j, -1, 0.25], [0, 0, 0.25, 1]])
+        rows = sa.HamiltonianRows(sa.chain(3), [(hop, [(1,)]), (bond, [(2,), (0,)]), (hop, [(0,)])])
+        assert rows.dtype == np.complex128
+        self.assert_same_bytes(rows)
+
+    @pytest.mark.parametrize("case", ["tfim-neel", "dm"])
+    def test_fills_in_place(self, case):
+        model, boundary = golden_or_neel_model(case)
+        rows = sa.hamiltonian_rows(model, sa.chain(10), boundary)
+        tracemalloc.start()
+        try:
+            h = rows.dense(order="F")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each chunk of rows is written in place, with no temporary copy of its rows
+        assert peak <= h.nbytes + 512 * 1024

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import spinaep as sa
-from spinaep import gibbs
+from spinaep import checks, gibbs
 from spinaep.cli import EXIT_NUMERIC, main
 from spinaep.errors import NumericError
 from conftest import record_solves
@@ -303,6 +303,25 @@ def test_long_double_is_refused_before_an_allocation():
     try:
         with pytest.raises(TypeError, match=re.escape(f"h of dtype {h.dtype} does not cast safely")):
             sa.diagonalize(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("solve", [
+    gibbs._solve_matrices, lambda h: checks._check_in_place_solve("full solve", h),
+], ids=["_solve_matrices", "_check_in_place_solve"])
+@pytest.mark.parametrize("h, error, message", [
+    (np.zeros((2, 3)), ValueError, "h must be a square matrix, got shape (2, 3)"),
+    (np.eye(4).astype(object), TypeError, "h of dtype object does not cast safely"),
+], ids=["not-square", "object"])
+def test_the_solve_reads_a_caller_matrix_itself(solve, h, error, message):
+    # diagonalize and spinaep check hand a caller's matrix to the solve as given
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=re.escape(message)):
+            solve(h)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
