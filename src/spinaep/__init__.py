@@ -48,10 +48,8 @@ from .interaction import (
 )
 from .lattice import (
     DEFAULT_QUBIT_CAP,
-    Configuration,
     Site,
     Volume,
-    boundary_envelope,
     build_box,
     build_hypercube,
     chain,

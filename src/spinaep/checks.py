@@ -23,7 +23,7 @@ from .gibbs import (
 )
 from .hamiltonian import HamiltonianRows, assemble_hamiltonian, hamiltonian_rows
 from .interaction import GroundStateConfig, Interaction, LocalTerm, classical_energy, preset_tfim
-from .lattice import Configuration, boundary_envelope, chain
+from .lattice import chain
 from .typicality import typical_subspace
 
 
@@ -77,11 +77,10 @@ def _check_classical_entropy(n_sites: int = 5, beta: float = 2.0) -> CheckResult
     volume = chain(n_sites)
     boundary = ALL_UP
     ens = _ensemble(assemble_hamiltonian(model, volume, boundary), beta)
-    envelope = boundary.restricted_to(boundary_envelope(volume, model.R))
     energies = []
     for spins in itertools.product((1, -1), repeat=n_sites):
-        config = Configuration(dict(zip(volume.sites, spins)))
-        energies.append(classical_energy(model, config.merge(envelope), volume=volume))
+        inside = dict(zip(volume.sites, spins))
+        energies.append(classical_energy(model, volume, lambda s: inside[s] if s in volume else boundary.spin(s)))
     scaled = -beta * np.asarray(energies)
     scaled -= scaled.max()
     weights = np.exp(scaled)

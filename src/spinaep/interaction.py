@@ -15,14 +15,7 @@ import numpy as np
 
 from ._arrays import readonly
 from .errors import CapabilityError
-from .lattice import (
-    Configuration,
-    Site,
-    Volume,
-    connected_span_size,
-    linf_diameter,
-    spin_to_bit,
-)
+from .lattice import Site, Volume, _check_site, connected_span_size, linf_diameter, spin_to_bit
 
 MAX_SUPPORT_SITES = 6
 HERMITICITY_TOL = 1e-12
@@ -41,11 +34,12 @@ def support_config_index(support: Sequence[Site], spin_at: Callable[[Site], int]
 def canonical_support(support: Iterable[Sequence[int]]) -> tuple[Site, ...]:
     """A support's sites as a tuple of site tuples, in the order given.
 
-    Raises ``ValueError`` for an empty support, sites of different
-    dimensions, sites not distinct and in ascending lexicographic order, or
-    more than ``MAX_SUPPORT_SITES`` sites.
+    Raises ``ValueError`` for an empty support, a coordinate that is not an
+    int (a float, a str or a bool), sites of different dimensions, sites not
+    distinct and in ascending lexicographic order, or more than
+    ``MAX_SUPPORT_SITES`` sites.
     """
-    sites = tuple(tuple(s) for s in support)
+    sites = tuple(_check_site(s) for s in support)
     if not sites:
         raise ValueError("a term needs a nonempty support")
     if any(len(s) != len(sites[0]) for s in sites):
@@ -199,25 +193,21 @@ def _translates(interaction: Interaction, anchors: Collection[Site]) -> Iterator
             yield term, tuple(tuple(c + o for c, o in zip(site, off)) for site in term.support)
 
 
-def classical_energy(
-    interaction: Interaction,
-    config: Configuration,
-    volume: Volume | None = None,
-) -> float:
-    """Classical energy of a configuration.
+def classical_energy(interaction: Interaction, volume: Volume, spin_at: Callable[[Site], int]) -> float:
+    """Classical energy of the spins ``spin_at`` gives, summed over every
+    translate of every term that meets the volume, in the order of
+    :func:`~spinaep.hamiltonian.instantiate_terms`: the boundary-pinned
+    Hamiltonian's diagonal at zero quantum part.
 
-    With ``volume=None`` the free sum is taken: every instantiated term whose
-    translated support lies inside the configuration's domain contributes.
-    With a volume given, every term whose translated support meets the volume
-    is included, and the configuration must cover all its sites (this matches
-    the boundary-pinned Hamiltonian's term selection).
+    ``spin_at`` must return +1 or -1 at each site of those supports, inside
+    the volume and within the range R of it; any other value raises
+    ``ValueError``.
     """
-    domain = config.sites
+    if interaction.d != volume.d:
+        raise ValueError("interaction and volume dimensions must agree")
     total = 0.0
-    for term, support in _translates(interaction, domain if volume is None else volume.sites):
-        if volume is None and not all(s in domain for s in support):
-            continue
-        total += float(term.classical_part[support_config_index(support, config.spin)])
+    for term, support in _translates(interaction, volume.sites):
+        total += float(term.classical_part[support_config_index(support, spin_at)])
     return total
 
 
@@ -250,41 +240,28 @@ class GroundStateConfig:
         return len(self.periods)
 
     def spin(self, site: Site) -> int:
-        cell_site = tuple(c % p for c, p in zip(site, self.periods))
-        return self.cell_values[cell_site]
-
-    def restricted_to(self, sites: Iterable[Site]) -> Configuration:
-        return Configuration({tuple(s): self.spin(s) for s in sites})
+        if len(site) != self.d:
+            raise ValueError(f"site {site!r} has dimension {len(site)}, the state has dimension {self.d}")
+        return self.cell_values[tuple(c % p for c, p in zip(site, self.periods))]
 
     def minimal_form(self) -> "GroundStateConfig":
-        """Equivalent configuration with the smallest periods along each axis."""
-        periods = list(self.periods)
-        for axis in range(self.d):
-            for q in range(1, periods[axis] + 1):
-                if periods[axis] % q != 0:
-                    continue
-                shifted_ok = all(
-                    self.cell_values[
-                        tuple(
-                            (c + (q if i == axis else 0)) % p
-                            for i, (c, p) in enumerate(zip(site, self.periods))
-                        )
-                    ]
-                    == v
-                    for site, v in self.cell_values.items()
-                )
-                if shifted_ok:
-                    periods[axis] = q
-                    break
-        cell = {
-            site: self.spin(site)
-            for site in itertools.product(*(range(p) for p in periods))
-        }
-        return GroundStateConfig(periods=tuple(periods), cell_values=cell)
+        """The same configuration on its smallest period cell: each axis's
+        period becomes its smallest divisor ``q`` such that shifting every
+        cell site by ``q`` along the axis leaves its spin unchanged."""
+        cell = self.cell_values.items()
+        periods = tuple(
+            next(q for q in range(1, p + 1) if p % q == 0
+                 and all(self.spin(s[:axis] + (s[axis] + q,) + s[axis + 1:]) == v for s, v in cell))
+            for axis, p in enumerate(self.periods)
+        )
+        sites = itertools.product(*(range(p) for p in periods))
+        return GroundStateConfig(periods, {s: self.spin(s) for s in sites})
 
 
 def energy_density(interaction: Interaction, state: GroundStateConfig) -> float:
     """Classical energy per site of the infinite periodic configuration."""
+    if interaction.d != state.d:
+        raise ValueError(f"interaction of dimension {interaction.d} on a state of dimension {state.d}")
     cell = list(itertools.product(*(range(p) for p in state.periods)))
     total = 0.0
     for term in interaction.terms:
@@ -315,18 +292,13 @@ def find_periodic_ground_states(interaction: Interaction, max_period: int) -> li
 
     # periods not dividing each other give distinct patterns, so every period
     # tuple up to the bound is scanned and duplicates are merged afterwards
-    candidates: dict[tuple, tuple[float, GroundStateConfig]] = {}
+    candidates: dict[GroundStateConfig, float] = {}
     for periods in itertools.product(*(range(1, max_period + 1) for _ in range(d))):
         cell_sites = list(itertools.product(*(range(p) for p in periods)))
         for assignment in itertools.product((1, -1), repeat=len(cell_sites)):
-            state = GroundStateConfig(
-                periods=periods, cell_values=dict(zip(cell_sites, assignment))
-            )
-            e = energy_density(interaction, state)
-            state = state.minimal_form()
-            key = (state.periods, tuple(sorted(state.cell_values.items())))
-            candidates.setdefault(key, (e, state))
-    best = min(e for e, _ in candidates.values())
-    minimal = [s for e, s in candidates.values() if e <= best + GROUND_STATE_TIE_TOL]
-    minimal.sort(key=lambda s: (s.periods, tuple(sorted(s.cell_values.items()))))
-    return minimal
+            state = GroundStateConfig(periods, dict(zip(cell_sites, assignment)))
+            candidates.setdefault(state.minimal_form(), energy_density(interaction, state))
+    best = min(candidates.values())
+    minimal = [s for s, e in candidates.items() if e <= best + GROUND_STATE_TIE_TOL]
+    # cell_values is stored sorted, so equal cells list their items alike
+    return sorted(minimal, key=lambda s: (s.periods, tuple(s.cell_values.items())))

@@ -1,16 +1,18 @@
-"""Lattice geometry: sites of Z^d, finite volumes, metrics, and spin configurations.
+"""Lattice geometry: sites of Z^d, finite volumes, metrics, and the spin-to-bit convention.
 
 Sites are plain tuples of ints, one tuple per lattice point, so everything in
 this module is hashable and safe to share between threads. Volumes carry the
 fixed lexicographic site enumeration used for tensor indexing everywhere else.
+A spin assignment is a function of the site returning +1 or -1; nothing here
+stores one.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import CapabilityError, QubitCapError
 
@@ -33,8 +35,9 @@ def spin_to_bit(spin: int) -> int:
 
 
 def _check_site(site: Site, d: int | None = None) -> Site:
+    """``site`` as a tuple, refused unless every coordinate is an int (not a bool)."""
     site = tuple(site)
-    if not site or not all(isinstance(c, int) for c in site):
+    if not site or not all(isinstance(c, int) and not isinstance(c, bool) for c in site):
         raise ValueError(f"site must be a nonempty tuple of ints, got {site!r}")
     if d is not None and len(site) != d:
         raise ValueError(f"site {site!r} has dimension {len(site)}, expected {d}")
@@ -121,21 +124,6 @@ def linf_diameter(sites: Iterable[Site]) -> int:
     )
 
 
-def boundary_envelope(volume: Volume, radius: int) -> frozenset[Site]:
-    """Sites outside the volume within chebyshev distance ``radius`` of it."""
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    inside = set(volume.sites)
-    shell: set[Site] = set()
-    offsets = itertools.product(range(-radius, radius + 1), repeat=volume.d)
-    for off in offsets:
-        for s in volume.sites:
-            t = tuple(c + o for c, o in zip(s, off))
-            if t not in inside:
-                shell.add(t)
-    return frozenset(shell)
-
-
 def _l1_neighbors(site: Site) -> Iterable[Site]:
     for i in range(len(site)):
         for step in (-1, 1):
@@ -190,40 +178,3 @@ def connected_span_size(sites: Iterable[Site]) -> int:
             if _is_connected(pts | frozenset(combo)):
                 return len(pts) + k
     return box_size  # full box is connected; unreachable in practice
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """An assignment of +1/-1 spins to a finite set of sites."""
-
-    values: Mapping[Site, int] = field(hash=False)
-
-    def __post_init__(self) -> None:
-        cleaned: dict[Site, int] = {}
-        for site, spin in sorted(self.values.items()):
-            site = _check_site(site)
-            if spin not in (SPIN_UP, SPIN_DOWN):
-                raise ValueError(f"spin at {site!r} must be +1 or -1, got {spin!r}")
-            cleaned[site] = spin
-        if not cleaned:
-            raise ValueError("a configuration must assign at least one site")
-        object.__setattr__(self, "values", cleaned)
-
-    @property
-    def sites(self) -> frozenset[Site]:
-        return frozenset(self.values)
-
-    def spin(self, site: Site) -> int:
-        try:
-            return self.values[tuple(site)]
-        except KeyError:
-            raise ValueError(f"configuration has no value at site {site!r}") from None
-
-    def merge(self, other: "Configuration") -> "Configuration":
-        """Union of two configurations; overlapping sites must agree."""
-        merged = dict(self.values)
-        for site, spin in other.values.items():
-            if merged.get(site, spin) != spin:
-                raise ValueError(f"conflicting spins at site {site!r}")
-            merged[site] = spin
-        return Configuration(merged)

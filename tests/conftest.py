@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,18 @@ def record_solves(monkeypatch) -> list[np.ndarray]:
 
     monkeypatch.setattr(gibbs, "_eigvalsh_lower", recording)
     return calls
+
+
+def traced_peak(call):
+    """``call()``'s value and the peak bytes tracemalloc traced while it ran.
+
+    Tracing stops whether or not ``call`` raises.
+    """
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -1,4 +1,3 @@
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import spinaep as sa
 from spinaep.errors import EmptySubspaceError, InvalidCodewordError
 
-from conftest import chain_ensemble, chain_hamiltonian, dense_ensemble, generic_models
+from conftest import chain_ensemble, chain_hamiltonian, dense_ensemble, generic_models, traced_peak
 from oracles import (
     product_basis_decomposition, product_vectors, projector_fidelity, qr_isometry, three_fft_decomposition,
 )
@@ -359,13 +358,12 @@ class TestStreamedRows:
         # the (1024, 1024) complex coefficients alone would take 16 MiB
         ens = chain_ensemble(10, 1.0, 0.5, 0.2, beta=2.0)
         sub = subspace_of(ens, 0.15)
-        tracemalloc.start()
-        try:
+
+        def decompose_and_measure():
             decomp = sa.make_decomposition(ens, ens.dim, seed=7)
-            value = sa.fidelity(decomp, sub)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return decomp, sa.fidelity(decomp, sub)
+
+        (decomp, value), peak = traced_peak(decompose_and_measure)
         assert peak < 2 << 20
         assert "coefficients" not in vars(decomp)
         assert abs(value - sub.mass) <= 1e-10

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 import spinaep as sa
 from spinaep.interaction import support_config_index
 
-from conftest import generic_models
-from oracles import bit_reversal, embed_block, index_spins, kron_chain_tfim, kron_site_op, loop_assemble, SX, SZ
+from conftest import generic_models, traced_peak
+from oracles import (
+    bit_reversal, embed_block, index_spins, kron_chain_tfim, kron_site_op, loop_assemble, pinned, SX, SZ,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -60,10 +61,8 @@ class TestAssemblyOracle:
         volume = sa.chain(4)
         h = sa.assemble_hamiltonian(model, volume, ALL_UP)
         assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
-        envelope = ALL_UP.restricted_to(sa.boundary_envelope(volume, model.R))
         for idx in range(16):
-            config = sa.Configuration(index_spins(volume.sites, idx)).merge(envelope)
-            expected = sa.classical_energy(model, config, volume=volume)
+            expected = sa.classical_energy(model, volume, pinned(volume, index_spins(volume.sites, idx), ALL_UP))
             assert h[idx, idx] == pytest.approx(expected, abs=1e-12)
 
 
@@ -188,7 +187,8 @@ class TestInstantiation:
             model, boundary = sa.build_interaction(config), sa.build_boundary(config)
             for n in config.volumes:
                 volume = sa.build_hypercube(n, config.d)
-                allowed = set(volume.sites) | sa.boundary_envelope(volume, model.R)
+                allowed = {tuple(c + o for c, o in zip(site, offset)) for site in volume.sites
+                           for offset in itertools.product(range(-model.R, model.R + 1), repeat=volume.d)}
                 terms = sa.instantiate_terms(model, volume, boundary)
                 assert any(len(inst.sites_in) < len(inst.support) for inst in terms), (case, n)
                 for inst in terms:
@@ -222,13 +222,10 @@ class TestInstantiation:
         h = sa.assemble_hamiltonian(repeated, volume, ALL_UP)
         assert h[0, 0] == -8.0  # four bonds meet the volume, each counted twice
         assert h.tobytes() == sa.assemble_hamiltonian(distinct, volume, ALL_UP).tobytes()
-        envelope = ALL_UP.restricted_to(sa.boundary_envelope(volume, 1))
         for idx in range(8):
-            config = sa.Configuration(index_spins(volume.sites, idx)).merge(envelope)
-            for kwargs in ({}, {"volume": volume}):
-                energy = sa.classical_energy(repeated, config, **kwargs)
-                assert energy == sa.classical_energy(distinct, config, **kwargs)
-            assert energy == h[idx, idx]
+            spin_at = pinned(volume, index_spins(volume.sites, idx), ALL_UP)
+            energy = sa.classical_energy(repeated, volume, spin_at)
+            assert energy == sa.classical_energy(distinct, volume, spin_at) == h[idx, idx]
 
     @staticmethod
     def brute_force_supports(model, volume) -> list[tuple]:
@@ -327,10 +324,7 @@ class TestRealAccumulation:
 
     def test_real_sum_allocates_no_complex_matrix(self):
         volume = sa.chain(8)
-        tracemalloc.start()
-        h = sa.assemble_hamiltonian(sa.preset_tfim(1.0, 0.5, 0.2), volume, ALL_UP)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        h, peak = traced_peak(lambda: sa.assemble_hamiltonian(sa.preset_tfim(1.0, 0.5, 0.2), volume, ALL_UP))
         assert h.dtype == np.float64
         assert peak < np.dtype(complex).itemsize * h.size  # 1 MiB at 8 sites
 
@@ -358,13 +352,8 @@ class TestMalformedBlocks:
     ], ids=["empty", "second-too-small", "too-large", "too-small", "vector", "repeated-site",
             "upper-only", "imaginary-diagonal", "one-ulp"])
     def test_refused_with_its_index(self, blocks, message):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=re.escape(message)):
-                sa.HamiltonianRows(sa.chain(8), blocks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        refusal, peak = traced_peak(lambda: pytest.raises(ValueError, sa.HamiltonianRows, sa.chain(8), blocks))
+        refusal.match(re.escape(message))
         assert peak < 64 * 1024  # the 17-site key table alone would be 1 MiB
 
 
@@ -478,11 +467,6 @@ class TestColumnMajorFill:
     def test_fills_in_place(self, case):
         model, boundary = golden_or_neel_model(case)
         rows = sa.hamiltonian_rows(model, sa.chain(10), boundary)
-        tracemalloc.start()
-        try:
-            h = rows.dense(order="F")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        h, peak = traced_peak(lambda: rows.dense(order="F"))
         # each chunk of rows is written in place, with no temporary copy of its rows
         assert peak <= h.nbytes + 512 * 1024

@@ -10,7 +10,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ import spinaep as sa
 from spinaep import checks, gibbs
 from spinaep.cli import EXIT_NUMERIC, main
 from spinaep.errors import NumericError
-from conftest import record_solves
+from conftest import record_solves, traced_peak
 from oracles import parity_blocks
 from test_parity_sectors import ALL_UP, block_shapes, golden_model, symmetric_complex_model
 
@@ -209,12 +208,7 @@ def test_caller_matrix_is_copied_once(dtype):
     h = np.asfortranarray((a + a.conj().T).astype(dtype))
     wide = widened(h)
     expected = np.linalg.eigvalsh(wide)
-    tracemalloc.start()
-    try:
-        energies = sa.diagonalize(h).energies
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    energies, peak = traced_peak(lambda: sa.diagonalize(h).energies)
     assert energies.tobytes() == expected.tobytes()
     assert peak <= 1.25 * wide.nbytes
 
@@ -299,13 +293,8 @@ def test_long_double_is_refused_before_an_allocation():
     # the 10-site TFIM H in long double: 16 MiB, and its float64 copy 8 MiB
     h = sa.assemble_hamiltonian(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(10), ALL_UP)
     h = h.astype(np.longdouble)
-    tracemalloc.start()
-    try:
-        with pytest.raises(TypeError, match=re.escape(f"h of dtype {h.dtype} does not cast safely")):
-            sa.diagonalize(h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    refusal, peak = traced_peak(lambda: pytest.raises(TypeError, sa.diagonalize, h))
+    refusal.match(re.escape(f"h of dtype {h.dtype} does not cast safely"))
     assert peak < 64 * 1024
 
 
@@ -318,13 +307,8 @@ def test_long_double_is_refused_before_an_allocation():
 ], ids=["not-square", "object"])
 def test_the_solve_reads_a_caller_matrix_itself(solve, h, error, message):
     # diagonalize and spinaep check hand a caller's matrix to the solve as given
-    tracemalloc.start()
-    try:
-        with pytest.raises(error, match=re.escape(message)):
-            solve(h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    refusal, peak = traced_peak(lambda: pytest.raises(error, solve, h))
+    refusal.match(re.escape(message))
     assert peak < 64 * 1024
 
 

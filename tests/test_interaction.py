@@ -1,12 +1,21 @@
 import dataclasses
 import random
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hypothesis import example, given, settings
+
 import spinaep as sa
 from spinaep.errors import CapabilityError
+
+from conftest import generic_models
+from oracles import index_spins, pinned
+
+ALL_UP = sa.GroundStateConfig.uniform(1, +1)
+NEEL = sa.GroundStateConfig((2,), {(0,): 1, (1,): -1})
 
 
 class TestPresetTfim:
@@ -61,73 +70,79 @@ class TestPerturbationBound:
 
 
 class TestClassicalEnergy:
-    def test_all_up_free_sum(self):
-        model = sa.preset_tfim(1.0, 0.0, 0.0)
-        config = sa.Configuration({(0,): 1, (1,): 1, (2,): 1})
-        assert sa.classical_energy(model, config) == pytest.approx(-2.0)
-
-    def test_flipped_interior_spin(self):
-        model = sa.preset_tfim(1.0, 0.0, 0.0)
-        config = sa.Configuration({(0,): 1, (1,): -1, (2,): 1})
-        assert sa.classical_energy(model, config) == pytest.approx(2.0)
-
-    def test_matches_bond_sum_oracle(self):
-        J, h = 1.3, -0.4
-        model = sa.preset_tfim(J, h, 0.0)
-        rng = random.Random(5)
-        for _ in range(10):
-            spins = [rng.choice((1, -1)) for _ in range(8)]
-            config = sa.Configuration({(i,): s for i, s in enumerate(spins)})
-            oracle = -J * sum(spins[i] * spins[i + 1] for i in range(7)) - h * sum(spins)
-            assert sa.classical_energy(model, config) == pytest.approx(oracle, abs=1e-12)
-
-    def test_missing_site_with_volume(self):
-        model = sa.preset_tfim(1.0, 0.0, 0.0)
-        volume = sa.chain(3)
-        config = sa.Configuration({s: 1 for s in volume.sites})  # no envelope values
-        with pytest.raises(ValueError):
-            sa.classical_energy(model, config, volume=volume)
+    """The classical energy of a volume's spins, pinned to a boundary configuration outside it."""
 
     def test_volume_selection_includes_boundary_bonds(self):
         model = sa.preset_tfim(1.0, 0.0, 0.0)
         volume = sa.chain(3)
-        envelope = sa.boundary_envelope(volume, model.R)
-        config = sa.Configuration({s: 1 for s in set(volume.sites) | envelope})
-        assert sa.classical_energy(model, config, volume=volume) == pytest.approx(-4.0)
+        spin_at = pinned(volume, {s: 1 for s in volume.sites}, ALL_UP)
+        assert sa.classical_energy(model, volume, spin_at) == pytest.approx(-4.0)
+
+    def test_flipped_interior_spin(self):
+        model = sa.preset_tfim(1.0, 0.0, 0.0)
+        volume = sa.chain(3)
+        spin_at = pinned(volume, {(0,): 1, (1,): -1, (2,): 1}, ALL_UP)
+        assert sa.classical_energy(model, volume, spin_at) == pytest.approx(0.0)
+
+    def test_matches_bond_sum_oracle(self):
+        J, h = 1.3, -0.4
+        model = sa.preset_tfim(J, h, 0.0)
+        volume = sa.chain(8)
+        rng = random.Random(5)
+        for _ in range(10):
+            spins = [rng.choice((1, -1)) for _ in range(8)]
+            boundary = sa.GroundStateConfig((2,), {(0,): rng.choice((1, -1)), (1,): rng.choice((1, -1))})
+            spin_at = pinned(volume, {(i,): s for i, s in enumerate(spins)}, boundary)
+            oracle = -J * sum(spins[i] * spins[i + 1] for i in range(7)) - h * sum(spins)
+            oracle -= J * (boundary.spin((-1,)) * spins[0] + spins[7] * boundary.spin((8,)))
+            assert sa.classical_energy(model, volume, spin_at) == pytest.approx(oracle, abs=1e-12)
 
     def test_translation_invariance(self):
-        model = sa.preset_tfim(0.7, 0.2, 0.0)
-        rng = random.Random(9)
-        spins = [rng.choice((1, -1)) for _ in range(6)]
-        base = sa.Configuration({(i,): s for i, s in enumerate(spins)})
-        shifted = sa.Configuration({(i + 11,): s for i, s in enumerate(spins)})
-        assert sa.classical_energy(model, base) == pytest.approx(
-            sa.classical_energy(model, shifted), abs=1e-12
-        )
-
-    def test_translation_invariance_with_volume(self):
         model = sa.preset_tfim(0.7, 0.2, 0.0)
         rng = random.Random(13)
         volume = sa.chain(5)
         shift = 11
         shifted_volume = sa.build_box((shift,), (shift + 4,))
-        spins = {s: rng.choice((1, -1)) for s in volume.sites}
-        spins.update({s: 1 for s in sa.boundary_envelope(volume, model.R)})
-        base = sa.Configuration(spins)
-        moved = sa.Configuration({(s[0] + shift,): v for s, v in spins.items()})
-        assert sa.classical_energy(model, base, volume=volume) == pytest.approx(
-            sa.classical_energy(model, moved, volume=shifted_volume), abs=1e-12
+        spin_at = pinned(volume, {s: rng.choice((1, -1)) for s in volume.sites}, NEEL)
+        assert sa.classical_energy(model, volume, spin_at) == pytest.approx(
+            sa.classical_energy(model, shifted_volume, lambda s: spin_at((s[0] - shift,))), abs=1e-12
         )
 
     def test_global_flip_symmetry_without_field(self):
         model = sa.preset_tfim(1.0, 0.0, 0.0)
+        volume = sa.chain(7)
         rng = random.Random(3)
-        spins = [rng.choice((1, -1)) for _ in range(7)]
-        config = sa.Configuration({(i,): s for i, s in enumerate(spins)})
-        flipped = sa.Configuration({(i,): -s for i, s in enumerate(spins)})
-        assert sa.classical_energy(model, config) == pytest.approx(
-            sa.classical_energy(model, flipped), abs=1e-12
+        spin_at = pinned(volume, {s: rng.choice((1, -1)) for s in volume.sites}, NEEL)
+        assert sa.classical_energy(model, volume, spin_at) == pytest.approx(
+            sa.classical_energy(model, volume, lambda s: -spin_at(s)), abs=1e-12
         )
+
+    @pytest.mark.parametrize("value", [0, 2])
+    def test_spin_values_validated(self, value):
+        with pytest.raises(ValueError, match="spin must be \\+1 or -1"):
+            sa.classical_energy(sa.preset_tfim(1.0, 0.0, 0.0), sa.chain(3), lambda s: value)
+
+    def test_volume_of_another_dimension_refused(self):
+        with pytest.raises(ValueError, match="dimensions must agree"):
+            sa.classical_energy(sa.preset_tfim(1.0, 0.0, 0.0), sa.build_box((0, 0), (1, 1)), lambda s: 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(generic_models())
+    @example((sa.Interaction((sa.LocalTerm(((0,),), np.array([0.5, -1.5]), np.zeros((2, 2))),), lam=0.0),
+              sa.chain(3), NEEL))
+    def test_equals_the_classical_diagonal_of_h(self, case):
+        """With the quantum parts zeroed, the pinned H is diagonal and each entry
+        is the classical energy of its basis state, on-site-only models included."""
+        model, volume, boundary = case
+        model = sa.Interaction(tuple(
+            sa.LocalTerm(t.support, t.classical_part, np.zeros_like(t.quantum_part)) for t in model.terms
+        ), lam=model.lam)
+        diagonal = np.diag(sa.assemble_hamiltonian(model, volume, boundary)).real
+        energies = np.array([
+            sa.classical_energy(model, volume, pinned(volume, index_spins(volume.sites, idx), boundary))
+            for idx in range(len(diagonal))
+        ])
+        assert np.abs(energies - diagonal).max() <= 1e-12 * max(1.0, np.abs(diagonal).max())
 
 
 class TestGroundStates:
@@ -182,6 +197,24 @@ class TestGroundStates:
         redundant = sa.GroundStateConfig(periods=(2,), cell_values={(0,): 1, (1,): 1})
         assert redundant.minimal_form().periods == (1,)
 
+    def test_minimal_form_reduces_each_axis_alone(self):
+        # period 2 along axis 0 is needed; along axis 1 the cell repeats every 2 of 4
+        cell = {(i, j): (1 if (i + j) % 2 else -1) for i in range(2) for j in range(4)}
+        minimal = sa.GroundStateConfig((2, 4), cell).minimal_form()
+        assert minimal.periods == (2, 2)
+        assert minimal.cell_values == {(0, 0): -1, (0, 1): 1, (1, 0): 1, (1, 1): -1}
+
+    def test_equal_states_hash_alike(self):
+        redundant = sa.GroundStateConfig((2,), {(1,): -1, (0,): 1}).minimal_form()
+        assert {NEEL, redundant} == {NEEL}
+        assert NEEL != sa.GroundStateConfig((2,), {(0,): -1, (1,): 1})
+
+    def test_site_of_another_dimension_refused(self):
+        with pytest.raises(ValueError, match=re.escape("site (1, 5) has dimension 2, the state has dimension 1")):
+            NEEL.spin((1, 5))
+        with pytest.raises(ValueError, match="interaction of dimension 1 on a state of dimension 2"):
+            sa.energy_density(sa.preset_tfim(1.0, 0.5, 0.0), sa.GroundStateConfig.uniform(2, 1))
+
 
 class TestLocalTermValidation:
     def test_non_hermitian_rejected(self):
@@ -211,6 +244,14 @@ class TestLocalTermValidation:
         assert model(((0,),), ((0,), (2,))).R == 2
         assert sa.build_interaction(sa.parse_config(golden.read_text())).R == 1
         assert "R" not in {f.name for f in dataclasses.fields(sa.Interaction)}
+
+    @pytest.mark.parametrize("coordinate", [0.5, 1.0, np.float64(1.0), "1", True, None],
+                             ids=["float", "integral-float", "numpy-float", "str", "bool", "none"])
+    def test_non_integer_coordinate_rejected(self, coordinate):
+        with pytest.raises(ValueError, match="site must be a nonempty tuple of ints"):
+            sa.LocalTerm(((0,), (coordinate,)), np.zeros(4), np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="site must be a nonempty tuple of ints"):
+            sa.build_box((0,), (coordinate,))
 
     @pytest.mark.parametrize("support", [((1,), (0,)), ((0,), (0,)), ((0, 1), (0, 0)), ((1, 0), (1, 0))],
                              ids=["reversed", "repeated", "reversed-2d", "repeated-2d"])

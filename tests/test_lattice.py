@@ -101,49 +101,3 @@ class TestConnectedSpan:
     def test_capability_bound(self):
         with pytest.raises(CapabilityError):
             sa.connected_span_size([(0, 0), (9, 9)])
-
-
-class TestBoundaryEnvelope:
-    def test_1d_shell(self):
-        vol = sa.build_hypercube(1, 1)
-        assert sa.boundary_envelope(vol, 1) == {(-2,), (2,)}
-
-    def test_1d_shell_r2(self):
-        vol = sa.build_hypercube(1, 1)
-        assert sa.boundary_envelope(vol, 2) == {(-3,), (-2,), (2,), (3,)}
-
-    def test_zero_range(self):
-        vol = sa.build_hypercube(2, 1)
-        assert sa.boundary_envelope(vol, 0) == frozenset()
-
-    def test_disjoint_and_within_range(self):
-        vol = sa.build_box((0, 0), (1, 2), max_qubits=6)
-        env = sa.boundary_envelope(vol, 2)
-        assert env.isdisjoint(vol.sites)
-        for site in env:
-            assert min(
-                max(abs(a - b) for a, b in zip(site, s)) for s in vol.sites
-            ) <= 2
-
-
-class TestConfiguration:
-    def test_values_validated(self):
-        with pytest.raises(ValueError):
-            sa.Configuration({(0,): 2})
-
-    def test_spin_lookup_and_missing(self):
-        cfg = sa.Configuration({(0,): 1, (1,): -1})
-        assert cfg.spin((1,)) == -1
-        with pytest.raises(ValueError):
-            cfg.spin((2,))
-
-    def test_merge_conflict(self):
-        a = sa.Configuration({(0,): 1})
-        b = sa.Configuration({(0,): -1})
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_merge_union(self):
-        a = sa.Configuration({(0,): 1})
-        b = sa.Configuration({(1,): -1})
-        assert a.merge(b).values == {(0,): 1, (1,): -1}

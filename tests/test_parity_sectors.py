@@ -10,7 +10,6 @@ solves are given: copies of a route's buffer taken before the in-place
 solve overwrites it, or a caller's dense matrix.
 """
 
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import spinaep as sa
 from spinaep import gibbs
 from spinaep.hamiltonian import _bit_patterns
-from conftest import record_solves
+from conftest import record_solves, traced_peak
 from oracles import bit_reversal, loop_assemble, parity_blocks, real_form
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -323,15 +322,6 @@ def recorded_solves(monkeypatch) -> list[tuple[np.dtype, tuple[int, ...]]]:
     return calls
 
 
-def traced_peak(function) -> int:
-    tracemalloc.start()
-    try:
-        function()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_generator_failing_in_its_last_rows_frees_its_blocks_before_the_full_solve(monkeypatch):
     # the symmetry test fails on the last chunk, after almost all of both blocks are written
     n_sites = 10
@@ -340,7 +330,7 @@ def test_generator_failing_in_its_last_rows_frees_its_blocks_before_the_full_sol
     nudged = NudgedRows(rows, s)
     h = nudged.dense()
     calls = recorded_solves(monkeypatch)
-    peak = traced_peak(lambda: sa.diagonalize(nudged))
+    _, peak = traced_peak(lambda: sa.diagonalize(nudged))
     assert calls == [(h.dtype, h.shape)]
     # the dense H is 8 MiB and the partial blocks about 4 MiB more
     block_bytes = sum(a * b for a, b in block_shapes(n_sites)) * h.itemsize
@@ -407,7 +397,7 @@ def test_generator_solve_forms_no_dense_matrix(case, monkeypatch):
         solves, dense_bytes = [(np.float64, s) for s in block_shapes(n_sites)], 8 * dim * dim
     rows = sa.hamiltonian_rows(model, sa.chain(n_sites), ALL_UP)
     calls = recorded_solves(monkeypatch)
-    peak = traced_peak(lambda: sa.diagonalize(rows))
+    _, peak = traced_peak(lambda: sa.diagonalize(rows))
     assert calls == solves
     budget = 1.5 * sum(8 * a * b for _, (a, b) in solves)  # 12 and 6.3 MiB
     assert dense_bytes > budget
@@ -438,7 +428,7 @@ def test_parity_route_holds_one_buffer(model, monkeypatch):
     n_sites = 11
     rows = sa.hamiltonian_rows(model, sa.chain(n_sites), ALL_UP)
     calls = recorded_solves(monkeypatch)
-    peak = traced_peak(lambda: sa.diagonalize(rows))
+    _, peak = traced_peak(lambda: sa.diagonalize(rows))
     assert calls == [(np.float64, s) for s in block_shapes(n_sites)]
     even_bytes = 8 * block_shapes(n_sites)[0][0] ** 2  # 8.5 MiB; both blocks 16 MiB
     assert peak < 1.15 * even_bytes
