@@ -80,7 +80,7 @@ def _check_classical_entropy(n_sites: int = 5, beta: float = 2.0) -> CheckResult
     energies = []
     for spins in itertools.product((1, -1), repeat=n_sites):
         inside = dict(zip(volume.sites, spins))
-        energies.append(classical_energy(model, volume, lambda s: inside[s] if s in volume else boundary.spin(s)))
+        energies.append(classical_energy(model, volume, boundary.pinned(volume, inside)))
     scaled = -beta * np.asarray(energies)
     scaled -= scaled.max()
     weights = np.exp(scaled)

@@ -8,7 +8,7 @@ terms are instantiated at every base site when a Hamiltonian is assembled.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -199,9 +199,9 @@ def classical_energy(interaction: Interaction, volume: Volume, spin_at: Callable
     :func:`~spinaep.hamiltonian.instantiate_terms`: the boundary-pinned
     Hamiltonian's diagonal at zero quantum part.
 
-    ``spin_at`` must return +1 or -1 at each site of those supports, inside
-    the volume and within the range R of it; any other value raises
-    ``ValueError``.
+    ``spin_at``, such as :meth:`GroundStateConfig.pinned` gives, must return
+    +1 or -1 at each site of those supports, inside the volume and within
+    the range R of it; any other value raises ``ValueError``.
     """
     if interaction.d != volume.d:
         raise ValueError("interaction and volume dimensions must agree")
@@ -216,7 +216,7 @@ class GroundStateConfig:
     """A periodic infinite-volume configuration given by values on a period cell."""
 
     periods: tuple[int, ...]
-    cell_values: Mapping[Site, int] = field(hash=False, compare=True)
+    cell_values: Mapping[Site, int]
 
     def __post_init__(self) -> None:
         periods = tuple(int(p) for p in self.periods)
@@ -239,10 +239,21 @@ class GroundStateConfig:
     def d(self) -> int:
         return len(self.periods)
 
+    def __hash__(self) -> int:
+        # cell_values is stored sorted, so equal cells list their items alike
+        return hash((self.periods, tuple(self.cell_values.items())))
+
     def spin(self, site: Site) -> int:
         if len(site) != self.d:
             raise ValueError(f"site {site!r} has dimension {len(site)}, the state has dimension {self.d}")
+        return self._cell_spin(site)
+
+    def _cell_spin(self, site: Site) -> int:  # spin, the site's dimension unchecked
         return self.cell_values[tuple(c % p for c, p in zip(site, self.periods))]
+
+    def pinned(self, volume: Volume, inside: Mapping[Site, int]) -> Callable[[Site], int]:
+        """A spin function of the site: ``inside`` on the volume, this configuration outside it."""
+        return lambda site: inside[site] if site in volume else self.spin(site)
 
     def minimal_form(self) -> "GroundStateConfig":
         """The same configuration on its smallest period cell: each axis's
@@ -251,11 +262,11 @@ class GroundStateConfig:
         cell = self.cell_values.items()
         periods = tuple(
             next(q for q in range(1, p + 1) if p % q == 0
-                 and all(self.spin(s[:axis] + (s[axis] + q,) + s[axis + 1:]) == v for s, v in cell))
+                 and all(self._cell_spin(s[:axis] + (s[axis] + q,) + s[axis + 1:]) == v for s, v in cell))
             for axis, p in enumerate(self.periods)
         )
         sites = itertools.product(*(range(p) for p in periods))
-        return GroundStateConfig(periods, {s: self.spin(s) for s in sites})
+        return GroundStateConfig(periods, {s: self._cell_spin(s) for s in sites})
 
 
 def energy_density(interaction: Interaction, state: GroundStateConfig) -> float:
@@ -269,7 +280,7 @@ def energy_density(interaction: Interaction, state: GroundStateConfig) -> float:
             translated = tuple(
                 tuple(c + b for c, b in zip(site, base)) for site in term.support
             )
-            idx = support_config_index(translated, state.spin)
+            idx = support_config_index(translated, state._cell_spin)
             total += float(term.classical_part[idx])
     return total / len(cell)
 
@@ -300,5 +311,4 @@ def find_periodic_ground_states(interaction: Interaction, max_period: int) -> li
             candidates.setdefault(state.minimal_form(), energy_density(interaction, state))
     best = min(candidates.values())
     minimal = [s for s, e in candidates.items() if e <= best + GROUND_STATE_TIE_TOL]
-    # cell_values is stored sorted, so equal cells list their items alike
     return sorted(minimal, key=lambda s: (s.periods, tuple(s.cell_values.items())))

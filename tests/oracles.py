@@ -77,11 +77,6 @@ def index_spins(sites, index: int) -> dict:
     return {site: 1 - 2 * ((index >> (n - 1 - pos)) & 1) for pos, site in enumerate(sites)}
 
 
-def pinned(volume, inside: dict, boundary):
-    """A ``spin_at``: the spins ``inside`` on the volume's sites, the boundary configuration's outside it."""
-    return lambda site: inside[site] if site in volume else boundary.spin(site)
-
-
 def bit_reversal(n: int) -> np.ndarray:
     """The permutation of ``range(2**n)`` that reverses each index's ``n`` bits, one bit at a time."""
     mirror = np.zeros(2**n, dtype=np.int64)

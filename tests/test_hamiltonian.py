@@ -12,7 +12,7 @@ from spinaep.interaction import support_config_index
 
 from conftest import generic_models, traced_peak
 from oracles import (
-    bit_reversal, embed_block, index_spins, kron_chain_tfim, kron_site_op, loop_assemble, pinned, SX, SZ,
+    bit_reversal, embed_block, index_spins, kron_chain_tfim, kron_site_op, loop_assemble, SX, SZ,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -62,7 +62,7 @@ class TestAssemblyOracle:
         h = sa.assemble_hamiltonian(model, volume, ALL_UP)
         assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
         for idx in range(16):
-            expected = sa.classical_energy(model, volume, pinned(volume, index_spins(volume.sites, idx), ALL_UP))
+            expected = sa.classical_energy(model, volume, ALL_UP.pinned(volume, index_spins(volume.sites, idx)))
             assert h[idx, idx] == pytest.approx(expected, abs=1e-12)
 
 
@@ -223,7 +223,7 @@ class TestInstantiation:
         assert h[0, 0] == -8.0  # four bonds meet the volume, each counted twice
         assert h.tobytes() == sa.assemble_hamiltonian(distinct, volume, ALL_UP).tobytes()
         for idx in range(8):
-            spin_at = pinned(volume, index_spins(volume.sites, idx), ALL_UP)
+            spin_at = ALL_UP.pinned(volume, index_spins(volume.sites, idx))
             energy = sa.classical_energy(repeated, volume, spin_at)
             assert energy == sa.classical_energy(distinct, volume, spin_at) == h[idx, idx]
 

@@ -12,7 +12,7 @@ import spinaep as sa
 from spinaep.errors import CapabilityError
 
 from conftest import generic_models
-from oracles import index_spins, pinned
+from oracles import index_spins
 
 ALL_UP = sa.GroundStateConfig.uniform(1, +1)
 NEEL = sa.GroundStateConfig((2,), {(0,): 1, (1,): -1})
@@ -75,13 +75,13 @@ class TestClassicalEnergy:
     def test_volume_selection_includes_boundary_bonds(self):
         model = sa.preset_tfim(1.0, 0.0, 0.0)
         volume = sa.chain(3)
-        spin_at = pinned(volume, {s: 1 for s in volume.sites}, ALL_UP)
+        spin_at = ALL_UP.pinned(volume, {s: 1 for s in volume.sites})
         assert sa.classical_energy(model, volume, spin_at) == pytest.approx(-4.0)
 
     def test_flipped_interior_spin(self):
         model = sa.preset_tfim(1.0, 0.0, 0.0)
         volume = sa.chain(3)
-        spin_at = pinned(volume, {(0,): 1, (1,): -1, (2,): 1}, ALL_UP)
+        spin_at = ALL_UP.pinned(volume, {(0,): 1, (1,): -1, (2,): 1})
         assert sa.classical_energy(model, volume, spin_at) == pytest.approx(0.0)
 
     def test_matches_bond_sum_oracle(self):
@@ -92,7 +92,7 @@ class TestClassicalEnergy:
         for _ in range(10):
             spins = [rng.choice((1, -1)) for _ in range(8)]
             boundary = sa.GroundStateConfig((2,), {(0,): rng.choice((1, -1)), (1,): rng.choice((1, -1))})
-            spin_at = pinned(volume, {(i,): s for i, s in enumerate(spins)}, boundary)
+            spin_at = boundary.pinned(volume, {(i,): s for i, s in enumerate(spins)})
             oracle = -J * sum(spins[i] * spins[i + 1] for i in range(7)) - h * sum(spins)
             oracle -= J * (boundary.spin((-1,)) * spins[0] + spins[7] * boundary.spin((8,)))
             assert sa.classical_energy(model, volume, spin_at) == pytest.approx(oracle, abs=1e-12)
@@ -103,7 +103,7 @@ class TestClassicalEnergy:
         volume = sa.chain(5)
         shift = 11
         shifted_volume = sa.build_box((shift,), (shift + 4,))
-        spin_at = pinned(volume, {s: rng.choice((1, -1)) for s in volume.sites}, NEEL)
+        spin_at = NEEL.pinned(volume, {s: rng.choice((1, -1)) for s in volume.sites})
         assert sa.classical_energy(model, volume, spin_at) == pytest.approx(
             sa.classical_energy(model, shifted_volume, lambda s: spin_at((s[0] - shift,))), abs=1e-12
         )
@@ -112,7 +112,7 @@ class TestClassicalEnergy:
         model = sa.preset_tfim(1.0, 0.0, 0.0)
         volume = sa.chain(7)
         rng = random.Random(3)
-        spin_at = pinned(volume, {s: rng.choice((1, -1)) for s in volume.sites}, NEEL)
+        spin_at = NEEL.pinned(volume, {s: rng.choice((1, -1)) for s in volume.sites})
         assert sa.classical_energy(model, volume, spin_at) == pytest.approx(
             sa.classical_energy(model, volume, lambda s: -spin_at(s)), abs=1e-12
         )
@@ -139,7 +139,7 @@ class TestClassicalEnergy:
         ), lam=model.lam)
         diagonal = np.diag(sa.assemble_hamiltonian(model, volume, boundary)).real
         energies = np.array([
-            sa.classical_energy(model, volume, pinned(volume, index_spins(volume.sites, idx), boundary))
+            sa.classical_energy(model, volume, boundary.pinned(volume, index_spins(volume.sites, idx)))
             for idx in range(len(diagonal))
         ])
         assert np.abs(energies - diagonal).max() <= 1e-12 * max(1.0, np.abs(diagonal).max())
@@ -208,6 +208,17 @@ class TestGroundStates:
         redundant = sa.GroundStateConfig((2,), {(1,): -1, (0,): 1}).minimal_form()
         assert {NEEL, redundant} == {NEEL}
         assert NEEL != sa.GroundStateConfig((2,), {(0,): -1, (1,): 1})
+
+    def test_search_compares_each_state_with_its_duplicates_only(self, monkeypatch):
+        """Distinct cells of one period tuple hash apart, so the search's dedupe
+        compares states at most once per scanned cell; a hash over the periods
+        alone puts the ~4000 period-12 cells in one bucket, ~1e7 comparisons."""
+        compared = []
+        eq = sa.GroundStateConfig.__eq__
+        monkeypatch.setattr(sa.GroundStateConfig, "__eq__", lambda a, b: compared.append(1) or eq(a, b))
+        max_period = 12
+        sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.5, 0.0), max_period)
+        assert 0 < len(compared) <= sum(2**p for p in range(1, max_period + 1))
 
     def test_site_of_another_dimension_refused(self):
         with pytest.raises(ValueError, match=re.escape("site (1, 5) has dimension 2, the state has dimension 1")):
