@@ -1,6 +1,9 @@
-"""Array helpers shared across the package: frozen copies and row-chunk sizes."""
+"""Array helpers shared across the package: frozen copies, row-chunk sizes and solve buffers."""
 
 from __future__ import annotations
+
+import math
+import mmap
 
 import numpy as np
 
@@ -26,3 +29,19 @@ def readonly(a) -> np.ndarray:
     a = np.array(a, copy=True)
     a.setflags(write=False)
     return a
+
+
+def untouched_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zeroed column-major array whose pages become resident only when written.
+
+    It is backed by a private anonymous ``mmap``, advised
+    ``MADV_NOHUGEPAGE`` where the platform has it: numpy advises huge pages
+    for any allocation of 4 MiB or more, and the first write into a 2 MiB
+    huge page makes all of it resident. The mapping goes with the array.
+    """
+    dtype = np.dtype(dtype)
+    memory = mmap.mmap(-1, math.prod(shape) * dtype.itemsize,
+                       flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        memory.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.ndarray(shape, dtype, memory, order="F")

@@ -21,7 +21,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from ._arrays import chunk_rows, readonly
+from ._arrays import chunk_rows, readonly, untouched_zeros
 from .errors import NumericError
 from .hamiltonian import HamiltonianRows, _bit_patterns
 
@@ -207,7 +207,10 @@ def _reflection_pass(source, conjugate: bool) -> tuple[np.ndarray, int, complex,
     are scaled by ``sqrt(1/2)``; ``M`` has no palindromes. A Hermitian ``h``
     gives blocks whose lower triangles, the only part the solve reads
     (``UPLO='L'``), hold the whole block. The buffer is column-major, so
-    the solve runs in place on it.
+    the solve runs in place on it. It comes zeroed from
+    :func:`~spinaep._arrays.untouched_zeros`, not from numpy, whose huge
+    pages any write makes resident whole, so a page of it becomes resident
+    only when written.
 
     Without ``conjugate``, ``R h R == h``, and ``P`` and ``M`` are the even
     and the odd block, in the states ``(|s> + |R s>) / sqrt 2``, or ``|s>``
@@ -225,9 +228,14 @@ def _reflection_pass(source, conjugate: bool) -> tuple[np.ndarray, int, complex,
     sqrt 2``, or ``|s>`` for a palindrome, for ``s`` of ``reps``, then ``i
     (|s> - |R s>) / sqrt 2`` for ``s`` of ``pairs``, so ``h`` is real in
     them: one real symmetric ``(dim, dim)`` matrix whose lower triangle is
-    ``Re P``, then ``Im P`` at the ``pairs`` rows and ``Re M``. The
-    transpose of the ``Im P`` block, above the diagonal, is left unwritten,
-    and the odd block size is 0.
+    ``Re P``, then ``Im P`` at the ``pairs`` rows and ``Re M``, and the odd
+    block size is 0. A chunk writes its ``Re P`` rows up to column
+    ``stop`` and its ``Re M`` rows up to column ``n_reps + odd_stop``, the
+    columns of its last diagonal entries, and its ``Im P`` rows, which lie
+    below the diagonal, whole. So no entry more than one chunk above the
+    diagonal is written, and the pages further above stay untouched: the
+    real form holds its lower triangle and about half a page per column,
+    4 dim^2 + 2048 dim bytes with 4 KiB pages, not 8 dim^2.
     """
     dim = source.shape[0]
     n = dim.bit_length() - 1
@@ -238,7 +246,7 @@ def _reflection_pass(source, conjugate: bool) -> tuple[np.ndarray, int, complex,
     palindromes, pairs = np.flatnonzero(~paired), np.flatnonzero(paired)  # positions in reps
     n_reps, n_pairs = reps.size, pairs.size
     shape, dtype = ((dim, dim), float) if conjugate else ((n_reps, n_reps), source.dtype)
-    buffer = np.empty(shape, dtype, order="F")
+    buffer = untouched_zeros(shape, dtype)
     trace, frobenius, odd_start = 0.0, 0.0, 0
     step = chunk_rows(dim * source.dtype.itemsize)
     for start in range(0, n_reps, step):
@@ -269,9 +277,10 @@ def _reflection_pass(source, conjugate: bool) -> tuple[np.ndarray, int, complex,
         plus[:, palindromes] *= math.sqrt(0.5)
         if conjugate:
             odd_rows = buffer[n_reps + odd_start:n_reps + odd_stop]
-            buffer[start:stop, :n_reps] = plus.real
+            # up to the chunk's last diagonal entry, so the pages further above stay untouched
+            buffer[start:stop, :stop] = plus.real[:, :stop]
             odd_rows[:, :n_reps] = plus.imag[local_pairs]
-            odd_rows[:, n_reps:] = minus.real
+            odd_rows[:, n_reps:n_reps + odd_stop] = minus.real[:, :odd_stop]
         else:
             buffer[start:stop] = plus
             # odd row o, conjugated, above the diagonal of even row o, where odd_stop <= stop

@@ -15,7 +15,8 @@ import numpy as np
 
 from ._arrays import readonly
 from .errors import CapabilityError
-from .lattice import Site, Volume, _check_site, connected_span_size, linf_diameter, spin_to_bit
+from .lattice import (Site, Volume, _check_site, _is_int, connected_span_size, linf_diameter,
+                      spin_to_bit)
 
 MAX_SUPPORT_SITES = 6
 HERMITICITY_TOL = 1e-12
@@ -219,15 +220,18 @@ class GroundStateConfig:
     cell_values: Mapping[Site, int]
 
     def __post_init__(self) -> None:
-        periods = tuple(int(p) for p in self.periods)
-        if not periods or any(p < 1 for p in periods):
-            raise ValueError(f"periods must be positive, got {periods!r}")
+        # ints as lattice._check_site takes them: a float or a bool equal to
+        # one is refused, not truncated or stored as given
+        periods = tuple(self.periods)
+        if not periods or not all(_is_int(p) and p >= 1 for p in periods):
+            raise ValueError(f"periods must be positive ints, got {periods!r}")
         expected = set(itertools.product(*(range(p) for p in periods)))
         cleaned = {tuple(s): v for s, v in self.cell_values.items()}
         if set(cleaned) != expected:
             raise ValueError("cell_values must cover exactly the period cell")
-        if any(v not in (1, -1) for v in cleaned.values()):
-            raise ValueError("cell values must be +1 or -1")
+        bad = [v for v in cleaned.values() if not (_is_int(v) and v in (1, -1))]
+        if bad:
+            raise ValueError(f"cell values must be the int +1 or -1, got {bad[0]!r}")
         object.__setattr__(self, "periods", periods)
         object.__setattr__(self, "cell_values", dict(sorted(cleaned.items())))
 

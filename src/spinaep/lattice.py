@@ -34,10 +34,15 @@ def spin_to_bit(spin: int) -> int:
     raise ValueError(f"spin must be +1 or -1, got {spin!r}")
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int and not a bool: a float or bool equal to an int is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_site(site: Site, d: int | None = None) -> Site:
     """``site`` as a tuple, refused unless every coordinate is an int (not a bool)."""
     site = tuple(site)
-    if not site or not all(isinstance(c, int) and not isinstance(c, bool) for c in site):
+    if not site or not all(_is_int(c) for c in site):
         raise ValueError(f"site must be a nonempty tuple of ints, got {site!r}")
     if d is not None and len(site) != d:
         raise ValueError(f"site {site!r} has dimension {len(site)}, expected {d}")

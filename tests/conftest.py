@@ -1,5 +1,10 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +44,62 @@ def traced_peak(call):
         return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# numpy's LAPACK exports the symbols the in-place solve looks for
+IN_PLACE = pytest.mark.skipif(gibbs._lapack_solver(np.dtype(float)) is None,
+                              reason="numpy's LAPACK lacks scipy_dsyevd_64_")
+
+RSS_SCRIPT = """
+import sys
+import spinaep as sa
+
+
+def peak():
+    with open("/proc/self/status", encoding="ascii") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+
+exec(sys.argv[1])
+before = peak()
+sa.diagonalize(rows)
+print(peak() - before)
+"""
+
+
+def rss_growth(setup: str) -> int:
+    """Bytes by which ``diagonalize(rows)`` raises the peak RSS of a fresh interpreter.
+
+    ``setup`` holds the statements that build ``rows``, run at one BLAS
+    thread with ``spinaep`` imported as ``sa``, and nothing else: a setup
+    that imports more, such as a test module, leaves a higher peak behind,
+    and the solve's growth hides under it. The peak is Linux's ``VmHWM``, that of the child's own memory:
+    its ``ru_maxrss`` starts at the peak of the process that forked it,
+    which under pytest is far above a solve of 11 sites. tracemalloc does
+    not see the reflection buffers, which are mapped outside numpy's
+    allocator, nor a copy that LAPACK's caller mallocs itself; the peak RSS
+    sees both.
+    """
+    if not sys.platform.startswith("linux"):
+        pytest.skip("VmHWM is read from Linux's /proc")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(sa.__file__).parents[1]), *sys.path]))
+    out = subprocess.run([sys.executable, "-c", RSS_SCRIPT, setup],
+                         env=env, capture_output=True, text=True, check=True)
+    return 1024 * int(out.stdout.split()[-1])
+
+
+def record_buffers(monkeypatch) -> list[tuple[tuple[int, ...], weakref.ref]]:
+    """The shape of each reflection buffer and a weak reference to it, in allocation order."""
+    buffers, allocate = [], gibbs.untouched_zeros
+
+    def recording(shape, dtype):
+        buffer = allocate(shape, dtype)
+        buffers.append((buffer.shape, weakref.ref(buffer)))
+        return buffer
+
+    monkeypatch.setattr(gibbs, "untouched_zeros", recording)
+    return buffers
 
 
 @pytest.fixture

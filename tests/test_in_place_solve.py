@@ -6,11 +6,7 @@ triangle. The energies must be numpy's bit for bit, the upper triangle must
 come back untouched, and a caller's matrix must never be written.
 """
 
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,13 +15,11 @@ import spinaep as sa
 from spinaep import checks, gibbs
 from spinaep.cli import EXIT_NUMERIC, main
 from spinaep.errors import NumericError
-from conftest import record_solves, traced_peak
+from conftest import IN_PLACE, record_solves, rss_growth, traced_peak
 from oracles import parity_blocks
-from test_parity_sectors import ALL_UP, block_shapes, golden_model, symmetric_complex_model
+from test_parity_sectors import (ALL_UP, block_shapes, chain_rows_setup, golden_model,
+                                 real_form_resident_bytes, symmetric_complex_model)
 
-# numpy's LAPACK exports the symbols the in-place solve looks for
-IN_PLACE = pytest.mark.skipif(gibbs._lapack_solver(np.dtype(float)) is None,
-                              reason="numpy's LAPACK lacks scipy_dsyevd_64_")
 SIZES = (1, 2, 5, 64, 300)
 # past the reader of a caller's matrix, every solve is of one of these
 DTYPES = (np.float64, np.complex128)
@@ -339,39 +333,15 @@ def test_fallback_solves_a_copy(no_lapack_symbols):
     assert a.tobytes() == before
 
 
-MAXRSS_SCRIPT = """
-import resource, sys
-from pathlib import Path
-import spinaep as sa
-case = sys.argv[1]
-if case == "tfim":
-    model, boundary = sa.preset_tfim(1.0, 0.5, 0.2), sa.GroundStateConfig.uniform(1, 1)
-else:
-    config = sa.parse_config(Path(sys.argv[2]).read_text(encoding="utf-8"))
-    model, boundary = sa.build_interaction(config), sa.build_boundary(config)
-rows = sa.hamiltonian_rows(model, sa.chain(11), boundary)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-sa.diagonalize(rows)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
-"""
-
-
 @IN_PLACE
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
-@pytest.mark.parametrize("case, buffer_bytes", [
-    ("tfim", 8 * block_shapes(11)[0][0] ** 2),  # the parity buffer, 8.5 MiB
-    ("dm", 8 * 2048 ** 2),                      # the real form, 32 MiB
-])
-def test_peak_rss_grows_by_one_buffer(case, buffer_bytes):
-    # tracemalloc does not see a copy that LAPACK's caller mallocs itself;
-    # a solve of a copy grows the peak by about twice the buffer
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(Path(sa.__file__).parents[1]), *sys.path]))
-    golden = Path(__file__).resolve().parent / "golden" / "dm.cfg"
-    out = subprocess.run([sys.executable, "-c", MAXRSS_SCRIPT, case, str(golden)],
-                         env=env, capture_output=True, text=True, check=True)
-    grown = 1024 * int(out.stdout.split()[-1])
-    assert grown < 1.3 * buffer_bytes
+@pytest.mark.parametrize("case, bound", [
+    ("tfim", 1.3 * 8 * block_shapes(11)[0][0] ** 2),  # the parity buffer, 8.5 MiB, written whole
+    ("dm", 1.25 * real_form_resident_bytes(2048)),    # 20 MiB of the 32 MiB real form
+], ids=["tfim", "dm"])
+def test_peak_rss_grows_by_one_buffer(case, bound):
+    # a solve of a copy grows the peak by about twice the buffer, and a real
+    # form written in whole rows by its 32 MiB
+    assert rss_growth(chain_rows_setup(case, 11)) < bound
 
 
 def in_place_lines(out: str) -> list[str]:

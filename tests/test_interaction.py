@@ -220,6 +220,23 @@ class TestGroundStates:
         sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.5, 0.0), max_period)
         assert 0 < len(compared) <= sum(2**p for p in range(1, max_period + 1))
 
+    @pytest.mark.parametrize("periods, cell, message", [
+        ((2.7,), {(0,): 1, (1,): -1}, "periods must be positive ints, got (2.7,)"),
+        ((2.0,), {(0,): 1, (1,): -1}, "periods must be positive ints, got (2.0,)"),
+        ((True,), {(0,): 1}, "periods must be positive ints, got (True,)"),
+        ((np.int64(1),), {(0,): 1}, "periods must be positive ints"),
+        ((0,), {}, "periods must be positive ints, got (0,)"),
+        ((1,), {(0,): True}, "cell values must be the int +1 or -1, got True"),
+        ((1,), {(0,): 1.0}, "cell values must be the int +1 or -1, got 1.0"),
+        ((2,), {(0,): 1, (1,): np.int64(-1)}, "cell values must be the int +1 or -1"),
+        ((2,), {(0,): 1, (1,): 0}, "cell values must be the int +1 or -1, got 0"),
+    ], ids=["fractional period", "float period", "bool period", "numpy period", "zero period",
+            "bool spin", "float spin", "numpy spin", "zero spin"])
+    def test_values_that_only_compare_equal_to_ints_are_refused(self, periods, cell, message):
+        # a period of 2.7 was truncated to 2, and True or 1.0 stored as a spin
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sa.GroundStateConfig(periods, cell)
+
     def test_site_of_another_dimension_refused(self):
         with pytest.raises(ValueError, match=re.escape("site (1, 5) has dimension 2, the state has dimension 1")):
             NEEL.spin((1, 5))

@@ -10,6 +10,7 @@ solves are given: copies of a route's buffer taken before the in-place
 solve overwrites it, or a caller's dense matrix.
 """
 
+import mmap
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 import spinaep as sa
 from spinaep import gibbs
+from spinaep._arrays import CHUNK_BYTES, chunk_rows
 from spinaep.hamiltonian import _bit_patterns
-from conftest import record_solves, traced_peak
+from conftest import IN_PLACE, record_buffers, record_solves, rss_growth, traced_peak
 from oracles import bit_reversal, loop_assemble, parity_blocks, real_form
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -30,6 +32,33 @@ def block_shapes(n_sites: int) -> list[tuple[int, int]]:
     """Even and odd block shapes: 2^ceil(n/2) palindromes sit in the even block."""
     dim, palindromes = 1 << n_sites, 1 << (n_sites + 1) // 2
     return [((dim + palindromes) // 2,) * 2, ((dim - palindromes) // 2,) * 2]
+
+
+def chain_rows_setup(case: str, n_sites: int) -> str:
+    """Statements that build ``rows``, the generator of a chain, from ``spinaep`` alone, as ``sa``.
+
+    ``case`` is "tfim" with an all-up boundary, "dm" as the golden config
+    gives it, or "dm, all up": the golden interaction with an all-up boundary.
+    """
+    model, boundary = {
+        "tfim": ("sa.preset_tfim(1.0, 0.5, 0.2)", "all_up"),
+        "dm": ("sa.build_interaction(config)", "sa.build_boundary(config)"),
+        "dm, all up": ("sa.build_interaction(config)", "all_up"),
+    }[case]
+    return ("from pathlib import Path\n"
+            f"config = sa.parse_config(Path({str(GOLDEN / 'dm.cfg')!r}).read_text(encoding='utf-8'))\n"
+            "all_up = sa.GroundStateConfig.uniform(1, 1)\n"
+            f"rows = sa.hamiltonian_rows({model}, sa.chain({n_sites}), {boundary})")
+
+
+def real_form_resident_bytes(dim: int) -> int:
+    """Resident bytes of the real form: its lower triangle, and half a page a column above it.
+
+    The buffer is written below a band of one chunk above its diagonal, and
+    a page becomes resident when it is first written: each column's first
+    written page holds on average half a page of the upper triangle.
+    """
+    return 8 * dim * (dim + 1) // 2 + dim * mmap.PAGESIZE // 2
 
 
 def symmetric_complex_model() -> sa.Interaction:
@@ -100,6 +129,20 @@ def test_dm_chain_real_form_matches_the_dense_route(n_sites, eigvalsh_calls):
     h = sa.assemble_hamiltonian(model, sa.chain(n_sites), boundary)
     assert h.dtype == np.complex128
     assert_real_form_matches_dense(h, eigvalsh_calls)
+
+
+@pytest.mark.parametrize("n_sites", [3, 5, 7, 9])
+def test_real_form_is_written_below_a_band_of_one_chunk(n_sites):
+    # the pages above the band are never written, so they never become
+    # resident; at 9 sites the pass takes 9 chunks of 32 rows
+    model, boundary = golden_model("dm")
+    rows = sa.hamiltonian_rows(model, sa.chain(n_sites), boundary)
+    buffer, n_odd, _, _ = gibbs._reflection_pass(rows, conjugate=True)
+    dim = rows.shape[0]
+    assert buffer.shape == (dim, dim) and n_odd == 0
+    h = sa.assemble_hamiltonian(model, sa.chain(n_sites), boundary)
+    assert np.tril(buffer).tobytes() == np.tril(real_form(h)).tobytes()
+    assert not np.triu(buffer, chunk_rows(dim * 16)).any()
 
 
 @pytest.mark.parametrize("n_sites", [3, 5, 7, 9, 11])
@@ -329,12 +372,20 @@ def test_generator_failing_in_its_last_rows_frees_its_blocks_before_the_full_sol
     s = np.flatnonzero(np.arange(1 << n_sites) < bit_reversal(n_sites))[-1]
     nudged = NudgedRows(rows, s)
     h = nudged.dense()
+    buffers = record_buffers(monkeypatch)
     calls = recorded_solves(monkeypatch)
+    solve, live = gibbs._eigvalsh_lower, []
+
+    def solving(a):
+        live.append([shape for shape, buffer in buffers if buffer() is not None])
+        return solve(a)
+
+    monkeypatch.setattr(gibbs, "_eigvalsh_lower", solving)
+    # tracemalloc sees the dense H, 8 MiB, and the row chunks, not the blocks' buffer
     _, peak = traced_peak(lambda: sa.diagonalize(nudged))
     assert calls == [(h.dtype, h.shape)]
-    # the dense H is 8 MiB and the partial blocks about 4 MiB more
-    block_bytes = sum(a * b for a, b in block_shapes(n_sites)) * h.itemsize
-    assert peak < h.nbytes + block_bytes / 2
+    assert [shape for shape, _ in buffers] == block_shapes(n_sites)[:1] and live == [[]]
+    assert peak < h.nbytes + 5 * CHUNK_BYTES
     np.testing.assert_array_equal(sa.diagonalize(nudged).energies, sa.diagonalize(h).energies)
 
 
@@ -385,23 +436,27 @@ def test_generator_rows_are_complex_exactly_when_an_imaginary_part_survives(case
         assert generated.tobytes() == reference.tobytes()
 
 
+@IN_PLACE
 @pytest.mark.parametrize("case", ["real form", "parity blocks"])
 def test_generator_solve_forms_no_dense_matrix(case, monkeypatch):
     n_sites = 10
     dim = 1 << n_sites
     if case == "real form":
-        model, _ = golden_model("dm")  # a uniform boundary mirrors onto itself at any length
+        # a uniform boundary mirrors onto itself at any length
+        setup = chain_rows_setup("dm, all up", n_sites)
         solves, dense_bytes = [(np.float64, (dim, dim))], 16 * dim * dim
+        budget = 1.5 * real_form_resident_bytes(dim)  # 9 MiB
     else:
-        model = sa.preset_tfim(1.0, 0.5, 0.2)
+        setup = chain_rows_setup("tfim", n_sites)
         solves, dense_bytes = [(np.float64, s) for s in block_shapes(n_sites)], 8 * dim * dim
-    rows = sa.hamiltonian_rows(model, sa.chain(n_sites), ALL_UP)
+        budget = 1.5 * sum(8 * a * b for _, (a, b) in solves)  # 6.3 MiB
+    namespace = {"sa": sa}
+    exec(setup, namespace)
     calls = recorded_solves(monkeypatch)
-    _, peak = traced_peak(lambda: sa.diagonalize(rows))
+    sa.diagonalize(namespace["rows"])
     assert calls == solves
-    budget = 1.5 * sum(8 * a * b for _, (a, b) in solves)  # 12 and 6.3 MiB
     assert dense_bytes > budget
-    assert peak < budget
+    assert rss_growth(setup) < budget
 
 
 @pytest.mark.parametrize("model, n_sites", [
@@ -424,11 +479,13 @@ def test_packed_blocks_give_the_oracle_energies_bit_for_bit(model, n_sites, eigv
 @pytest.mark.parametrize("model", [sa.preset_tfim(1.0, 0.5, 0.2), cancelling_model()],
                          ids=["tfim", "cancelling"])
 def test_parity_route_holds_one_buffer(model, monkeypatch):
-    # at 10 sites the two 256 KiB row chunks alone are 0.23 times the even block
+    # tracemalloc sees the row chunks, not the buffer, whose peak RSS
+    # test_peak_rss_grows_by_one_buffer reads
     n_sites = 11
     rows = sa.hamiltonian_rows(model, sa.chain(n_sites), ALL_UP)
+    buffers = record_buffers(monkeypatch)
     calls = recorded_solves(monkeypatch)
     _, peak = traced_peak(lambda: sa.diagonalize(rows))
     assert calls == [(np.float64, s) for s in block_shapes(n_sites)]
-    even_bytes = 8 * block_shapes(n_sites)[0][0] ** 2  # 8.5 MiB; both blocks 16 MiB
-    assert peak < 1.15 * even_bytes
+    assert [shape for shape, _ in buffers] == block_shapes(n_sites)[:1]  # 8.5 MiB; both blocks 16 MiB
+    assert peak < 5 * CHUNK_BYTES
