@@ -29,7 +29,6 @@ from .gibbs import (
     characteristic_function,
     diagonalize,
     eigenpairs,
-    eigenvalue_via_energy,
     entropy_bits,
     expectation,
     gibbs_ensemble,

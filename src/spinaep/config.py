@@ -144,7 +144,7 @@ _KEYS = {
     "J": _Key("J", _number),
     "h_field": _Key("h_field", _number),
     "lambda": _Key("lam", _checked(_number, lambda v: 0 <= v < 1, "must lie in [0, 1)")),
-    "c": _Key("c", _number),
+    "c": _Key("c", _checked(_number, lambda v: v >= 0, "must be >= 0")),
     "beta": _Key("beta", _checked(_number, lambda v: v > 0, "must be > 0")),
     "volume": _Key("volumes", _checked(_integer, lambda v: v >= 0, "must be >= 0"), repeated=True),
     "delta": _Key("deltas", _checked(_number, lambda v: v > 0, "must be > 0"), repeated=True),

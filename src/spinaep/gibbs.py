@@ -309,7 +309,7 @@ def _solve_matrices(h) -> tuple[np.ndarray, int, complex, float]:
             result = _reflection_pass(source, conjugate=True)
         if result is not None:
             return result
-    matrix = source.dense() if isinstance(source, _DenseRows) else source.dense(order="F")
+    matrix = source.dense()
     # matrix.T, row-major, holds the same entries: vdot would copy a column-major matrix
     return matrix, 0, np.trace(matrix), np.vdot(matrix.T, matrix.T).real
 
@@ -428,8 +428,7 @@ class GibbsEnsemble:
 
     ``log_weights[j]`` is the natural log of the j-th state probability,
     ``-beta * E_j - log_partition``; they sum to one by construction. No
-    Hamiltonian is kept: callers that need one, such as
-    :func:`eigenvalue_via_energy`, pass the matrix they solved.
+    Hamiltonian is kept.
     """
 
     beta: float
@@ -481,20 +480,6 @@ def gibbs_ensemble(spectrum: Spectrum, beta: float) -> GibbsEnsemble:
     return GibbsEnsemble(
         beta=float(beta), spectrum=spectrum, log_weights=log_weights, log_partition=log_partition
     )
-
-
-def eigenvalue_via_energy(ensemble: GibbsEnsemble, h: np.ndarray, j: int) -> float:
-    """Log weight of state ``j`` recomputed through the energy quadratic form.
-
-    Evaluates ``-beta <psi_j|H|psi_j> - log Xi`` with ``h`` the matrix whose
-    :func:`eigenpairs` the ensemble holds, rather than reading the stored
-    eigenvalue; the two agree to the spectrum residual tolerance.
-    """
-    if not 0 <= j < ensemble.dim:
-        raise ValueError(f"state index {j} outside [0, {ensemble.dim})")
-    v = ensemble.spectrum.require_vectors("eigenvalue_via_energy")[:, j]
-    energy = float(np.real(v.conj() @ (h @ v)))
-    return -ensemble.beta * energy - ensemble.log_partition
 
 
 def entropy_bits(ensemble: GibbsEnsemble) -> float:

@@ -10,7 +10,6 @@ bits before it is embedded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,37 +39,28 @@ def _bit_patterns(n_total: int, positions: Sequence[int]) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class InstantiatedTerm:
-    """One translated term, compressed onto the volume by boundary freezing."""
-
-    support: tuple[Site, ...]        # full translated support, sorted
-    sites_in: tuple[Site, ...]       # support sites inside the volume
-    matrix: np.ndarray               # dense block on sites_in
-
-
 def _freeze_term(
     term: LocalTerm, support: tuple[Site, ...], volume: Volume, boundary: GroundStateConfig
-) -> InstantiatedTerm:
+) -> tuple[np.ndarray, tuple[Site, ...]]:
     inside = [s in volume for s in support]
     # outside bits from the boundary, inside bits zero, then every inside pattern
     frozen = support_config_index(support, lambda s: SPIN_UP if s in volume else boundary.spin(s))
     in_positions = [pos for pos, flag in enumerate(inside) if flag]
     picks = frozen + _bit_patterns(len(support), in_positions)
     sites_in = tuple(s for s, flag in zip(support, inside) if flag)
-    return InstantiatedTerm(support, sites_in, term.full_matrix()[np.ix_(picks, picks)])
+    return term.full_matrix()[np.ix_(picks, picks)], sites_in
 
 
 def instantiate_terms(
     interaction: Interaction,
     volume: Volume,
     boundary: GroundStateConfig,
-) -> list[InstantiatedTerm]:
-    """Every translate of every term that meets the volume, once each,
-    boundary-frozen: the terms in the interaction's order, a term listed
-    twice giving its translates twice, and each term's translates by
-    ascending offset. No term is wider than R, so each translate lies in the
-    volume and its range-R envelope."""
+) -> list[tuple[np.ndarray, tuple[Site, ...]]]:
+    """``(block, sites_in)`` for every translate of every term that meets the
+    volume, once each, boundary-frozen onto its sites in the volume: the terms
+    in the interaction's order, a term listed twice giving its translates
+    twice, and each term's translates by ascending offset. No term is wider
+    than R, so each translate lies in the volume and its range-R envelope."""
     if boundary.d != volume.d or interaction.d != volume.d:
         raise ValueError("interaction, volume, and boundary dimensions must agree")
     return [
@@ -153,20 +143,18 @@ class HamiltonianRows:
         self._fill(out, index, mirror, self._values)
         return out
 
-    def dense(self, order: str = "C") -> np.ndarray:
-        """The whole matrix in ``order``, filled in place in row chunks; each row's entries take four arrays.
+    def dense(self) -> np.ndarray:
+        """The whole matrix, column-major, filled in place in column chunks; each entry takes four arrays.
 
-        A column-major ``H`` is filled as the rows of ``H.T`` from the transposed blocks: each entry
-        sums the same values in the same block order as in ``H``'s rows, so it rounds alike.
+        ``H`` is filled as the rows of ``H.T`` from the transposed blocks: each entry sums the
+        same values in the same block order as in ``H``'s rows, so it rounds alike.
         """
         dim, width = self.shape[0], self._steps.shape[1]
-        h = np.zeros(self.shape, dtype=self.dtype, order=order)
-        target, values = h, self._values
-        if not h.flags.c_contiguous:
-            target, values = h.T, values.reshape(-1, width, width).swapaxes(1, 2).reshape(-1, width)
+        h = np.zeros(self.shape, dtype=self.dtype, order="F")
+        values = self._values.reshape(-1, width, width).swapaxes(1, 2).reshape(-1, width)
         step = chunk_rows(self._keys.shape[0] * width * (24 + self.dtype.itemsize))
         for start in range(0, dim, step):
-            self._fill(target[start:start + step], np.arange(start, min(start + step, dim)), None, values)
+            self._fill(h.T[start:start + step], np.arange(start, min(start + step, dim)), None, values)
         return h
 
 
@@ -176,8 +164,7 @@ def hamiltonian_rows(
     boundary: GroundStateConfig,
 ) -> HamiltonianRows:
     """Row generator of the boundary-pinned Hamiltonian on the volume, the one path from a model to H."""
-    terms = instantiate_terms(interaction, volume, boundary)
-    return HamiltonianRows(volume, ((inst.matrix, inst.sites_in) for inst in terms))
+    return HamiltonianRows(volume, instantiate_terms(interaction, volume, boundary))
 
 
 def assemble_hamiltonian(
@@ -185,7 +172,7 @@ def assemble_hamiltonian(
     volume: Volume,
     boundary: GroundStateConfig,
 ) -> np.ndarray:
-    """Boundary-pinned Hamiltonian on the volume as a dense Hermitian matrix.
+    """Boundary-pinned Hamiltonian on the volume as a dense Hermitian matrix, column-major.
 
     Sums every instantiated term whose support meets the volume; sites that
     stick out into the envelope are frozen to the boundary configuration.

@@ -61,9 +61,10 @@ class LocalTerm:
     order (first site = most significant bit).
     ``classical_part`` holds the diagonal entries of the classical piece in
     the configuration basis of the support (energy units); ``quantum_part``
-    is the Hermitian perturbation on the same factor ordering. A quantum part
-    within ``HERMITICITY_TOL`` of Hermitian is stored as its Hermitian part,
-    so that it equals its conjugate transpose exactly.
+    is the Hermitian perturbation on the same factor ordering; every entry of
+    both is finite. A quantum part within ``HERMITICITY_TOL`` of Hermitian is
+    stored as its Hermitian part, so that it equals its conjugate transpose
+    exactly.
     """
 
     support: tuple[Site, ...]
@@ -79,6 +80,9 @@ class LocalTerm:
         quantum = np.asarray(self.quantum_part, dtype=complex)
         if quantum.shape != (dim, dim):
             raise ValueError(f"quantum_part must have shape ({dim}, {dim}), got {quantum.shape}")
+        for name, part in (("classical_part", classical), ("quantum_part", quantum)):
+            if not np.isfinite(part).all():
+                raise ValueError(f"{name} has a non-finite entry")
         scale = max(1.0, float(np.linalg.norm(quantum)))
         if np.abs(quantum - quantum.conj().T).max() > HERMITICITY_TOL * scale:
             raise ValueError("quantum_part is not Hermitian within tolerance")
@@ -105,9 +109,9 @@ class LocalTerm:
 class Interaction:
     """A finite-range interaction: orbit representatives plus global parameters.
 
-    ``lam`` is the perturbation parameter in [0, 1) and ``c`` the norm
-    constant used when checking that quantum parts are genuinely small. The
-    range :attr:`R` is read off the terms.
+    ``lam`` is the perturbation parameter in [0, 1) and ``c``, finite and
+    >= 0, the norm constant used when checking that quantum parts are
+    genuinely small. The range :attr:`R` is read off the terms.
     """
 
     terms: tuple[LocalTerm, ...]
@@ -123,6 +127,8 @@ class Interaction:
             raise ValueError("terms have inconsistent dimensions")
         if not 0.0 <= self.lam < 1.0:
             raise ValueError(f"lam must lie in [0, 1), got {self.lam}")
+        if not (self.c >= 0 and np.isfinite(self.c)):
+            raise ValueError(f"c must be finite and >= 0, got {self.c}")
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -220,13 +226,13 @@ class GroundStateConfig:
     cell_values: Mapping[Site, int]
 
     def __post_init__(self) -> None:
-        # ints as lattice._check_site takes them: a float or a bool equal to
-        # one is refused, not truncated or stored as given
+        # ints as lattice._check_site takes them, in periods, site keys and
+        # values: a float or a bool equal to one is refused, not truncated or kept
         periods = tuple(self.periods)
         if not periods or not all(_is_int(p) and p >= 1 for p in periods):
             raise ValueError(f"periods must be positive ints, got {periods!r}")
         expected = set(itertools.product(*(range(p) for p in periods)))
-        cleaned = {tuple(s): v for s, v in self.cell_values.items()}
+        cleaned = {_check_site(s): v for s, v in self.cell_values.items()}
         if set(cleaned) != expected:
             raise ValueError("cell_values must cover exactly the period cell")
         bad = [v for v in cleaned.values() if not (_is_int(v) and v in (1, -1))]

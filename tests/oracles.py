@@ -71,6 +71,17 @@ def window_filter(log2_weights: np.ndarray, n_sites: int, h_ref: float, delta: f
     return picked, mass
 
 
+def eigenvalue_via_energy(ensemble, h: np.ndarray, j: int) -> float:
+    """Log weight of state ``j`` recomputed through the energy quadratic form.
+
+    Evaluates ``-beta <psi_j|H|psi_j> - log Xi`` with ``h`` the matrix whose
+    eigenpairs the ensemble holds, rather than reading the stored eigenvalue.
+    """
+    v = ensemble.spectrum.vectors[:, j]
+    energy = float(np.real(v.conj() @ (h @ v)))
+    return -ensemble.beta * energy - ensemble.log_partition
+
+
 def index_spins(sites, index: int) -> dict:
     """Spin at each site of a basis index: first site = most significant bit, bit 0 = spin +1."""
     n = len(sites)

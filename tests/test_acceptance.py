@@ -14,7 +14,7 @@ import spinaep as sa
 from spinaep.cli import main
 
 from conftest import EXHIBIT, EXHIBIT_SIZES, GRID_POINTS, chain_ensemble, chain_hamiltonian, dense_ensemble
-from oracles import classical_chain_entropy_bits
+from oracles import classical_chain_entropy_bits, eigenvalue_via_energy
 
 DELTA = EXHIBIT["delta"]
 DELTA_GRID = (0.05, 0.1, 0.15, 0.25, 0.5)
@@ -37,7 +37,7 @@ def test_criterion_01_normalization_and_weight_identity():
         ens = dense_ensemble(h, beta)
         worst_sum = max(worst_sum, abs(float(np.exp(ens.log_weights).sum()) - 1.0))
         for j in range(ens.dim):
-            gap = abs(sa.eigenvalue_via_energy(ens, h, j) - float(ens.log_weights[j]))
+            gap = abs(eigenvalue_via_energy(ens, h, j) - float(ens.log_weights[j]))
             worst_state = max(worst_state, gap)
     ok = worst_sum <= 1e-12 and worst_state <= 1e-9
     report(1, ok, f"{len(GRID_POINTS)} ensembles, |sum-1| <= {worst_sum:.2e}, "

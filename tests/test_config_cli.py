@@ -228,10 +228,12 @@ class TestDiagnosticTable:
          "line 2: boundary_periods: need 1 periods, got 2"),
         ("boundary = cell\nboundary_periods = 2\nboundary_cell = +1\n",
          "line 3: boundary_cell: need 2 values for the cell, got 1"),
+        ("model = tfim\nc = -1\n", "line 2: c: must be >= 0, got -1.0"),
     ], ids=["volume-not-an-integer", "beta-not-a-number", "beta-empty", "cell-value-zero", "no-equals-sign",
             "term-index-not-an-integer", "term-field-unknown", "term-field-repeated",
             "term-without-classical", "site-dimension", "classical-count", "quantum-triple",
-            "quantum-outside-the-matrix", "cell-without-periods", "period-count", "cell-value-count"])
+            "quantum-outside-the-matrix", "cell-without-periods", "period-count", "cell-value-count",
+            "negative-norm-constant"])
     def test_reported_in_full(self, text, expected):
         assert diagnostics(text) == [expected]
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinaep as sa
-from spinaep.interaction import support_config_index
+from spinaep.interaction import _translates, support_config_index
 
 from conftest import generic_models, traced_peak
 from oracles import (
@@ -178,6 +178,19 @@ class TestTwoDimensional:
                 assert row[j] == pytest.approx(-0.2)
 
 
+def instantiated(model, volume, boundary) -> list[tuple]:
+    """``(block, sites_in, support)`` per instantiated term, the full support from ``_translates``.
+
+    Each ``sites_in`` is checked to be the part of its support inside the volume.
+    """
+    pairs = sa.instantiate_terms(model, volume, boundary)
+    supports = [support for _, support in _translates(model, volume.sites)]
+    assert len(pairs) == len(supports)
+    for (_, sites_in), support in zip(pairs, supports):
+        assert sites_in == tuple(s for s in support if s in volume)
+    return [(block, sites_in, support) for (block, sites_in), support in zip(pairs, supports)]
+
+
 class TestInstantiation:
     def test_every_crossing_term_stays_in_envelope(self):
         """Each instantiated support lies in the volume and its range-R envelope,
@@ -189,10 +202,10 @@ class TestInstantiation:
                 volume = sa.build_hypercube(n, config.d)
                 allowed = {tuple(c + o for c, o in zip(site, offset)) for site in volume.sites
                            for offset in itertools.product(range(-model.R, model.R + 1), repeat=volume.d)}
-                terms = sa.instantiate_terms(model, volume, boundary)
-                assert any(len(inst.sites_in) < len(inst.support) for inst in terms), (case, n)
-                for inst in terms:
-                    assert set(inst.support) <= allowed, (case, n, inst.support)
+                terms = instantiated(model, volume, boundary)
+                assert any(len(sites_in) < len(support) for _, sites_in, support in terms), (case, n)
+                for _, _, support in terms:
+                    assert set(support) <= allowed, (case, n, support)
 
     def test_equals_loop_reference_exactly(self):
         golden = Path(__file__).parent / "golden"
@@ -247,20 +260,20 @@ class TestInstantiation:
         model, boundary = sa.build_interaction(config), sa.build_boundary(config)
         for n in config.volumes:
             volume = sa.build_hypercube(n, config.d)
-            supports = [inst.support for inst in sa.instantiate_terms(model, volume, boundary)]
+            supports = [support for _, _, support in instantiated(model, volume, boundary)]
             assert supports == self.brute_force_supports(model, volume), (case, n)
 
     @settings(max_examples=40, deadline=None)
     @given(generic_models())
     def test_supports_match_brute_force_on_generic_models(self, case):
         model, volume, boundary = case
-        supports = [inst.support for inst in sa.instantiate_terms(model, volume, boundary)]
+        supports = [support for _, _, support in instantiated(model, volume, boundary)]
         assert supports == self.brute_force_supports(model, volume)
 
     def test_frozen_block_is_hermitian(self):
         model = sa.preset_tfim(1.0, 0.5, 0.4)
-        for inst in sa.instantiate_terms(model, sa.chain(3), ALL_UP):
-            assert np.abs(inst.matrix - inst.matrix.conj().T).max() <= 1e-12
+        for block, _ in sa.instantiate_terms(model, sa.chain(3), ALL_UP):
+            assert np.abs(block - block.conj().T).max() <= 1e-12
 
 
 class TestExactHermiticity:
@@ -300,9 +313,9 @@ class TestRealAccumulation:
         n = volume.n_sites
         h = np.zeros((1 << n,) * 2, dtype=complex)
         diagonals = []
-        for inst in sa.instantiate_terms(model, volume, boundary):
-            positions = [volume.index_of(s) for s in inst.sites_in]
-            alone = embed_block(inst.matrix.astype(complex), positions, n)
+        for block, sites_in in sa.instantiate_terms(model, volume, boundary):
+            positions = [volume.index_of(s) for s in sites_in]
+            alone = embed_block(block.astype(complex), positions, n)
             h += alone
             diagonals.append(alone.diagonal().real)
         np.fill_diagonal(h, functools.reduce(np.add, np.sort(diagonals, axis=0)))
@@ -319,7 +332,7 @@ class TestRealAccumulation:
         h = sa.assemble_hamiltonian(model, volume, boundary)
         reference = self.complex_then_real(model, volume, boundary)
         assert h.dtype == (np.float64 if case == "tfim" else np.complex128)
-        assert h.dtype == reference.dtype and h.flags.c_contiguous
+        assert h.dtype == reference.dtype and h.flags.f_contiguous
         assert h.tobytes() == reference.tobytes()
 
     def test_real_sum_allocates_no_complex_matrix(self):
@@ -369,7 +382,7 @@ class TestTermOrder:
         else:
             config = sa.parse_config((Path(__file__).parent / "golden" / "dm.cfg").read_text())
             model, boundary = sa.build_interaction(config), sa.build_boundary(config)
-        blocks = [(inst.matrix, inst.sites_in) for inst in sa.instantiate_terms(model, volume, boundary)]
+        blocks = sa.instantiate_terms(model, volume, boundary)
         h = sa.HamiltonianRows(volume, blocks).dense()
         rng = np.random.default_rng(11)
         for _ in range(4):
@@ -432,13 +445,13 @@ def golden_or_neel_model(case: str) -> tuple[sa.Interaction, sa.GroundStateConfi
 
 
 class TestColumnMajorFill:
-    """``dense(order="F")``, filled in place as the rows of ``H.T``, is the row-major fill's bytes."""
+    """``dense()``, filled in place as the rows of ``H.T``, is the bytes of all the generated rows."""
 
     @staticmethod
     def assert_same_bytes(rows: sa.HamiltonianRows) -> None:
-        column_major = rows.dense(order="F")
-        assert column_major.flags.f_contiguous and column_major.dtype == rows.dtype
-        assert column_major.tobytes(order="F") == np.asfortranarray(rows.dense()).tobytes(order="F")
+        h = rows.dense()
+        assert h.flags.f_contiguous and h.dtype == rows.dtype
+        assert h.tobytes() == rows.rows(np.arange(rows.shape[0])).tobytes()
 
     @pytest.mark.parametrize("case, volume", [
         ("tfim", sa.chain(7)),
@@ -467,6 +480,6 @@ class TestColumnMajorFill:
     def test_fills_in_place(self, case):
         model, boundary = golden_or_neel_model(case)
         rows = sa.hamiltonian_rows(model, sa.chain(10), boundary)
-        h, peak = traced_peak(lambda: rows.dense(order="F"))
+        h, peak = traced_peak(rows.dense)
         # each chunk of rows is written in place, with no temporary copy of its rows
         assert peak <= h.nbytes + 512 * 1024

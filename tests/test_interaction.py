@@ -63,6 +63,13 @@ class TestPerturbationBound:
         model = sa.preset_tfim(2.0, 1.0, 0.0)
         assert all(r.satisfied for r in sa.check_perturbation_bound(model))
 
+    def test_norm_constant_must_be_finite_and_nonnegative(self):
+        # under c = -1, a zero quantum part was reported beyond the bound -0.04
+        for c in (-1.0, -1e-300, np.nan, np.inf):
+            with pytest.raises(ValueError, match="c must be finite and >= 0"):
+                sa.preset_tfim(1.0, 0.5, 0.2, c=c)
+        assert all(r.satisfied for r in sa.check_perturbation_bound(sa.preset_tfim(1.0, 0.5, 0.0, c=0.0)))
+
     def test_reports_both_norms(self):
         model = sa.preset_tfim(1.0, 0.0, 0.3)
         onsite = [r for r in sa.check_perturbation_bound(model) if r.span_size == 1][0]
@@ -230,10 +237,15 @@ class TestGroundStates:
         ((1,), {(0,): 1.0}, "cell values must be the int +1 or -1, got 1.0"),
         ((2,), {(0,): 1, (1,): np.int64(-1)}, "cell values must be the int +1 or -1"),
         ((2,), {(0,): 1, (1,): 0}, "cell values must be the int +1 or -1, got 0"),
+        ((2,), {(0.0,): 1, (1,): -1}, "site must be a nonempty tuple of ints, got (0.0,)"),
+        ((2,), {(True,): 1, (0,): -1}, "site must be a nonempty tuple of ints, got (True,)"),
+        ((2,), {(0, 0): 1, (1,): -1}, "cell_values must cover exactly the period cell"),
     ], ids=["fractional period", "float period", "bool period", "numpy period", "zero period",
-            "bool spin", "float spin", "numpy spin", "zero spin"])
+            "bool spin", "float spin", "numpy spin", "zero spin", "float key", "bool key",
+            "key of another dimension"])
     def test_values_that_only_compare_equal_to_ints_are_refused(self, periods, cell, message):
-        # a period of 2.7 was truncated to 2, and True or 1.0 stored as a spin
+        # a period of 2.7 was truncated to 2, True or 1.0 stored as a spin, and
+        # (0.0,) or (True,) stored as a cell site
         with pytest.raises(ValueError, match=re.escape(message)):
             sa.GroundStateConfig(periods, cell)
 
@@ -252,6 +264,18 @@ class TestLocalTermValidation:
                 classical_part=np.zeros(2),
                 quantum_part=np.array([[0.0, 1.0], [0.0, 0.0]]),
             )
+
+    @pytest.mark.parametrize("part, classical, quantum", [
+        ("classical_part", [np.nan, 0.0], np.zeros((2, 2))),
+        ("classical_part", [0.0, -np.inf], np.zeros((2, 2))),
+        ("quantum_part", np.zeros(2), [[0.0, np.nan], [np.nan, 0.0]]),
+        ("quantum_part", np.zeros(2), [[np.inf, 0.0], [0.0, 0.0]]),
+        ("quantum_part", np.zeros(2), [[0.0, complex(0.0, np.nan)], [complex(0.0, np.nan), 0.0]]),
+    ], ids=["classical-nan", "classical-inf", "quantum-nan", "quantum-inf", "quantum-imaginary-nan"])
+    def test_non_finite_entry_rejected(self, part, classical, quantum):
+        # once accepted, to fail far away: in the assembly's Hermiticity test or in the eigensolver
+        with pytest.raises(ValueError, match=f"{part} has a non-finite entry"):
+            sa.LocalTerm(((0,),), np.array(classical), np.array(quantum))
 
     def test_nearly_hermitian_part_is_stored_exactly_hermitian(self):
         quantum = np.array([[0.0, 0.3 + 0.1j], [0.3 - 0.1j + 1e-14, 0.0]])

@@ -346,8 +346,8 @@ class NudgedRows(sa.HamiltonianRows):
             out[i, column] = np.nextafter(out[i, column], np.inf)
         return out
 
-    def dense(self, order="C"):
-        h = super().dense(order)
+    def dense(self):
+        h = super().dense()
         h[self.s, self.s] = np.nextafter(h[self.s, self.s], np.inf)
         return h
 

@@ -170,11 +170,6 @@ class TestValuesOnlyEnsemble:
         with pytest.raises(ValueError, match="eigenpairs"):
             sa.expectation(ensemble, np.eye(ensemble.dim))
 
-    def test_eigenvalue_via_energy_names_eigenpairs(self, ensemble):
-        h = golden_hamiltonian("dm", sa.chain(4))
-        with pytest.raises(ValueError, match="eigenpairs"):
-            sa.eigenvalue_via_energy(ensemble, h, 0)
-
     @pytest.mark.parametrize("delta, dim", [(0.0001, 0), (0.5, 5)], ids=["empty", "nonempty"])
     def test_typical_projector_names_eigenpairs(self, ensemble, delta, dim):
         sub = sa.typical_subspace(ensemble, sa.entropy_bits(ensemble) / ensemble.n_sites, delta)
