@@ -53,7 +53,6 @@ from .lattice import (
     build_hypercube,
     chain,
     connected_span_size,
-    linf_diameter,
 )
 from .typicality import (
     TypicalSubspace,

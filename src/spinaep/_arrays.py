@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import math
 import mmap
 
@@ -38,10 +39,17 @@ def untouched_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
     ``MADV_NOHUGEPAGE`` where the platform has it: numpy advises huge pages
     for any allocation of 4 MiB or more, and the first write into a 2 MiB
     huge page makes all of it resident. The mapping goes with the array.
+    A mapping refused for lack of memory raises ``MemoryError``, as numpy's
+    allocations do.
     """
     dtype = np.dtype(dtype)
-    memory = mmap.mmap(-1, math.prod(shape) * dtype.itemsize,
-                       flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    size = math.prod(shape) * dtype.itemsize
+    try:
+        memory = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except OSError as exc:
+        if exc.errno == errno.ENOMEM:
+            raise MemoryError(f"cannot map {size} bytes for an array of shape {shape}") from exc
+        raise
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         memory.madvise(mmap.MADV_NOHUGEPAGE)
     return np.ndarray(shape, dtype, memory, order="F")

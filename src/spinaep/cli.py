@@ -191,8 +191,8 @@ def run_codec_demo(config: ExperimentConfig, out_dir: Path, *, quiet: bool = Fal
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     """The config file, with each given flag applied by the rule of its config key."""
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     config = parse_config(text)
     for key in ("seed", "max_qubits", "out"):
@@ -247,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except QubitCapError as exc:
+    except (QubitCapError, MemoryError) as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_CAP
     except SpinAepError as exc:

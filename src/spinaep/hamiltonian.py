@@ -60,7 +60,8 @@ def instantiate_terms(
     volume, once each, boundary-frozen onto its sites in the volume: the terms
     in the interaction's order, a term listed twice giving its translates
     twice, and each term's translates by ascending offset. No term is wider
-    than R, so each translate lies in the volume and its range-R envelope."""
+    than the largest support diameter, so each translate lies in the volume
+    and the envelope of that width around it."""
     if boundary.d != volume.d or interaction.d != volume.d:
         raise ValueError("interaction, volume, and boundary dimensions must agree")
     return [

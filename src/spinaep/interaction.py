@@ -15,8 +15,7 @@ import numpy as np
 
 from ._arrays import readonly
 from .errors import CapabilityError
-from .lattice import (Site, Volume, _check_site, _is_int, connected_span_size, linf_diameter,
-                      spin_to_bit)
+from .lattice import Site, Volume, _check_site, _is_int, connected_span_size, spin_to_bit
 
 MAX_SUPPORT_SITES = 6
 HERMITICITY_TOL = 1e-12
@@ -93,10 +92,6 @@ class LocalTerm:
         object.__setattr__(self, "quantum_part", readonly(quantum))
 
     @property
-    def n_sites(self) -> int:
-        return len(self.support)
-
-    @property
     def d(self) -> int:
         return len(self.support[0])
 
@@ -111,7 +106,7 @@ class Interaction:
 
     ``lam`` is the perturbation parameter in [0, 1) and ``c``, finite and
     >= 0, the norm constant used when checking that quantum parts are
-    genuinely small. The range :attr:`R` is read off the terms.
+    genuinely small.
     """
 
     terms: tuple[LocalTerm, ...]
@@ -135,11 +130,6 @@ class Interaction:
     def d(self) -> int:
         return self.terms[0].d
 
-    @property
-    def R(self) -> int:
-        """The range: the largest support diameter of a term."""
-        return max(linf_diameter(t.support) for t in self.terms)
-
 
 def preset_tfim(J: float, h_field: float, lam: float, *, c: float = 1.0) -> Interaction:
     """Transverse-field Ising chain: -J z z on bonds, -h_field z and -lam x on sites."""
@@ -158,12 +148,10 @@ def preset_tfim(J: float, h_field: float, lam: float, *, c: float = 1.0) -> Inte
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    """Per-term norms of the quantum part against the smallness bound."""
+    """A term's quantum-part spectral norm against the smallness bound."""
 
     term_index: int
     spectral_norm: float
-    hilbert_schmidt_norm: float
-    span_size: int
     bound: float
     satisfied: bool
 
@@ -171,18 +159,17 @@ class PerturbationReport:
 def check_perturbation_bound(interaction: Interaction) -> list[PerturbationReport]:
     """Check ``|Q| <= c * lam**s`` for every term, s being the connected span size.
 
-    The spectral norm is compared against the bound; the Hilbert-Schmidt norm
-    is reported alongside. The result is advisory; a support whose bounding
-    box exceeds ``MAX_SPAN_SEARCH_SITES`` raises :class:`CapabilityError`.
+    The spectral norm is compared against the bound. The result is advisory;
+    a support whose bounding box exceeds ``MAX_SPAN_SEARCH_SITES`` raises
+    :class:`CapabilityError`.
     """
     reports = []
     for i, term in enumerate(interaction.terms):
         spectral = float(np.linalg.norm(term.quantum_part, ord=2))
-        hs = float(np.linalg.norm(term.quantum_part))
         s = connected_span_size(term.support)
         bound = interaction.c * interaction.lam**s
         ok = spectral <= bound * (1.0 + 1e-9) + 1e-12
-        reports.append(PerturbationReport(i, spectral, hs, s, bound, ok))
+        reports.append(PerturbationReport(i, spectral, bound, ok))
     return reports
 
 
@@ -208,7 +195,7 @@ def classical_energy(interaction: Interaction, volume: Volume, spin_at: Callable
 
     ``spin_at``, such as :meth:`GroundStateConfig.pinned` gives, must return
     +1 or -1 at each site of those supports, inside the volume and within
-    the range R of it; any other value raises ``ValueError``.
+    the largest support diameter of it; any other value raises ``ValueError``.
     """
     if interaction.d != volume.d:
         raise ValueError("interaction and volume dimensions must agree")

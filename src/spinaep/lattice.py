@@ -118,17 +118,6 @@ def chain(length: int, *, max_qubits: int = DEFAULT_QUBIT_CAP) -> Volume:
     return build_box((0,), (length - 1,), max_qubits=max_qubits)
 
 
-def linf_diameter(sites: Iterable[Site]) -> int:
-    """Largest coordinate-wise distance between any two sites of the set."""
-    pts = [tuple(s) for s in sites]
-    if not pts:
-        raise ValueError("diameter of an empty site set is undefined")
-    d = len(pts[0])
-    return max(
-        max(p[i] for p in pts) - min(p[i] for p in pts) for i in range(d)
-    )
-
-
 def _l1_neighbors(site: Site) -> Iterable[Site]:
     for i in range(len(site)):
         for step in (-1, 1):

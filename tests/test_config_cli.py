@@ -1,4 +1,6 @@
 import csv
+import errno
+import mmap
 import os
 import re
 import subprocess
@@ -659,6 +661,50 @@ class TestOtherSubcommands:
         assert capsys.readouterr().err.splitlines() == [
             "numeric failure: empty typical subspace in codec-demo at n=2, delta=0.15"
         ]
+
+
+class TestConfigEncoding:
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"# caf\xe9\nmodel = tfim\nvolume = 1\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: cannot read config {str(cfg)!r}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        bom = tmp_path / "tfim.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + GOLDEN_TFIM.read_bytes())
+        for command in ("sweep", "spectrum", "codec-demo"):
+            for cfg, out in ((GOLDEN_TFIM, "plain"), (bom, "bom")):
+                assert main([command, "--config", str(cfg), "--out", str(tmp_path / out), "--quiet"]) == 0
+        produced = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert produced == sorted(p.name for p in (tmp_path / "bom").iterdir())
+        for name in produced:
+            assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+
+
+class TestAllocationFailure:
+    """An allocation refused for lack of memory is a size limit, exit 3; no large buffer is asked for."""
+
+    def test_refused_mapping_exits_3(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        assert main(["spectrum", "--config", str(GOLDEN_TFIM), "--out", str(tmp_path), "--quiet"]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("size limit: cannot map ")
+
+    def test_numpy_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        message = "Unable to allocate 8.00 GiB for an array with shape (32768, 32768) and data type float64"
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "diagonalize", refuse)
+        assert main(["spectrum", "--config", str(GOLDEN_TFIM), "--out", str(tmp_path), "--quiet"]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"size limit: {message}"]
 
 
 CELL_17 = "; ".join(["+1"] * 17)

@@ -6,12 +6,20 @@ or class is read somewhere in the package outside its own definition.
 ``__init__.py`` re-exports names, so its imports are exempt. Every name it
 exports must be read in another module of the package, outside its own
 definition, or be read by the README's "Library example" code, which is the
-allowlist for names kept for library users alone. A string, a docstring or
-a comment is not a read.
+allowlist for names kept for library users alone. Every method and
+property a class of the package defines without a leading ``_`` must be read
+as an attribute in the package, outside its own definition, or by that
+example code. A string, a docstring or a comment is not a read.
+
+The method rule matches by name alone: a read of ``.n_sites`` on any object
+keeps every ``n_sites`` method alive, so a member that shares its name with
+a read member of another class goes unflagged. Dataclass fields are not
+methods and stay out of its scope.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spinaep"
@@ -70,9 +78,19 @@ def test_every_private_helper_is_referenced():
     assert not unreferenced, f"private helpers nothing reads: {unreferenced}"
 
 
-def test_every_export_is_read_in_the_package_or_the_readme_example():
+def readme_example_reads():
+    """Every name the README's "Library example" code reads."""
     example = re.search(r"## Library example\n+```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-    allowlist = read_names(ast.parse(example.group(1)))
+    return read_names(ast.parse(example.group(1)))
+
+
+def attribute_reads(node):
+    """How often each name is read as an attribute below ``node``."""
+    return Counter(child.attr for child in ast.walk(node) if isinstance(child, ast.Attribute))
+
+
+def test_every_export_is_read_in_the_package_or_the_readme_example():
+    allowlist = readme_example_reads()
     definitions = {
         node.name: node for tree in TREES.values() for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -80,3 +98,16 @@ def test_every_export_is_read_in_the_package_or_the_readme_example():
     unread = [f"__init__.py:{line} {name}" for line, name in imported_names(TREES["__init__.py"])
               if name not in allowlist and name not in read_outside(definitions.get(name), skip={"__init__.py"})]
     assert not unread, f"exported names only the tests read: {unread}"
+
+
+def test_every_public_method_is_read_in_the_package_or_the_readme_example():
+    allowlist = readme_example_reads()
+    package_reads = sum((attribute_reads(tree) for tree in TREES.values()), Counter())
+    methods = [
+        (name, cls, node) for name, tree in TREES.items() for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    unread = [f"{name}:{node.lineno} {cls.name}.{node.name}" for name, cls, node in methods
+              if node.name not in allowlist and package_reads[node.name] <= attribute_reads(node)[node.name]]
+    assert not unread, f"methods and properties only the tests read: {unread}"

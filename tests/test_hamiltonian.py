@@ -198,10 +198,12 @@ class TestInstantiation:
         for case in ("tfim", "dm", "generic2d"):
             config = sa.parse_config((GOLDEN / f"{case}.cfg").read_text())
             model, boundary = sa.build_interaction(config), sa.build_boundary(config)
+            # the range: the largest coordinate spread of any term's support
+            r = max(max(axis) - min(axis) for term in model.terms for axis in zip(*term.support))
             for n in config.volumes:
                 volume = sa.build_hypercube(n, config.d)
                 allowed = {tuple(c + o for c, o in zip(site, offset)) for site in volume.sites
-                           for offset in itertools.product(range(-model.R, model.R + 1), repeat=volume.d)}
+                           for offset in itertools.product(range(-r, r + 1), repeat=volume.d)}
                 terms = instantiated(model, volume, boundary)
                 assert any(len(sites_in) < len(support) for _, sites_in, support in terms), (case, n)
                 for _, _, support in terms:

@@ -6,13 +6,15 @@ triangle. The energies must be numpy's bit for bit, the upper triangle must
 come back untouched, and a caller's matrix must never be written.
 """
 
+import errno
+import mmap
 import re
 
 import numpy as np
 import pytest
 
 import spinaep as sa
-from spinaep import checks, gibbs
+from spinaep import _arrays, checks, gibbs
 from spinaep.cli import EXIT_NUMERIC, main
 from spinaep.errors import NumericError
 from conftest import IN_PLACE, record_solves, rss_growth, traced_peak
@@ -377,3 +379,18 @@ def test_check_fails_when_the_in_place_solve_moves_an_energy(monkeypatch, capsys
         "FAIL in-place solve, parity blocks", "FAIL in-place solve, real form",
         "FAIL in-place solve, full solve"]
     assert all("differs from numpy.linalg.eigvalsh" in line for line in lines)
+
+
+@pytest.mark.parametrize("code, error", [(errno.ENOMEM, MemoryError), (errno.EACCES, PermissionError)])
+def test_refused_buffer_mapping(code, error, monkeypatch):
+    """A mapping refused for lack of memory is a ``MemoryError`` chained to the
+    ``OSError``; any other refusal is raised as it came."""
+    def refuse(*args, **kwargs):
+        raise OSError(code, "refused")
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    with pytest.raises(error) as info:
+        _arrays.untouched_zeros((4, 4), np.float64)
+    if error is MemoryError:
+        assert str(info.value) == "cannot map 128 bytes for an array of shape (4, 4)"
+        assert isinstance(info.value.__cause__, OSError) and info.value.__cause__.errno == code

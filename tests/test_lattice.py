@@ -41,31 +41,6 @@ class TestBuildVolumes:
         assert vol.sites == ((0,), (1,), (2,), (3,))
 
 
-class TestDiameter:
-    def test_pair(self):
-        assert sa.linf_diameter([(0, 0), (1, 2)]) == 2
-
-    def test_singleton(self):
-        assert sa.linf_diameter([(3, -1)]) == 0
-
-    def test_1d(self):
-        assert sa.linf_diameter([(0,), (5,)]) == 5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sa.linf_diameter([])
-
-    def test_matches_pairwise_max(self):
-        rng = random.Random(7)
-        for _ in range(30):
-            d = rng.choice((1, 2, 3))
-            pts = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(rng.randint(1, 5))]
-            brute = max(
-                max(abs(a - b) for a, b in zip(p, q)) for p in pts for q in pts
-            )
-            assert sa.linf_diameter(pts) == brute
-
-
 class TestConnectedSpan:
     def test_singleton(self):
         assert sa.connected_span_size([(0,)]) == 1
