@@ -36,6 +36,12 @@ class TestPresetTfim:
         assert onsite[0].spectral_norm == pytest.approx(0.1, abs=1e-14)
         assert onsite[0].satisfied
 
+    def test_supports_within_range(self):
+        # nearest-neighbour bonds and on-site fields: every support spans at most one step per axis
+        model = sa.preset_tfim(1.0, 0.5, 0.2)
+        spreads = [max(axis) - min(axis) for term in model.terms for axis in zip(*term.support)]
+        assert max(spreads) == 1
+
 
 class TestPerturbationBound:
     def test_all_pass(self):
@@ -62,6 +68,14 @@ class TestPerturbationBound:
             with pytest.raises(ValueError, match="c must be finite and >= 0"):
                 sa.preset_tfim(1.0, 0.5, 0.2, c=c)
         assert all(r.satisfied for r in sa.check_perturbation_bound(sa.preset_tfim(1.0, 0.5, 0.0, c=0.0)))
+
+    def test_reports_both_norms(self):
+        # the report gives the spectral norm; the term it names gives the Hilbert-Schmidt norm
+        model = sa.preset_tfim(1.0, 0.0, 0.3)
+        onsite = [r for r in sa.check_perturbation_bound(model)
+                  if len(model.terms[r.term_index].support) == 1][0]
+        assert onsite.spectral_norm == pytest.approx(0.3, abs=1e-14)
+        assert np.linalg.norm(model.terms[onsite.term_index].quantum_part) == pytest.approx(0.3 * np.sqrt(2))
 
 
 class TestClassicalEnergy:
