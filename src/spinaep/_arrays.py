@@ -17,7 +17,7 @@ CHUNK_BYTES = 256 << 10
 
 def chunk_rows(row_bytes: int) -> int:
     """Rows of ``row_bytes`` each that fit in ``CHUNK_BYTES``, at least one."""
-    return max(1, CHUNK_BYTES // row_bytes)
+    return max(1, CHUNK_BYTES // max(1, row_bytes))
 
 
 def readonly(a) -> np.ndarray:
@@ -40,12 +40,16 @@ def untouched_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
     for any allocation of 4 MiB or more, and the first write into a 2 MiB
     huge page makes all of it resident. The mapping goes with the array.
     A mapping refused for lack of memory raises ``MemoryError``, as numpy's
-    allocations do.
+    allocations do. Where ``mmap`` has no anonymous mappings, as off Unix,
+    the array is numpy's.
     """
+    if not hasattr(mmap, "MAP_ANONYMOUS"):
+        return np.zeros(shape, dtype, order="F")
     dtype = np.dtype(dtype)
     size = math.prod(shape) * dtype.itemsize
     try:
-        memory = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        # one byte at least: a mapping of none is refused
+        memory = mmap.mmap(-1, max(1, size), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     except OSError as exc:
         if exc.errno == errno.ENOMEM:
             raise MemoryError(f"cannot map {size} bytes for an array of shape {shape}") from exc

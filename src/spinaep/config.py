@@ -86,7 +86,7 @@ def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool], requirement
     def rule(raw: str):
         value = parse(raw)
         if not ok(value):
-            raise ValueError(f"{requirement}, got {value}")
+            raise ValueError(f"{requirement}, got {value!r}")
         return value
     return rule
 
@@ -158,7 +158,7 @@ _KEYS = {
     "rate": _Key("rates", _checked(_number, lambda v: v >= 0, "must be >= 0"), repeated=True),
     "seed": _Key("seed", _checked(_integer, lambda v: 0 <= v <= _U64_MAX, "must fit in an unsigned 64-bit integer")),
     "max_qubits": _Key("max_qubits", _checked(_integer, lambda v: v >= 1, "must be >= 1")),
-    "out": _Key("out", str),
+    "out": _Key("out", _checked(str, bool, "must not be empty")),
 }
 
 

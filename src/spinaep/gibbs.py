@@ -91,8 +91,8 @@ class Spectrum:
 class _DenseRows:
     """The one reader of a caller's square matrix, giving rows as :class:`HamiltonianRows` does.
 
-    Entries are read as float64, or complex128 if complex; a dtype that
-    does not cast safely raises ``TypeError`` before any matrix-sized copy.
+    Entries are read as float64, or complex128 if complex; a dtype that does
+    not cast safely raises ``TypeError`` before any matrix-sized allocation.
     """
 
     def __init__(self, h) -> None:
@@ -106,10 +106,6 @@ class _DenseRows:
     def rows(self, index: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
         rows = np.ascontiguousarray(self.h[index], dtype=self.dtype)
         return rows if mirror is None else np.take(rows, mirror, axis=1)
-
-    def dense(self) -> np.ndarray:
-        """A column-major copy of the whole matrix; the caller's array is never written."""
-        return np.array(self.h, dtype=self.dtype, order="F")
 
 
 # dsyevd and zheevd of the LAPACK that numpy links, with 64-bit integers
@@ -188,8 +184,8 @@ def _int_ref(value: int):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-def _reflection_pass(source, conjugate: bool) -> tuple[np.ndarray, int, complex, float] | None:
-    """The reflection buffer of ``source``, its odd block size and the trace and Frobenius sums, or ``None``.
+def _row_pass(source, conjugate: bool | None) -> tuple[np.ndarray, int, complex, float] | None:
+    """The solve buffer of ``source``, its odd block size and the trace and Frobenius sums, or ``None``.
 
     One pass over row chunks of ``chunk_rows`` representatives ``s <= R s``
     each, where ``R`` reverses the bits of an index. Each chunk generates
@@ -197,7 +193,8 @@ def _reflection_pass(source, conjugate: bool) -> tuple[np.ndarray, int, complex,
     tests ``h[R s, R t] == h[s, t]`` bit for bit, or ``conj(h[s, t])`` with
     ``conjugate``. The first mismatch returns ``None``, and the partial
     blocks go with it. A passing chunk adds to the sums and writes its rows
-    of the blocks.
+    of the blocks. With ``conjugate`` ``None``, for the full solve, ``R`` is
+    the identity, no chunk is tested, and the block is ``h`` itself.
 
     Once a chunk has passed, ``h[R s, t]`` is ``h[s, R t]``, or its
     conjugate, bit for bit, so both routes read one pair of sums of rows
@@ -232,14 +229,17 @@ def _reflection_pass(source, conjugate: bool) -> tuple[np.ndarray, int, complex,
     block size is 0. A chunk writes its ``Re P`` rows up to column
     ``stop`` and its ``Re M`` rows up to column ``n_reps + odd_stop``, the
     columns of its last diagonal entries, and its ``Im P`` rows, which lie
-    below the diagonal, whole. So no entry more than one chunk above the
-    diagonal is written, and the pages further above stay untouched: the
-    real form holds its lower triangle and about half a page per column,
-    4 dim^2 + 2048 dim bytes with 4 KiB pages, not 8 dim^2.
+    below the diagonal, whole. The full solve's chunk writes its rows up to
+    column ``stop`` into a ``(dim, dim)`` buffer of ``h``'s dtype. In the
+    real form and the full solve no entry more than one chunk above the
+    diagonal is written, and the pages further above stay untouched: each
+    holds its lower triangle and about half a page per column, 4 dim^2 +
+    2048 dim bytes with 4 KiB pages, not 8 dim^2, or for a complex full
+    solve 8 dim^2 + 2048 dim, not 16 dim^2.
     """
     dim = source.shape[0]
     n = dim.bit_length() - 1
-    mirror = _bit_patterns(n, range(n - 1, -1, -1))
+    mirror = np.arange(dim) if conjugate is None else _bit_patterns(n, range(n - 1, -1, -1))
     reps = np.flatnonzero(np.arange(dim) <= mirror)
     mirror_reps = mirror[reps]
     paired = mirror_reps != reps
@@ -253,18 +253,23 @@ def _reflection_pass(source, conjugate: bool) -> tuple[np.ndarray, int, complex,
         stop = min(start + step, n_reps)
         chunk = reps[start:stop]
         rows = source.rows(chunk)
-        mirrored = source.rows(mirror[chunk], mirror)
-        if conjugate:
-            np.conj(mirrored, out=mirrored)
         # real and imaginary parts side by side: compared and summed faster than complex
         flat = rows.view(rows.real.dtype)
-        if not np.array_equal(flat, mirrored.view(flat.dtype)):
-            return None
-        del mirrored
+        if conjugate is not None:
+            mirrored = source.rows(mirror[chunk], mirror)
+            if conjugate:
+                np.conj(mirrored, out=mirrored)
+            if not np.array_equal(flat, mirrored.view(flat.dtype)):
+                return None
+            del mirrored
         # row R s holds the entries of row s, so a pair adds its row twice
         weight = 1.0 + paired[start:stop]
         trace += weight @ rows[np.arange(chunk.size), chunk]
         frobenius += weight @ np.einsum("ij,ij->i", flat, flat)
+        if conjugate is None:
+            # up to the chunk's last diagonal entry, so the pages further above stay untouched
+            buffer[start:stop, :stop] = rows[:, :stop]
+            continue
         local_pairs = np.flatnonzero(paired[start:stop])
         odd_stop = odd_start + local_pairs.size
         # h[s, t] and h[s, R t] at the reps columns t
@@ -295,23 +300,20 @@ def _solve_matrices(h) -> tuple[np.ndarray, int, complex, float]:
 
     ``h`` is a row generator, or a caller's matrix read by :class:`_DenseRows`.
     The reflection blocks are tried on ``n >= 2`` qubits: the parity blocks,
-    then, if complex, the real form. If neither test passes, the dense
-    matrix alone takes one full solve: a column-major copy of a caller's
-    matrix, or a generator's matrix filled column-major, either solved in
-    place.
+    then, if complex, the real form. If neither test passes, ``h``'s lower
+    triangle takes one full solve. Each route is one :func:`_row_pass`, and
+    none forms ``h`` whole.
     """
     source = h if isinstance(h, HamiltonianRows) else _DenseRows(h)
     dim = source.shape[0]
     n_bits = dim.bit_length() - 1
     if n_bits >= 2 and dim == 1 << n_bits:
-        result = _reflection_pass(source, conjugate=False)
+        result = _row_pass(source, conjugate=False)
         if result is None and source.dtype.kind == "c":
-            result = _reflection_pass(source, conjugate=True)
+            result = _row_pass(source, conjugate=True)
         if result is not None:
             return result
-    matrix = source.dense()
-    # matrix.T, row-major, holds the same entries: vdot would copy a column-major matrix
-    return matrix, 0, np.trace(matrix), np.vdot(matrix.T, matrix.T).real
+    return _row_pass(source, conjugate=None)
 
 
 def _eigenvalues(matrix: np.ndarray, n_odd: int) -> np.ndarray:
@@ -348,15 +350,14 @@ def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     work of the complex solve. Both routes are written from one pair of
     sums of rows ``s``, ``h[s, t] + h[s, R t]`` and ``h[s, t] - h[s, R
     t]``, in the lower triangles that LAPACK ?syevd or ?heevd reads
-    (``UPLO='L'``), into one column-major buffer that it solves in place,
-    and a generator's dense matrix is never formed. Otherwise the energies
-    come from one full solve of the dense matrix, in place: a generator
-    assembles it once, column-major, and a caller's matrix is copied
-    column-major once, so the caller's array is never written. Every
-    in-place solve gives ``numpy.linalg.eigvalsh``'s energies bit for bit,
-    and falls back to it when numpy's LAPACK lacks the symbol. A caller's
-    ``h`` that is not a square matrix raises ``ValueError``, and one whose
-    dtype does not cast safely to double precision ``TypeError``.
+    (``UPLO='L'``), into one column-major buffer that it solves in place.
+    Otherwise one full solve takes ``h``'s rows into such a buffer, up to
+    the diagonal. So ``h`` is never formed whole, and a caller's array is
+    never written. Every in-place solve gives ``numpy.linalg.eigvalsh``'s
+    energies bit for bit, and falls back to it when numpy's LAPACK lacks
+    the symbol. A caller's ``h`` that is not a square matrix raises
+    ``ValueError``, and one whose dtype does not cast safely to double
+    precision ``TypeError``.
 
     With no eigenpairs to check, the energies are held to the two trace
     identities ``tr H = sum E_j`` and ``||H||_F^2 = sum E_j^2``, within
@@ -523,7 +524,6 @@ class ThermoDensities:
     f: float       # free energy per site
     g: float       # energy per site
     h_bits: float  # entropy per site, bits
-    n_sites: int
 
     @property
     def identity_residual(self) -> float:
@@ -537,7 +537,7 @@ def thermo_densities(ensemble: GibbsEnsemble) -> ThermoDensities:
     f = -ensemble.log_partition / (beta * n)
     g = float(np.sum(ensemble.weights * ensemble.spectrum.energies)) / n
     h_bits = entropy_bits(ensemble) / n
-    densities = ThermoDensities(beta=beta, f=f, g=g, h_bits=h_bits, n_sites=n)
+    densities = ThermoDensities(beta=beta, f=f, g=g, h_bits=h_bits)
     if not densities.identity_residual <= IDENTITY_RESIDUAL_TOL:
         raise NumericError(
             f"entropy-rate identity violated: residual {densities.identity_residual:.3e}"

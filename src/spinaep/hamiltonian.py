@@ -125,15 +125,15 @@ class HamiltonianRows:
         if self.dtype == complex and not any(self.rows(chunk).imag.any() for chunk in chunks):
             self.dtype, self._values = np.dtype(float), np.ascontiguousarray(self._values.real)
 
-    def _fill(self, out: np.ndarray, index: np.ndarray, mirror: np.ndarray | None, values: np.ndarray) -> None:
-        """Add the rows ``index`` into the zeroed ``out`` from ``values``, columns permuted by ``mirror``."""
+    def _fill(self, out: np.ndarray, index: np.ndarray, mirror: np.ndarray | None) -> None:
+        """Add the rows ``index`` into the zeroed row-major ``out``, columns permuted by ``mirror``."""
         keys = self._keys[:, index]  # (blocks, rows)
         columns, diagonal = index[:, None] + self._steps[keys], index
         if mirror is not None:
             columns, diagonal = mirror[columns], mirror[index]
         columns += np.arange(0, out.size, out.shape[1])[:, None]
         # one addition per block and entry, the blocks in order
-        np.add.at(out.reshape(-1), columns.reshape(-1), values[keys].reshape(-1))
+        np.add.at(out.reshape(-1), columns.reshape(-1), self._values[keys].reshape(-1))
         ordered = np.sort(self._diagonals[keys], axis=0)
         out[np.arange(index.size), diagonal] = np.add.accumulate(ordered, axis=0)[-1]
 
@@ -141,21 +141,16 @@ class HamiltonianRows:
         """``H[index]``, or ``H[index][:, mirror]`` for a permutation ``mirror`` that is its own inverse."""
         index = np.asarray(index, dtype=np.intp).reshape(-1)
         out = np.zeros((index.size, self.shape[1]), dtype=self.dtype)
-        self._fill(out, index, mirror, self._values)
+        self._fill(out, index, mirror)
         return out
 
     def dense(self) -> np.ndarray:
-        """The whole matrix, column-major, filled in place in column chunks; each entry takes four arrays.
-
-        ``H`` is filled as the rows of ``H.T`` from the transposed blocks: each entry sums the
-        same values in the same block order as in ``H``'s rows, so it rounds alike.
-        """
+        """The whole matrix, row-major, filled in place in row chunks; each entry takes four arrays."""
         dim, width = self.shape[0], self._steps.shape[1]
-        h = np.zeros(self.shape, dtype=self.dtype, order="F")
-        values = self._values.reshape(-1, width, width).swapaxes(1, 2).reshape(-1, width)
+        h = np.zeros(self.shape, dtype=self.dtype)
         step = chunk_rows(self._keys.shape[0] * width * (24 + self.dtype.itemsize))
         for start in range(0, dim, step):
-            self._fill(h.T[start:start + step], np.arange(start, min(start + step, dim)), None, values)
+            self._fill(h[start:start + step], np.arange(start, min(start + step, dim)), None)
         return h
 
 
@@ -173,7 +168,7 @@ def assemble_hamiltonian(
     volume: Volume,
     boundary: GroundStateConfig,
 ) -> np.ndarray:
-    """Boundary-pinned Hamiltonian on the volume as a dense Hermitian matrix, column-major.
+    """Boundary-pinned Hamiltonian on the volume as a dense Hermitian matrix, row-major.
 
     Sums every instantiated term whose support meets the volume; sites that
     stick out into the envelope are frozen to the boundary configuration.

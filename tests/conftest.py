@@ -76,7 +76,7 @@ def rss_growth(setup: str) -> int:
     and the solve's growth hides under it. The peak is Linux's ``VmHWM``, that of the child's own memory:
     its ``ru_maxrss`` starts at the peak of the process that forked it,
     which under pytest is far above a solve of 11 sites. tracemalloc does
-    not see the reflection buffers, which are mapped outside numpy's
+    not see the solve buffers, which are mapped outside numpy's
     allocator, nor a copy that LAPACK's caller mallocs itself; the peak RSS
     sees both.
     """
@@ -90,7 +90,7 @@ def rss_growth(setup: str) -> int:
 
 
 def record_buffers(monkeypatch) -> list[tuple[tuple[int, ...], weakref.ref]]:
-    """The shape of each reflection buffer and a weak reference to it, in allocation order."""
+    """The shape of each solve buffer and a weak reference to it, in allocation order."""
     buffers, allocate = [], gibbs.untouched_zeros
 
     def recording(shape, dtype):

@@ -383,6 +383,23 @@ class TestSweep:
         cfg.write_text(FREE_CONFIG, encoding="utf-8")
         assert main(["sweep", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("given, message", [
+        ("config", "line 11: out: must not be empty, got ''"),
+        ("flag", "out: must not be empty, got ''"),
+    ])
+    def test_empty_out_exits_2_and_writes_nothing(self, given, message, tmp_path, monkeypatch, capsys):
+        # an empty directory name would write into the working directory
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(FREE_CONFIG + ("out =\n" if given == "config" else ""), encoding="utf-8")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        flag = ["--out", ""] if given == "flag" else []
+        assert main(["spectrum", "--config", str(cfg), *flag, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.endswith(f"{message}\n")
+        assert not any(work.iterdir())
+
     def test_out_in_config_used(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(ISING_CONFIG + f"out = {tmp_path / 'fromcfg'}\n", encoding="utf-8")

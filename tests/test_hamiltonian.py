@@ -334,7 +334,7 @@ class TestRealAccumulation:
         h = sa.assemble_hamiltonian(model, volume, boundary)
         reference = self.complex_then_real(model, volume, boundary)
         assert h.dtype == (np.float64 if case == "tfim" else np.complex128)
-        assert h.dtype == reference.dtype and h.flags.f_contiguous
+        assert h.dtype == reference.dtype and h.flags.c_contiguous
         assert h.tobytes() == reference.tobytes()
 
     def test_real_sum_allocates_no_complex_matrix(self):
@@ -446,13 +446,13 @@ def golden_or_neel_model(case: str) -> tuple[sa.Interaction, sa.GroundStateConfi
     return sa.build_interaction(config), sa.build_boundary(config)
 
 
-class TestColumnMajorFill:
-    """``dense()``, filled in place as the rows of ``H.T``, is the bytes of all the generated rows."""
+class TestRowMajorFill:
+    """``dense()``, filled in place in row chunks, is the bytes of all the generated rows."""
 
     @staticmethod
     def assert_same_bytes(rows: sa.HamiltonianRows) -> None:
         h = rows.dense()
-        assert h.flags.f_contiguous and h.dtype == rows.dtype
+        assert h.flags.c_contiguous and h.dtype == rows.dtype
         assert h.tobytes() == rows.rows(np.arange(rows.shape[0])).tobytes()
 
     @pytest.mark.parametrize("case, volume", [

@@ -17,7 +17,7 @@ import spinaep as sa
 from spinaep import _arrays, checks, gibbs
 from spinaep.cli import EXIT_NUMERIC, main
 from spinaep.errors import NumericError
-from conftest import IN_PLACE, record_solves, rss_growth, traced_peak
+from conftest import IN_PLACE, record_buffers, record_solves, rss_growth, traced_peak
 from oracles import parity_blocks
 from test_parity_sectors import (ALL_UP, block_shapes, chain_rows_setup, golden_model,
                                  real_form_resident_bytes, symmetric_complex_model)
@@ -127,13 +127,13 @@ def test_nan_through_diagonalize_is_a_numeric_error(monkeypatch):
 def test_odd_block_survives_the_even_solve(model):
     h = sa.assemble_hamiltonian(model, sa.chain(7), ALL_UP)
     even, odd = parity_blocks(h)
-    buffer, n_odd, _, _ = gibbs._reflection_pass(gibbs._DenseRows(h), conjugate=False)
+    buffer, n_odd, _, _ = gibbs._row_pass(gibbs._DenseRows(h), conjugate=False)
     assert buffer.flags.f_contiguous and n_odd == odd.shape[0]
     upper = np.triu(buffer, 1)
     assert gibbs._eigvalsh_lower(buffer).tobytes() == np.linalg.eigvalsh(even).tobytes()
     assert np.triu(buffer, 1).tobytes() == upper.tobytes()
     # a fresh buffer through both solves: the odd block is copied down in between
-    buffer, n_odd, _, _ = gibbs._reflection_pass(gibbs._DenseRows(h), conjugate=False)
+    buffer, n_odd, _, _ = gibbs._row_pass(gibbs._DenseRows(h), conjugate=False)
     expected = np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
     assert gibbs._eigenvalues(buffer, n_odd).tobytes() == expected.tobytes()
 
@@ -197,16 +197,17 @@ def widened(h: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.float32, np.int64, np.bool_],
                          ids=lambda d: np.dtype(d).name)
-def test_caller_matrix_is_copied_once(dtype):
-    # np.vdot of a column-major matrix would copy it whole, and so would a
-    # widening ahead of the column-major copy: a peak of 2 widened bytes
+def test_caller_matrix_is_copied_once(dtype, monkeypatch):
+    # the one copy is the full solve's mapped buffer, which tracemalloc does
+    # not see; a widened or a dense copy of the matrix, 2 or 4 MB, would show
     a = random_matrix(500, np.complex128 if np.dtype(dtype).kind == "c" else np.float64, seed=5)
     h = np.asfortranarray((a + a.conj().T).astype(dtype))
-    wide = widened(h)
-    expected = np.linalg.eigvalsh(wide)
+    expected = np.linalg.eigvalsh(widened(h))
+    buffers = record_buffers(monkeypatch)
     energies, peak = traced_peak(lambda: sa.diagonalize(h).energies)
     assert energies.tobytes() == expected.tobytes()
-    assert peak <= 1.25 * wide.nbytes
+    assert [shape for shape, _ in buffers] == [h.shape]
+    assert peak <= 4 * _arrays.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2), (4,)])
@@ -339,10 +340,13 @@ def test_fallback_solves_a_copy(no_lapack_symbols):
 @pytest.mark.parametrize("case, bound", [
     ("tfim", 1.3 * 8 * block_shapes(11)[0][0] ** 2),  # the parity buffer, 8.5 MiB, written whole
     ("dm", 1.25 * real_form_resident_bytes(2048)),    # 20 MiB of the 32 MiB real form
-], ids=["tfim", "dm"])
+    # the full solve's lower triangle: 20 MiB of 32 MiB real, 36 MiB of 64 MiB complex
+    ("asymmetric", 1.25 * real_form_resident_bytes(2048)),
+    ("asymmetric, complex", 1.25 * (2 * real_form_resident_bytes(2048) - 2048 * mmap.PAGESIZE // 2)),
+], ids=["tfim", "dm", "asymmetric, real", "asymmetric, complex"])
 def test_peak_rss_grows_by_one_buffer(case, bound):
-    # a solve of a copy grows the peak by about twice the buffer, and a real
-    # form written in whole rows by its 32 MiB
+    # a solve of a copy grows the peak by about twice the buffer, and a
+    # buffer written in whole rows by all of it
     assert rss_growth(chain_rows_setup(case, 11)) < bound
 
 
@@ -379,6 +383,18 @@ def test_check_fails_when_the_in_place_solve_moves_an_energy(monkeypatch, capsys
         "FAIL in-place solve, parity blocks", "FAIL in-place solve, real form",
         "FAIL in-place solve, full solve"]
     assert all("differs from numpy.linalg.eigvalsh" in line for line in lines)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_platform_without_anonymous_mappings_solves_alike(route, monkeypatch):
+    # mmap documents MAP_ANONYMOUS as Unix-only; without it the buffers are numpy's
+    rows = sa.hamiltonian_rows(*ROUTES[route])
+    mapped = sa.diagonalize(rows).energies
+    monkeypatch.delattr(mmap, "MAP_ANONYMOUS")
+    monkeypatch.setattr(mmap, "mmap", None)  # no mapping may be tried
+    buffer = _arrays.untouched_zeros((3, 2), np.complex128)
+    assert buffer.flags.f_contiguous and buffer.flags.writeable and not buffer.any()
+    assert sa.diagonalize(rows).energies.tobytes() == mapped.tobytes()
 
 
 @pytest.mark.parametrize("code, error", [(errno.ENOMEM, MemoryError), (errno.EACCES, PermissionError)])

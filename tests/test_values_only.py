@@ -220,14 +220,14 @@ def test_check_runs_the_parity_blocks_and_the_full_solve(eigvalsh_calls):
 
 def test_check_runs_the_real_form(monkeypatch):
     passes = []
-    reflection_pass = gibbs._reflection_pass
+    row_pass = gibbs._row_pass
 
     def recording(source, conjugate):
-        result = reflection_pass(source, conjugate)
+        result = row_pass(source, conjugate)
         if conjugate and result is not None:
             passes.append((source.dtype, source.shape, result[0].shape, result[1]))
         return result
 
-    monkeypatch.setattr(gibbs, "_reflection_pass", recording)
+    monkeypatch.setattr(gibbs, "_row_pass", recording)
     assert main(["check", "--quiet"]) == 0
     assert passes and set(passes) == {(np.dtype(complex), (64, 64), (64, 64), 0)}
