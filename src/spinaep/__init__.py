@@ -41,7 +41,6 @@ from .interaction import (
     LocalTerm,
     check_perturbation_bound,
     classical_energy,
-    energy_density,
     find_periodic_ground_states,
     preset_tfim,
 )

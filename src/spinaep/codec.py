@@ -187,7 +187,7 @@ def make_decomposition(
     dim = ensemble.dim
     if m < dim:
         raise ValueError(f"need m >= {dim} vectors to span the state, got {m}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     phases = np.exp(2j * np.pi * rng.random((3, m)))
     sqrt_kappa = np.exp(0.5 * ensemble.log_weights)
     weights = np.zeros(m)

@@ -243,9 +243,6 @@ class GroundStateConfig:
     def spin(self, site: Site) -> int:
         if len(site) != self.d:
             raise ValueError(f"site {site!r} has dimension {len(site)}, the state has dimension {self.d}")
-        return self._cell_spin(site)
-
-    def _cell_spin(self, site: Site) -> int:  # spin, the site's dimension unchecked
         return self.cell_values[tuple(c % p for c, p in zip(site, self.periods))]
 
     def pinned(self, volume: Volume, inside: Mapping[Site, int]) -> Callable[[Site], int]:
@@ -259,26 +256,26 @@ class GroundStateConfig:
         cell = self.cell_values.items()
         periods = tuple(
             next(q for q in range(1, p + 1) if p % q == 0
-                 and all(self._cell_spin(s[:axis] + (s[axis] + q,) + s[axis + 1:]) == v for s, v in cell))
+                 and all(self.spin(s[:axis] + (s[axis] + q,) + s[axis + 1:]) == v for s, v in cell))
             for axis, p in enumerate(self.periods)
         )
         sites = itertools.product(*(range(p) for p in periods))
-        return GroundStateConfig(periods, {s: self._cell_spin(s) for s in sites})
+        return GroundStateConfig(periods, {s: self.spin(s) for s in sites})
 
 
-def energy_density(interaction: Interaction, state: GroundStateConfig) -> float:
-    """Classical energy per site of the infinite periodic configuration."""
-    if interaction.d != state.d:
-        raise ValueError(f"interaction of dimension {interaction.d} on a state of dimension {state.d}")
-    cell = list(itertools.product(*(range(p) for p in state.periods)))
-    total = 0.0
+def _cell_densities(interaction: Interaction, periods: tuple[int, ...], spins: np.ndarray) -> np.ndarray:
+    """Classical energy per site of the periodic configuration each row of
+    ``spins`` gives on the period cell, its sites in row-major order: the
+    terms in order, each at every cell site, added from zero."""
+    bits = spins < 0
+    cell = list(itertools.product(*(range(p) for p in periods)))
+    total = np.zeros(len(spins))
     for term in interaction.terms:
+        weights = 1 << np.arange(len(term.support) - 1, -1, -1)  # first site = MSB
         for base in cell:
-            translated = tuple(
-                tuple(c + b for c, b in zip(site, base)) for site in term.support
-            )
-            idx = support_config_index(translated, state._cell_spin)
-            total += float(term.classical_part[idx])
+            columns = [np.ravel_multi_index([(c + b) % p for c, b, p in zip(site, base, periods)], periods)
+                       for site in term.support]
+            total += term.classical_part[bits[:, columns] @ weights]
     return total / len(cell)
 
 
@@ -290,22 +287,26 @@ def find_periodic_ground_states(interaction: Interaction, max_period: int) -> li
     Configurations tied with the minimum within ``GROUND_STATE_TIE_TOL`` are
     all returned, reduced to their minimal periods and sorted deterministically.
     """
-    if max_period < 1:
-        raise ValueError(f"max_period must be >= 1, got {max_period}")
+    if not (_is_int(max_period) and max_period >= 1):
+        raise ValueError(f"max_period must be an int >= 1, got {max_period!r}")
     d = interaction.d
     if max_period**d > MAX_CELL_SITES:
-        raise CapabilityError(
-            f"period cell has {max_period**d} sites, beyond the bound of {MAX_CELL_SITES}"
-        )
+        raise CapabilityError(f"period cell has {max_period**d} sites, beyond the bound of {MAX_CELL_SITES}")
 
     # periods not dividing each other give distinct patterns, so every period
-    # tuple up to the bound is scanned and duplicates are merged afterwards
-    candidates: dict[GroundStateConfig, float] = {}
-    for periods in itertools.product(*(range(1, max_period + 1) for _ in range(d))):
-        cell_sites = list(itertools.product(*(range(p) for p in periods)))
-        for assignment in itertools.product((1, -1), repeat=len(cell_sites)):
-            state = GroundStateConfig(periods, dict(zip(cell_sites, assignment)))
-            candidates.setdefault(state.minimal_form(), energy_density(interaction, state))
-    best = min(candidates.values())
-    minimal = [s for s, e in candidates.items() if e <= best + GROUND_STATE_TIE_TOL]
+    # tuple up to the bound is scanned; a cell that a shift by a proper divisor
+    # of a period leaves unchanged is skipped, as it is scanned at that divisor
+    scanned = []
+    for periods in itertools.product(range(1, max_period + 1), repeat=d):
+        cell = list(itertools.product(*(range(p) for p in periods)))
+        shifts = np.arange(len(cell) - 1, -1, -1)  # a set bit is a -1 spin, first cell site = MSB
+        spins = (1 - 2 * (np.arange(2 ** len(cell))[:, None] >> shifts & 1)).astype(np.int8)
+        keep = np.ones(len(spins), dtype=bool)
+        for axis, q in ((a, q) for a, p in enumerate(periods, 1) for q in range(1, p) if p % q == 0):
+            keep &= (np.roll(spins.reshape(-1, *periods), q, axis).reshape(spins.shape) != spins).any(axis=1)
+        spins = spins[keep]
+        scanned.append((periods, cell, spins, _cell_densities(interaction, periods, spins)))
+    best = min(densities.min() for *_, densities in scanned)
+    minimal = [GroundStateConfig(periods, dict(zip(cell, map(int, row)))) for periods, cell, spins, densities in scanned
+               for row in spins[densities <= best + GROUND_STATE_TIE_TOL]]
     return sorted(minimal, key=lambda s: (s.periods, tuple(s.cell_values.items())))

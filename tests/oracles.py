@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 
+from spinaep import GroundStateConfig
+
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 ID2 = np.eye(2)
@@ -80,6 +82,37 @@ def eigenvalue_via_energy(ensemble, h: np.ndarray, j: int) -> float:
     v = ensemble.spectrum.vectors[:, j]
     energy = float(np.real(v.conj() @ (h @ v)))
     return -ensemble.beta * energy - ensemble.log_partition
+
+
+def periodic_energy_density(interaction, state) -> float:
+    """Classical energy per site of a periodic configuration, looped term by
+    term over every cell site, each translate's spins read one by one
+    through ``state.spin`` (first site = most significant bit)."""
+    cell = list(itertools.product(*(range(p) for p in state.periods)))
+    total = 0.0
+    for term in interaction.terms:
+        for base in cell:
+            idx = 0
+            for site in term.support:
+                idx = 2 * idx + (state.spin(tuple(c + b for c, b in zip(site, base))) == -1)
+            total += float(term.classical_part[idx])
+    return total / len(cell)
+
+
+def periodic_ground_states(interaction, max_period: int) -> list:
+    """Periodic ground states by one ``GroundStateConfig`` per cell of every
+    period tuple up to ``max_period``: each merged into its minimal form, with
+    the density of the first cell scanned, and every one within 1e-12 of the
+    minimum returned, sorted by periods and then cell values."""
+    candidates = {}
+    for periods in itertools.product(range(1, max_period + 1), repeat=interaction.d):
+        cell = list(itertools.product(*(range(p) for p in periods)))
+        for assignment in itertools.product((1, -1), repeat=len(cell)):
+            state = GroundStateConfig(periods, dict(zip(cell, assignment)))
+            candidates.setdefault(state.minimal_form(), periodic_energy_density(interaction, state))
+    best = min(candidates.values())
+    minimal = [s for s, e in candidates.items() if e <= best + 1e-12]
+    return sorted(minimal, key=lambda s: (s.periods, tuple(s.cell_values.items())))
 
 
 def index_spins(sites, index: int) -> dict:

@@ -9,7 +9,13 @@ definition, or be read by the README's "Library example" code, which is the
 allowlist for names kept for library users alone. Every method and
 property a class of the package defines without a leading ``_`` must be read
 as an attribute in the package, outside its own definition, or by that
-example code. A string, a docstring or a comment is not a read.
+example code. Every public module-level function, class or constant of a
+package module must be exported by ``__init__.py`` or read in the package
+outside its own definition: a function such as ``interaction.energy_density``,
+left in place once its one reader and its export are gone, fails.
+``KEPT_PUBLIC`` holds the one exception, ``config.CONFIG_FORMAT_VERSION``,
+which ``docs/config-format.md`` promises to library users. A string, a
+docstring or a comment is not a read.
 
 The method rule matches by name alone: a read of ``.n_sites`` on any object
 keeps every ``n_sites`` method alive, so a member that shares its name with
@@ -98,6 +104,26 @@ def test_every_export_is_read_in_the_package_or_the_readme_example():
     unread = [f"__init__.py:{line} {name}" for line, name in imported_names(TREES["__init__.py"])
               if name not in allowlist and name not in read_outside(definitions.get(name), skip={"__init__.py"})]
     assert not unread, f"exported names only the tests read: {unread}"
+
+
+# module-level names kept public for library users alone, as module.name
+KEPT_PUBLIC = {"config.CONFIG_FORMAT_VERSION"}
+
+
+def defined_names(node):
+    """The names a top-level node binds: a function, a class or assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def test_every_public_module_name_is_exported_or_read_in_the_package():
+    exported = {name for _, name in imported_names(TREES["__init__.py"])}
+    unread = [f"{module}:{node.lineno} {name}" for module, node, _ in NODE_READS if module != "__init__.py"
+              for name in defined_names(node) if not name.startswith("_") and name not in exported
+              and f"{module[:-3]}.{name}" not in KEPT_PUBLIC and name not in read_outside(node)]
+    assert not unread, f"public names neither exported nor read in the package: {unread}"
 
 
 def test_every_public_method_is_read_in_the_package_or_the_readme_example():

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spinaep as sa
 from spinaep.errors import CapabilityError
 
 from conftest import generic_models
-from oracles import index_spins
+from oracles import index_spins, periodic_energy_density, periodic_ground_states
 
 ALL_UP = sa.GroundStateConfig.uniform(1, +1)
 NEEL = sa.GroundStateConfig((2,), {(0,): 1, (1,): -1})
@@ -154,6 +155,27 @@ class TestClassicalEnergy:
         assert np.abs(energies - diagonal).max() <= 1e-12 * max(1.0, np.abs(diagonal).max())
 
 
+# couplings from a small set, so that distinct configurations tie exactly;
+# supports up to range 2, some not starting at the origin
+TIE_COUPLINGS = st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0))
+CLASSICAL_SUPPORTS = {
+    1: [((0,),), ((0,), (1,)), ((0,), (2,)), ((-1,), (0,), (1,))],
+    2: [((0, 0),), ((0, 0), (1, 0)), ((0, 0), (0, 1)), ((0, 0), (1, 1)), ((0, 0), (0, 1), (1, 0))],
+}
+
+
+@st.composite
+def classical_models(draw) -> tuple[sa.Interaction, int]:
+    """A classical model in d = 1 or d = 2 and a search bound: up to 8 in d = 1, 3 in d = 2."""
+    d = draw(st.sampled_from((1, 2)))
+    terms = []
+    for support in draw(st.lists(st.sampled_from(CLASSICAL_SUPPORTS[d]), min_size=1, max_size=3)):
+        k = 1 << len(support)
+        classical = np.array(draw(st.lists(TIE_COUPLINGS, min_size=k, max_size=k)))
+        terms.append(sa.LocalTerm(support, classical, np.zeros((k, k))))
+    return sa.Interaction(terms=tuple(terms), lam=0.0), draw(st.integers(1, 8 if d == 1 else 3))
+
+
 class TestGroundStates:
     def test_field_selects_all_up(self):
         states = sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.5, 0.0), 2)
@@ -183,14 +205,14 @@ class TestGroundStates:
     def test_minimizers_tie_and_beat_random(self):
         model = sa.preset_tfim(1.0, 0.0, 0.0)
         states = sa.find_periodic_ground_states(model, 2)
-        densities = [sa.energy_density(model, s) for s in states]
+        densities = [periodic_energy_density(model, s) for s in states]
         assert max(densities) - min(densities) <= 1e-12
         rng = random.Random(2)
         for _ in range(100):
             period = rng.choice((1, 2, 3))
             cell = {(i,): rng.choice((1, -1)) for i in range(period)}
             candidate = sa.GroundStateConfig(periods=(period,), cell_values=cell)
-            assert sa.energy_density(model, candidate) >= densities[0] - 1e-12
+            assert periodic_energy_density(model, candidate) >= densities[0] - 1e-12
 
     def test_cell_bound(self):
         with pytest.raises(CapabilityError):
@@ -218,16 +240,28 @@ class TestGroundStates:
         assert {NEEL, redundant} == {NEEL}
         assert NEEL != sa.GroundStateConfig((2,), {(0,): -1, (1,): 1})
 
-    def test_search_compares_each_state_with_its_duplicates_only(self, monkeypatch):
-        """Distinct cells of one period tuple hash apart, so the search's dedupe
-        compares states at most once per scanned cell; a hash over the periods
-        alone puts the ~4000 period-12 cells in one bucket, ~1e7 comparisons."""
-        compared = []
-        eq = sa.GroundStateConfig.__eq__
-        monkeypatch.setattr(sa.GroundStateConfig, "__eq__", lambda a, b: compared.append(1) or eq(a, b))
-        max_period = 12
-        sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.5, 0.0), max_period)
-        assert 0 < len(compared) <= sum(2**p for p in range(1, max_period + 1))
+    def test_search_builds_only_the_states_it_returns(self, monkeypatch):
+        """The search scans cells as array rows, not as ``GroundStateConfig``
+        objects: one object per cell and one per minimal form would be ~16k
+        at period 12."""
+        built = []
+        post_init = sa.GroundStateConfig.__post_init__
+        monkeypatch.setattr(sa.GroundStateConfig, "__post_init__", lambda s: built.append(1) or post_init(s))
+        states = sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.5, 0.0), 12)
+        assert 0 < len(built) <= len(states)
+
+    @settings(max_examples=100, deadline=None)
+    @given(classical_models())
+    def test_search_equals_the_per_cell_oracle(self, case):
+        model, max_period = case
+        assert sa.find_periodic_ground_states(model, max_period) == periodic_ground_states(model, max_period)
+
+    @pytest.mark.parametrize("max_period", [True, 2.0, np.int64(2), 0, -1],
+                             ids=["bool", "float", "numpy", "zero", "negative"])
+    def test_max_period_must_be_a_positive_int(self, max_period):
+        # True was taken as 1, and 2.0 failed in range() with a TypeError
+        with pytest.raises(ValueError, match=re.escape(f"max_period must be an int >= 1, got {max_period!r}")):
+            sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.5, 0.0), max_period)
 
     @pytest.mark.parametrize("periods, cell, message", [
         ((2.7,), {(0,): 1, (1,): -1}, "periods must be positive ints, got (2.7,)"),
@@ -254,8 +288,6 @@ class TestGroundStates:
     def test_site_of_another_dimension_refused(self):
         with pytest.raises(ValueError, match=re.escape("site (1, 5) has dimension 2, the state has dimension 1")):
             NEEL.spin((1, 5))
-        with pytest.raises(ValueError, match="interaction of dimension 1 on a state of dimension 2"):
-            sa.energy_density(sa.preset_tfim(1.0, 0.5, 0.0), sa.GroundStateConfig.uniform(2, 1))
 
 
 class TestLocalTermValidation:
