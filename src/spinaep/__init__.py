@@ -28,9 +28,7 @@ from .gibbs import (
     ThermoDensities,
     characteristic_function,
     diagonalize,
-    eigenpairs,
     entropy_bits,
-    expectation,
     gibbs_ensemble,
     thermo_densities,
 )

@@ -3,9 +3,9 @@
 Each check recomputes a pipeline quantity along an independent route
 (matrix exponential, exhaustive configuration enumeration, finite
 differences) and compares at a fixed tolerance. Every ensemble here comes
-from the dense route, :func:`~spinaep.gibbs.eigenpairs` with its eigenpair
-residual and Gram checks. Meant for the ``check`` CLI subcommand; the pytest
-suite carries its own, separate oracles.
+from the package's one eigenvector route, :func:`_eigenpairs`, with its
+eigenpair residual and Gram checks. Meant for the ``check`` CLI subcommand;
+the pytest suite carries its own, separate oracles.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import numpy as np
 from scipy.linalg import expm
 
 from .codec import build_codebook, compress, decompress, fidelity, make_decomposition, typical_projector
+from .errors import NumericError
 from .gibbs import (
-    LOG2E, GibbsEnsemble, _eigenvalues, _lapack_solver, _solve_matrices, diagonalize, eigenpairs,
-    entropy_bits, expectation, gibbs_ensemble, thermo_densities,
+    LOG2E, GibbsEnsemble, Spectrum, _eigenvalues, _lapack_solver, _solve_matrices, diagonalize,
+    entropy_bits, gibbs_ensemble, thermo_densities,
 )
 from .hamiltonian import HamiltonianRows, assemble_hamiltonian, hamiltonian_rows
 from .interaction import GroundStateConfig, Interaction, LocalTerm, classical_energy, preset_tfim
@@ -31,6 +32,8 @@ ALL_UP = GroundStateConfig.uniform(1, +1)
 # pins the two ends of an even chain to opposite spins, so its H does not
 # commute with bit reversal and diagonalize takes the full solve
 NEEL = GroundStateConfig((2,), {(0,): +1, (1,): -1})
+# the eigenpair contract: |H v - E v| <= tol |H| and |V^H V - 1| <= tol, entrywise
+_EIGENPAIR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,13 +60,33 @@ def _dm_model(lam: float = 0.2) -> Interaction:
     return Interaction(terms=preset_tfim(1.0, 0.5, lam).terms + (bond,), lam=lam)
 
 
-def _ensemble(h: np.ndarray, beta: float) -> GibbsEnsemble:
-    return gibbs_ensemble(eigenpairs(h), beta)
+def _eigenpairs(h: np.ndarray) -> tuple[Spectrum, np.ndarray]:
+    """The spectrum of a dense Hermitian ``h`` and its eigenvectors, columns in the same order.
+
+    ``numpy.linalg.eigh``, held to ``_EIGENPAIR_TOL`` in the eigenpair
+    residual and in the Gram matrix's deviation from the identity; a
+    :class:`NumericError` carries the offending value.
+    """
+    energies, vectors = np.linalg.eigh(h)
+    scale = float(np.abs(energies).max(initial=0.0))
+    residual = float(np.abs(h @ vectors - vectors * energies).max(initial=0.0))
+    # not-below comparisons so NaN deviations count as failures
+    if not residual <= _EIGENPAIR_TOL * max(scale, 1e-300):
+        raise NumericError(f"eigenpair residual {residual:.3e} exceeds {_EIGENPAIR_TOL:g} * |H|")
+    gram_dev = float(np.abs(vectors.conj().T @ vectors - np.eye(energies.size)).max(initial=0.0))
+    if not gram_dev <= _EIGENPAIR_TOL:
+        raise NumericError(f"eigenvectors deviate from orthonormal by {gram_dev:.3e}")
+    return Spectrum(energies), vectors
+
+
+def _ensemble(h: np.ndarray, beta: float) -> tuple[GibbsEnsemble, np.ndarray]:
+    spectrum, vectors = _eigenpairs(h)
+    return gibbs_ensemble(spectrum, beta), vectors
 
 
 def _check_expm_oracle(n_sites: int = 5, beta: float = 1.5, lam: float = 0.3) -> CheckResult:
     h = _hamiltonian(n_sites, lam)
-    ens = _ensemble(h, beta)
+    ens, _ = _ensemble(h, beta)
     rho = expm(-beta * np.asarray(h, dtype=complex))
     rho /= np.trace(rho).real
     oracle = np.sort(np.linalg.eigvalsh(rho))
@@ -76,7 +99,7 @@ def _check_classical_entropy(n_sites: int = 5, beta: float = 2.0) -> CheckResult
     model = preset_tfim(1.0, 0.5, 0.0)
     volume = chain(n_sites)
     boundary = ALL_UP
-    ens = _ensemble(assemble_hamiltonian(model, volume, boundary), beta)
+    ens, _ = _ensemble(assemble_hamiltonian(model, volume, boundary), beta)
     energies = []
     for spins in itertools.product((1, -1), repeat=n_sites):
         inside = dict(zip(volume.sites, spins))
@@ -94,8 +117,8 @@ def _check_classical_entropy(n_sites: int = 5, beta: float = 2.0) -> CheckResult
 
 def _check_energy_derivative(n_sites: int = 5, beta: float = 1.2, lam: float = 0.25) -> CheckResult:
     h = _hamiltonian(n_sites, lam)
-    ens = _ensemble(h, beta)
-    mine = expectation(ens, h)
+    ens, v = _ensemble(h, beta)
+    mine = float(np.sum(ens.weights * np.einsum("ij,ij->j", v.conj(), h @ v).real))
     step = 1e-5
     up = gibbs_ensemble(ens.spectrum, beta + step).log_partition
     down = gibbs_ensemble(ens.spectrum, beta - step).log_partition
@@ -105,13 +128,13 @@ def _check_energy_derivative(n_sites: int = 5, beta: float = 1.2, lam: float = 0
 
 
 def _check_entropy_identity(n_sites: int = 6, beta: float = 2.0, lam: float = 0.2) -> CheckResult:
-    densities = thermo_densities(_ensemble(_hamiltonian(n_sites, lam), beta))
+    densities = thermo_densities(_ensemble(_hamiltonian(n_sites, lam), beta)[0])
     res = densities.identity_residual
     return CheckResult("entropy-rate identity", res <= 1e-10, f"residual {res:.3e}")
 
 
 def _check_values_only(route: str, h: np.ndarray) -> CheckResult:
-    dense = eigenpairs(h).energies
+    dense = _eigenpairs(h)[0].energies
     gap = float(np.abs(diagonalize(h).energies - dense).max())
     bound = 1e-12 * float(np.abs(dense).max())
     return CheckResult(
@@ -141,7 +164,7 @@ def _check_generated_rows(route: str, rows: HamiltonianRows, h: np.ndarray) -> C
 
 
 def _check_typical_filter(n_sites: int = 6, beta: float = 0.5, lam: float = 0.2) -> CheckResult:
-    ens = _ensemble(_hamiltonian(n_sites, lam), beta)
+    ens, _ = _ensemble(_hamiltonian(n_sites, lam), beta)
     h_ref = entropy_bits(ens) / n_sites
     delta = 0.3
     sub = typical_subspace(ens, h_ref, delta)
@@ -164,7 +187,7 @@ def _product_vectors(eigenvectors: np.ndarray, coefficients: np.ndarray) -> np.n
 
 
 def _check_codec(n_sites: int = 6, beta: float = 0.5, lam: float = 0.2, seed: int = 7) -> CheckResult:
-    ens = _ensemble(_hamiltonian(n_sites, lam), beta)
+    ens, eigenvectors = _ensemble(_hamiltonian(n_sites, lam), beta)
     sub = typical_subspace(ens, entropy_bits(ens) / n_sites, 0.3)
     if sub.dim == 0:
         return CheckResult("codec round trip and fidelity", False, "typical subspace came out empty")
@@ -173,8 +196,8 @@ def _check_codec(n_sites: int = 6, beta: float = 0.5, lam: float = 0.2, seed: in
     decomp = make_decomposition(ens, ens.dim, seed=seed)
     fid = fidelity(decomp, sub)
     # dense route: product-basis vectors through the typical projector
-    vectors = _product_vectors(ens.spectrum.vectors, decomp.coefficients)
-    quad = np.einsum("ij,ij->j", vectors.conj(), typical_projector(sub, ens.spectrum) @ vectors).real
+    vectors = _product_vectors(eigenvectors, decomp.coefficients)
+    quad = np.einsum("ij,ij->j", vectors.conj(), typical_projector(sub, eigenvectors) @ vectors).real
     dense_gap = abs(fid - float(np.sum(decomp.weights * quad)))
     gap = abs(fid - sub.mass)
     ok = round_trip and gap <= 1e-10 and dense_gap <= 1e-12

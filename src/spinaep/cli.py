@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -22,7 +23,9 @@ from .config import ExperimentConfig, build_boundary, build_interaction, overrid
 from .errors import CapabilityError, ConfigError, NumericError, QubitCapError, SpinAepError
 from .gibbs import GibbsEnsemble, LOG2E, ThermoDensities, diagonalize, gibbs_ensemble, thermo_densities
 from .hamiltonian import hamiltonian_rows
-from .interaction import GroundStateConfig, Interaction, check_perturbation_bound, find_periodic_ground_states
+from .interaction import (
+    MAX_CELL_SITES, GroundStateConfig, Interaction, check_perturbation_bound, find_periodic_ground_states,
+)
 from .lattice import Volume, build_hypercube
 from .typicality import best_rate_mass, dimension_rate, lln_residual, typical_subspace
 
@@ -57,7 +60,10 @@ def _model_warnings(interaction: Interaction, boundary: GroundStateConfig) -> li
     except CapabilityError:
         notes.append("smallness bound not verified (search bound exceeded)")
     try:
-        ground_states = find_periodic_ground_states(interaction, max_period=max(2, *boundary.periods))
+        # every axis up to the longest period while that cell fits, else each axis up to its own
+        uniform = (max(2, *boundary.periods),) * boundary.d
+        bounds = uniform if math.prod(uniform) <= MAX_CELL_SITES else tuple(max(2, p) for p in boundary.periods)
+        ground_states = find_periodic_ground_states(interaction, bounds)
         if boundary.minimal_form() not in ground_states:
             notes.append("boundary configuration is not a classical ground state of the model")
     except CapabilityError:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._arrays import chunk_rows, readonly
 from .errors import EmptySubspaceError, InvalidCodewordError
-from .gibbs import GibbsEnsemble, Spectrum
+from .gibbs import GibbsEnsemble
 from .typicality import TypicalSubspace
 
 
@@ -80,14 +80,11 @@ def decompress(codebook: Codebook, word: str) -> int:
     return int(codebook.indices[rank])
 
 
-def typical_projector(subspace: TypicalSubspace, spectrum: Spectrum) -> np.ndarray:
-    """Orthogonal projector onto the span of the typical eigenstates.
-
-    Needs the eigenvectors: pass a spectrum from :func:`~spinaep.gibbs.eigenpairs`.
-    """
-    if 1 << subspace.n_sites != spectrum.dim:
-        raise ValueError("subspace dimension does not match the spectrum")
-    v = spectrum.require_vectors("typical_projector")[:, subspace.indices]
+def typical_projector(subspace: TypicalSubspace, vectors: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the span of the typical eigenstates, the columns of ``vectors``."""
+    if 1 << subspace.n_sites != vectors.shape[0]:
+        raise ValueError("subspace dimension does not match the eigenvectors")
+    v = vectors[:, subspace.indices]
     return v @ v.conj().T
 
 

@@ -1,9 +1,8 @@
 """Hermitian spectra and the log-domain Gibbs ensemble.
 
 :func:`diagonalize` solves for energies only, which is all the entropy rate,
-the typical windows and the codec read; :func:`eigenpairs` also returns the
-eigenvectors, for the callers that need them. :func:`gibbs_ensemble` takes
-either spectrum, and no Hamiltonian.
+the typical windows and the codec read. :func:`gibbs_ensemble` takes that
+spectrum, and no Hamiltonian.
 
 All statistical weights live in natural-log domain: at low temperature the
 linear-domain weights underflow double precision well before ten qubits, so
@@ -27,7 +26,6 @@ from .hamiltonian import HamiltonianRows, _bit_patterns
 
 LOG2E = math.log2(math.e)
 
-SPECTRUM_RESIDUAL_TOL = 1e-9
 # k of the values-only check: |tr H - sum E| <= k dim eps |H| and
 # | ||H||_F^2 - sum E^2 | <= k dim eps |H|^2, with |H| = max |E|; at 11 sites
 # the measured gaps sit 20-2000x below these and a 1e-9 |H| shift of one
@@ -54,10 +52,9 @@ def logsumexp(a: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Energies of a Hermitian matrix, ascending, and the eigenvectors if solved for."""
+    """Energies of a Hermitian matrix, ascending."""
 
     energies: np.ndarray
-    vectors: np.ndarray | None = None  # orthonormal columns, same order as energies
 
     def __post_init__(self) -> None:
         e = np.asarray(self.energies, dtype=float)
@@ -68,24 +65,10 @@ class Spectrum:
         if not np.all(np.diff(e) >= 0):
             raise ValueError("energies must be ascending")
         object.__setattr__(self, "energies", readonly(e))
-        if self.vectors is not None:
-            v = np.asarray(self.vectors)
-            if v.shape != (e.size, e.size):
-                raise ValueError("vectors must be a square matrix matching the energies")
-            object.__setattr__(self, "vectors", readonly(v))
 
     @property
     def dim(self) -> int:
         return self.energies.size
-
-    def require_vectors(self, caller: str) -> np.ndarray:
-        """The eigenvectors, or a ``ValueError`` naming the route that provides them."""
-        if self.vectors is None:
-            raise ValueError(
-                f"{caller} needs eigenvectors, and this spectrum holds energies only; "
-                "solve with eigenpairs(h)"
-            )
-        return self.vectors
 
 
 class _DenseRows:
@@ -393,36 +376,6 @@ def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     return Spectrum(energies=energies)
 
 
-def eigenpairs(h: np.ndarray) -> Spectrum:
-    """Full eigendecomposition of a Hermitian matrix, ascending energies.
-
-    ``h`` is read as :func:`diagonalize` reads a caller's matrix, and a 0 x 0
-    one gives an empty spectrum. The residual ``|H v - E v|`` and the
-    orthonormality of the eigenvector matrix are always verified against the
-    spectrum tolerances; a :class:`NumericError` carries the offending
-    residual. The solver's own arrays are frozen and handed to the
-    :class:`Spectrum` without a copy.
-    """
-    h = np.asarray(h, dtype=_DenseRows(h).dtype)
-    try:
-        energies, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
-    scale = float(np.abs(energies).max(initial=0.0))
-    residual = float(np.abs(h @ vectors - vectors * energies).max(initial=0.0))
-    # not-below comparisons so NaN residuals count as failures
-    if not residual <= SPECTRUM_RESIDUAL_TOL * max(scale, 1e-300):
-        raise NumericError(
-            f"eigenpair residual {residual:.3e} exceeds {SPECTRUM_RESIDUAL_TOL:g} * |H|"
-        )
-    gram_dev = float(np.abs(vectors.conj().T @ vectors - np.eye(energies.size)).max(initial=0.0))
-    if not gram_dev <= SPECTRUM_RESIDUAL_TOL:
-        raise NumericError(f"eigenvectors deviate from orthonormal by {gram_dev:.3e}")
-    energies.setflags(write=False)
-    vectors.setflags(write=False)
-    return Spectrum(energies=energies, vectors=vectors)
-
-
 @dataclass(frozen=True, eq=False)
 class GibbsEnsemble:
     """Thermal state of a spectrum: the spectrum plus log-domain weights.
@@ -460,13 +413,10 @@ class GibbsEnsemble:
 def gibbs_ensemble(spectrum: Spectrum, beta: float) -> GibbsEnsemble:
     """Gibbs ensemble of ``spectrum`` at inverse temperature ``beta > 0``.
 
-    ``spectrum`` holds ``2**n`` states, ``n >= 1``: :func:`diagonalize` gives
-    the energies only, :func:`eigenpairs` the eigenvectors too, which
-    :func:`expectation` and the typical projector read.
+    ``spectrum`` holds ``2**n`` states, ``n >= 1``, as :func:`diagonalize` gives them.
     """
     if not isinstance(spectrum, Spectrum):
-        raise TypeError(f"gibbs_ensemble takes a Spectrum, got {type(spectrum).__name__}: "
-                        "pass diagonalize(h), or eigenpairs(h) for the eigenvectors")
+        raise TypeError(f"gibbs_ensemble takes a Spectrum, got {type(spectrum).__name__}: pass diagonalize(h)")
     if not beta > 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     if not math.isfinite(beta):
@@ -487,16 +437,6 @@ def entropy_bits(ensemble: GibbsEnsemble) -> float:
     """Von Neumann entropy of the ensemble in bits."""
     s_nats = -float(np.sum(ensemble.weights * ensemble.log_weights))
     return max(LOG2E * s_nats, 0.0)
-
-
-def expectation(ensemble: GibbsEnsemble, observable: np.ndarray) -> float:
-    """Thermal expectation of a Hermitian observable."""
-    a = np.asarray(observable)
-    if a.shape != (ensemble.dim, ensemble.dim):
-        raise ValueError(f"observable must have shape ({ensemble.dim}, {ensemble.dim})")
-    v = ensemble.spectrum.require_vectors("expectation")
-    diagonal = np.einsum("ij,ij->j", v.conj(), a @ v).real
-    return float(np.sum(ensemble.weights * diagonal))
 
 
 def characteristic_function(ensemble: GibbsEnsemble, tau: float) -> complex:

@@ -8,6 +8,7 @@ terms are instantiated at every base site when a Hamiltonian is assembled.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -279,28 +280,30 @@ def _cell_densities(interaction: Interaction, periods: tuple[int, ...], spins: n
     return total / len(cell)
 
 
-def find_periodic_ground_states(interaction: Interaction, max_period: int) -> list[GroundStateConfig]:
-    """All periodic configurations of period <= max_period minimizing the
-    classical energy density, by exhaustive search over one period cell.
+def find_periodic_ground_states(interaction: Interaction, max_periods: tuple[int, ...]) -> list[GroundStateConfig]:
+    """All periodic configurations of period <= max_periods[a] along each axis a
+    minimizing the classical energy density, by exhaustive search over one period cell.
 
-    Period cells beyond ``MAX_CELL_SITES`` sites raise :class:`CapabilityError`.
+    Bounds whose cell exceeds ``MAX_CELL_SITES`` sites raise :class:`CapabilityError`.
     Configurations tied with the minimum within ``GROUND_STATE_TIE_TOL`` are
     all returned, reduced to their minimal periods and sorted deterministically.
     """
-    if not (_is_int(max_period) and max_period >= 1):
-        raise ValueError(f"max_period must be an int >= 1, got {max_period!r}")
     d = interaction.d
-    if max_period**d > MAX_CELL_SITES:
-        raise CapabilityError(f"period cell has {max_period**d} sites, beyond the bound of {MAX_CELL_SITES}")
+    if not (isinstance(max_periods, tuple) and len(max_periods) == d
+            and all(_is_int(p) and p >= 1 for p in max_periods)):
+        raise ValueError(f"max_periods must be a tuple of one int >= 1 per axis ({d}), got {max_periods!r}")
+    if math.prod(max_periods) > MAX_CELL_SITES:
+        raise CapabilityError(f"period cell has {math.prod(max_periods)} sites, beyond the bound of {MAX_CELL_SITES}")
 
     # periods not dividing each other give distinct patterns, so every period
-    # tuple up to the bound is scanned; a cell that a shift by a proper divisor
+    # tuple up to the bounds is scanned; a cell that a shift by a proper divisor
     # of a period leaves unchanged is skipped, as it is scanned at that divisor
     scanned = []
-    for periods in itertools.product(range(1, max_period + 1), repeat=d):
+    for periods in itertools.product(*(range(1, p + 1) for p in max_periods)):
         cell = list(itertools.product(*(range(p) for p in periods)))
-        shifts = np.arange(len(cell) - 1, -1, -1)  # a set bit is a -1 spin, first cell site = MSB
-        spins = (1 - 2 * (np.arange(2 ** len(cell))[:, None] >> shifts & 1)).astype(np.int8)
+        # row i spells i in big-endian bits, built in int8: a set bit is a -1 spin, first cell site = MSB
+        words = np.arange(2 ** len(cell), dtype=">u4").view(np.uint8).reshape(-1, 4)
+        spins = 1 - 2 * np.unpackbits(words, axis=1)[:, 32 - len(cell):].view(np.int8)
         keep = np.ones(len(spins), dtype=bool)
         for axis, q in ((a, q) for a, p in enumerate(periods, 1) for q in range(1, p) if p % q == 0):
             keep &= (np.roll(spins.reshape(-1, *periods), q, axis).reshape(spins.shape) != spins).any(axis=1)

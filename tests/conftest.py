@@ -11,7 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 import spinaep as sa
-from spinaep import gibbs
+from spinaep import checks, gibbs
 
 EXHIBIT = {"J": 1.0, "h": 0.5, "lam": 0.2, "beta": 2.0, "delta": 0.15}
 EXHIBIT_SIZES = (4, 6, 8, 10)
@@ -115,9 +115,9 @@ def chain_hamiltonian(n_sites: int, J: float, h: float, lam: float,
     return sa.assemble_hamiltonian(sa.preset_tfim(J, h, lam), volume, boundary)
 
 
-def dense_ensemble(h: np.ndarray, beta: float) -> sa.GibbsEnsemble:
-    """Ensemble through the eigenpair route, for tests that read eigenvectors."""
-    return sa.gibbs_ensemble(sa.eigenpairs(h), beta)
+def dense_ensemble(h: np.ndarray, beta: float) -> tuple[sa.GibbsEnsemble, np.ndarray]:
+    """Ensemble and eigenvectors through the eigenpair route of ``spinaep check``."""
+    return checks._ensemble(h, beta)
 
 
 def chain_ensemble(n_sites: int, J: float, h: float, lam: float, beta: float,

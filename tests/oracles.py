@@ -73,15 +73,21 @@ def window_filter(log2_weights: np.ndarray, n_sites: int, h_ref: float, delta: f
     return picked, mass
 
 
-def eigenvalue_via_energy(ensemble, h: np.ndarray, j: int) -> float:
+def eigenvalue_via_energy(ensemble, vectors: np.ndarray, h: np.ndarray, j: int) -> float:
     """Log weight of state ``j`` recomputed through the energy quadratic form.
 
-    Evaluates ``-beta <psi_j|H|psi_j> - log Xi`` with ``h`` the matrix whose
-    eigenpairs the ensemble holds, rather than reading the stored eigenvalue.
+    Evaluates ``-beta <psi_j|H|psi_j> - log Xi`` with ``vectors`` the
+    eigenvectors of ``h`` that go with the ensemble's energies, rather than
+    reading the stored eigenvalue.
     """
-    v = ensemble.spectrum.vectors[:, j]
+    v = vectors[:, j]
     energy = float(np.real(v.conj() @ (h @ v)))
     return -ensemble.beta * energy - ensemble.log_partition
+
+
+def thermal_expectation(ensemble, vectors: np.ndarray, observable: np.ndarray) -> float:
+    """``sum_j kappa_j <psi_j|A|psi_j>`` over the eigenvectors that go with the ensemble's energies."""
+    return float(np.sum(ensemble.weights * np.einsum("ij,ij->j", vectors.conj(), observable @ vectors).real))
 
 
 def periodic_energy_density(interaction, state) -> float:
@@ -99,13 +105,13 @@ def periodic_energy_density(interaction, state) -> float:
     return total / len(cell)
 
 
-def periodic_ground_states(interaction, max_period: int) -> list:
+def periodic_ground_states(interaction, max_periods: tuple) -> list:
     """Periodic ground states by one ``GroundStateConfig`` per cell of every
-    period tuple up to ``max_period``: each merged into its minimal form, with
-    the density of the first cell scanned, and every one within 1e-12 of the
-    minimum returned, sorted by periods and then cell values."""
+    period tuple up to ``max_periods``, axis by axis: each merged into its
+    minimal form, with the density of the first cell scanned, and every one
+    within 1e-12 of the minimum returned, sorted by periods and then cell values."""
     candidates = {}
-    for periods in itertools.product(range(1, max_period + 1), repeat=interaction.d):
+    for periods in itertools.product(*(range(1, p + 1) for p in max_periods)):
         cell = list(itertools.product(*(range(p) for p in periods)))
         for assignment in itertools.product((1, -1), repeat=len(cell)):
             state = GroundStateConfig(periods, dict(zip(cell, assignment)))

@@ -34,10 +34,10 @@ def test_criterion_01_normalization_and_weight_identity():
     worst_state = 0.0
     for J, field, lam, beta in GRID_POINTS:
         h = chain_hamiltonian(5, J, field, lam)
-        ens = dense_ensemble(h, beta)
+        ens, v = dense_ensemble(h, beta)
         worst_sum = max(worst_sum, abs(float(np.exp(ens.log_weights).sum()) - 1.0))
         for j in range(ens.dim):
-            gap = abs(eigenvalue_via_energy(ens, h, j) - float(ens.log_weights[j]))
+            gap = abs(eigenvalue_via_energy(ens, v, h, j) - float(ens.log_weights[j]))
             worst_state = max(worst_state, gap)
     ok = worst_sum <= 1e-12 and worst_state <= 1e-9
     report(1, ok, f"{len(GRID_POINTS)} ensembles, |sum-1| <= {worst_sum:.2e}, "
@@ -163,10 +163,9 @@ def test_exhibit_aep_trends_at_beta_half(warm_ensembles):
 
 def test_criterion_08_fidelity_identity():
     h = chain_hamiltonian(8, EXHIBIT["J"], EXHIBIT["h"], EXHIBIT["lam"])
-    ens = dense_ensemble(h, EXHIBIT["beta"])
+    ens, v = dense_ensemble(h, EXHIBIT["beta"])
     sub = per_volume_subspace(ens)
-    projector = sa.typical_projector(sub, ens.spectrum)
-    v = ens.spectrum.vectors
+    projector = sa.typical_projector(sub, v)
     rho = (v * np.exp(ens.log_weights)) @ v.conj().T
     trace_value = float(np.trace(rho @ projector).real)
     fidelities = [

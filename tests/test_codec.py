@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinaep as sa
+from spinaep import checks
 from spinaep.errors import EmptySubspaceError, InvalidCodewordError
 
 from conftest import chain_ensemble, chain_hamiltonian, dense_ensemble, generic_models, traced_peak
@@ -21,9 +22,19 @@ def subspace_of(ens, delta):
 
 
 @pytest.fixture(scope="module")
-def warm_ensemble():
+def warm_solution():
     # beta low enough that the window holds a few dozen states
     return dense_ensemble(chain_hamiltonian(6, 1.0, 0.5, 0.2), beta=0.3)
+
+
+@pytest.fixture(scope="module")
+def warm_ensemble(warm_solution):
+    return warm_solution[0]
+
+
+@pytest.fixture(scope="module")
+def warm_vectors(warm_solution):
+    return warm_solution[1]
 
 
 class TestCodebook:
@@ -116,35 +127,32 @@ class TestRoundTrip:
 
 class TestTypicalProjector:
     def test_full_subspace_gives_identity(self):
-        ens = dense_ensemble(np.zeros((8, 8)), beta=1.0)
+        ens, v = dense_ensemble(np.zeros((8, 8)), beta=1.0)
         sub = sa.typical_subspace(ens, 1.0, 0.2)
-        np.testing.assert_allclose(
-            sa.typical_projector(sub, ens.spectrum), np.eye(8), atol=1e-12
-        )
+        np.testing.assert_allclose(sa.typical_projector(sub, v), np.eye(8), atol=1e-12)
 
-    def test_empty_subspace_gives_zero(self, warm_ensemble):
+    def test_empty_subspace_gives_zero(self, warm_ensemble, warm_vectors):
         sub = sa.TypicalSubspace(
             indices=np.array([], dtype=int), h_ref=1.0, delta=0.1, mass=0.0,
             n_sites=warm_ensemble.n_sites,
         )
-        proj = sa.typical_projector(sub, warm_ensemble.spectrum)
+        proj = sa.typical_projector(sub, warm_vectors)
         assert not proj.any()
 
     def test_subspace_of_another_volume_rejected(self):
         three_sites = sa.TypicalSubspace(indices=np.array([0]), h_ref=1.0, delta=0.1, mass=0.5, n_sites=3)
-        four_sites = sa.eigenpairs(np.diag(np.arange(16.0)))
-        with pytest.raises(ValueError, match="does not match the spectrum"):
-            sa.typical_projector(three_sites, four_sites)
+        with pytest.raises(ValueError, match="does not match the eigenvectors"):
+            sa.typical_projector(three_sites, np.eye(16))
 
-    def test_idempotent_hermitian_with_trace_dim(self, warm_ensemble):
+    def test_idempotent_hermitian_with_trace_dim(self, warm_ensemble, warm_vectors):
         sub = subspace_of(warm_ensemble, 0.3)
-        proj = sa.typical_projector(sub, warm_ensemble.spectrum)
+        proj = sa.typical_projector(sub, warm_vectors)
         assert np.abs(proj @ proj - proj).max() <= 1e-9
         assert np.abs(proj - proj.conj().T).max() <= 1e-12
         assert np.trace(proj).real == pytest.approx(sub.dim, abs=1e-8)
 
 
-def complex_ensemble(n_sites: int) -> sa.GibbsEnsemble:
+def complex_ensemble(n_sites: int) -> tuple[sa.GibbsEnsemble, np.ndarray]:
     config = sa.parse_config(COMPLEX_MODEL.read_text(encoding="utf-8"))
     h = sa.assemble_hamiltonian(
         sa.build_interaction(config), sa.chain(n_sites), sa.build_boundary(config)
@@ -160,8 +168,8 @@ def decomposition_fields(**changes):
 
 
 class TestDecomposition:
-    def test_product_vectors_reconstruct_density_matrix(self, warm_ensemble):
-        v = warm_ensemble.spectrum.vectors
+    def test_product_vectors_reconstruct_density_matrix(self, warm_ensemble, warm_vectors):
+        v = warm_vectors
         rho = (v * np.exp(warm_ensemble.log_weights)) @ v.conj().T
         for seed in (0, 1, 2):
             decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim + 16, seed=seed)
@@ -177,17 +185,18 @@ class TestDecomposition:
         assert u.shape == (ens.dim + extra, ens.dim)
         assert np.abs(u.conj().T @ u - np.eye(ens.dim)).max() <= 1e-12
 
-    def test_coefficients_are_eigenbasis_overlaps(self, warm_ensemble):
+    def test_coefficients_are_eigenbasis_overlaps(self, warm_ensemble, warm_vectors):
         decomp = sa.make_decomposition(warm_ensemble, warm_ensemble.dim + 16, seed=8)
-        v = warm_ensemble.spectrum.vectors
+        v = warm_vectors
         overlaps = v.conj().T @ product_vectors(v, decomp.coefficients)
         assert np.abs(overlaps - decomp.coefficients).max() <= 1e-12
 
     def test_same_whichever_solver_gave_the_spectrum(self, warm_ensemble):
-        energies, vectors = warm_ensemble.spectrum.energies, warm_ensemble.spectrum.vectors
+        # the eigenpair route's spectrum, and the same energies as a caller passes them
+        energies = warm_ensemble.spectrum.energies
         decomps = [
             sa.make_decomposition(sa.gibbs_ensemble(spectrum, warm_ensemble.beta), warm_ensemble.dim, seed=8)
-            for spectrum in (sa.Spectrum(energies), sa.Spectrum(energies, vectors=vectors))
+            for spectrum in (warm_ensemble.spectrum, sa.Spectrum(energies.copy()))
         ]
         for field in ("weights", "captured", "phases", "sqrt_kappa", "coefficients"):
             assert getattr(decomps[0], field).tobytes() == getattr(decomps[1], field).tobytes()
@@ -281,7 +290,7 @@ class TestGenericChains:
         interaction, volume, boundary = model
         rows = sa.hamiltonian_rows(interaction, volume, boundary)
         h = sa.assemble_hamiltonian(interaction, volume, boundary)
-        dense = sa.eigenpairs(h).energies
+        dense = checks._eigenpairs(h)[0].energies
         energies = sa.diagonalize(rows).energies
         assert np.abs(energies - dense).max() <= 1e-12 * np.abs(dense).max()
         # a caller's matrix, in either layout, takes the generator's solve
@@ -307,12 +316,12 @@ class TestGenericChains:
 
 @pytest.fixture(scope="module", params=["tfim", "complex"])
 def small_ensemble(request):
-    """A six-site TFIM chain and a five-site complex chain with wide windows."""
+    """A six-site TFIM chain and a five-site complex chain with wide windows, each with its eigenvectors."""
     if request.param == "tfim":
         return dense_ensemble(chain_hamiltonian(6, 1.0, 0.5, 0.2), beta=0.5)
-    ens = complex_ensemble(5)
-    assert np.iscomplexobj(ens.spectrum.vectors)
-    return ens
+    ens, vectors = complex_ensemble(5)
+    assert np.iscomplexobj(vectors)
+    return ens, vectors
 
 
 class TestDenseRoute:
@@ -321,17 +330,17 @@ class TestDenseRoute:
     @pytest.mark.parametrize("extra", [0, 16])
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_coefficient_fidelity_equals_projector_fidelity(self, small_ensemble, seed, extra):
-        ens = small_ensemble
+        ens, v = small_ensemble
         sub = subspace_of(ens, 0.3)
         assert 1 < sub.dim < ens.dim
-        projector = sa.typical_projector(sub, ens.spectrum)
+        projector = sa.typical_projector(sub, v)
         decomp = sa.make_decomposition(ens, ens.dim + extra, seed=seed)
         value = sa.fidelity(decomp, sub)
-        vectors = product_vectors(ens.spectrum.vectors, decomp.coefficients)
+        vectors = product_vectors(v, decomp.coefficients)
         same = projector_fidelity(decomp.weights, vectors, projector)
         isometry = qr_isometry(np.random.default_rng(seed), ens.dim + extra, ens.dim)
         gaussian = projector_fidelity(
-            *product_basis_decomposition(ens.spectrum.vectors, ens.weights, isometry), projector
+            *product_basis_decomposition(v, ens.weights, isometry), projector
         )
         assert abs(value - same) <= 1e-12
         assert abs(value - gaussian) <= 1e-12
@@ -343,7 +352,7 @@ class TestStreamedRows:
 
     @pytest.mark.parametrize("extra", [0, 16])
     def test_matches_three_fft_reference(self, small_ensemble, extra):
-        ens = small_ensemble
+        ens, _ = small_ensemble
         sub = subspace_of(ens, 0.3)
         assert 1 < sub.dim < ens.dim
         decomp = sa.make_decomposition(ens, ens.dim + extra, seed=5)
@@ -370,11 +379,10 @@ class TestStreamedRows:
 
 
 class TestProjectorRankBound:
-    def test_any_projector_rank_bounded_by_captured_weight(self, warm_ensemble):
+    def test_any_projector_rank_bounded_by_captured_weight(self, warm_ensemble, warm_vectors):
         """rank >= (F - atypical mass) * 2^{n (h_ref - delta)} for any projector."""
-        ens = warm_ensemble
+        ens, v = warm_ensemble, warm_vectors
         sub = subspace_of(ens, 0.3)
-        v = ens.spectrum.vectors
         rho = (v * np.exp(ens.log_weights)) @ v.conj().T
         floor_scale = 2.0 ** (ens.n_sites * (sub.h_ref - sub.delta))
         rng = np.random.default_rng(17)

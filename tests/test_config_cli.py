@@ -748,6 +748,19 @@ class TestModelWarningsThatRun:
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == OUTPUTS[command]
 
 
+    def test_long_axis_of_a_small_cell_is_searched(self, tmp_path, capsys):
+        """A (5, 1) cell: the 5 x 5 cell of the longest period is past
+        MAX_CELL_SITES, so each axis is scanned up to its own period, and
+        the 5 x 2 cell fits."""
+        text = GOLDEN_TFIM.with_name("generic2d.cfg").read_text(encoding="utf-8")
+        text = text.replace("boundary_periods = 2, 1\nboundary_cell = +1; -1\n",
+                            "boundary_periods = 5, 1\nboundary_cell = +1; -1; +1; -1; +1\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == "warning: boundary configuration is not a classical ground state of the model\n"
+
+
 def test_module_entry_point_runs_the_quiet_check():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))

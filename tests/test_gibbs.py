@@ -7,11 +7,12 @@ from scipy.linalg import expm
 from scipy.special import logsumexp as scipy_logsumexp
 
 import spinaep as sa
+from spinaep import checks
 from spinaep.errors import NumericError
 from spinaep.gibbs import logsumexp
 
 from conftest import GRID_POINTS, chain_ensemble, chain_hamiltonian, dense_ensemble
-from oracles import eigenvalue_via_energy
+from oracles import eigenvalue_via_energy, thermal_expectation
 
 
 def random_hermitian(dim: int, seed: int) -> np.ndarray:
@@ -24,7 +25,6 @@ class TestDiagonalize:
     def test_diagonal_matrix(self):
         spec = sa.diagonalize(np.diag([-2.0, 2.0]))
         np.testing.assert_allclose(spec.energies, [-2.0, 2.0])
-        assert spec.vectors is None
 
     def test_two_by_two_closed_form(self):
         spec = sa.diagonalize(np.array([[-2.0, -0.3], [-0.3, 2.0]]))
@@ -33,13 +33,56 @@ class TestDiagonalize:
 
     def test_reconstruction_random_six_qubit(self):
         h = random_hermitian(64, seed=42)
-        spec = sa.eigenpairs(h)
-        rebuilt = (spec.vectors * spec.energies) @ spec.vectors.conj().T
+        spec, vectors = checks._eigenpairs(h)
+        rebuilt = (vectors * spec.energies) @ vectors.conj().T
         assert np.abs(rebuilt - h).max() <= 1e-9
 
     def test_energies_ascending(self):
         spec = sa.diagonalize(random_hermitian(32, seed=1))
         assert np.all(np.diff(spec.energies) >= 0)
+
+
+class TestEigenpairGuards:
+    """The residual and Gram checks of ``spinaep check``'s eigenpair route,
+    each made to fail by one perturbed eigenvector from ``eigh``."""
+
+    @staticmethod
+    def perturb(monkeypatch, change):
+        eigh = np.linalg.eigh
+
+        def perturbed(h):
+            energies, vectors = eigh(h)
+            return energies, change(vectors.copy())
+
+        monkeypatch.setattr(checks.np.linalg, "eigh", perturbed)
+
+    def test_rotated_vector_fails_the_residual(self, monkeypatch):
+        # turning v0 towards v1 by 1e-6 keeps the columns orthonormal but
+        # leaves a residual of about 1e-6 (E1 - E0), far above 1e-9 |H|
+        def rotate(v):
+            c, s = np.cos(1e-6), np.sin(1e-6)
+            v[:, [0, 1]] = v[:, [0, 1]] @ np.array([[c, -s], [s, c]])
+            return v
+
+        h = chain_hamiltonian(4, 1.0, 0.5, 0.2)
+        spectrum, vectors = checks._eigenpairs(h)
+        rotated = rotate(vectors.copy())
+        assert np.diff(spectrum.energies[:2]) > 1e-3
+        assert np.abs(rotated.conj().T @ rotated - np.eye(16)).max() <= 1e-12
+        self.perturb(monkeypatch, rotate)
+        with pytest.raises(NumericError, match=r"^eigenpair residual \S+ exceeds 1e-09 \* \|H\|$"):
+            checks._eigenpairs(h)
+
+    def test_scaled_vector_fails_the_gram_check(self, monkeypatch):
+        # v0 lengthened by 1e-6: still an eigenvector to within 1e-15 |H|,
+        # but its squared norm is off by 2e-6
+        def lengthen(v):
+            v[:, 0] *= 1 + 1e-6
+            return v
+
+        self.perturb(monkeypatch, lengthen)
+        with pytest.raises(NumericError, match=r"^eigenvectors deviate from orthonormal by 2\.0\d*e-06$"):
+            checks._eigenpairs(chain_hamiltonian(4, 1.0, 0.5, 0.2))
 
 
 class TestLogSumExp:
@@ -110,24 +153,24 @@ class TestGibbsEnsemble:
 class TestEigenvalueViaEnergy:
     def test_diagonal_exact(self):
         h = np.diag([-1.0, 0.0, 0.5, 2.0])
-        ens = dense_ensemble(h, beta=0.9)
+        ens, v = dense_ensemble(h, beta=0.9)
         for j in range(4):
-            assert eigenvalue_via_energy(ens, h, j) == pytest.approx(
+            assert eigenvalue_via_energy(ens, v, h, j) == pytest.approx(
                 ens.log_weights[j], abs=1e-12
             )
 
     def test_zero_hamiltonian(self):
         h = np.zeros((16, 16))
-        ens = dense_ensemble(h, beta=2.0)
+        ens, v = dense_ensemble(h, beta=2.0)
         for j in (0, 7, 15):
-            assert eigenvalue_via_energy(ens, h, j) == pytest.approx(-4 * np.log(2), abs=1e-12)
+            assert eigenvalue_via_energy(ens, v, h, j) == pytest.approx(-4 * np.log(2), abs=1e-12)
 
     def test_consistency_sweep(self):
         for J, field, lam, beta in GRID_POINTS:
             h = chain_hamiltonian(5, J, field, lam)
-            ens = dense_ensemble(h, beta)
+            ens, v = dense_ensemble(h, beta)
             worst = max(
-                abs(eigenvalue_via_energy(ens, h, j) - ens.log_weights[j])
+                abs(eigenvalue_via_energy(ens, v, h, j) - ens.log_weights[j])
                 for j in range(ens.dim)
             )
             assert worst <= 1e-9
@@ -166,29 +209,26 @@ class TestEntropy:
 
 
 class TestExpectation:
+    """Thermal expectations through the eigenpair route's eigenvectors."""
+
     def test_identity_normalization(self):
-        ens = dense_ensemble(chain_hamiltonian(4, 1.0, 0.5, 0.2), beta=1.5)
-        assert sa.expectation(ens, np.eye(16)) == pytest.approx(1.0, abs=1e-12)
+        ens, v = dense_ensemble(chain_hamiltonian(4, 1.0, 0.5, 0.2), beta=1.5)
+        assert thermal_expectation(ens, v, np.eye(16)) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_hamiltonian_energy(self):
         h = np.zeros((8, 8))
-        ens = dense_ensemble(h, beta=1.0)
-        assert sa.expectation(ens, h) == pytest.approx(0.0, abs=1e-14)
+        ens, v = dense_ensemble(h, beta=1.0)
+        assert thermal_expectation(ens, v, h) == pytest.approx(0.0, abs=1e-14)
 
     def test_energy_is_log_partition_derivative(self):
         beta, step = 1.5, 1e-5
         h = chain_hamiltonian(6, 1.0, 0.5, 0.2)
-        ens = dense_ensemble(h, beta)
+        ens, v = dense_ensemble(h, beta)
         up = sa.gibbs_ensemble(ens.spectrum, beta + step).log_partition
         down = sa.gibbs_ensemble(ens.spectrum, beta - step).log_partition
         oracle = -(up - down) / (2 * step)
-        mine = sa.expectation(ens, h)
+        mine = thermal_expectation(ens, v, h)
         assert abs(mine - oracle) / abs(oracle) <= 1e-5
-
-    def test_dimension_mismatch(self):
-        ens = dense_ensemble(np.zeros((4, 4)), beta=1.0)
-        with pytest.raises(ValueError, match="shape"):
-            sa.expectation(ens, np.eye(8))
 
 
 class TestCharacteristicFunction:
@@ -247,9 +287,8 @@ class TestThermoDensities:
 
 class TestImmutability:
     def test_ensemble_arrays_are_read_only(self):
-        ens = dense_ensemble(chain_hamiltonian(4, 1.0, 0.5, 0.2), beta=1.0)
-        for array in (ens.log_weights, ens.weights,
-                      ens.spectrum.energies, ens.spectrum.vectors):
+        ens, _ = dense_ensemble(chain_hamiltonian(4, 1.0, 0.5, 0.2), beta=1.0)
+        for array in (ens.log_weights, ens.weights, ens.spectrum.energies):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[..., 0] = 0.0
@@ -269,7 +308,7 @@ class TestImmutability:
 def frozen_type_case(name: str):
     """A frozen result type and constructor arguments holding fresh writable arrays."""
     return {
-        "Spectrum": (sa.Spectrum, {"energies": np.array([0.0, 1.0]), "vectors": np.eye(2)}),
+        "Spectrum": (sa.Spectrum, {"energies": np.array([0.0, 1.0])}),
         "Decomposition": (sa.Decomposition, {"weights": np.array([0.25, 0.75]),
                                              "captured": np.array([0.5, 0.5]),
                                              "phases": np.ones((3, 2), dtype=complex),
@@ -306,7 +345,7 @@ class TestOwnership:
         base = np.array([0.0, 1.0, 2.0])
         view = base[:2]
         view.setflags(write=False)
-        spec = sa.Spectrum(energies=view, vectors=np.eye(2))
+        spec = sa.Spectrum(energies=view)
         assert not np.shares_memory(base, spec.energies)
         assert base.flags.writeable
 
@@ -314,16 +353,16 @@ class TestOwnership:
 class TestSpectrumValidation:
     def test_unsorted_energies_rejected(self):
         with pytest.raises(ValueError):
-            sa.Spectrum(energies=np.array([1.0, 0.0]), vectors=np.eye(2))
+            sa.Spectrum(energies=np.array([1.0, 0.0]))
 
     def test_nan_energy_rejected(self):
         with pytest.raises(ValueError):
-            sa.Spectrum(energies=np.array([0.0, np.nan]), vectors=np.eye(2))
+            sa.Spectrum(energies=np.array([0.0, np.nan]))
 
     @pytest.mark.parametrize("energies", [[np.nan], [0.0, np.inf], [-np.inf, 0.0]], ids=["nan", "inf", "-inf"])
     def test_non_finite_energies_rejected(self, energies):
         with pytest.raises(ValueError, match="finite"):
-            sa.Spectrum(energies=np.array(energies), vectors=np.eye(len(energies)))
+            sa.Spectrum(energies=np.array(energies))
 
     @pytest.mark.parametrize("source", [
         lambda: np.zeros(4),
@@ -332,7 +371,7 @@ class TestSpectrumValidation:
         lambda: sa.hamiltonian_rows(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(2), sa.GroundStateConfig.uniform(1, 1)),
     ], ids=["vector", "wide", "square", "rows"])
     def test_input_that_is_not_a_spectrum_is_refused(self, source):
-        with pytest.raises(TypeError, match=r"diagonalize\(h\).*eigenpairs\(h\)"):
+        with pytest.raises(TypeError, match=r"pass diagonalize\(h\)$"):
             sa.gibbs_ensemble(source(), 1.0)
 
     @pytest.mark.parametrize("energies", [[], [0.0], [0.0, 1.0, 2.0]], ids=["empty", "one-state", "three-states"])

@@ -170,7 +170,7 @@ def test_every_route_matches_the_eigenpairs(route, monkeypatch):
     if route.startswith("full solve"):
         # H itself: its row-major memory read column-major would be conj(H)
         assert np.array_equal(calls[0], h)
-    dense = sa.eigenpairs(h).energies
+    dense = checks._eigenpairs(h)[0].energies
     assert np.abs(energies - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
@@ -216,7 +216,7 @@ def test_caller_matrix_that_is_not_square_is_refused(shape):
         sa.diagonalize(np.zeros(shape))
 
 
-@pytest.mark.parametrize("solve", [sa.diagonalize, sa.eigenpairs], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("solve", [sa.diagonalize], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("shape", [(4, 7), (4,), (0, 0)], ids=["wide", "vector", "empty"])
 def test_both_solvers_read_a_caller_matrix_alike(solve, shape):
     if shape == (0, 0):
@@ -263,7 +263,6 @@ def test_narrow_dtypes_are_solved_as_their_double_widening(name, monkeypatch):
     assert energies.tobytes() == sa.diagonalize(wide).energies.tobytes()
     # the route of the widened matrix: the parity blocks for the TFIM H
     assert narrow_solves == [(c.dtype, c.shape) for c in calls]
-    assert sa.eigenpairs(h).energies.tobytes() == sa.eigenpairs(wide).energies.tobytes()
     assert h.tobytes() == before
 
 
@@ -278,7 +277,7 @@ def refused_matrices() -> list:
     ]
 
 
-@pytest.mark.parametrize("solve", [sa.diagonalize, sa.eigenpairs], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("solve", [sa.diagonalize], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("h", refused_matrices())
 def test_other_dtypes_are_refused_by_both_solvers(solve, h):
     with pytest.raises(TypeError, match=re.escape(f"h of dtype {h.dtype} does not cast safely")):

@@ -10,11 +10,17 @@ from hypothesis import strategies as st
 import spinaep as sa
 from spinaep.errors import CapabilityError
 
-from conftest import generic_models
+from conftest import generic_models, traced_peak
 from oracles import index_spins, periodic_energy_density, periodic_ground_states
 
 ALL_UP = sa.GroundStateConfig.uniform(1, +1)
 NEEL = sa.GroundStateConfig((2,), {(0,): 1, (1,): -1})
+# antiferromagnetic along axis 0, ferromagnetic along axis 1: ground states
+# are the two stripe cells of periods (2, 1)
+STRIPES = sa.Interaction(terms=(
+    sa.LocalTerm(((0, 0), (1, 0)), np.array([1.0, -1.0, -1.0, 1.0]), np.zeros((4, 4))),
+    sa.LocalTerm(((0, 0), (0, 1)), np.array([-0.5, 0.5, 0.5, -0.5]), np.zeros((4, 4))),
+), lam=0.0)
 
 
 class TestPresetTfim:
@@ -165,32 +171,33 @@ CLASSICAL_SUPPORTS = {
 
 
 @st.composite
-def classical_models(draw) -> tuple[sa.Interaction, int]:
-    """A classical model in d = 1 or d = 2 and a search bound: up to 8 in d = 1, 3 in d = 2."""
+def classical_models(draw) -> tuple[sa.Interaction, tuple[int, ...]]:
+    """A classical model in d = 1 or d = 2 and a search bound per axis: up to 8 in d = 1, 3 in d = 2."""
     d = draw(st.sampled_from((1, 2)))
     terms = []
     for support in draw(st.lists(st.sampled_from(CLASSICAL_SUPPORTS[d]), min_size=1, max_size=3)):
         k = 1 << len(support)
         classical = np.array(draw(st.lists(TIE_COUPLINGS, min_size=k, max_size=k)))
         terms.append(sa.LocalTerm(support, classical, np.zeros((k, k))))
-    return sa.Interaction(terms=tuple(terms), lam=0.0), draw(st.integers(1, 8 if d == 1 else 3))
+    bounds = tuple(draw(st.integers(1, 8 if d == 1 else 3)) for _ in range(d))
+    return sa.Interaction(terms=tuple(terms), lam=0.0), bounds
 
 
 class TestGroundStates:
     def test_field_selects_all_up(self):
-        states = sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.5, 0.0), 2)
+        states = sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.5, 0.0), (2,))
         assert len(states) == 1
         assert states[0].periods == (1,)
         assert states[0].cell_values == {(0,): 1}
 
     def test_z2_pair_without_field(self):
-        states = sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.0, 0.0), 2)
+        states = sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.0, 0.0), (2,))
         assert len(states) == 2
         cells = {tuple(s.cell_values.values()) for s in states}
         assert cells == {(1,), (-1,)}
 
     def test_antiferromagnet_neel_pair(self):
-        states = sa.find_periodic_ground_states(sa.preset_tfim(-1.0, 0.0, 0.0), 2)
+        states = sa.find_periodic_ground_states(sa.preset_tfim(-1.0, 0.0, 0.0), (2,))
         assert len(states) == 2
         assert all(s.periods == (2,) for s in states)
         cells = {tuple(v for _, v in sorted(s.cell_values.items())) for s in states}
@@ -198,13 +205,13 @@ class TestGroundStates:
 
     def test_period_not_dividing_bound_still_found(self):
         # Neel states have period 2, which does not divide a bound of 3
-        states = sa.find_periodic_ground_states(sa.preset_tfim(-1.0, 0.0, 0.0), 3)
+        states = sa.find_periodic_ground_states(sa.preset_tfim(-1.0, 0.0, 0.0), (3,))
         assert len(states) == 2
         assert all(s.periods == (2,) for s in states)
 
     def test_minimizers_tie_and_beat_random(self):
         model = sa.preset_tfim(1.0, 0.0, 0.0)
-        states = sa.find_periodic_ground_states(model, 2)
+        states = sa.find_periodic_ground_states(model, (2,))
         densities = [periodic_energy_density(model, s) for s in states]
         assert max(densities) - min(densities) <= 1e-12
         rng = random.Random(2)
@@ -216,7 +223,20 @@ class TestGroundStates:
 
     def test_cell_bound(self):
         with pytest.raises(CapabilityError):
-            sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.0, 0.0), 20)
+            sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.0, 0.0), (20,))
+
+    def test_cell_bound_is_the_product_of_the_axis_bounds(self):
+        with pytest.raises(CapabilityError, match="period cell has 20 sites"):
+            sa.find_periodic_ground_states(STRIPES, (5, 4))
+        assert sa.find_periodic_ground_states(STRIPES, (5, 2)) == periodic_ground_states(STRIPES, (5, 2))
+
+    def test_search_holds_its_cells_in_int8(self):
+        """The 2**16 cells of the (4, 4) period tuple are 1 MiB of int8
+        spins; built through int64 temporaries, 8 MiB each, the search
+        peaked at 16.2 MiB."""
+        states, peak = traced_peak(lambda: sa.find_periodic_ground_states(STRIPES, (4, 4)))
+        assert states == sa.find_periodic_ground_states(STRIPES, (2, 2))
+        assert peak <= 6 << 20
 
     def test_spin_lookup_is_periodic(self):
         neel = sa.GroundStateConfig(periods=(2,), cell_values={(0,): 1, (1,): -1})
@@ -247,21 +267,22 @@ class TestGroundStates:
         built = []
         post_init = sa.GroundStateConfig.__post_init__
         monkeypatch.setattr(sa.GroundStateConfig, "__post_init__", lambda s: built.append(1) or post_init(s))
-        states = sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.5, 0.0), 12)
+        states = sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.5, 0.0), (12,))
         assert 0 < len(built) <= len(states)
 
     @settings(max_examples=100, deadline=None)
     @given(classical_models())
     def test_search_equals_the_per_cell_oracle(self, case):
-        model, max_period = case
-        assert sa.find_periodic_ground_states(model, max_period) == periodic_ground_states(model, max_period)
+        model, max_periods = case
+        assert sa.find_periodic_ground_states(model, max_periods) == periodic_ground_states(model, max_periods)
 
-    @pytest.mark.parametrize("max_period", [True, 2.0, np.int64(2), 0, -1],
-                             ids=["bool", "float", "numpy", "zero", "negative"])
-    def test_max_period_must_be_a_positive_int(self, max_period):
+    @pytest.mark.parametrize("max_periods", [(True,), (2.0,), (np.int64(2),), (0,), (-1,), 2, [2], (2, 2)],
+                             ids=["bool", "float", "numpy", "zero", "negative", "int", "list", "length"])
+    def test_max_periods_must_be_a_tuple_of_positive_ints(self, max_periods):
         # True was taken as 1, and 2.0 failed in range() with a TypeError
-        with pytest.raises(ValueError, match=re.escape(f"max_period must be an int >= 1, got {max_period!r}")):
-            sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.5, 0.0), max_period)
+        message = f"max_periods must be a tuple of one int >= 1 per axis (1), got {max_periods!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.5, 0.0), max_periods)
 
     @pytest.mark.parametrize("periods, cell, message", [
         ((2.7,), {(0,): 1, (1,): -1}, "periods must be positive ints, got (2.7,)"),
