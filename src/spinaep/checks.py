@@ -19,8 +19,8 @@ from scipy.linalg import expm
 from .codec import build_codebook, compress, decompress, fidelity, make_decomposition, typical_projector
 from .errors import NumericError
 from .gibbs import (
-    LOG2E, GibbsEnsemble, Spectrum, _eigenvalues, _lapack_solver, _solve_matrices, diagonalize,
-    entropy_bits, gibbs_ensemble, thermo_densities,
+    LOG2E, GibbsEnsemble, Spectrum, _DenseRows, _eigenvalues, _lapack_solver, _solve_matrices,
+    diagonalize, entropy_bits, gibbs_ensemble, thermo_densities,
 )
 from .hamiltonian import HamiltonianRows, assemble_hamiltonian, hamiltonian_rows
 from .interaction import GroundStateConfig, Interaction, LocalTerm, classical_energy, preset_tfim
@@ -63,10 +63,12 @@ def _dm_model(lam: float = 0.2) -> Interaction:
 def _eigenpairs(h: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     """The spectrum of a dense Hermitian ``h`` and its eigenvectors, columns in the same order.
 
+    ``h`` is read as :func:`diagonalize` reads a caller's matrix and handed to
     ``numpy.linalg.eigh``, held to ``_EIGENPAIR_TOL`` in the eigenpair
     residual and in the Gram matrix's deviation from the identity; a
     :class:`NumericError` carries the offending value.
     """
+    h = np.asarray(h, dtype=_DenseRows(h).dtype)
     energies, vectors = np.linalg.eigh(h)
     scale = float(np.abs(energies).max(initial=0.0))
     residual = float(np.abs(h @ vectors - vectors * energies).max(initial=0.0))

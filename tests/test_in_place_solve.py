@@ -30,6 +30,11 @@ LONG_DOUBLE = pytest.mark.skipif(np.dtype(np.longdouble).itemsize == 8,
                                  reason="long double is double precision here")
 
 
+def eigenpairs(h) -> sa.Spectrum:
+    """The spectrum from ``checks._eigenpairs``, which reads ``h`` as ``diagonalize`` does."""
+    return checks._eigenpairs(h)[0]
+
+
 def random_matrix(n: int, dtype, seed: int = 0) -> np.ndarray:
     """A column-major matrix with independent random entries in both triangles."""
     rng = np.random.default_rng(seed)
@@ -216,7 +221,7 @@ def test_caller_matrix_that_is_not_square_is_refused(shape):
         sa.diagonalize(np.zeros(shape))
 
 
-@pytest.mark.parametrize("solve", [sa.diagonalize], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("solve", [sa.diagonalize, eigenpairs], ids=["diagonalize", "eigenpairs"])
 @pytest.mark.parametrize("shape", [(4, 7), (4,), (0, 0)], ids=["wide", "vector", "empty"])
 def test_both_solvers_read_a_caller_matrix_alike(solve, shape):
     if shape == (0, 0):
@@ -263,6 +268,7 @@ def test_narrow_dtypes_are_solved_as_their_double_widening(name, monkeypatch):
     assert energies.tobytes() == sa.diagonalize(wide).energies.tobytes()
     # the route of the widened matrix: the parity blocks for the TFIM H
     assert narrow_solves == [(c.dtype, c.shape) for c in calls]
+    assert eigenpairs(h).energies.tobytes() == eigenpairs(wide).energies.tobytes()
     assert h.tobytes() == before
 
 
@@ -277,7 +283,7 @@ def refused_matrices() -> list:
     ]
 
 
-@pytest.mark.parametrize("solve", [sa.diagonalize], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("solve", [sa.diagonalize, eigenpairs], ids=["diagonalize", "eigenpairs"])
 @pytest.mark.parametrize("h", refused_matrices())
 def test_other_dtypes_are_refused_by_both_solvers(solve, h):
     with pytest.raises(TypeError, match=re.escape(f"h of dtype {h.dtype} does not cast safely")):
