@@ -31,7 +31,7 @@ from .typicality import typical_subspace
 ALL_UP = GroundStateConfig.uniform(1, +1)
 # pins the two ends of an even chain to opposite spins, so its H does not
 # commute with bit reversal and diagonalize takes the full solve
-NEEL = GroundStateConfig((2,), {(0,): +1, (1,): -1})
+NEEL = GroundStateConfig((2,), (+1, -1))
 # the eigenpair contract: |H v - E v| <= tol |H| and |V^H V - 1| <= tol, entrywise
 _EIGENPAIR_TOL = 1e-9
 

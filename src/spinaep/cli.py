@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .codec import build_codebook, fidelity, make_decomposition
+from .codec import Decomposition, build_codebook, fidelity, make_decomposition
 from .config import ExperimentConfig, build_boundary, build_interaction, override, parse_config
 from .errors import CapabilityError, ConfigError, NumericError, QubitCapError, SpinAepError
 from .gibbs import GibbsEnsemble, LOG2E, ThermoDensities, diagonalize, gibbs_ensemble, thermo_densities
@@ -72,12 +72,14 @@ def _model_warnings(interaction: Interaction, boundary: GroundStateConfig) -> li
 
 
 def _set_up(config: ExperimentConfig, out_dir: Path, quiet: bool) -> tuple[Interaction, GroundStateConfig, list[Volume]]:
-    """The model, its boundary and every volume, the warnings printed unless ``quiet``;
-    a volume over the qubit cap raises before ``out_dir`` is made or any volume solved."""
+    """The model, its boundary and every volume; the model checks always run, and
+    their warnings and the config's are printed unless ``quiet``. A volume over
+    the qubit cap raises before ``out_dir`` is made or any volume solved."""
     interaction = build_interaction(config)
     boundary = build_boundary(config)
+    notes = [*config.warnings, *_model_warnings(interaction, boundary)]
     if not quiet:
-        for note in (*config.warnings, *_model_warnings(interaction, boundary)):
+        for note in notes:
             print(f"warning: {note}", file=sys.stderr)
     volumes = [build_hypercube(n, config.d, max_qubits=config.max_qubits) for n in config.volumes]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -88,6 +90,13 @@ def _run_volume(config: ExperimentConfig, interaction: Interaction,
                 boundary: GroundStateConfig, volume: Volume) -> tuple[GibbsEnsemble, ThermoDensities]:
     ensemble = gibbs_ensemble(diagonalize(hamiltonian_rows(interaction, volume, boundary)), config.beta)
     return ensemble, thermo_densities(ensemble)
+
+
+def _codec_inputs(config: ExperimentConfig, n: int, ens: GibbsEnsemble,
+                  densities: ThermoDensities) -> tuple[float, Decomposition]:
+    """Volume ``n``'s reference rate and its decomposition, seeded by the config seed and ``n``."""
+    h_ref = densities.h_bits if config.h_ref is None else config.h_ref
+    return h_ref, make_decomposition(ens, ens.dim, seed=np.random.default_rng([config.seed, n]))
 
 
 def _write_csv(path: Path, header: Iterable[str], rows: Iterable[tuple]) -> None:
@@ -116,15 +125,12 @@ def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -
             )
 
     for n, ens, densities in solved:
-        decomposition = make_decomposition(
-            ens, ens.dim, seed=np.random.default_rng([config.seed, n])
-        )
+        h_ref, decomposition = _codec_inputs(config, n, ens, densities)
         volume_columns = (
             n, ens.n_sites, config.beta, config.lam, densities.h_bits * ens.n_sites,
             densities.f, densities.g, densities.h_bits, densities.identity_residual,
         )
         # The reference rate, best-rate and LLN columns depend on the volume only.
-        h_ref = densities.h_bits if config.h_ref is None else config.h_ref
         masses = [best_rate_mass(ens, rate) for rate in config.rates]
         residuals = [lln_residual(ens, densities.g, t) for t in config.ts]
         for delta in config.deltas:
@@ -174,8 +180,9 @@ def run_codec_demo(config: ExperimentConfig, out_dir: Path, *, quiet: bool = Fal
     interaction, boundary, volumes = _set_up(config, out_dir, quiet)
     n = config.volumes[-1]
     ens, densities = _run_volume(config, interaction, boundary, volumes[-1])
+    h_ref, decomposition = _codec_inputs(config, n, ens, densities)
     delta = config.deltas[0]
-    sub = typical_subspace(ens, densities.h_bits if config.h_ref is None else config.h_ref, delta)
+    sub = typical_subspace(ens, h_ref, delta)
     if sub.dim == 0:
         raise NumericError(f"empty typical subspace in codec-demo at n={n}, delta={delta:g}")
     codebook = build_codebook(sub)
@@ -183,7 +190,6 @@ def run_codec_demo(config: ExperimentConfig, out_dir: Path, *, quiet: bool = Fal
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in codebook.lines():
             fh.write(line + "\n")
-    decomposition = make_decomposition(ens, ens.dim, seed=np.random.default_rng([config.seed, n]))
     fid = fidelity(decomposition, sub)
     if not quiet:
         print(

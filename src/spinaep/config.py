@@ -8,7 +8,6 @@ docs/config-format.md and is versioned through ``CONFIG_FORMAT_VERSION``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
@@ -255,6 +254,15 @@ def parse_config(text: str) -> ExperimentConfig:
             issues.add(line, "volume", f"volumes must be strictly increasing, got {list(config.volumes)}")
             break
 
+    # a value that prints like an earlier one would repeat its window's rows, or its aep.csv column name
+    for key, printed in (("delta", repr), ("rate", "{:g}".format), ("t", "{:g}".format)):
+        first: dict[str, int] = {}
+        for value, line in parsed.get(key, []):
+            name = printed(value)
+            if name in first:
+                issues.add(line, key, f"{value!r} repeats line {first[name]}'s value as the CSVs print it ({name})")
+            first.setdefault(name, line)
+
     if config.boundary == "cell":
         if "boundary_periods" not in raws or "boundary_cell" not in raws:
             issues.add(
@@ -313,10 +321,7 @@ def build_boundary(config: ExperimentConfig) -> GroundStateConfig:
     """The configured boundary configuration outside the volume."""
     if config.boundary != "cell":
         return GroundStateConfig.uniform(config.d, +1 if config.boundary == "all-up" else -1)
-    cell_sites = itertools.product(*(range(p) for p in config.boundary_periods))
-    return GroundStateConfig(
-        periods=config.boundary_periods, cell_values=dict(zip(cell_sites, config.boundary_cell))
-    )
+    return GroundStateConfig(periods=config.boundary_periods, cell_values=config.boundary_cell)
 
 
 def build_interaction(config: ExperimentConfig) -> Interaction:

@@ -208,43 +208,41 @@ def classical_energy(interaction: Interaction, volume: Volume, spin_at: Callable
 
 @dataclass(frozen=True)
 class GroundStateConfig:
-    """A periodic infinite-volume configuration given by values on a period cell."""
+    """A periodic infinite-volume configuration given by values on a period cell:
+    ``cell_values`` holds one spin per cell site, the sites in lexicographic
+    (row-major) order."""
 
     periods: tuple[int, ...]
-    cell_values: Mapping[Site, int]
+    cell_values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # ints as lattice._check_site takes them, in periods, site keys and
-        # values: a float or a bool equal to one is refused, not truncated or kept
+        # ints as lattice._check_site takes them, in periods and values: a
+        # float or a bool equal to one is refused, not truncated or kept
         periods = tuple(self.periods)
         if not periods or not all(_is_int(p) and p >= 1 for p in periods):
             raise ValueError(f"periods must be positive ints, got {periods!r}")
-        expected = set(itertools.product(*(range(p) for p in periods)))
-        cleaned = {_check_site(s): v for s, v in self.cell_values.items()}
-        if set(cleaned) != expected:
-            raise ValueError("cell_values must cover exactly the period cell")
-        bad = [v for v in cleaned.values() if not (_is_int(v) and v in (1, -1))]
+        if not isinstance(self.cell_values, tuple):
+            raise ValueError(f"cell_values must be a tuple of spins, got a {type(self.cell_values).__name__}")
+        if len(self.cell_values) != math.prod(periods):
+            raise ValueError(f"cell_values must hold one spin per cell site ({math.prod(periods)}), "
+                             f"got {len(self.cell_values)}")
+        bad = [v for v in self.cell_values if not (_is_int(v) and v in (1, -1))]
         if bad:
             raise ValueError(f"cell values must be the int +1 or -1, got {bad[0]!r}")
         object.__setattr__(self, "periods", periods)
-        object.__setattr__(self, "cell_values", dict(sorted(cleaned.items())))
 
     @classmethod
     def uniform(cls, d: int, spin: int) -> "GroundStateConfig":
-        return cls(periods=(1,) * d, cell_values={(0,) * d: spin})
+        return cls(periods=(1,) * d, cell_values=(spin,))
 
     @property
     def d(self) -> int:
         return len(self.periods)
 
-    def __hash__(self) -> int:
-        # cell_values is stored sorted, so equal cells list their items alike
-        return hash((self.periods, tuple(self.cell_values.items())))
-
     def spin(self, site: Site) -> int:
         if len(site) != self.d:
             raise ValueError(f"site {site!r} has dimension {len(site)}, the state has dimension {self.d}")
-        return self.cell_values[tuple(c % p for c, p in zip(site, self.periods))]
+        return self.cell_values[np.ravel_multi_index(site, self.periods, mode="wrap")]
 
     def pinned(self, volume: Volume, inside: Mapping[Site, int]) -> Callable[[Site], int]:
         """A spin function of the site: ``inside`` on the volume, this configuration outside it."""
@@ -252,16 +250,13 @@ class GroundStateConfig:
 
     def minimal_form(self) -> "GroundStateConfig":
         """The same configuration on its smallest period cell: each axis's
-        period becomes its smallest divisor ``q`` such that shifting every
-        cell site by ``q`` along the axis leaves its spin unchanged."""
-        cell = self.cell_values.items()
-        periods = tuple(
-            next(q for q in range(1, p + 1) if p % q == 0
-                 and all(self.spin(s[:axis] + (s[axis] + q,) + s[axis + 1:]) == v for s, v in cell))
-            for axis, p in enumerate(self.periods)
-        )
-        sites = itertools.product(*(range(p) for p in periods))
-        return GroundStateConfig(periods, {s: self.spin(s) for s in sites})
+        period becomes its smallest divisor ``q`` such that shifting the cell
+        by ``q`` along the axis leaves it unchanged."""
+        cell = np.array(self.cell_values, dtype=np.int8).reshape(self.periods)
+        for axis, p in enumerate(self.periods):
+            q = next(q for q in range(1, p + 1) if p % q == 0 and (np.roll(cell, q, axis) == cell).all())
+            cell = cell.take(range(q), axis)
+        return GroundStateConfig(cell.shape, tuple(cell.ravel().tolist()))
 
 
 def _cell_densities(interaction: Interaction, periods: tuple[int, ...], spins: np.ndarray) -> np.ndarray:
@@ -300,16 +295,16 @@ def find_periodic_ground_states(interaction: Interaction, max_periods: tuple[int
     # of a period leaves unchanged is skipped, as it is scanned at that divisor
     scanned = []
     for periods in itertools.product(*(range(1, p + 1) for p in max_periods)):
-        cell = list(itertools.product(*(range(p) for p in periods)))
+        n_cell = math.prod(periods)
         # row i spells i in big-endian bits, built in int8: a set bit is a -1 spin, first cell site = MSB
-        words = np.arange(2 ** len(cell), dtype=">u4").view(np.uint8).reshape(-1, 4)
-        spins = 1 - 2 * np.unpackbits(words, axis=1)[:, 32 - len(cell):].view(np.int8)
+        words = np.arange(2 ** n_cell, dtype=">u4").view(np.uint8).reshape(-1, 4)
+        spins = 1 - 2 * np.unpackbits(words, axis=1)[:, 32 - n_cell:].view(np.int8)
         keep = np.ones(len(spins), dtype=bool)
         for axis, q in ((a, q) for a, p in enumerate(periods, 1) for q in range(1, p) if p % q == 0):
             keep &= (np.roll(spins.reshape(-1, *periods), q, axis).reshape(spins.shape) != spins).any(axis=1)
         spins = spins[keep]
-        scanned.append((periods, cell, spins, _cell_densities(interaction, periods, spins)))
+        scanned.append((periods, spins, _cell_densities(interaction, periods, spins)))
     best = min(densities.min() for *_, densities in scanned)
-    minimal = [GroundStateConfig(periods, dict(zip(cell, map(int, row)))) for periods, cell, spins, densities in scanned
+    minimal = [GroundStateConfig(periods, tuple(row.tolist())) for periods, spins, densities in scanned
                for row in spins[densities <= best + GROUND_STATE_TIE_TOL]]
-    return sorted(minimal, key=lambda s: (s.periods, tuple(s.cell_values.items())))
+    return sorted(minimal, key=lambda s: (s.periods, s.cell_values))

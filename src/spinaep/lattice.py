@@ -142,10 +142,11 @@ def connected_span_size(sites: Iterable[Site]) -> int:
     """Size of the smallest nearest-neighbor connected superset of ``sites``.
 
     Connectivity is taken in the l1 sense (sites at distance 1 are adjacent).
-    A minimal connected superset can always be found inside the bounding box,
-    which is searched exhaustively; boxes larger than ``MAX_SPAN_SEARCH_SITES``
-    raise :class:`CapabilityError` since the operation is only meant for
-    small interaction supports.
+    In d = 1 it is the interval the sites span. Otherwise a minimal connected
+    superset can always be found inside the bounding box, which is searched
+    exhaustively; boxes larger than ``MAX_SPAN_SEARCH_SITES`` raise
+    :class:`CapabilityError` since the search is only meant for small
+    interaction supports.
     """
     pts = frozenset(tuple(s) for s in sites)
     if not pts:
@@ -155,6 +156,8 @@ def connected_span_size(sites: Iterable[Site]) -> int:
         raise ValueError("sites have inconsistent dimensions")
     lo = tuple(min(p[i] for p in pts) for i in range(d))
     hi = tuple(max(p[i] for p in pts) for i in range(d))
+    if d == 1:
+        return hi[0] - lo[0] + 1
     box_size = 1
     for l, h in zip(lo, hi):
         box_size *= h - l + 1

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -174,6 +175,5 @@ def generic_models(draw) -> tuple[sa.Interaction, sa.Volume, sa.GroundStateConfi
         quantum = (parts[:k * k] + 1j * parts[k * k:]).reshape(k, k)
         terms.append(sa.LocalTerm(support, classical, quantum + quantum.conj().T))
     periods = tuple(draw(st.integers(1, 2)) for _ in range(d))
-    cell = {site: draw(st.sampled_from([1, -1]))
-            for site in itertools.product(*(range(p) for p in periods))}
+    cell = tuple(draw(st.sampled_from([1, -1])) for _ in range(math.prod(periods)))
     return sa.Interaction(terms=tuple(terms), lam=0.5), volume, sa.GroundStateConfig(periods, cell)

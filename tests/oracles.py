@@ -7,6 +7,7 @@ decomposition fidelities from dense product-basis vectors and projectors.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -105,6 +106,25 @@ def periodic_energy_density(interaction, state) -> float:
     return total / len(cell)
 
 
+def minimal_form(state):
+    """``state`` on its smallest period cell, site by site: along each axis the
+    smallest divisor ``q`` of the period such that every cell site's spin
+    equals that of the site ``q`` further along the axis, read through a
+    site-keyed copy of the cell."""
+    cell = list(itertools.product(*(range(p) for p in state.periods)))
+    spins = dict(zip(cell, state.cell_values))
+
+    def spin(site):
+        return spins[tuple(c % p for c, p in zip(site, state.periods))]
+
+    periods = tuple(
+        next(q for q in range(1, p + 1) if p % q == 0
+             and all(spin(s[:axis] + (s[axis] + q,) + s[axis + 1:]) == v for s, v in spins.items()))
+        for axis, p in enumerate(state.periods)
+    )
+    return GroundStateConfig(periods, tuple(spin(s) for s in itertools.product(*(range(p) for p in periods))))
+
+
 def periodic_ground_states(interaction, max_periods: tuple) -> list:
     """Periodic ground states by one ``GroundStateConfig`` per cell of every
     period tuple up to ``max_periods``, axis by axis: each merged into its
@@ -112,13 +132,12 @@ def periodic_ground_states(interaction, max_periods: tuple) -> list:
     within 1e-12 of the minimum returned, sorted by periods and then cell values."""
     candidates = {}
     for periods in itertools.product(*(range(1, p + 1) for p in max_periods)):
-        cell = list(itertools.product(*(range(p) for p in periods)))
-        for assignment in itertools.product((1, -1), repeat=len(cell)):
-            state = GroundStateConfig(periods, dict(zip(cell, assignment)))
-            candidates.setdefault(state.minimal_form(), periodic_energy_density(interaction, state))
+        for assignment in itertools.product((1, -1), repeat=math.prod(periods)):
+            state = GroundStateConfig(periods, assignment)
+            candidates.setdefault(minimal_form(state), periodic_energy_density(interaction, state))
     best = min(candidates.values())
     minimal = [s for s, e in candidates.items() if e <= best + 1e-12]
-    return sorted(minimal, key=lambda s: (s.periods, tuple(s.cell_values.items())))
+    return sorted(minimal, key=lambda s: (s.periods, s.cell_values))
 
 
 def index_spins(sites, index: int) -> dict:

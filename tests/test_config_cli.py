@@ -128,6 +128,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="repeated"):
             sa.parse_config("beta = 1\nbeta = 2\n")
 
+    @pytest.mark.parametrize("text, messages", [
+        ("delta = 0.3\ndelta = 0.15\ndelta = 0.3\n",
+         ["line 3: delta: 0.3 repeats line 1's value as the CSVs print it (0.3)"]),
+        ("rate = 0.1234567\nrate = 0.1234568\n",
+         ["line 2: rate: 0.1234568 repeats line 1's value as the CSVs print it (0.123457)"]),
+        ("t = 2\nt = 1\nt = 2.0\nt = 2e0\n",
+         ["line 3: t: 2.0 repeats line 1's value as the CSVs print it (2)",
+          "line 4: t: 2.0 repeats line 1's value as the CSVs print it (2)"]),
+    ], ids=["delta", "rate", "t"])
+    def test_list_values_that_print_alike_are_refused(self, text, messages):
+        # a repeated delta would write each row of its window twice, and two
+        # rates or times alike under {:g} two aep.csv columns of one name
+        assert diagnostics(text) == messages
+
+    def test_list_values_that_print_apart_are_kept(self):
+        config = sa.parse_config("delta = 0.15\ndelta = 0.15000000000000002\nrate = 0.123456\nrate = 0.123457\n"
+                                 "t = 0\nt = -0.0\n")
+        assert config.deltas == (0.15, 0.15000000000000002)
+        assert config.rates == (0.123456, 0.123457)
+        assert config.ts == (0.0, -0.0)
+
     def test_zero_delta_rejected(self):
         with pytest.raises(ConfigError, match="delta"):
             sa.parse_config("delta = 0\n")
@@ -493,13 +514,22 @@ class TestVolumeColumns:
         # the densities once per volume
         assert calls == {"best_rate_mass": 6, "lln_residual": 6, "thermo_densities": 3}
 
-    def test_rows_of_descending_and_repeated_deltas(self, tmp_path):
+    def test_rows_of_descending_and_repeated_deltas(self, tmp_path, capsys):
         text = GOLDEN_TFIM.read_text(encoding="utf-8")
         text = "".join(line for line in text.splitlines(True) if not line.startswith("delta"))
         cfg = tmp_path / "exp.cfg"
+        # a repeated delta, which would write each row of its window twice, is refused before any output
         cfg.write_text(text + "delta = 0.3\ndelta = 0.15\ndelta = 0.3\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        line = len(text.splitlines()) + 3
+        assert capsys.readouterr().err == (
+            f"config error: invalid config:\nline {line}: delta: 0.3 repeats line {line - 2}'s value "
+            "as the CSVs print it (0.3)\n"
+        )
+        assert not (tmp_path / "out").exists()
+        cfg.write_text(text + "delta = 0.3\ndelta = 0.15\n", encoding="utf-8")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
-        deltas, volumes = (0.3, 0.15, 0.3), (1, 2, 3)
+        deltas, volumes = (0.3, 0.15), (1, 2, 3)
         sweep = rows_of(tmp_path / "sweep.csv")
         aep = rows_of(tmp_path / "aep.csv")
         # sweep.csv in config order, 2 rates x 2 times per window; aep.csv by delta, then n
@@ -558,17 +588,18 @@ WARNED_CONFIGS = {
     ),
     "boundary configuration is not a classical ground state of the model":
         ISING_CONFIG.replace("J = 1.0", "J = -1.0"),
-    # a bond whose bounding box is beyond the span search: the run goes on, quiet or not
+    # a d = 2 bond whose 5 x 5 bounding box is beyond the span search: the run goes on, quiet or not
     "smallness bound not verified (search bound exceeded)": (
-        "model = generic\nbeta = 2.0\nterm.0.support = 0; 17\n"
-        "term.0.classical = -1, 1, 1, -1\nvolume = 1\nvolume = 2\ndelta = 0.15\n"
+        "model = generic\nd = 2\nbeta = 2.0\nterm.0.support = 0,0; 4,4\n"
+        "term.0.classical = -1, 1, 1, -1\nvolume = 0\nvolume = 1\ndelta = 0.15\n"
     ),
 }
 
 
 class TestSetUp:
-    """Every command prints the config and model warnings unless --quiet, and
-    checks every volume against the qubit cap before it solves one."""
+    """Every command runs the model checks and prints the config and model
+    warnings unless --quiet, and checks every volume against the qubit cap
+    before it solves one."""
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("warning", list(WARNED_CONFIGS))
@@ -580,15 +611,17 @@ class TestSetUp:
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("warning", list(WARNED_CONFIGS))
-    def test_quiet_prints_nothing_and_skips_the_model_checks(self, tmp_path, capsys, monkeypatch,
-                                                             command, warning):
+    def test_quiet_prints_nothing_but_runs_the_model_checks(self, tmp_path, capsys, monkeypatch,
+                                                            command, warning):
         calls = []
-        monkeypatch.setattr(cli, "check_perturbation_bound", lambda *args: calls.append(args) or [])
+        for name in ("check_perturbation_bound", "find_periodic_ground_states"):
+            check = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, check=check: calls.append(check.__name__) or check(*args))
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(WARNED_CONFIGS[warning], encoding="utf-8")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
         assert capsys.readouterr().err == ""
-        assert calls == []
+        assert calls == ["check_perturbation_bound", "find_periodic_ground_states"]
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_cap_in_the_last_volume_exits_3_before_any_solve(self, tmp_path, capsys, monkeypatch, command):
@@ -625,6 +658,35 @@ class TestOtherSubcommands:
         word, index = lines[0].split()
         assert set(word) <= {"0", "1"}
         assert index.isdigit()
+
+    def test_codec_demo_prints_the_sweep_row_of_its_volume(self, tmp_path, capsys, monkeypatch):
+        """codec-demo's window, codeword length and fidelity are those of the
+        sweep.csv rows of the last volume and the first delta, from the same
+        seeded decomposition."""
+        made = []
+        decompose = cli.make_decomposition
+
+        def recorded(*args, **kwargs):
+            made.append(decompose(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "make_decomposition", recorded)
+        golden = GOLDEN_TFIM.with_name("dm.cfg")
+        for command in ("sweep", "codec-demo"):
+            assert main([command, "--config", str(golden), "--out", str(tmp_path / command), "--seed", "7"]) == 0
+        config = sa.parse_config(golden.read_text(encoding="utf-8"))
+        # one decomposition per volume in the sweep, then codec-demo's of the last volume
+        assert len(made) == len(config.volumes) + 1
+        assert np.array_equal(made[-1].weights, made[-2].weights)
+        printed = dict(item.split("=") for item in capsys.readouterr().out.splitlines()[-2].split())
+        assert (int(printed["n"]), float(printed["delta"])) == (config.volumes[-1], config.deltas[0])
+        [(typical_dim, codeword_len, fid)] = {
+            (r["typical_dim"], r["codeword_len"], r["fidelity"]) for r in rows_of(tmp_path / "sweep" / "sweep.csv")
+            if int(r["n"]) == config.volumes[-1] and float(r["delta"]) == config.deltas[0]
+        }
+        assert int(typical_dim) > 1
+        assert (printed["typical_dim"], printed["codeword_len"]) == (typical_dim, codeword_len)
+        assert printed["fidelity"] == f"{float(fid):.12f}"
 
     def test_cli_import_loads_no_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -759,6 +821,15 @@ class TestModelWarningsThatRun:
         cfg.write_text(text, encoding="utf-8")
         assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == "warning: boundary configuration is not a classical ground state of the model\n"
+
+    def test_long_chain_bond_is_held_to_its_bound(self, tmp_path, capsys):
+        """In d = 1 the connected span is the interval, so a bond of diameter
+        17, past the box search, is held to c lambda**18 and not left unverified."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("model = generic\nterm.0.support = 0; 17\nterm.0.classical = -1, 1, 1, -1\n"
+                       "term.0.quantum = 0,3,0.5,0; 3,0,0.5,0\nvolume = 1\n", encoding="utf-8")
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == "warning: term 0: quantum norm 0.5 exceeds the smallness bound 2.621e-13\n"
 
 
 def test_module_entry_point_runs_the_quiet_check():

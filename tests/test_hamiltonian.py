@@ -215,9 +215,9 @@ class TestInstantiation:
         square_model = sa.build_interaction(sa.parse_config((golden / "generic2d.cfg").read_text()))
         cases = (
             (sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(4), ALL_UP),
-            (chain_model, sa.chain(5), sa.GroundStateConfig((2,), {(0,): 1, (1,): -1})),
+            (chain_model, sa.chain(5), sa.GroundStateConfig((2,), (1, -1))),
             (square_model, sa.build_box((0, 0), (1, 1)),
-             sa.GroundStateConfig((2, 1), {(0, 0): 1, (1, 0): -1})),
+             sa.GroundStateConfig((2, 1), (1, -1))),
         )
         for model, volume, boundary in cases:
             h = sa.assemble_hamiltonian(model, volume, boundary)
@@ -435,7 +435,7 @@ class TestGeneratedRows:
         assert_rows_match_references(model, volume, boundary, seed=data.draw(st.integers(0, 99)))
 
 
-NEEL = sa.GroundStateConfig((2,), {(0,): +1, (1,): -1})
+NEEL = sa.GroundStateConfig((2,), (+1, -1))
 
 
 def golden_or_neel_model(case: str) -> tuple[sa.Interaction, sa.GroundStateConfig]:

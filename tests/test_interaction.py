@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -11,10 +12,10 @@ import spinaep as sa
 from spinaep.errors import CapabilityError
 
 from conftest import generic_models, traced_peak
-from oracles import index_spins, periodic_energy_density, periodic_ground_states
+from oracles import index_spins, minimal_form, periodic_energy_density, periodic_ground_states
 
 ALL_UP = sa.GroundStateConfig.uniform(1, +1)
-NEEL = sa.GroundStateConfig((2,), {(0,): 1, (1,): -1})
+NEEL = sa.GroundStateConfig((2,), (1, -1))
 # antiferromagnetic along axis 0, ferromagnetic along axis 1: ground states
 # are the two stripe cells of periods (2, 1)
 STRIPES = sa.Interaction(terms=(
@@ -107,7 +108,7 @@ class TestClassicalEnergy:
         rng = random.Random(5)
         for _ in range(10):
             spins = [rng.choice((1, -1)) for _ in range(8)]
-            boundary = sa.GroundStateConfig((2,), {(0,): rng.choice((1, -1)), (1,): rng.choice((1, -1))})
+            boundary = sa.GroundStateConfig((2,), (rng.choice((1, -1)), rng.choice((1, -1))))
             spin_at = boundary.pinned(volume, {(i,): s for i, s in enumerate(spins)})
             oracle = -J * sum(spins[i] * spins[i + 1] for i in range(7)) - h * sum(spins)
             oracle -= J * (boundary.spin((-1,)) * spins[0] + spins[7] * boundary.spin((8,)))
@@ -183,24 +184,37 @@ def classical_models(draw) -> tuple[sa.Interaction, tuple[int, ...]]:
     return sa.Interaction(terms=tuple(terms), lam=0.0), bounds
 
 
+@st.composite
+def tiled_cells(draw) -> sa.GroundStateConfig:
+    """A cell of up to 16 sites in d = 1, or up to 4 x 4 in d = 2, tiled
+    along each axis from a random smaller cell, so that most cells reduce."""
+    d = draw(st.sampled_from((1, 2)))
+    bound = 16 if d == 1 else 4
+    base = tuple(draw(st.integers(1, bound)) for _ in range(d))
+    copies = tuple(draw(st.integers(1, bound // b)) for b in base)
+    values = draw(st.lists(st.sampled_from((1, -1)), min_size=math.prod(base), max_size=math.prod(base)))
+    cell = np.tile(np.reshape(values, base), copies)
+    return sa.GroundStateConfig(cell.shape, tuple(cell.ravel().tolist()))
+
+
 class TestGroundStates:
     def test_field_selects_all_up(self):
         states = sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.5, 0.0), (2,))
         assert len(states) == 1
         assert states[0].periods == (1,)
-        assert states[0].cell_values == {(0,): 1}
+        assert states[0].cell_values == (1,)
 
     def test_z2_pair_without_field(self):
         states = sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.0, 0.0), (2,))
         assert len(states) == 2
-        cells = {tuple(s.cell_values.values()) for s in states}
+        cells = {s.cell_values for s in states}
         assert cells == {(1,), (-1,)}
 
     def test_antiferromagnet_neel_pair(self):
         states = sa.find_periodic_ground_states(sa.preset_tfim(-1.0, 0.0, 0.0), (2,))
         assert len(states) == 2
         assert all(s.periods == (2,) for s in states)
-        cells = {tuple(v for _, v in sorted(s.cell_values.items())) for s in states}
+        cells = {s.cell_values for s in states}
         assert cells == {(1, -1), (-1, 1)}
 
     def test_period_not_dividing_bound_still_found(self):
@@ -217,7 +231,7 @@ class TestGroundStates:
         rng = random.Random(2)
         for _ in range(100):
             period = rng.choice((1, 2, 3))
-            cell = {(i,): rng.choice((1, -1)) for i in range(period)}
+            cell = tuple(rng.choice((1, -1)) for _ in range(period))
             candidate = sa.GroundStateConfig(periods=(period,), cell_values=cell)
             assert periodic_energy_density(model, candidate) >= densities[0] - 1e-12
 
@@ -239,26 +253,31 @@ class TestGroundStates:
         assert peak <= 6 << 20
 
     def test_spin_lookup_is_periodic(self):
-        neel = sa.GroundStateConfig(periods=(2,), cell_values={(0,): 1, (1,): -1})
+        neel = sa.GroundStateConfig(periods=(2,), cell_values=(1, -1))
         assert neel.spin((0,)) == 1
         assert neel.spin((5,)) == -1
         assert neel.spin((-1,)) == -1
 
     def test_minimal_form_reduces_periods(self):
-        redundant = sa.GroundStateConfig(periods=(2,), cell_values={(0,): 1, (1,): 1})
+        redundant = sa.GroundStateConfig(periods=(2,), cell_values=(1, 1))
         assert redundant.minimal_form().periods == (1,)
 
     def test_minimal_form_reduces_each_axis_alone(self):
         # period 2 along axis 0 is needed; along axis 1 the cell repeats every 2 of 4
-        cell = {(i, j): (1 if (i + j) % 2 else -1) for i in range(2) for j in range(4)}
+        cell = tuple(1 if (i + j) % 2 else -1 for i in range(2) for j in range(4))
         minimal = sa.GroundStateConfig((2, 4), cell).minimal_form()
         assert minimal.periods == (2, 2)
-        assert minimal.cell_values == {(0, 0): -1, (0, 1): 1, (1, 0): 1, (1, 1): -1}
+        assert minimal.cell_values == (-1, 1, 1, -1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tiled_cells())
+    def test_minimal_form_equals_the_per_site_oracle(self, state):
+        assert state.minimal_form() == minimal_form(state)
 
     def test_equal_states_hash_alike(self):
-        redundant = sa.GroundStateConfig((2,), {(1,): -1, (0,): 1}).minimal_form()
+        redundant = sa.GroundStateConfig((4,), (1, -1, 1, -1)).minimal_form()
         assert {NEEL, redundant} == {NEEL}
-        assert NEEL != sa.GroundStateConfig((2,), {(0,): -1, (1,): 1})
+        assert NEEL != sa.GroundStateConfig((2,), (-1, 1))
 
     def test_search_builds_only_the_states_it_returns(self, monkeypatch):
         """The search scans cells as array rows, not as ``GroundStateConfig``
@@ -285,24 +304,27 @@ class TestGroundStates:
             sa.find_periodic_ground_states(sa.preset_tfim(1.0, 0.5, 0.0), max_periods)
 
     @pytest.mark.parametrize("periods, cell, message", [
-        ((2.7,), {(0,): 1, (1,): -1}, "periods must be positive ints, got (2.7,)"),
-        ((2.0,), {(0,): 1, (1,): -1}, "periods must be positive ints, got (2.0,)"),
-        ((True,), {(0,): 1}, "periods must be positive ints, got (True,)"),
-        ((np.int64(1),), {(0,): 1}, "periods must be positive ints"),
-        ((0,), {}, "periods must be positive ints, got (0,)"),
-        ((1,), {(0,): True}, "cell values must be the int +1 or -1, got True"),
-        ((1,), {(0,): 1.0}, "cell values must be the int +1 or -1, got 1.0"),
-        ((2,), {(0,): 1, (1,): np.int64(-1)}, "cell values must be the int +1 or -1"),
-        ((2,), {(0,): 1, (1,): 0}, "cell values must be the int +1 or -1, got 0"),
-        ((2,), {(0.0,): 1, (1,): -1}, "site must be a nonempty tuple of ints, got (0.0,)"),
-        ((2,), {(True,): 1, (0,): -1}, "site must be a nonempty tuple of ints, got (True,)"),
-        ((2,), {(0, 0): 1, (1,): -1}, "cell_values must cover exactly the period cell"),
+        ((2.7,), (1, -1), "periods must be positive ints, got (2.7,)"),
+        ((2.0,), (1, -1), "periods must be positive ints, got (2.0,)"),
+        ((True,), (1,), "periods must be positive ints, got (True,)"),
+        ((np.int64(1),), (1,), "periods must be positive ints"),
+        ((0,), (), "periods must be positive ints, got (0,)"),
+        ((1,), (True,), "cell values must be the int +1 or -1, got True"),
+        ((1,), (1.0,), "cell values must be the int +1 or -1, got 1.0"),
+        ((2,), (1, np.int64(-1)), "cell values must be the int +1 or -1"),
+        ((2,), (1, 0), "cell values must be the int +1 or -1, got 0"),
+        ((2,), {(0.0,): 1, (1,): -1}, "cell_values must be a tuple of spins, got a dict"),
+        ((2,), {(True,): 1, (0,): -1}, "cell_values must be a tuple of spins, got a dict"),
+        ((2,), {(0, 0): 1, (1,): -1}, "cell_values must be a tuple of spins, got a dict"),
+        ((2,), [1, -1], "cell_values must be a tuple of spins, got a list"),
+        ((2, 2), (1, -1, 1), "cell_values must hold one spin per cell site (4), got 3"),
+        ((2,), (1, -1, 1), "cell_values must hold one spin per cell site (2), got 3"),
     ], ids=["fractional period", "float period", "bool period", "numpy period", "zero period",
             "bool spin", "float spin", "numpy spin", "zero spin", "float key", "bool key",
-            "key of another dimension"])
+            "key of another dimension", "list", "too few values", "too many values"])
     def test_values_that_only_compare_equal_to_ints_are_refused(self, periods, cell, message):
-        # a period of 2.7 was truncated to 2, True or 1.0 stored as a spin, and
-        # (0.0,) or (True,) stored as a cell site
+        # a period of 2.7 was truncated to 2, and True or 1.0 stored as a spin;
+        # a site-keyed mapping or a list is no tuple of spins
         with pytest.raises(ValueError, match=re.escape(message)):
             sa.GroundStateConfig(periods, cell)
 

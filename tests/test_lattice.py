@@ -73,6 +73,12 @@ class TestConnectedSpan:
         assert sa.connected_span_size([(0, 0), (0, 1)]) == 2
         assert sa.connected_span_size([(0,), (3,)]) == 4
 
+    @pytest.mark.parametrize("sites, size", [([(0,), (16,)], 17), ([(-40,), (3,), (60,)], 101)],
+                             ids=["diameter 16", "three far apart"])
+    def test_1d_is_the_spanned_interval_at_any_diameter(self, sites, size):
+        # boxes past the 16 sites of the exhaustive search, which d = 1 does not need
+        assert sa.connected_span_size(sites) == size
+
     def test_capability_bound(self):
         with pytest.raises(CapabilityError):
             sa.connected_span_size([(0, 0), (9, 9)])

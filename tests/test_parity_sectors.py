@@ -304,7 +304,7 @@ def reflection_chains(draw) -> tuple[str, np.ndarray]:
         n_sites += n_sites % 2
         j = draw(st.floats(1.0, 2.0))
         terms += (sa.LocalTerm(((0,), (1,)), np.array([-j, j, j, -j]), np.zeros((4, 4))),)
-        boundary = sa.GroundStateConfig((2,), {(0,): +1, (1,): -1})
+        boundary = sa.GroundStateConfig((2,), (+1, -1))
     model = sa.Interaction(terms=terms, lam=0.25)
     return kind, sa.assemble_hamiltonian(model, sa.chain(n_sites), boundary)
 
