@@ -84,7 +84,10 @@ class HamiltonianRows:
     any table is allocated. Rows are float64 when every generated row is
     real, else complex: when some block has an imaginary part, the rows are
     scanned once here, up to the first chunk with an imaginary entry. The
-    generator holds O(blocks * dim) integers.
+    generator's key table holds ``blocks * dim`` keys of the narrowest
+    unsigned type that takes ``blocks * width - 1``, ``width`` being the
+    largest block's order: ``blocks * dim`` bytes while ``blocks * width <=
+    256`` (every chain model of a few terms), twice that up to 65536.
     """
 
     def __init__(self, volume: Volume, blocks: Iterable[tuple[np.ndarray, Sequence[Site]]]) -> None:
@@ -106,7 +109,7 @@ class HamiltonianRows:
         # sites, key t * width + p: block row p lands on the columns i +
         # offsets[c] - offsets[p]. A block on fewer sites is padded with zeros
         # at step 0, on the diagonal, which is written last.
-        self._keys = np.empty((len(blocks), self.shape[0]), dtype=np.intp)
+        self._keys = np.empty((len(blocks), self.shape[0]), dtype=np.min_scalar_type(len(blocks) * width - 1))
         self._steps = np.zeros((len(blocks) * width, width), dtype=np.intp)
         self._values = np.zeros((len(blocks) * width, width), dtype=self.dtype)
         self._diagonals = np.zeros(len(blocks) * width)
@@ -114,9 +117,10 @@ class HamiltonianRows:
         for t, (block, positions) in enumerate(blocks):
             offsets = _bit_patterns(n, positions)
             keys = slice(t * width, t * width + offsets.size)
-            self._keys[t] = t * width
+            key = np.full(basis.size, t * width)  # in intp, then stored narrowed
             for j, p in enumerate(positions):
-                self._keys[t] += ((basis >> (n - 1 - p)) & 1) << (len(positions) - 1 - j)
+                key += ((basis >> (n - 1 - p)) & 1) << (len(positions) - 1 - j)
+            self._keys[t] = key
             self._steps[keys, :offsets.size] = offsets[None, :] - offsets[:, None]
             self._values[keys, :offsets.size] = block if self.dtype == complex else block.real
             self._diagonals[keys] = block.diagonal().real

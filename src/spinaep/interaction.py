@@ -160,13 +160,21 @@ class PerturbationReport:
 def check_perturbation_bound(interaction: Interaction) -> list[PerturbationReport]:
     """Check ``|Q| <= c * lam**s`` for every term, s being the connected span size.
 
-    The spectral norm is compared against the bound. The result is advisory;
-    a support whose bounding box exceeds ``MAX_SPAN_SEARCH_SITES`` raises
+    The spectral norm of the exactly Hermitian quantum part ``q``, its
+    largest |eigenvalue|, is compared against the bound. It is taken from
+    ``numpy.linalg.eigvalsh`` of ``q.real``, or, when ``q`` has an imaginary
+    part, of the real symmetric ``[[Re q, -Im q], [Im q, Re q]]``, which
+    holds each eigenvalue of ``q`` twice: either way LAPACK ``dsyevd``,
+    which every solve loads, runs, and no SVD. The result is advisory.
+    In d = 1 the span is the interval a support covers; only a support in
+    d >= 2 whose bounding box exceeds ``MAX_SPAN_SEARCH_SITES`` raises
     :class:`CapabilityError`.
     """
     reports = []
     for i, term in enumerate(interaction.terms):
-        spectral = float(np.linalg.norm(term.quantum_part, ord=2))
+        q = term.quantum_part
+        form = np.block([[q.real, -q.imag], [q.imag, q.real]]) if q.imag.any() else q.real
+        spectral = float(np.abs(np.linalg.eigvalsh(form)).max())
         s = connected_span_size(term.support)
         bound = interaction.c * interaction.lam**s
         ok = spectral <= bound * (1.0 + 1e-9) + 1e-12
@@ -240,6 +248,8 @@ class GroundStateConfig:
         return len(self.periods)
 
     def spin(self, site: Site) -> int:
+        """The spin at ``site``, a tuple of d ints as :func:`~spinaep.lattice._check_site` takes them."""
+        site = _check_site(site)
         if len(site) != self.d:
             raise ValueError(f"site {site!r} has dimension {len(site)}, the state has dimension {self.d}")
         return self.cell_values[np.ravel_multi_index(site, self.periods, mode="wrap")]

@@ -624,6 +624,20 @@ class TestSetUp:
         assert calls == ["check_perturbation_bound", "find_periodic_ground_states"]
 
     @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("bench", ["dm", "tfim"])
+    def test_bench_configs_run_no_svd(self, tmp_path, monkeypatch, command, bench):
+        # the smallness check's SVD kept a second LAPACK routine resident, about 1 MiB of every peak
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD ran")
+
+        for module in (np.linalg, np.linalg._linalg):  # norm(q, 2) calls the latter's
+            monkeypatch.setattr(module, "svd", refuse)
+        cfg = tmp_path / "exp.cfg"
+        text = (REPO / "perfbench" / "configs" / f"{bench}.cfg").read_text(encoding="utf-8")
+        cfg.write_text(text + "volume = 1\nvolume = 2\nvolume = 3\n", encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_cap_in_the_last_volume_exits_3_before_any_solve(self, tmp_path, capsys, monkeypatch, command):
         calls = []
         monkeypatch.setattr(cli, "gibbs_ensemble", lambda *args, **kwargs: calls.append(args))

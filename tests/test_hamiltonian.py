@@ -438,6 +438,39 @@ class TestGeneratedRows:
 NEEL = sa.GroundStateConfig((2,), (+1, -1))
 
 
+class TestKeyTable:
+    """Each row's keys are stored in the narrowest unsigned type that holds them."""
+
+    @pytest.mark.parametrize("path, volumes, itemsizes", [
+        (GOLDEN / "tfim.cfg", range(1, 6), [1] * 5),
+        (GOLDEN / "dm.cfg", range(1, 6), [1] * 5),
+        # 48 translates of up to 8 patterns on the 3 x 3 box
+        (GOLDEN / "generic2d.cfg", range(2), [1, 2]),
+        (GOLDEN.parent.parent / "perfbench" / "configs" / "tfim.cfg", range(1, 6), [1] * 5),
+        (GOLDEN.parent.parent / "perfbench" / "configs" / "dm.cfg", range(1, 6), [1] * 5),
+    ], ids=["golden tfim", "golden dm", "golden generic2d", "bench tfim", "bench dm"])
+    def test_bytes_per_key_on_the_golden_and_bench_models(self, path, volumes, itemsizes):
+        config = sa.parse_config(path.read_text(encoding="utf-8"))
+        model, boundary = sa.build_interaction(config), sa.build_boundary(config)
+        tables = [sa.hamiltonian_rows(model, sa.build_hypercube(n, config.d), boundary)._keys for n in volumes]
+        assert [keys.itemsize for keys in tables] == itemsizes
+        assert all(keys.dtype.kind == "u" for keys in tables)
+
+    def test_two_bytes_past_256_keys(self):
+        # 4-site plaquettes and rows of four on a 3 x 2 box: 24 translates of up to 16 patterns each
+        rng = np.random.default_rng(3)
+        terms = []
+        for support in (((0, 0), (0, 1), (1, 0), (1, 1)), ((0, 0), (1, 0), (2, 0), (3, 0))):
+            quantum = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+            terms.append(sa.LocalTerm(support, rng.standard_normal(16), quantum + quantum.conj().T))
+        model = sa.Interaction(terms=tuple(terms), lam=0.5)
+        volume, boundary = sa.build_box((0, 0), (2, 1)), sa.GroundStateConfig((2, 1), (1, -1))
+        rows = sa.hamiltonian_rows(model, volume, boundary)
+        assert rows._keys.shape[0] * rows._steps.shape[1] > 256
+        assert rows._keys.dtype == np.uint16
+        assert_rows_match_references(model, volume, boundary)
+
+
 def golden_or_neel_model(case: str) -> tuple[sa.Interaction, sa.GroundStateConfig]:
     """A golden config's model and boundary, or the TFIM chain pinned by the Neel cell."""
     if case == "tfim-neel":

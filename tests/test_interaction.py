@@ -12,6 +12,7 @@ import spinaep as sa
 from spinaep.errors import CapabilityError
 
 from conftest import generic_models, traced_peak
+from test_parity_sectors import golden_model
 from oracles import index_spins, minimal_form, periodic_energy_density, periodic_ground_states
 
 ALL_UP = sa.GroundStateConfig.uniform(1, +1)
@@ -84,6 +85,37 @@ class TestPerturbationBound:
                   if len(model.terms[r.term_index].support) == 1][0]
         assert onsite.spectral_norm == pytest.approx(0.3, abs=1e-14)
         assert np.linalg.norm(model.terms[onsite.term_index].quantum_part) == pytest.approx(0.3 * np.sqrt(2))
+
+
+def assert_spectral_norms_match_the_svd(model: sa.Interaction) -> None:
+    for report in sa.check_perturbation_bound(model):
+        expected = np.linalg.norm(model.terms[report.term_index].quantum_part, 2)
+        assert abs(report.spectral_norm - expected) <= 4 * np.finfo(float).eps * max(1.0, expected)
+
+
+class TestSpectralNorm:
+    """The smallness check's norm, from ``eigvalsh``, against the SVD's."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(generic_models())
+    def test_generic_models(self, case):
+        model, _, _ = case
+        assert_spectral_norms_match_the_svd(model)
+
+    @pytest.mark.parametrize("model", [sa.preset_tfim(1.0, 0.5, 0.2), golden_model("dm")[0]], ids=["tfim", "dm"])
+    def test_bench_models(self, model):
+        assert_spectral_norms_match_the_svd(model)
+
+    def test_complex_part_is_solved_in_real_form(self, monkeypatch):
+        # a complex quantum part is handed to eigvalsh as its real symmetric form, which doubles each eigenvalue
+        solved, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a) or eigvalsh(a))
+        q = np.array([[0.0, 0.3j], [-0.3j, 0.5]])
+        model = sa.Interaction(terms=(sa.LocalTerm(((0,),), np.zeros(2), q),), lam=0.5)
+        (report,) = sa.check_perturbation_bound(model)
+        assert [a.dtype for a in solved] == [np.float64]
+        assert np.array_equal(solved[0], [[0, 0, 0, -0.3], [0, 0.5, 0.3, 0], [0, 0.3, 0, 0], [-0.3, 0, 0, 0.5]])
+        assert report.spectral_norm == pytest.approx(np.linalg.norm(q, 2), abs=1e-15)
 
 
 class TestClassicalEnergy:
@@ -331,6 +363,12 @@ class TestGroundStates:
     def test_site_of_another_dimension_refused(self):
         with pytest.raises(ValueError, match=re.escape("site (1, 5) has dimension 2, the state has dimension 1")):
             NEEL.spin((1, 5))
+
+    @pytest.mark.parametrize("site", [(True,), (1.0,), (np.int64(1),)], ids=["bool", "float", "numpy int"])
+    def test_site_of_non_int_coordinates_refused(self, site):
+        # (True,) read cell index 1, and (1.0,) raised numpy's TypeError
+        with pytest.raises(ValueError, match=re.escape(f"site must be a nonempty tuple of ints, got {site!r}")):
+            NEEL.spin(site)
 
 
 class TestLocalTermValidation:
