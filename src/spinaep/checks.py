@@ -19,7 +19,7 @@ from scipy.linalg import expm
 from .codec import build_codebook, compress, decompress, fidelity, make_decomposition, typical_projector
 from .errors import NumericError
 from .gibbs import (
-    LOG2E, GibbsEnsemble, Spectrum, _DenseRows, _eigenvalues, _solve_matrices, _solver_for,
+    LOG2E, GibbsEnsemble, Spectrum, _DenseRows, _eigenvalues, _lapack_solver, _solve_matrices,
     diagonalize, entropy_bits, gibbs_ensemble, thermo_densities,
 )
 from .hamiltonian import HamiltonianRows, assemble_hamiltonian, hamiltonian_rows
@@ -149,11 +149,9 @@ def _check_in_place_solve(route: str, h: np.ndarray) -> CheckResult:
     matrix, n_odd, _, _ = _solve_matrices(h)
     blocks = [matrix, matrix[:n_odd, 1:n_odd + 1].T] if n_odd else [matrix]
     expected = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))  # on copies
-    # the symbol that solves each block at its order, once each
-    how = " and ".join(dict.fromkeys(
-        f"in place by {solver.__name__}" if solver is not None
-        else "on a copy by numpy.linalg.eigvalsh, no LAPACK symbol found"
-        for solver in (_solver_for(matrix.dtype, b.shape[0]) for b in blocks)))
+    solver = _lapack_solver(matrix.dtype)
+    how = (f"in place by {solver.__name__}" if solver is not None
+           else "on a copy by numpy.linalg.eigvalsh, no LAPACK symbol found")
     same = np.array_equal(_eigenvalues(matrix, n_odd), expected)
     verdict = "bit for bit equal to" if same else "differs from"
     return CheckResult(f"in-place solve, {route}", same, f"solved {how}; {verdict} numpy.linalg.eigvalsh")

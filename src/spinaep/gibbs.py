@@ -96,31 +96,17 @@ _SOLVER_SYMBOLS = {
     np.dtype(np.float64): "scipy_dsyevd_64_",
     np.dtype(np.complex128): "scipy_zheevd_64_",
 }
-# their 2-stage forms, which take the same arguments and support JOBZ='N' only
-_TWO_STAGE_SYMBOLS = {
-    np.dtype(np.float64): "scipy_dsyevd_2stage_64_",
-    np.dtype(np.complex128): "scipy_zheevd_2stage_64_",
-}
-# Orders above this take the 2-stage solver. Alternated in-process solves of a
-# random real symmetric matrix, 2-stage over one-stage time: 0.90, 0.68 and
-# 0.64 at orders 1024, 2048 and 4096 with 1 BLAS thread; 1.41, 1.07, 0.98,
-# 0.83 and 0.78 at 1024, 2048, 2560, 3072 and 4096 with 2. Used at the
-# 11-site orders, 2048 and below, its larger workspace would add 1.4-2.5 MiB
-# to their peaks.
-TWO_STAGE_ORDER = 2048
 
 
 @cache
-def _lapack_solver(dtype: np.dtype, two_stage: bool = False):
+def _lapack_solver(dtype: np.dtype):
     """The ctypes function of the values-only solver for ``dtype``, or ``None`` if it is not found.
 
-    ``two_stage`` picks the 2-stage form. Resolved at the first solve of
-    each, in the library of numpy's own ``eigvalsh``, so importing the
-    package loads nothing.
+    Resolved at the first solve of each dtype, in the library of numpy's
+    own ``eigvalsh``, so importing the package loads nothing.
     """
     try:
-        name = (_TWO_STAGE_SYMBOLS if two_stage else _SOLVER_SYMBOLS)[dtype]
-        solver = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name)
+        solver = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), _SOLVER_SYMBOLS[dtype])
     except (OSError, AttributeError):
         return None
     integer, pointer = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
@@ -132,13 +118,6 @@ def _lapack_solver(dtype: np.dtype, two_stage: bool = False):
     return solver
 
 
-def _solver_for(dtype: np.dtype, order: int):
-    """The solver of an order-``order`` matrix: the 2-stage solver above
-    ``TWO_STAGE_ORDER``, else, or where that symbol is missing, ?syevd or
-    ?heevd; ``None`` if that is missing too."""
-    return order > TWO_STAGE_ORDER and _lapack_solver(dtype, two_stage=True) or _lapack_solver(dtype)
-
-
 def _eigvalsh_lower(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian matrix in the lower triangle of ``a``, which is overwritten.
 
@@ -146,17 +125,15 @@ def _eigvalsh_lower(a: np.ndarray) -> np.ndarray:
     columns any stride apart, which becomes LAPACK's leading dimension.
     ?syevd or ?heevd (``JOBZ='N'``, ``UPLO='L'``) solves it in place after
     the same workspace query that ``numpy.linalg.eigvalsh`` makes on its
-    copy, so the energies are numpy's bit for bit at half the memory. Above
-    order ``TWO_STAGE_ORDER`` the 2-stage solver does the same, and
-    the energies are no longer numpy's bit for bit. The upper triangle is
-    neither read nor written. Where numpy's LAPACK lacks the symbol,
-    ``numpy.linalg.eigvalsh`` solves a copy. A solve that does not converge
-    raises ``numpy.linalg.LinAlgError``, as numpy does.
+    copy, so the energies are numpy's bit for bit at half the memory. The
+    upper triangle is neither read nor written. Where numpy's LAPACK lacks
+    the symbol, ``numpy.linalg.eigvalsh`` solves a copy. A solve that does
+    not converge raises ``numpy.linalg.LinAlgError``, as numpy does.
     """
-    n = a.shape[0]
-    solver = _solver_for(a.dtype, n)
+    solver = _lapack_solver(a.dtype)
     if solver is None:
         return np.linalg.eigvalsh(a)
+    n = a.shape[0]
     if (a.shape != (n, n) or not a.flags.writeable
             or n > 1 and (a.strides[0] != a.itemsize or a.strides[1] % a.itemsize)):
         raise ValueError("the in-place solve needs a writeable square column-major matrix")
@@ -359,14 +336,11 @@ def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     (``UPLO='L'``), into one column-major buffer that it solves in place.
     Otherwise one full solve takes ``h``'s rows into such a buffer, up to
     the diagonal. So ``h`` is never formed whole, and a caller's array is
-    never written. Every in-place solve of order up to ``TWO_STAGE_ORDER``
-    gives ``numpy.linalg.eigvalsh``'s energies bit for bit, and falls back
-    to it when numpy's LAPACK lacks the symbol. A larger one takes the
-    2-stage solver, whose energies are those of the same symbol run on a
-    copy, bit for bit, and lie within ``2 * TRACE_IDENTITY_K * dim * eps``
-    times ``|H|`` of ``eigvalsh``'s. A caller's ``h`` that is not a square
-    matrix raises ``ValueError``, and one whose dtype does not cast safely
-    to double precision ``TypeError``.
+    never written. Every in-place solve gives ``numpy.linalg.eigvalsh``'s
+    energies bit for bit, and falls back to it when numpy's LAPACK lacks
+    the symbol. A caller's ``h`` that is not a square matrix raises
+    ``ValueError``, and one whose dtype does not cast safely to double
+    precision ``TypeError``.
 
     With no eigenpairs to check, the energies are held to the two trace
     identities ``tr H = sum E_j`` and ``||H||_F^2 = sum E_j^2``, within

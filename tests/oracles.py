@@ -6,7 +6,6 @@ exhaustive configuration enumeration, typical windows from plain loops,
 decomposition fidelities from dense product-basis vectors and projectors.
 """
 
-import ctypes
 import itertools
 import math
 
@@ -350,33 +349,3 @@ def three_fft_decomposition(log_weights: np.ndarray, m: int, seed: int):
     weights = np.einsum("ij,ij->j", coefficients.conj(), coefficients).real
     coefficients /= np.sqrt(weights)
     return weights / weights.sum(), coefficients
-
-
-def lapack_values_only(a: np.ndarray, symbol: str) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian matrix in the lower triangle of
-    ``a``, from the LAPACK ``symbol`` of numpy's own library (64-bit
-    integers, the arguments of ?syevd or ?heevd: JOBZ='N', UPLO='L'), solved
-    on a column-major copy after a workspace query."""
-    copy = np.array(a, order="F")
-    n = copy.shape[0]
-    energies = np.empty(n)
-    # WORK, then RWORK for a complex matrix, then IWORK, each with its length
-    kinds = [copy.dtype, np.float64, np.int64] if copy.dtype.kind == "c" else [copy.dtype, np.int64]
-    integer = ctypes.POINTER(ctypes.c_int64)
-    solver = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), symbol)
-    solver.argtypes = [ctypes.c_char_p, ctypes.c_char_p, integer, ctypes.c_void_p, integer, ctypes.c_void_p,
-                       *[ctypes.c_void_p, integer] * len(kinds), integer]
-    solver.restype = None
-
-    def call(workspaces, lengths):
-        info = ctypes.c_int64()
-        sizes = [ctypes.c_int64(length) for length in lengths]
-        arguments = [x for w, size in zip(workspaces, sizes) for x in (w.ctypes.data, ctypes.byref(size))]
-        solver(b"N", b"L", ctypes.byref(ctypes.c_int64(n)), copy.ctypes.data,
-               ctypes.byref(ctypes.c_int64(max(1, n))), energies.ctypes.data, *arguments, ctypes.byref(info))
-        assert info.value == 0, f"{symbol} returned INFO = {info.value}"
-
-    queries = [np.zeros(1, kind) for kind in kinds]
-    call(queries, [-1] * len(kinds))
-    call([np.empty(int(q[0].real), q.dtype) for q in queries], [int(q[0].real) for q in queries])
-    return energies

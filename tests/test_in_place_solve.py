@@ -3,9 +3,7 @@
 Each route's buffer is handed to LAPACK ?syevd or ?heevd (``JOBZ='N'``,
 ``UPLO='L'``) through ``gibbs._eigvalsh_lower``, which overwrites its lower
 triangle. The energies must be numpy's bit for bit, the upper triangle must
-come back untouched, and a caller's matrix must never be written. Above
-``gibbs.TWO_STAGE_ORDER`` the 2-stage solver runs instead, and its
-energies must be that symbol's on a copy bit for bit.
+come back untouched, and a caller's matrix must never be written.
 """
 
 import errno
@@ -20,7 +18,7 @@ from spinaep import _arrays, checks, gibbs
 from spinaep.cli import EXIT_NUMERIC, main
 from spinaep.errors import NumericError
 from conftest import IN_PLACE, record_buffers, record_solves, rss_growth, traced_peak
-from oracles import lapack_values_only, parity_blocks
+from oracles import parity_blocks
 from test_parity_sectors import (ALL_UP, block_shapes, chain_rows_setup, golden_model,
                                  real_form_resident_bytes, symmetric_complex_model)
 
@@ -51,8 +49,6 @@ def no_lapack_symbols(monkeypatch):
     """Every solver symbol renamed to one that numpy's library does not export."""
     missing = {dtype: f"{symbol}_missing" for dtype, symbol in gibbs._SOLVER_SYMBOLS.items()}
     monkeypatch.setattr(gibbs, "_SOLVER_SYMBOLS", missing)
-    monkeypatch.setattr(gibbs, "_TWO_STAGE_SYMBOLS",
-                        {dtype: f"{symbol}_missing" for dtype, symbol in gibbs._TWO_STAGE_SYMBOLS.items()})
     gibbs._lapack_solver.cache_clear()
     yield
     gibbs._lapack_solver.cache_clear()
@@ -419,60 +415,3 @@ def test_refused_buffer_mapping(code, error, monkeypatch):
     if error is MemoryError:
         assert str(info.value) == "cannot map 128 bytes for an array of shape (4, 4)"
         assert isinstance(info.value.__cause__, OSError) and info.value.__cause__.errno == code
-
-
-TWO_STAGE = {np.dtype(np.float64): "scipy_dsyevd_2stage_64_", np.dtype(np.complex128): "scipy_zheevd_2stage_64_"}
-
-
-@IN_PLACE
-def test_two_stage_solver_takes_the_orders_above_the_constant():
-    # the 11-site solves, of orders 2048 and below, and every golden keep ?syevd and ?heevd
-    assert gibbs.TWO_STAGE_ORDER == 2048
-    for dtype, symbol in TWO_STAGE.items():
-        assert gibbs._solver_for(dtype, 2048).__name__ == gibbs._SOLVER_SYMBOLS[dtype]
-        assert gibbs._solver_for(dtype, 2049).__name__ == symbol
-
-
-@IN_PLACE
-@pytest.mark.parametrize("route", sorted(ROUTES))
-def test_two_stage_energies(route, monkeypatch):
-    """With the constant at 0 each solve is the 2-stage symbol's on a copy of
-    its matrix, bit for bit, and the energies lie within 2 TRACE_IDENTITY_K
-    dim eps |E| of ``eigvalsh``."""
-    model, volume, boundary = ROUTES[route]
-    rows = sa.hamiltonian_rows(model, volume, boundary)
-    monkeypatch.setattr(gibbs, "TWO_STAGE_ORDER", 0)
-    calls = record_solves(monkeypatch)
-    energies = sa.diagonalize(rows).energies
-    assert [(c.dtype, c.shape) for c in calls] == SOLVES[route]
-    expected = np.sort(np.concatenate([lapack_values_only(c, TWO_STAGE[c.dtype]) for c in calls]))
-    assert energies.tobytes() == expected.tobytes()
-    reference = np.linalg.eigvalsh(sa.assemble_hamiltonian(model, volume, boundary))
-    bound = 2 * gibbs.TRACE_IDENTITY_K * reference.size * np.finfo(float).eps * np.abs(reference).max()
-    assert np.abs(energies - reference).max() <= bound
-
-
-@IN_PLACE
-@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
-def test_missing_two_stage_symbol_falls_back_to_the_one_stage_solver(dtype, monkeypatch):
-    monkeypatch.setattr(gibbs, "TWO_STAGE_ORDER", 0)
-    monkeypatch.setattr(gibbs, "_TWO_STAGE_SYMBOLS", {np.dtype(dtype): "scipy_2stage_missing"})
-    gibbs._lapack_solver.cache_clear()
-    try:
-        assert gibbs._solver_for(np.dtype(dtype), 300).__name__ == gibbs._SOLVER_SYMBOLS[np.dtype(dtype)]
-        a = random_matrix(300, dtype, seed=5)
-        expected = np.linalg.eigvalsh(a)
-        assert gibbs._eigvalsh_lower(a).tobytes() == expected.tobytes()
-    finally:
-        gibbs._lapack_solver.cache_clear()
-
-
-@IN_PLACE
-def test_check_names_the_solver_of_each_block(monkeypatch, capsys):
-    # at 6 sites the parity blocks have orders 36 and 28: only the even one exceeds 30
-    monkeypatch.setattr(gibbs, "TWO_STAGE_ORDER", 30)
-    main(["check"])
-    parity, real_form, full = in_place_lines(capsys.readouterr().out)
-    assert "solved in place by scipy_dsyevd_2stage_64_ and in place by scipy_dsyevd_64_;" in parity
-    assert "solved in place by scipy_dsyevd_2stage_64_;" in real_form
-    assert "solved in place by scipy_dsyevd_2stage_64_;" in full
