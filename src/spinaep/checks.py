@@ -19,7 +19,7 @@ from scipy.linalg import expm
 from .codec import build_codebook, compress, decompress, fidelity, make_decomposition, typical_projector
 from .errors import NumericError
 from .gibbs import (
-    LOG2E, GibbsEnsemble, Spectrum, _DenseRows, _eigenvalues, _lapack_solver, _solve_matrices,
+    LOG2E, GibbsEnsemble, Spectrum, _eigenvalues, _lapack_solver, _solve_matrices,
     diagonalize, entropy_bits, gibbs_ensemble, thermo_densities,
 )
 from .hamiltonian import HamiltonianRows, assemble_hamiltonian, hamiltonian_rows
@@ -63,12 +63,10 @@ def _dm_model(lam: float = 0.2) -> Interaction:
 def _eigenpairs(h: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     """The spectrum of a dense Hermitian ``h`` and its eigenvectors, columns in the same order.
 
-    ``h`` is read as :func:`diagonalize` reads a caller's matrix and handed to
-    ``numpy.linalg.eigh``, held to ``_EIGENPAIR_TOL`` in the eigenpair
-    residual and in the Gram matrix's deviation from the identity; a
-    :class:`NumericError` carries the offending value.
+    ``numpy.linalg.eigh`` solves ``h``, held to ``_EIGENPAIR_TOL`` in the
+    eigenpair residual and in the Gram matrix's deviation from the identity;
+    a :class:`NumericError` carries the offending value.
     """
-    h = np.asarray(h, dtype=_DenseRows(h).dtype)
     energies, vectors = np.linalg.eigh(h)
     scale = float(np.abs(energies).max(initial=0.0))
     residual = float(np.abs(h @ vectors - vectors * energies).max(initial=0.0))
@@ -135,18 +133,18 @@ def _check_entropy_identity(n_sites: int = 6, beta: float = 2.0, lam: float = 0.
     return CheckResult("entropy-rate identity", res <= 1e-10, f"residual {res:.3e}")
 
 
-def _check_values_only(route: str, h: np.ndarray) -> CheckResult:
+def _check_values_only(route: str, rows: HamiltonianRows, h: np.ndarray) -> CheckResult:
     dense = _eigenpairs(h)[0].energies
-    gap = float(np.abs(diagonalize(h).energies - dense).max())
+    gap = float(np.abs(diagonalize(rows).energies - dense).max())
     bound = 1e-12 * float(np.abs(dense).max())
     return CheckResult(
         f"values-only energies, {route}", gap <= bound, f"max gap {gap:.3e} (bound {bound:.3e})"
     )
 
 
-def _check_in_place_solve(route: str, h: np.ndarray) -> CheckResult:
+def _check_in_place_solve(route: str, rows: HamiltonianRows) -> CheckResult:
     """The route's buffer solved as ``diagonalize`` solves it, against ``eigvalsh`` of its blocks."""
-    matrix, n_odd, _, _ = _solve_matrices(h)
+    matrix, n_odd, _, _ = _solve_matrices(rows)
     blocks = [matrix, matrix[:n_odd, 1:n_odd + 1].T] if n_odd else [matrix]
     expected = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))  # on copies
     solver = _lapack_solver(matrix.dtype)
@@ -158,10 +156,9 @@ def _check_in_place_solve(route: str, h: np.ndarray) -> CheckResult:
 
 
 def _check_generated_rows(route: str, rows: HamiltonianRows, h: np.ndarray) -> CheckResult:
-    generated = diagonalize(rows).energies
-    dense = diagonalize(h).energies
-    same = np.array_equal(generated, dense)
-    detail = "bit for bit equal" if same else f"max gap {np.abs(generated - dense).max():.3e}"
+    generated = rows.rows(np.arange(rows.shape[0]))
+    same = generated.dtype == h.dtype and generated.tobytes() == h.tobytes()
+    detail = "bit for bit equal" if same else f"max gap {np.abs(generated - h).max():.3e}"
     return CheckResult(f"generated rows against the dense matrix, {route}", same, detail)
 
 
@@ -223,8 +220,8 @@ def run_checks() -> list[CheckResult]:
         _check_classical_entropy(),
         _check_energy_derivative(),
         _check_entropy_identity(),
-        *(_check_values_only(name, h) for name, _, h in routes),
-        *(_check_in_place_solve(name, h) for name, _, h in routes),
+        *(_check_values_only(name, rows, h) for name, rows, h in routes),
+        *(_check_in_place_solve(name, rows) for name, rows, _ in routes),
         *(_check_generated_rows(name, rows, h) for name, rows, h in routes),
         _check_typical_filter(),
         _check_codec(),

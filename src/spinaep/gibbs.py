@@ -71,26 +71,6 @@ class Spectrum:
         return self.energies.size
 
 
-class _DenseRows:
-    """The one reader of a caller's square matrix, giving rows as :class:`HamiltonianRows` does.
-
-    Entries are read as float64, or complex128 if complex; a dtype that does
-    not cast safely raises ``TypeError`` before any matrix-sized allocation.
-    """
-
-    def __init__(self, h) -> None:
-        h = np.asarray(h)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError(f"h must be a square matrix, got shape {h.shape}")
-        self.h, self.shape, self.dtype = h, h.shape, np.dtype(complex if h.dtype.kind == "c" else float)
-        if not np.can_cast(h.dtype, self.dtype):
-            raise TypeError(f"h of dtype {h.dtype} does not cast safely to {self.dtype}")
-
-    def rows(self, index: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
-        rows = np.ascontiguousarray(self.h[index], dtype=self.dtype)
-        return rows if mirror is None else np.take(rows, mirror, axis=1)
-
-
 # dsyevd and zheevd of the LAPACK that numpy links, with 64-bit integers
 _SOLVER_SYMBOLS = {
     np.dtype(np.float64): "scipy_dsyevd_64_",
@@ -278,25 +258,21 @@ def _row_pass(source, conjugate: bool | None) -> tuple[np.ndarray, int, complex,
     return buffer, 0 if conjugate else n_pairs, trace, frobenius
 
 
-def _solve_matrices(h) -> tuple[np.ndarray, int, complex, float]:
-    """The matrix that holds ``h``'s spectrum, its odd block size and the trace and Frobenius sums.
+def _solve_matrices(rows: HamiltonianRows) -> tuple[np.ndarray, int, complex, float]:
+    """The matrix that holds the spectrum of H, its odd block size and the trace and Frobenius sums.
 
-    ``h`` is a row generator, or a caller's matrix read by :class:`_DenseRows`.
-    The reflection blocks are tried on ``n >= 2`` qubits: the parity blocks,
-    then, if complex, the real form. If neither test passes, ``h``'s lower
-    triangle takes one full solve. Each route is one :func:`_row_pass`, and
-    none forms ``h`` whole.
+    ``rows`` generates H. The reflection blocks are tried on ``n >= 2``
+    qubits: the parity blocks, then, if complex, the real form. If neither
+    test passes, H's lower triangle takes one full solve. Each route is one
+    :func:`_row_pass`, and none forms H whole.
     """
-    source = h if isinstance(h, HamiltonianRows) else _DenseRows(h)
-    dim = source.shape[0]
-    n_bits = dim.bit_length() - 1
-    if n_bits >= 2 and dim == 1 << n_bits:
-        result = _row_pass(source, conjugate=False)
-        if result is None and source.dtype.kind == "c":
-            result = _row_pass(source, conjugate=True)
+    if rows.shape[0] >= 4:
+        result = _row_pass(rows, conjugate=False)
+        if result is None and rows.dtype.kind == "c":
+            result = _row_pass(rows, conjugate=True)
         if result is not None:
             return result
-    return _row_pass(source, conjugate=None)
+    return _row_pass(rows, conjugate=None)
 
 
 def _eigenvalues(matrix: np.ndarray, n_odd: int) -> np.ndarray:
@@ -316,17 +292,19 @@ def _eigenvalues(matrix: np.ndarray, n_odd: int) -> np.ndarray:
     return np.sort(np.concatenate([energies, _eigvalsh_lower(matrix[1:n_odd + 1, :n_odd])]))
 
 
-def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
-    """Energies of a Hermitian matrix, ascending, without eigenvectors.
+def diagonalize(h: HamiltonianRows) -> Spectrum:
+    """Energies of a Hermitian H, ascending, without eigenvectors.
 
-    ``h`` is a dense matrix, read in double precision, or the row generator
-    of :func:`~spinaep.hamiltonian.hamiltonian_rows`, whose dtype is complex
-    only when an imaginary part survives in ``h``; either is read row by row
-    in one pass. When ``h`` commutes bit for bit with the
+    ``h`` is the row generator of H from
+    :func:`~spinaep.hamiltonian.hamiltonian_rows`, whose dtype is complex
+    only when an imaginary part survives in H, read row by row in one pass;
+    anything else raises ``TypeError``. A dense H's energies come from
+    ``numpy.linalg.eigvalsh(h)``, which is bit for bit what the full solve
+    gives. When H commutes bit for bit with the
     bit-reversal permutation ``R`` of the basis, as the Hamiltonian of a
     reflection-symmetric model on a chain does, the energies are the merged
     spectra of its even and odd blocks, each about half the dimension, so
-    about a quarter of the work. When a complex ``h`` instead goes over
+    about a quarter of the work. When a complex H instead goes over
     into its complex conjugate under bit reversal, as a chain with a
     reflection-odd imaginary bond does, the energies come from one real
     symmetric matrix of the same dimension, also about a quarter of the
@@ -334,30 +312,24 @@ def diagonalize(h: np.ndarray | HamiltonianRows) -> Spectrum:
     sums of rows ``s``, ``h[s, t] + h[s, R t]`` and ``h[s, t] - h[s, R
     t]``, in the lower triangles that LAPACK ?syevd or ?heevd reads
     (``UPLO='L'``), into one column-major buffer that it solves in place.
-    Otherwise one full solve takes ``h``'s rows into such a buffer, up to
-    the diagonal. So ``h`` is never formed whole, and a caller's array is
-    never written. Every in-place solve gives ``numpy.linalg.eigvalsh``'s
-    energies bit for bit, and falls back to it when numpy's LAPACK lacks
-    the symbol. A caller's ``h`` that is not a square matrix raises
-    ``ValueError``, and one whose dtype does not cast safely to double
-    precision ``TypeError``.
+    Otherwise one full solve takes H's rows into such a buffer, up to
+    the diagonal. So H is never formed whole. Every in-place solve gives
+    ``numpy.linalg.eigvalsh``'s energies bit for bit, and falls back to it
+    when numpy's LAPACK lacks the symbol.
 
     With no eigenpairs to check, the energies are held to the two trace
     identities ``tr H = sum E_j`` and ``||H||_F^2 = sum E_j^2``, within
     ``TRACE_IDENTITY_K * dim * eps`` times ``|H|`` and ``|H|^2``; a
     :class:`NumericError` carries the offending gap. Both identities read
-    the rows of ``h`` itself, not its blocks, so a faulty block fails them
-    too. The Frobenius sum is taken over every row, so an ``h`` whose two
-    triangles disagree fails it, although the solver reads one triangle
-    only. The check costs O(dim^2) against the solver's O(dim^3).
-
-    Two faults stay below the identities: two energies closer than
+    the rows of H itself, not its blocks, so a faulty block fails them
+    too. The check costs O(dim^2) against the solver's O(dim^3). One fault
+    stays below the identities: two energies closer than
     ``TRACE_IDENTITY_K * dim * eps * |H|^2 / (2 e)`` moved by ``+e`` and
-    ``-e``, and one upper-triangle entry changed by less than about
-    ``sqrt(TRACE_IDENTITY_K * dim * eps) * |H|`` where it is zero or the
-    change is orthogonal in phase to it; a generator's exact Hermiticity
-    excludes the second.
+    ``-e``.
     """
+    if not isinstance(h, HamiltonianRows):
+        raise TypeError(f"diagonalize takes the HamiltonianRows of hamiltonian_rows, got {type(h).__name__}; "
+                        "the energies of a dense H are numpy.linalg.eigvalsh(h)")
     try:
         matrix, n_odd, trace, frobenius = _solve_matrices(h)
         energies = _eigenvalues(matrix, n_odd)

@@ -73,21 +73,22 @@ def instantiate_terms(
 class HamiltonianRows:
     """Rows of a sum of Hermitian blocks embedded into a volume, without the dense matrix.
 
-    :meth:`rows` returns ``H[index]`` for any index array. An entry off the
-    diagonal receives each block's entry once, in block order, starting from
-    zero. A diagonal entry sums its per-block contributions in ascending
-    order, which no reordering of the blocks changes: a reflection maps a
-    symmetric model's blocks onto themselves, so ``H[R s, R s] == H[s, s]``
-    bit for bit however the couplings round. The diagonal of a Hermitian
-    block is real. Each block must be exactly Hermitian and ``2^k x 2^k`` on
-    ``k`` distinct sites; the first that is not raises ``ValueError`` before
-    any table is allocated. Rows are float64 when every generated row is
-    real, else complex: when some block has an imaginary part, the rows are
-    scanned once here, up to the first chunk with an imaginary entry. The
-    generator's key table holds ``blocks * dim`` keys of the narrowest
-    unsigned type that takes ``blocks * width - 1``, ``width`` being the
-    largest block's order: ``blocks * dim`` bytes while ``blocks * width <=
-    256`` (every chain model of a few terms), twice that up to 65536.
+    :meth:`rows` returns ``H[index]`` for an integer index array. An entry
+    off the diagonal receives each block's entry once, in block order,
+    starting from zero. A diagonal entry sums its per-block contributions in
+    ascending order, which no reordering of the blocks changes: a reflection
+    maps a symmetric model's blocks onto themselves, so ``H[R s, R s] ==
+    H[s, s]`` bit for bit however the couplings round. The diagonal of a
+    Hermitian block is real. Each block must be finite, exactly Hermitian
+    and ``2^k x 2^k`` on ``k`` distinct sites; the first that is not raises
+    ``ValueError`` before any table is allocated. Rows are float64 when
+    every generated row is real, else complex: when some block has an
+    imaginary part, the rows are scanned once here, up to the first chunk
+    with an imaginary entry. The generator's key table holds ``blocks *
+    dim`` keys of the narrowest unsigned type that takes ``blocks * width -
+    1``, ``width`` being the largest block's order: ``blocks * dim`` bytes
+    while ``blocks * width <= 256`` (every chain model of a few terms),
+    twice that up to 65536.
     """
 
     def __init__(self, volume: Volume, blocks: Iterable[tuple[np.ndarray, Sequence[Site]]]) -> None:
@@ -100,6 +101,8 @@ class HamiltonianRows:
                 raise ValueError(f"block {t} names a site twice")
             if block.shape != (1 << k, 1 << k):
                 raise ValueError(f"block {t} on {k} sites must be {1 << k} x {1 << k}, got shape {block.shape}")
+            if not np.isfinite(block).all():
+                raise ValueError(f"block {t} has a non-finite entry")
             if not np.array_equal(block, block.conj().T):
                 raise ValueError(f"block {t} is not exactly Hermitian")
         n, width = volume.n_sites, max(block.shape[0] for block, _ in blocks)
@@ -142,8 +145,14 @@ class HamiltonianRows:
         out[np.arange(index.size), diagonal] = np.add.accumulate(ordered, axis=0)[-1]
 
     def rows(self, index, mirror: np.ndarray | None = None) -> np.ndarray:
-        """``H[index]``, or ``H[index][:, mirror]`` for a permutation ``mirror`` that is its own inverse."""
-        index = np.asarray(index, dtype=np.intp).reshape(-1)
+        """``H[index]``, or ``H[index][:, mirror]`` for a permutation ``mirror`` that is its own inverse.
+
+        ``index`` holds integers in ``[0, dim)``; any other raises ``IndexError`` before the rows are allocated.
+        """
+        index = np.asarray(index).reshape(-1)
+        if index.size and (index.dtype.kind not in "iu" or not 0 <= index.min() <= index.max() < self.shape[0]):
+            raise IndexError(f"row indices must be integers in [0, {self.shape[0]})")
+        index = index.astype(np.intp, copy=False)
         out = np.zeros((index.size, self.shape[1]), dtype=self.dtype)
         self._fill(out, index, mirror)
         return out

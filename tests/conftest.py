@@ -109,11 +109,22 @@ def eigvalsh_calls(monkeypatch) -> list[np.ndarray]:
     return record_solves(monkeypatch)
 
 
-def chain_hamiltonian(n_sites: int, J: float, h: float, lam: float,
-                      boundary_spin: int = 1) -> np.ndarray:
+def as_rows(h: np.ndarray) -> sa.HamiltonianRows:
+    """The generator of an exactly Hermitian ``h`` of ``2^n`` states: one block on all of an ``n``-site chain."""
+    volume = sa.chain(h.shape[0].bit_length() - 1)
+    return sa.HamiltonianRows(volume, [(h, volume.sites)])
+
+
+def chain_rows(n_sites: int, J: float, h: float, lam: float,
+               boundary_spin: int = 1) -> sa.HamiltonianRows:
     volume = sa.chain(n_sites)
     boundary = sa.GroundStateConfig.uniform(1, boundary_spin)
-    return sa.assemble_hamiltonian(sa.preset_tfim(J, h, lam), volume, boundary)
+    return sa.hamiltonian_rows(sa.preset_tfim(J, h, lam), volume, boundary)
+
+
+def chain_hamiltonian(n_sites: int, J: float, h: float, lam: float,
+                      boundary_spin: int = 1) -> np.ndarray:
+    return chain_rows(n_sites, J, h, lam, boundary_spin).dense()
 
 
 def dense_ensemble(h: np.ndarray, beta: float) -> tuple[sa.GibbsEnsemble, np.ndarray]:
@@ -123,7 +134,7 @@ def dense_ensemble(h: np.ndarray, beta: float) -> tuple[sa.GibbsEnsemble, np.nda
 
 def chain_ensemble(n_sites: int, J: float, h: float, lam: float, beta: float,
                    boundary_spin: int = 1) -> sa.GibbsEnsemble:
-    return sa.gibbs_ensemble(sa.diagonalize(chain_hamiltonian(n_sites, J, h, lam, boundary_spin)), beta)
+    return sa.gibbs_ensemble(sa.diagonalize(chain_rows(n_sites, J, h, lam, boundary_spin)), beta)
 
 
 @pytest.fixture(scope="session")

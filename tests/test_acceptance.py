@@ -13,7 +13,7 @@ from scipy.linalg import expm
 import spinaep as sa
 from spinaep.cli import main
 
-from conftest import EXHIBIT, EXHIBIT_SIZES, GRID_POINTS, chain_ensemble, chain_hamiltonian, dense_ensemble
+from conftest import EXHIBIT, EXHIBIT_SIZES, GRID_POINTS, chain_ensemble, chain_hamiltonian, chain_rows, dense_ensemble
 from oracles import classical_chain_entropy_bits, eigenvalue_via_energy
 
 DELTA = EXHIBIT["delta"]
@@ -70,7 +70,7 @@ def test_criterion_04_matrix_exponential_oracle():
     worst = 0.0
     for beta, lam in ((0.7, 0.1), (1.5, 0.3), (3.0, 0.0)):
         h = chain_hamiltonian(6, 1.0, 0.5, lam)
-        ens = sa.gibbs_ensemble(sa.diagonalize(h), beta)
+        ens = sa.gibbs_ensemble(sa.diagonalize(chain_rows(6, 1.0, 0.5, lam)), beta)
         rho = expm(-beta * np.asarray(h, dtype=complex))
         rho /= np.trace(rho).real
         oracle = np.sort(np.linalg.eigvalsh(rho))

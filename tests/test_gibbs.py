@@ -11,7 +11,7 @@ from spinaep import checks
 from spinaep.errors import NumericError
 from spinaep.gibbs import logsumexp
 
-from conftest import GRID_POINTS, chain_ensemble, chain_hamiltonian, dense_ensemble
+from conftest import GRID_POINTS, as_rows, chain_ensemble, chain_hamiltonian, chain_rows, dense_ensemble
 from oracles import eigenvalue_via_energy, thermal_expectation
 
 
@@ -23,11 +23,11 @@ def random_hermitian(dim: int, seed: int) -> np.ndarray:
 
 class TestDiagonalize:
     def test_diagonal_matrix(self):
-        spec = sa.diagonalize(np.diag([-2.0, 2.0]))
+        spec = sa.diagonalize(as_rows(np.diag([-2.0, 2.0])))
         np.testing.assert_allclose(spec.energies, [-2.0, 2.0])
 
     def test_two_by_two_closed_form(self):
-        spec = sa.diagonalize(np.array([[-2.0, -0.3], [-0.3, 2.0]]))
+        spec = sa.diagonalize(as_rows(np.array([[-2.0, -0.3], [-0.3, 2.0]])))
         root = np.sqrt(4.09)
         np.testing.assert_allclose(spec.energies, [-root, root], atol=1e-14)
 
@@ -38,8 +38,15 @@ class TestDiagonalize:
         assert np.abs(rebuilt - h).max() <= 1e-9
 
     def test_energies_ascending(self):
-        spec = sa.diagonalize(random_hermitian(32, seed=1))
+        spec = sa.diagonalize(as_rows(random_hermitian(32, seed=1)))
         assert np.all(np.diff(spec.energies) >= 0)
+
+    @pytest.mark.parametrize("h", [np.diag([-2.0, 2.0]), [[0.0, 1.0], [1.0, 0.0]], sa.Spectrum(np.zeros(2))],
+                             ids=["array", "list", "spectrum"])
+    def test_anything_but_a_row_generator_is_refused(self, h):
+        with pytest.raises(TypeError, match=r"^diagonalize takes the HamiltonianRows of hamiltonian_rows, "
+                                            r"got \w+; the energies of a dense H are numpy\.linalg\.eigvalsh\(h\)$"):
+            sa.diagonalize(h)
 
 
 class TestEigenpairGuards:
@@ -115,18 +122,18 @@ class TestLogSumExp:
 
 class TestGibbsEnsemble:
     def test_zero_hamiltonian_is_maximally_mixed(self):
-        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((8, 8))), beta=3.7)
+        ens = sa.gibbs_ensemble(sa.Spectrum(np.zeros(8)), beta=3.7)
         np.testing.assert_allclose(np.exp(ens.log_weights), np.full(8, 1 / 8), atol=1e-15)
 
     def test_single_site_closed_form(self):
         beta = 1.3
-        ens = sa.gibbs_ensemble(sa.diagonalize(np.diag([-2.0, 2.0])), beta)
+        ens = sa.gibbs_ensemble(sa.Spectrum(np.array([-2.0, 2.0])), beta)
         expected_up = 1.0 / (1.0 + np.exp(-4 * beta))
         assert np.exp(ens.log_weights[0]) == pytest.approx(expected_up, abs=1e-14)
 
     def test_matches_matrix_exponential_oracle(self):
         h = chain_hamiltonian(6, 1.0, 0.5, 0.2)
-        ens = sa.gibbs_ensemble(sa.diagonalize(h), 2.0)
+        ens = sa.gibbs_ensemble(sa.diagonalize(chain_rows(6, 1.0, 0.5, 0.2)), 2.0)
         rho = expm(-2.0 * np.asarray(h, dtype=complex))
         rho /= np.trace(rho).real
         oracle = np.sort(np.linalg.eigvalsh(rho))
@@ -138,15 +145,16 @@ class TestGibbsEnsemble:
 
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError):
-            sa.gibbs_ensemble(sa.diagonalize(np.zeros((2, 2))), 0.0)
+            sa.gibbs_ensemble(sa.Spectrum(np.zeros(2)), 0.0)
 
     def test_unitary_invariance_of_weights(self):
         h = np.asarray(chain_hamiltonian(4, 1.0, 0.5, 0.3), dtype=complex)
         rng = np.random.default_rng(8)
         q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
         rotated = q @ h @ q.conj().T
-        a = np.sort(sa.gibbs_ensemble(sa.diagonalize(h), 1.1).log_weights)
-        b = np.sort(sa.gibbs_ensemble(sa.diagonalize(rotated), 1.1).log_weights)
+        rotated = (rotated + rotated.conj().T) / 2  # exactly Hermitian, as a generator's block must be
+        a = np.sort(sa.gibbs_ensemble(sa.diagonalize(as_rows(h)), 1.1).log_weights)
+        b = np.sort(sa.gibbs_ensemble(sa.diagonalize(as_rows(rotated)), 1.1).log_weights)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -178,12 +186,12 @@ class TestEigenvalueViaEnergy:
 
 class TestEntropy:
     def test_maximally_mixed(self):
-        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((32, 32))), beta=1.0)
+        ens = sa.gibbs_ensemble(sa.Spectrum(np.zeros(32)), beta=1.0)
         assert sa.entropy_bits(ens) == pytest.approx(5.0, abs=1e-12)
 
     def test_single_site_binary_entropy(self):
         beta = 0.8
-        ens = sa.gibbs_ensemble(sa.diagonalize(np.diag([-2.0, 2.0])), beta)
+        ens = sa.gibbs_ensemble(sa.Spectrum(np.array([-2.0, 2.0])), beta)
         p = 1.0 / (1.0 + np.exp(-4 * beta))
         expected = -p * np.log2(p) - (1 - p) * np.log2(1 - p)
         assert sa.entropy_bits(ens) == pytest.approx(expected, abs=1e-12)
@@ -237,14 +245,14 @@ class TestCharacteristicFunction:
             assert sa.characteristic_function(ens, 0.0) == 1.0 + 0.0j
 
     def test_zero_hamiltonian_constant(self):
-        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((8, 8))), beta=1.0)
+        ens = sa.gibbs_ensemble(sa.Spectrum(np.zeros(8)), beta=1.0)
         for tau in (0.0, 0.3, 2.0, -11.0):
             assert sa.characteristic_function(ens, tau) == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
     def test_matches_matrix_exponential_oracle(self):
         beta, tau = 2.0, 0.7
         h = chain_hamiltonian(6, 1.0, 0.5, 0.2)
-        ens = sa.gibbs_ensemble(sa.diagonalize(h), beta)
+        ens = sa.gibbs_ensemble(sa.diagonalize(chain_rows(6, 1.0, 0.5, 0.2)), beta)
         h = np.asarray(h, dtype=complex)
         rho = expm(-beta * h)
         rho /= np.trace(rho).real
@@ -262,7 +270,7 @@ class TestCharacteristicFunction:
 class TestThermoDensities:
     def test_zero_hamiltonian_closed_forms(self):
         beta = 1.7
-        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((16, 16))), beta=beta)
+        ens = sa.gibbs_ensemble(sa.Spectrum(np.zeros(16)), beta=beta)
         densities = sa.thermo_densities(ens)
         assert densities.f == pytest.approx(-np.log(2) / beta, abs=1e-14)
         assert densities.g == pytest.approx(0.0, abs=1e-14)
@@ -270,7 +278,7 @@ class TestThermoDensities:
 
     def test_single_site_closed_forms(self):
         beta = 0.9
-        ens = sa.gibbs_ensemble(sa.diagonalize(np.diag([-2.0, 2.0])), beta)
+        ens = sa.gibbs_ensemble(sa.Spectrum(np.array([-2.0, 2.0])), beta)
         densities = sa.thermo_densities(ens)
         xi = np.exp(2 * beta) + np.exp(-2 * beta)
         p = np.exp(2 * beta) / xi
@@ -376,7 +384,7 @@ class TestSpectrumValidation:
 
     @pytest.mark.parametrize("energies", [[], [0.0], [0.0, 1.0, 2.0]], ids=["empty", "one-state", "three-states"])
     def test_spectrum_of_other_than_2_to_the_n_states_is_refused(self, energies):
-        spectrum = sa.diagonalize(np.diag(np.array(energies)))
+        spectrum = sa.Spectrum(np.array(energies))
         with pytest.raises(ValueError, match=rf"a spectrum of {len(energies)} states is not one of 2\*\*n states with n >= 1"):
             sa.gibbs_ensemble(spectrum, 1.0)
 
@@ -387,5 +395,5 @@ class TestSpectrumValidation:
 
     def test_nan_input_rejected(self):
         bad = np.diag([np.nan, 1.0])
-        with pytest.raises(NumericError):
-            sa.diagonalize(bad)
+        with pytest.raises(ValueError, match="^block 0 has a non-finite entry$"):
+            sa.diagonalize(as_rows(bad))

@@ -364,8 +364,12 @@ class TestMalformedBlocks:
         ([(np.eye(2), [(0,)]), (np.array([[0, 1j], [0, 0]]), [(1,)])], "block 1 is not exactly Hermitian"),
         ([(np.array([[1j, 0], [0, 0]]), [(0,)])], "block 0 is not exactly Hermitian"),
         ([(np.array([[0.0, 1.0], [np.nextafter(1.0, 2.0), 0.0]]), [(0,)])], "block 0 is not exactly Hermitian"),
+        ([(np.eye(2), [(0,)]), (np.diag([np.nan, 0.0]), [(1,)])], "block 1 has a non-finite entry"),
+        ([(np.diag([np.inf, 0.0]), [(0,)])], "block 0 has a non-finite entry"),
+        ([(np.array([[0, complex(0, np.inf)], [complex(0, -np.inf), 0]]), [(0,)])],
+         "block 0 has a non-finite entry"),
     ], ids=["empty", "second-too-small", "too-large", "too-small", "vector", "repeated-site",
-            "upper-only", "imaginary-diagonal", "one-ulp"])
+            "upper-only", "imaginary-diagonal", "one-ulp", "nan", "inf", "imaginary-inf"])
     def test_refused_with_its_index(self, blocks, message):
         refusal, peak = traced_peak(lambda: pytest.raises(ValueError, sa.HamiltonianRows, sa.chain(8), blocks))
         refusal.match(re.escape(message))
@@ -433,6 +437,20 @@ class TestGeneratedRows:
     def test_generic_models(self, data):
         model, volume, boundary = data.draw(generic_models())
         assert_rows_match_references(model, volume, boundary, seed=data.draw(st.integers(0, 99)))
+
+    @pytest.mark.parametrize("index", [
+        np.arange(-1, 1023), np.arange(1, 1025), np.ones(1024, dtype=bool), np.arange(1024.0),
+    ], ids=["negative", "past-the-end", "bool", "float"])
+    def test_index_outside_the_integers_of_the_rows_is_refused(self, index):
+        # a 1024-row answer would take 8 MiB; at -1 it would wrap row -1 into row 0
+        rows = sa.hamiltonian_rows(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(10), ALL_UP)
+        refusal, peak = traced_peak(lambda: pytest.raises(IndexError, rows.rows, index))
+        refusal.match(re.escape("row indices must be integers in [0, 1024)"))
+        assert peak < 64 * 1024
+
+    def test_empty_index_gives_no_rows(self):
+        rows = sa.hamiltonian_rows(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(3), ALL_UP)
+        assert rows.rows([]).shape == (0, 8)
 
 
 NEEL = sa.GroundStateConfig((2,), (+1, -1))

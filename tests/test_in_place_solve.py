@@ -2,13 +2,12 @@
 
 Each route's buffer is handed to LAPACK ?syevd or ?heevd (``JOBZ='N'``,
 ``UPLO='L'``) through ``gibbs._eigvalsh_lower``, which overwrites its lower
-triangle. The energies must be numpy's bit for bit, the upper triangle must
-come back untouched, and a caller's matrix must never be written.
+triangle. The energies must be numpy's bit for bit, and the upper triangle
+must come back untouched.
 """
 
 import errno
 import mmap
-import re
 
 import numpy as np
 import pytest
@@ -17,22 +16,14 @@ import spinaep as sa
 from spinaep import _arrays, checks, gibbs
 from spinaep.cli import EXIT_NUMERIC, main
 from spinaep.errors import NumericError
-from conftest import IN_PLACE, record_buffers, record_solves, rss_growth, traced_peak
+from conftest import IN_PLACE, record_solves, rss_growth
 from oracles import parity_blocks
 from test_parity_sectors import (ALL_UP, block_shapes, chain_rows_setup, golden_model,
                                  real_form_resident_bytes, symmetric_complex_model)
 
 SIZES = (1, 2, 5, 64, 300)
-# past the reader of a caller's matrix, every solve is of one of these
+# every solve is of one of these
 DTYPES = (np.float64, np.complex128)
-# long double is double on some platforms, and then it is read like float64
-LONG_DOUBLE = pytest.mark.skipif(np.dtype(np.longdouble).itemsize == 8,
-                                 reason="long double is double precision here")
-
-
-def eigenpairs(h) -> sa.Spectrum:
-    """The spectrum from ``checks._eigenpairs``, which reads ``h`` as ``diagonalize`` does."""
-    return checks._eigenpairs(h)[0]
 
 
 def random_matrix(n: int, dtype, seed: int = 0) -> np.ndarray:
@@ -130,15 +121,15 @@ def test_nan_through_diagonalize_is_a_numeric_error(monkeypatch):
 @pytest.mark.parametrize("model", [sa.preset_tfim(0.7, 0.5, 0.2), symmetric_complex_model()],
                          ids=["real", "complex"])
 def test_odd_block_survives_the_even_solve(model):
-    h = sa.assemble_hamiltonian(model, sa.chain(7), ALL_UP)
-    even, odd = parity_blocks(h)
-    buffer, n_odd, _, _ = gibbs._row_pass(gibbs._DenseRows(h), conjugate=False)
+    rows = sa.hamiltonian_rows(model, sa.chain(7), ALL_UP)
+    even, odd = parity_blocks(rows.dense())
+    buffer, n_odd, _, _ = gibbs._row_pass(rows, conjugate=False)
     assert buffer.flags.f_contiguous and n_odd == odd.shape[0]
     upper = np.triu(buffer, 1)
     assert gibbs._eigvalsh_lower(buffer).tobytes() == np.linalg.eigvalsh(even).tobytes()
     assert np.triu(buffer, 1).tobytes() == upper.tobytes()
     # a fresh buffer through both solves: the odd block is copied down in between
-    buffer, n_odd, _, _ = gibbs._row_pass(gibbs._DenseRows(h), conjugate=False)
+    buffer, n_odd, _, _ = gibbs._row_pass(rows, conjugate=False)
     expected = np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
     assert gibbs._eigenvalues(buffer, n_odd).tobytes() == expected.tobytes()
 
@@ -175,143 +166,10 @@ def test_every_route_matches_the_eigenpairs(route, monkeypatch):
     if route.startswith("full solve"):
         # H itself: its row-major memory read column-major would be conj(H)
         assert np.array_equal(calls[0], h)
+        # so a dense H's energies are numpy.linalg.eigvalsh's
+        assert energies.tobytes() == np.linalg.eigvalsh(h).tobytes()
     dense = checks._eigenpairs(h)[0].energies
     assert np.abs(energies - dense).max() <= 1e-12 * np.abs(dense).max()
-
-
-@pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("route", sorted(ROUTES))
-def test_caller_matrix_is_left_byte_identical(route, order):
-    model, volume, boundary = ROUTES[route]
-    h = np.array(sa.assemble_hamiltonian(model, volume, boundary), order=order)
-    before = h.tobytes()
-    energies = sa.diagonalize(h).energies
-    assert h.tobytes() == before
-    assert h.flags.writeable
-    # the caller's matrix takes the generator's route, in either layout
-    rows = sa.hamiltonian_rows(model, volume, boundary)
-    assert energies.tobytes() == sa.diagonalize(rows).energies.tobytes()
-    if route.startswith("full solve"):
-        assert energies.tobytes() == np.linalg.eigvalsh(h).tobytes()
-
-
-def widened(h: np.ndarray) -> np.ndarray:
-    """``h`` as the solvers read it: float64, or complex128 if complex."""
-    return h.astype(np.promote_types(h.dtype, np.float64))
-
-
-@pytest.mark.parametrize("dtype", [np.complex128, np.float32, np.int64, np.bool_],
-                         ids=lambda d: np.dtype(d).name)
-def test_caller_matrix_is_copied_once(dtype, monkeypatch):
-    # the one copy is the full solve's mapped buffer, which tracemalloc does
-    # not see; a widened or a dense copy of the matrix, 2 or 4 MB, would show
-    a = random_matrix(500, np.complex128 if np.dtype(dtype).kind == "c" else np.float64, seed=5)
-    h = np.asfortranarray((a + a.conj().T).astype(dtype))
-    expected = np.linalg.eigvalsh(widened(h))
-    buffers = record_buffers(monkeypatch)
-    energies, peak = traced_peak(lambda: sa.diagonalize(h).energies)
-    assert energies.tobytes() == expected.tobytes()
-    assert [shape for shape, _ in buffers] == [h.shape]
-    assert peak <= 4 * _arrays.CHUNK_BYTES
-
-
-@pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2), (4,)])
-def test_caller_matrix_that_is_not_square_is_refused(shape):
-    with pytest.raises(ValueError, match=re.escape(f"h must be a square matrix, got shape {shape}")):
-        sa.diagonalize(np.zeros(shape))
-
-
-@pytest.mark.parametrize("solve", [sa.diagonalize, eigenpairs], ids=["diagonalize", "eigenpairs"])
-@pytest.mark.parametrize("shape", [(4, 7), (4,), (0, 0)], ids=["wide", "vector", "empty"])
-def test_both_solvers_read_a_caller_matrix_alike(solve, shape):
-    if shape == (0, 0):
-        assert solve(np.zeros(shape)).dim == 0
-    else:
-        with pytest.raises(ValueError, match=re.escape(f"h must be a square matrix, got shape {shape}")):
-            solve(np.zeros(shape))
-
-
-def narrow_matrices() -> dict[str, np.ndarray]:
-    """Hermitian matrices the solvers widen: random ones and the 6-site TFIM H.
-
-    The TFIM H commutes with bit reversal bit for bit, and so does each
-    narrow form of it, entry by entry, so each takes the parity blocks.
-    """
-    tfim = sa.assemble_hamiltonian(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(6), ALL_UP)
-    quarters = np.rint(4 * tfim)  # integers from -40 to 24
-    matrices = {
-        "tfim-bool": quarters != 0,
-        "tfim-int8": quarters.astype(np.int8),
-        "tfim-uint16": (quarters - quarters.min()).astype(np.uint16),
-        "tfim-int64": quarters.astype(np.int64),
-        "tfim-float16": tfim.astype(np.float16),
-        "tfim-float32": tfim.astype(np.float32),
-    }
-    for dtype in (np.float16, np.float32, np.complex64):
-        a = random_matrix(16, dtype, seed=3)
-        matrices[f"random-{np.dtype(dtype).name}"] = (a + a.conj().T) / 2
-    return matrices
-
-
-NARROW = narrow_matrices()
-
-
-@pytest.mark.parametrize("name", sorted(NARROW))
-def test_narrow_dtypes_are_solved_as_their_double_widening(name, monkeypatch):
-    h = NARROW[name]
-    before = h.tobytes()
-    wide = widened(h)
-    calls = record_solves(monkeypatch)
-    energies = sa.diagonalize(h).energies
-    narrow_solves = [(c.dtype, c.shape) for c in calls]
-    calls.clear()
-    assert energies.tobytes() == sa.diagonalize(wide).energies.tobytes()
-    # the route of the widened matrix: the parity blocks for the TFIM H
-    assert narrow_solves == [(c.dtype, c.shape) for c in calls]
-    assert eigenpairs(h).energies.tobytes() == eigenpairs(wide).energies.tobytes()
-    assert h.tobytes() == before
-
-
-def refused_matrices() -> list:
-    """4 x 4 matrices of dtypes the solvers refuse, the long-double ones where it is wider."""
-    eye = np.eye(4)
-    return [
-        pytest.param(eye.astype(np.longdouble), id="longdouble", marks=LONG_DOUBLE),
-        pytest.param(eye.astype(np.clongdouble), id="clongdouble", marks=LONG_DOUBLE),
-        pytest.param(eye.astype(object), id="object"),
-        pytest.param(eye.astype(str), id="str"),
-    ]
-
-
-@pytest.mark.parametrize("solve", [sa.diagonalize, eigenpairs], ids=["diagonalize", "eigenpairs"])
-@pytest.mark.parametrize("h", refused_matrices())
-def test_other_dtypes_are_refused_by_both_solvers(solve, h):
-    with pytest.raises(TypeError, match=re.escape(f"h of dtype {h.dtype} does not cast safely")):
-        solve(h)
-
-
-@LONG_DOUBLE
-def test_long_double_is_refused_before_an_allocation():
-    # the 10-site TFIM H in long double: 16 MiB, and its float64 copy 8 MiB
-    h = sa.assemble_hamiltonian(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(10), ALL_UP)
-    h = h.astype(np.longdouble)
-    refusal, peak = traced_peak(lambda: pytest.raises(TypeError, sa.diagonalize, h))
-    refusal.match(re.escape(f"h of dtype {h.dtype} does not cast safely"))
-    assert peak < 64 * 1024
-
-
-@pytest.mark.parametrize("solve", [
-    gibbs._solve_matrices, lambda h: checks._check_in_place_solve("full solve", h),
-], ids=["_solve_matrices", "_check_in_place_solve"])
-@pytest.mark.parametrize("h, error, message", [
-    (np.zeros((2, 3)), ValueError, "h must be a square matrix, got shape (2, 3)"),
-    (np.eye(4).astype(object), TypeError, "h of dtype object does not cast safely"),
-], ids=["not-square", "object"])
-def test_the_solve_reads_a_caller_matrix_itself(solve, h, error, message):
-    # diagonalize and spinaep check hand a caller's matrix to the solve as given
-    refusal, peak = traced_peak(lambda: pytest.raises(error, solve, h))
-    refusal.match(re.escape(message))
-    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -324,14 +182,6 @@ def test_fallback_gives_the_same_energies(route, no_lapack_symbols, monkeypatch)
     monkeypatch.undo()
     assert gibbs._lapack_solver(rows.dtype) is not None
     assert fallback.tobytes() == sa.diagonalize(rows).energies.tobytes()
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.int64], ids=lambda d: np.dtype(d).name)
-def test_fallback_solves_a_widened_copy(dtype, no_lapack_symbols):
-    h = NARROW[f"tfim-{np.dtype(dtype).name}"]
-    before = h.tobytes()
-    assert sa.diagonalize(h).energies.tobytes() == sa.diagonalize(widened(h)).energies.tobytes()
-    assert h.tobytes() == before
 
 
 def test_fallback_solves_a_copy(no_lapack_symbols):

@@ -5,7 +5,8 @@ A Hamiltonian that commutes bit for bit with the bit-reversal permutation
 buffer and each valid in the lower triangle that the solve reads. A
 complex one with ``R H R == conj(H)`` bit for bit is solved as one real
 symmetric matrix, written in its lower triangle only. Every other matrix
-takes one full solve of its lower triangle. Which route ran is read from
+takes one full solve of its lower triangle. A dense H is solved as the
+generator :func:`conftest.as_rows` makes of it. Which route ran is read from
 the matrices that the solves are given: copies of a route's buffer taken
 before the in-place solve overwrites it.
 """
@@ -21,7 +22,7 @@ import spinaep as sa
 from spinaep import checks, gibbs
 from spinaep._arrays import CHUNK_BYTES, chunk_rows
 from spinaep.hamiltonian import _bit_patterns
-from conftest import IN_PLACE, record_buffers, record_solves, rss_growth, traced_peak
+from conftest import IN_PLACE, as_rows, record_buffers, record_solves, rss_growth, traced_peak
 from oracles import bit_reversal, loop_assemble, parity_blocks, real_form
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -97,7 +98,7 @@ def assert_lower_triangles_match_the_oracle(calls: list[np.ndarray], blocks: lis
 
 
 def assert_blocks_match_dense(h: np.ndarray, calls: list[np.ndarray], n_sites: int) -> None:
-    energies = sa.diagonalize(h).energies
+    energies = sa.diagonalize(as_rows(h)).energies
     assert [c.shape for c in calls] == block_shapes(n_sites)
     assert_lower_triangles_match_the_oracle(calls, parity_blocks(h))
     dense = checks._eigenpairs(h)[0].energies
@@ -118,7 +119,7 @@ def test_symmetric_complex_chain_blocks_match_the_dense_route(n_sites, eigvalsh_
 
 
 def assert_real_form_matches_dense(h: np.ndarray, calls: list[np.ndarray]) -> None:
-    energies = sa.diagonalize(h).energies
+    energies = sa.diagonalize(as_rows(h)).energies
     assert [(c.dtype, c.shape) for c in calls] == [(np.float64, h.shape)]
     assert_lower_triangles_match_the_oracle(calls, [real_form(h)])
     dense = checks._eigenpairs(h)[0].energies
@@ -126,7 +127,7 @@ def assert_real_form_matches_dense(h: np.ndarray, calls: list[np.ndarray]) -> No
 
 
 def assert_full_solve(h: np.ndarray, calls: list[np.ndarray]) -> None:
-    sa.diagonalize(h)
+    sa.diagonalize(as_rows(h))
     assert [(c.dtype, c.shape) for c in calls] == [(h.dtype, h.shape)]
 
 
@@ -193,12 +194,12 @@ def test_models_without_the_symmetry_take_the_full_solve(case, volume, eigvalsh_
 ])
 def test_tfim_chain_with_inexact_couplings_takes_the_parity_blocks(J, h_field, n_sites, eigvalsh_calls):
     # the diagonal sums these couplings in an order that mirroring keeps
-    h = sa.assemble_hamiltonian(sa.preset_tfim(J, h_field, 0.2), sa.chain(n_sites), ALL_UP)
+    rows = sa.hamiltonian_rows(sa.preset_tfim(J, h_field, 0.2), sa.chain(n_sites), ALL_UP)
     if n_sites > 10:
-        sa.diagonalize(h)
+        sa.diagonalize(rows)
         assert [c.shape for c in eigvalsh_calls] == block_shapes(n_sites)
     else:
-        assert_blocks_match_dense(h, eigvalsh_calls, n_sites)
+        assert_blocks_match_dense(rows.dense(), eigvalsh_calls, n_sites)
 
 
 @pytest.mark.parametrize("n_sites", range(13))
@@ -217,7 +218,7 @@ def test_one_mirrored_entry_moved_by_one_ulp_takes_the_full_solve(eigvalsh_calls
     assert h[s, t] != 0
     h[s, t] = h[t, s] = np.nextafter(h[s, t], np.inf)
     assert np.array_equal(h, h.T)
-    sa.diagonalize(h)
+    sa.diagonalize(as_rows(h))
     assert [c.shape for c in eigvalsh_calls] == [h.shape]
 
 
@@ -227,13 +228,13 @@ def test_one_diagonal_entry_in_the_last_rows_moved_by_one_ulp_takes_the_full_sol
     h = sa.assemble_hamiltonian(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(n_sites), ALL_UP)
     s = np.flatnonzero(np.arange(1 << n_sites) < bit_reversal(n_sites))[-1]
     h[s, s] = np.nextafter(h[s, s], np.inf)
-    sa.diagonalize(h)
+    sa.diagonalize(as_rows(h))
     assert [c.shape for c in eigvalsh_calls] == [h.shape]
 
 
-@pytest.mark.parametrize("h", [np.eye(3), np.diag([0.0, 1.0])], ids=["odd-dimension", "one-qubit"])
+@pytest.mark.parametrize("h", [np.diag([0.0, 1.0])], ids=["one-qubit"])
 def test_matrices_outside_the_block_rule_take_the_full_solve(h, eigvalsh_calls):
-    np.testing.assert_array_equal(sa.diagonalize(h).energies, np.linalg.eigvalsh(h))
+    np.testing.assert_array_equal(sa.diagonalize(as_rows(h)).energies, np.linalg.eigvalsh(h))
     assert eigvalsh_calls[0].shape == h.shape
 
 
@@ -315,7 +316,7 @@ def test_random_chains_take_the_route_of_their_symmetry(case):
     kind, h = case
     with pytest.MonkeyPatch.context() as monkeypatch:
         calls = record_solves(monkeypatch)
-        energies = sa.diagonalize(h).energies
+        energies = sa.diagonalize(as_rows(h)).energies
     n_sites = h.shape[0].bit_length() - 1
     # the solver reads the lower triangle: the parity blocks' and the real
     # form's must be the oracle's, and a full solve's H's own
@@ -349,8 +350,8 @@ def test_generator_without_the_plain_symmetry_tries_the_conjugate_test(monkeypat
     energies = sa.diagonalize(rows).energies
     assert passes == [(False, False), (True, True)]
     assert [(c.dtype, c.shape) for c in eigvalsh_calls] == [(np.float64, (128, 128))]
-    np.testing.assert_array_equal(energies, sa.diagonalize(sa.assemble_hamiltonian(
-        model, sa.chain(7), boundary)).energies)
+    np.testing.assert_array_equal(energies, sa.diagonalize(as_rows(sa.assemble_hamiltonian(
+        model, sa.chain(7), boundary))).energies)
 
 
 class NudgedRows(sa.HamiltonianRows):
@@ -408,7 +409,7 @@ def test_generator_failing_in_its_last_rows_frees_its_blocks_before_the_full_sol
     # the parity buffer is freed before the full solve's is mapped
     assert [shape for shape, _ in buffers] == [block_shapes(n_sites)[0], h.shape] and live == [[], []]
     assert peak < 5 * CHUNK_BYTES
-    np.testing.assert_array_equal(sa.diagonalize(nudged).energies, sa.diagonalize(h).energies)
+    np.testing.assert_array_equal(sa.diagonalize(nudged).energies, sa.diagonalize(as_rows(h)).energies)
 
 
 def test_generator_of_the_even_neel_dm_chain_takes_the_full_solve(eigvalsh_calls):
@@ -416,8 +417,8 @@ def test_generator_of_the_even_neel_dm_chain_takes_the_full_solve(eigvalsh_calls
     rows = sa.hamiltonian_rows(model, sa.chain(6), boundary)
     energies = sa.diagonalize(rows).energies
     assert [(c.dtype, c.shape) for c in eigvalsh_calls] == [(np.complex128, (64, 64))]
-    np.testing.assert_array_equal(energies, sa.diagonalize(sa.assemble_hamiltonian(
-        model, sa.chain(6), boundary)).energies)
+    np.testing.assert_array_equal(energies, sa.diagonalize(as_rows(sa.assemble_hamiltonian(
+        model, sa.chain(6), boundary))).energies)
 
 
 def cancelling_model() -> sa.Interaction:
@@ -435,7 +436,7 @@ def test_generator_whose_imaginary_parts_cancel_takes_the_real_parity_blocks(eig
     assert rows.dtype == np.float64 and h.dtype == np.float64
     energies = sa.diagonalize(rows).energies
     assert [(c.dtype, c.shape) for c in eigvalsh_calls] == [(np.float64, s) for s in block_shapes(7)]
-    np.testing.assert_array_equal(energies, sa.diagonalize(h).energies)
+    np.testing.assert_array_equal(energies, sa.diagonalize(as_rows(h)).energies)
 
 
 @pytest.mark.parametrize("case", ["dm", "symmetric complex", "cancelling"])

@@ -13,7 +13,7 @@ def lln_residual(ens, t):
 
 class TestTypicalSubspace:
     def test_zero_hamiltonian_full_window(self):
-        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((32, 32))), beta=1.0)
+        ens = sa.gibbs_ensemble(sa.Spectrum(np.zeros(32)), beta=1.0)
         sub = sa.typical_subspace(ens, h_ref=1.0, delta=0.2)
         assert sub.dim == 32
         assert sub.mass == pytest.approx(1.0, abs=1e-12)
@@ -36,13 +36,13 @@ class TestTypicalSubspace:
         assert sub.mass == pytest.approx(mass, abs=1e-12)
 
     def test_delta_must_be_positive(self):
-        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((4, 4))), beta=1.0)
+        ens = sa.gibbs_ensemble(sa.Spectrum(np.zeros(4)), beta=1.0)
         with pytest.raises(ValueError):
             sa.typical_subspace(ens, 1.0, 0.0)
 
     @pytest.mark.parametrize("h_ref", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_h_ref_must_be_finite(self, h_ref):
-        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((4, 4))), beta=1.0)
+        ens = sa.gibbs_ensemble(sa.Spectrum(np.zeros(4)), beta=1.0)
         with pytest.raises(ValueError, match="h_ref must be finite"):
             sa.typical_subspace(ens, h_ref, 0.2)
 
@@ -58,7 +58,7 @@ class TestTypicalSubspace:
 
 class TestMassCurve:
     def test_free_family_is_constant_one(self):
-        family = [sa.gibbs_ensemble(sa.diagonalize(np.zeros((2**n, 2**n))), beta=2.0) for n in (2, 3, 4)]
+        family = [sa.gibbs_ensemble(sa.Spectrum(np.zeros(2**n)), beta=2.0) for n in (2, 3, 4)]
         masses = [sa.typical_subspace(e, 1.0, 0.2).mass for e in family]
         np.testing.assert_allclose(masses, 1.0, atol=1e-12)
 
@@ -75,7 +75,7 @@ class TestMassCurve:
 
 class TestDimensionRate:
     def test_zero_hamiltonian_rate_one(self):
-        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((64, 64))), beta=1.0)
+        ens = sa.gibbs_ensemble(sa.Spectrum(np.zeros(64)), beta=1.0)
         sub = sa.typical_subspace(ens, 1.0, 0.1)
         assert sa.dimension_rate(sub) == pytest.approx(1.0)
 
@@ -127,17 +127,17 @@ class TestBestRateMass:
         ens = chain_ensemble(5, 1.0, 0.5, 0.2, beta=1.0)
         assert sa.best_rate_mass(ens, 1e300) == sa.best_rate_mass(ens, 1.0)
         assert sa.best_rate_mass(ens, 1e300) == pytest.approx(1.0, abs=1e-12)
-        free = sa.gibbs_ensemble(sa.diagonalize(np.zeros((8, 8))), beta=1.0)
+        free = sa.gibbs_ensemble(sa.Spectrum(np.zeros(8)), beta=1.0)
         assert sa.best_rate_mass(free, 1e300) == 1.0
         assert sa.best_rate_mass(ens, np.inf) == sa.best_rate_mass(ens, 1.0)
 
     def test_negative_rate_rejected(self):
-        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((4, 4))), beta=1.0)
+        ens = sa.gibbs_ensemble(sa.Spectrum(np.zeros(4)), beta=1.0)
         with pytest.raises(ValueError):
             sa.best_rate_mass(ens, -0.1)
 
     def test_nan_rate_rejected(self):
-        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((4, 4))), beta=1.0)
+        ens = sa.gibbs_ensemble(sa.Spectrum(np.zeros(4)), beta=1.0)
         with pytest.raises(ValueError, match="rate must be >= 0, got nan"):
             sa.best_rate_mass(ens, np.nan)
 
@@ -148,7 +148,7 @@ class TestLlnResidual:
             assert lln_residual(ens, 0.0) == 0.0
 
     def test_zero_hamiltonian_is_zero_everywhere(self):
-        ens = sa.gibbs_ensemble(sa.diagonalize(np.zeros((16, 16))), beta=1.0)
+        ens = sa.gibbs_ensemble(sa.Spectrum(np.zeros(16)), beta=1.0)
         for t in (0.0, 0.5, 3.0):
             assert lln_residual(ens, t) <= 1e-14
 
