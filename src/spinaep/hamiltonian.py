@@ -81,7 +81,9 @@ class HamiltonianRows:
     H[s, s]`` bit for bit however the couplings round. The diagonal of a
     Hermitian block is real. Each block must be finite, exactly Hermitian
     and ``2^k x 2^k`` on ``k`` distinct sites; the first that is not raises
-    ``ValueError`` before any table is allocated. Rows are float64 when
+    ``ValueError`` before any table is allocated, and one of a dtype that
+    does not cast safely to complex128 raises ``TypeError``, so a long
+    double is never rounded. Rows are float64 when
     every generated row is real, else complex: when some block has an
     imaginary part, the rows are scanned once here, up to the first chunk
     with an imaginary entry. The generator's key table holds ``blocks *
@@ -101,6 +103,8 @@ class HamiltonianRows:
                 raise ValueError(f"block {t} names a site twice")
             if block.shape != (1 << k, 1 << k):
                 raise ValueError(f"block {t} on {k} sites must be {1 << k} x {1 << k}, got shape {block.shape}")
+            if not np.can_cast(block.dtype, complex):
+                raise TypeError(f"block {t} of dtype {block.dtype} does not cast safely to complex128")
             if not np.isfinite(block).all():
                 raise ValueError(f"block {t} has a non-finite entry")
             if not np.array_equal(block, block.conj().T):

@@ -8,6 +8,7 @@ must come back untouched.
 
 import errno
 import mmap
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import spinaep as sa
 from spinaep import _arrays, checks, gibbs
 from spinaep.cli import EXIT_NUMERIC, main
 from spinaep.errors import NumericError
-from conftest import IN_PLACE, record_solves, rss_growth
+from conftest import IN_PLACE, as_rows, record_buffers, record_solves, rss_growth, traced_peak
 from oracles import parity_blocks
 from test_parity_sectors import (ALL_UP, block_shapes, chain_rows_setup, golden_model,
                                  real_form_resident_bytes, symmetric_complex_model)
@@ -24,6 +25,14 @@ from test_parity_sectors import (ALL_UP, block_shapes, chain_rows_setup, golden_
 SIZES = (1, 2, 5, 64, 300)
 # every solve is of one of these
 DTYPES = (np.float64, np.complex128)
+# long double is double on some platforms, and then it casts safely
+LONG_DOUBLE = pytest.mark.skipif(np.dtype(np.longdouble).itemsize == 8,
+                                 reason="long double is double precision here")
+
+
+def eigenpairs(h) -> sa.Spectrum:
+    """The spectrum from ``checks._eigenpairs``, which hands ``h`` to ``numpy.linalg.eigh`` as given."""
+    return checks._eigenpairs(h)[0]
 
 
 def random_matrix(n: int, dtype, seed: int = 0) -> np.ndarray:
@@ -172,6 +181,143 @@ def test_every_route_matches_the_eigenpairs(route, monkeypatch):
     assert np.abs(energies - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_caller_matrix_is_left_byte_identical(route, order):
+    # a caller's dense H enters as the one block of a generator
+    model, volume, boundary = ROUTES[route]
+    h = np.array(sa.assemble_hamiltonian(model, volume, boundary), order=order)
+    before = h.tobytes()
+    energies = sa.diagonalize(as_rows(h)).energies
+    assert h.tobytes() == before
+    assert h.flags.writeable
+    # and takes the model generator's route, in either layout
+    rows = sa.hamiltonian_rows(model, volume, boundary)
+    assert energies.tobytes() == sa.diagonalize(rows).energies.tobytes()
+    if route.startswith("full solve"):
+        assert energies.tobytes() == np.linalg.eigvalsh(h).tobytes()
+
+
+def widened(h: np.ndarray) -> np.ndarray:
+    """``h`` as a generator holds it: float64, or complex128 if complex."""
+    return h.astype(np.promote_types(h.dtype, np.float64))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float32, np.int64, np.bool_],
+                         ids=lambda d: np.dtype(d).name)
+def test_caller_matrix_is_copied_once(dtype, monkeypatch):
+    # the one copy is the generator's value table, widened; the solve adds
+    # mapped buffers, which tracemalloc does not see, and row chunks
+    a = random_matrix(512, np.complex128 if np.dtype(dtype).kind == "c" else np.float64, seed=5)
+    s = a + a.conj().T
+    # a matrix of ones would commute with bit reversal: the signs make a bool H that does not
+    h = np.asfortranarray(s > 0 if dtype is np.bool_ else s.astype(dtype))
+    rows = as_rows(h)
+    assert rows._values.nbytes == widened(h).nbytes
+    expected = np.linalg.eigvalsh(widened(h))
+    buffers = record_buffers(monkeypatch)
+    energies, peak = traced_peak(lambda: sa.diagonalize(rows).energies)
+    assert energies.tobytes() == expected.tobytes()
+    # the parity test gives up on the even block's buffer, and a complex H's
+    # real form on its own; then the full solve maps H's
+    tried = [block_shapes(9)[0]] + [h.shape] * (h.dtype.kind == "c")
+    assert [shape for shape, _ in buffers] == tried + [h.shape]
+    assert peak < 5 * _arrays.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2), (4,)])
+def test_caller_matrix_that_is_not_square_is_refused(shape):
+    h = np.zeros(shape)
+    with pytest.raises(TypeError, match="diagonalize takes the HamiltonianRows of hamiltonian_rows"):
+        sa.diagonalize(h)
+    # nor is it a generator's block
+    volume = sa.chain(1)
+    with pytest.raises(ValueError, match=re.escape(f"block 0 on 1 sites must be 2 x 2, got shape {shape}")):
+        sa.HamiltonianRows(volume, [(h, volume.sites)])
+
+
+def narrow_matrices() -> dict[str, np.ndarray]:
+    """Hermitian matrices a generator widens: random ones and the 6-site TFIM H.
+
+    The TFIM H commutes with bit reversal bit for bit, and so does each
+    narrow form of it, entry by entry, so each takes the parity blocks.
+    """
+    tfim = sa.assemble_hamiltonian(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(6), ALL_UP)
+    quarters = np.rint(4 * tfim)  # integers from -40 to 24
+    matrices = {
+        "tfim-bool": quarters != 0,
+        "tfim-int8": quarters.astype(np.int8),
+        "tfim-uint16": (quarters - quarters.min()).astype(np.uint16),
+        "tfim-int64": quarters.astype(np.int64),
+        "tfim-float16": tfim.astype(np.float16),
+        "tfim-float32": tfim.astype(np.float32),
+    }
+    for dtype in (np.float16, np.float32, np.complex64):
+        a = random_matrix(16, dtype, seed=3)
+        matrices[f"random-{np.dtype(dtype).name}"] = (a + a.conj().T) / 2
+    return matrices
+
+
+NARROW = narrow_matrices()
+
+
+@pytest.mark.parametrize("name", sorted(NARROW))
+def test_narrow_dtypes_are_solved_as_their_double_widening(name, monkeypatch):
+    h = NARROW[name]
+    before = h.tobytes()
+    wide = widened(h)
+    calls = record_solves(monkeypatch)
+    energies = sa.diagonalize(as_rows(h)).energies
+    narrow_solves = [(c.dtype, c.shape) for c in calls]
+    calls.clear()
+    assert energies.tobytes() == sa.diagonalize(as_rows(wide)).energies.tobytes()
+    # the route of the widened matrix: the parity blocks for the TFIM H
+    assert narrow_solves == [(c.dtype, c.shape) for c in calls]
+    if name.startswith("tfim"):
+        assert [shape for _, shape in narrow_solves] == block_shapes(6)
+    assert h.tobytes() == before
+
+
+def refused_matrices() -> list:
+    """4 x 4 matrices of dtypes the solvers refuse, the long-double ones where it is wider."""
+    eye = np.eye(4)
+    return [
+        pytest.param(eye.astype(np.longdouble), id="longdouble", marks=LONG_DOUBLE),
+        pytest.param(eye.astype(np.clongdouble), id="clongdouble", marks=LONG_DOUBLE),
+        pytest.param(eye.astype(object), id="object"),
+        pytest.param(eye.astype(str), id="str"),
+    ]
+
+
+def refusal(h: np.ndarray, solve: str) -> str:
+    """The pattern of the ``TypeError`` that ``solve`` raises for ``h``, which names its dtype."""
+    if solve == "diagonalize":
+        return re.escape(f"block 0 of dtype {h.dtype} does not cast safely to complex128")
+    return f"{re.escape(f'array type {h.dtype} is unsupported')}|{re.escape(repr(h.dtype))}"
+
+
+@pytest.mark.parametrize("solve", ["diagonalize", "eigenpairs"])
+@pytest.mark.parametrize("h", refused_matrices())
+def test_other_dtypes_are_refused_by_both_solvers(solve, h):
+    # diagonalize reads H through a generator, the check's eigenpairs read it as given
+    with pytest.raises(TypeError, match=refusal(h, solve)):
+        if solve == "diagonalize":
+            sa.diagonalize(as_rows(h))
+        else:
+            eigenpairs(h)
+
+
+@LONG_DOUBLE
+def test_long_double_is_refused_before_an_allocation():
+    # the 10-site TFIM H in long double: 16 MiB, and a float64 table of it 8 MiB
+    h = sa.assemble_hamiltonian(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(10), ALL_UP)
+    h = h.astype(np.longdouble)
+    volume = sa.chain(10)
+    refused, peak = traced_peak(lambda: pytest.raises(TypeError, sa.HamiltonianRows, volume, [(h, volume.sites)]))
+    refused.match(refusal(h, "diagonalize"))
+    assert peak < 64 * 1024
+
+
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_fallback_gives_the_same_energies(route, no_lapack_symbols, monkeypatch):
     model, volume, boundary = ROUTES[route]
@@ -189,6 +335,14 @@ def test_fallback_solves_a_copy(no_lapack_symbols):
     before = a.tobytes()
     assert gibbs._eigvalsh_lower(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
     assert a.tobytes() == before
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64], ids=lambda d: np.dtype(d).name)
+def test_fallback_solves_a_widened_copy(dtype, no_lapack_symbols):
+    h = NARROW[f"tfim-{np.dtype(dtype).name}"]
+    before = h.tobytes()
+    assert sa.diagonalize(as_rows(h)).energies.tobytes() == sa.diagonalize(as_rows(widened(h))).energies.tobytes()
+    assert h.tobytes() == before
 
 
 @IN_PLACE

@@ -21,6 +21,7 @@ from spinaep import checks, gibbs
 from spinaep.cli import main
 from spinaep.errors import NumericError
 from spinaep.gibbs import TRACE_IDENTITY_K
+from conftest import as_rows
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EPS = np.finfo(float).eps
@@ -136,6 +137,20 @@ class TestCheck:
             mutated = exact.copy()
             mutated[j] = -exact[j]
             assert check_fails(monkeypatch, rows, np.sort(mutated)), j
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_upper_triangle_perturbed(self, hamiltonian, seed):
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal(hamiltonian.shape)
+        if np.iscomplexobj(hamiltonian):
+            noise = noise + 1j * rng.standard_normal(hamiltonian.shape)
+        scale = np.abs(np.linalg.eigvalsh(hamiltonian)).max()
+        perturbed = hamiltonian + 1e-9 * scale * np.triu(noise, 1)
+        # the solver reads the lower triangle and cannot see the fault
+        np.testing.assert_array_equal(np.linalg.eigvalsh(perturbed), np.linalg.eigvalsh(hamiltonian))
+        # so a generator refuses the matrix before it reaches the solve
+        with pytest.raises(ValueError, match="block 0 is not exactly Hermitian"):
+            as_rows(perturbed)
 
     def test_nan_energies_fail(self, rows, hamiltonian, monkeypatch):
         mutated = np.linalg.eigvalsh(hamiltonian)
