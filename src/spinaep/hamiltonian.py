@@ -1,4 +1,4 @@
-"""Hamiltonians on a finite volume in the product spin basis, row by row or dense.
+"""Hamiltonians on a finite volume in the product spin basis, generated row by row.
 
 Basis layout: a basis index is read as a bitstring over the volume's
 lexicographic site enumeration, first site = most significant bit, with
@@ -136,18 +136,6 @@ class HamiltonianRows:
         if self.dtype == complex and not any(self.rows(chunk).imag.any() for chunk in chunks):
             self.dtype, self._values = np.dtype(float), np.ascontiguousarray(self._values.real)
 
-    def _fill(self, out: np.ndarray, index: np.ndarray, mirror: np.ndarray | None) -> None:
-        """Add the rows ``index`` into the zeroed row-major ``out``, columns permuted by ``mirror``."""
-        keys = self._keys[:, index]  # (blocks, rows)
-        columns, diagonal = index[:, None] + self._steps[keys], index
-        if mirror is not None:
-            columns, diagonal = mirror[columns], mirror[index]
-        columns += np.arange(0, out.size, out.shape[1])[:, None]
-        # one addition per block and entry, the blocks in order
-        np.add.at(out.reshape(-1), columns.reshape(-1), self._values[keys].reshape(-1))
-        ordered = np.sort(self._diagonals[keys], axis=0)
-        out[np.arange(index.size), diagonal] = np.add.accumulate(ordered, axis=0)[-1]
-
     def rows(self, index, mirror: np.ndarray | None = None) -> np.ndarray:
         """``H[index]``, or ``H[index][:, mirror]`` for a permutation ``mirror`` that is its own inverse.
 
@@ -158,17 +146,16 @@ class HamiltonianRows:
             raise IndexError(f"row indices must be integers in [0, {self.shape[0]})")
         index = index.astype(np.intp, copy=False)
         out = np.zeros((index.size, self.shape[1]), dtype=self.dtype)
-        self._fill(out, index, mirror)
+        keys = self._keys[:, index]  # (blocks, rows)
+        columns, diagonal = index[:, None] + self._steps[keys], index
+        if mirror is not None:
+            columns, diagonal = mirror[columns], mirror[index]
+        columns += np.arange(0, out.size, out.shape[1])[:, None]
+        # one addition per block and entry, the blocks in order
+        np.add.at(out.reshape(-1), columns.reshape(-1), self._values[keys].reshape(-1))
+        ordered = np.sort(self._diagonals[keys], axis=0)
+        out[np.arange(index.size), diagonal] = np.add.accumulate(ordered, axis=0)[-1]
         return out
-
-    def dense(self) -> np.ndarray:
-        """The whole matrix, row-major, filled in place in row chunks; each entry takes four arrays."""
-        dim, width = self.shape[0], self._steps.shape[1]
-        h = np.zeros(self.shape, dtype=self.dtype)
-        step = chunk_rows(self._keys.shape[0] * width * (24 + self.dtype.itemsize))
-        for start in range(0, dim, step):
-            self._fill(h[start:start + step], np.arange(start, min(start + step, dim)), None)
-        return h
 
 
 def hamiltonian_rows(
@@ -187,16 +174,14 @@ def assemble_hamiltonian(
 ) -> np.ndarray:
     """Boundary-pinned Hamiltonian on the volume as a dense Hermitian matrix, row-major.
 
-    Sums every instantiated term whose support meets the volume; sites that
-    stick out into the envelope are frozen to the boundary configuration.
-
-    The result equals its conjugate transpose exactly, by construction, so
-    the eigensolvers, which read one triangle, see the whole matrix: each
-    :class:`~spinaep.interaction.LocalTerm` stores an exactly Hermitian
-    quantum part (checked to ``HERMITICITY_TOL``, then symmetrized), freezing
-    keeps a principal sub-block, and the rows add the exact conjugates
-    ``op[a, b]`` and ``op[b, a]`` at mirrored positions in the same term
-    order, so both triangles round alike, and the diagonal is real. No
-    runtime check is made.
+    Every row of :func:`hamiltonian_rows`, so its entries are the solve's
+    bit for bit, and a block the generator refuses is refused here too.
+    Each instantiated term whose support meets the volume is summed; sites
+    that stick out into the envelope are frozen to the boundary
+    configuration. The result equals its conjugate transpose exactly: each
+    block is exactly Hermitian, the rows add the exact conjugates ``op[a,
+    b]`` and ``op[b, a]`` at mirrored positions in the same block order, and
+    the diagonal is real.
     """
-    return hamiltonian_rows(interaction, volume, boundary).dense()
+    rows = hamiltonian_rows(interaction, volume, boundary)
+    return rows.rows(np.arange(rows.shape[0]))

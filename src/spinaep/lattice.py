@@ -170,8 +170,8 @@ def connected_span_size(sites: Iterable[Site]) -> int:
     extras = sorted(
         set(itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))) - pts
     )
-    for k in range(1, len(extras) + 1):
+    for k in range(1, len(extras)):
         for combo in itertools.combinations(extras, k):
             if _is_connected(pts | frozenset(combo)):
                 return len(pts) + k
-    return box_size  # full box is connected; unreachable in practice
+    return box_size  # every proper subset of the extras failed, and the whole box is connected

@@ -71,7 +71,7 @@ def best_rate_mass(ensemble: GibbsEnsemble, rate: float) -> float:
     if not rate >= 0:
         raise ValueError(f"rate must be >= 0, got {rate}")
     count = 1 << int(min(ensemble.n_sites * rate, ensemble.n_sites))
-    return float(min(np.exp(ensemble.log_weights[:count]).sum(), 1.0))
+    return float(min(ensemble.weights[:count].sum(), 1.0))
 
 
 def lln_residual(ensemble: GibbsEnsemble, g: float, t: float) -> float:

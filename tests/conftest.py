@@ -122,9 +122,14 @@ def chain_rows(n_sites: int, J: float, h: float, lam: float,
     return sa.hamiltonian_rows(sa.preset_tfim(J, h, lam), volume, boundary)
 
 
+def all_rows(rows: sa.HamiltonianRows) -> np.ndarray:
+    """The whole matrix, as the generated rows of every index in order."""
+    return rows.rows(np.arange(rows.shape[0]))
+
+
 def chain_hamiltonian(n_sites: int, J: float, h: float, lam: float,
                       boundary_spin: int = 1) -> np.ndarray:
-    return chain_rows(n_sites, J, h, lam, boundary_spin).dense()
+    return all_rows(chain_rows(n_sites, J, h, lam, boundary_spin))
 
 
 def dense_ensemble(h: np.ndarray, beta: float) -> tuple[sa.GibbsEnsemble, np.ndarray]:

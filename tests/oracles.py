@@ -6,6 +6,7 @@ exhaustive configuration enumeration, typical windows from plain loops,
 decomposition fidelities from dense product-basis vectors and projectors.
 """
 
+import functools
 import itertools
 import math
 
@@ -257,6 +258,25 @@ def embed_block(op: np.ndarray, positions, n: int) -> np.ndarray:
     rest = (2**n - 1) & ~sum(1 << (n - 1 - p) for p in positions)
     same_rest = (index[:, None] & rest) == (index[None, :] & rest)
     return np.where(same_rest, op[pattern[:, None], pattern[None, :]], 0)
+
+
+def embedded_sum(volume, blocks) -> np.ndarray:
+    """Blocks ``(op, sites)`` embedded into the volume and summed in complex.
+
+    Each block's embedding is added in block order, starting from zero. A
+    diagonal entry instead sums the blocks' real diagonal contributions in
+    ascending order, starting from the smallest.
+    """
+    n = len(volume.sites)
+    pos = {s: i for i, s in enumerate(volume.sites)}
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    diagonals = []
+    for op, sites in blocks:
+        alone = embed_block(np.asarray(op, dtype=complex), [pos[tuple(s)] for s in sites], n)
+        h += alone
+        diagonals.append(alone.diagonal().real)
+    np.fill_diagonal(h, functools.reduce(np.add, np.sort(diagonals, axis=0)))
+    return h
 
 
 def loop_assemble(model, volume, boundary) -> np.ndarray:

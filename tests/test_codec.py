@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,18 @@ class TestDecomposition:
                 sa.Decomposition(**decomposition_fields(**{field: np.array([1.5, -0.5])}))
             with pytest.raises(ValueError):
                 sa.Decomposition(**decomposition_fields(**{field: np.array([0.5, 0.5 + 1e-11])}))
+
+    @pytest.mark.parametrize("changes", [
+        {"weights": np.array([[0.5, 0.5]])},
+        {"phases": np.ones((2, 2), dtype=complex)},
+        {"sqrt_kappa": np.sqrt([[0.25, 0.75]])},
+        {"captured": np.array([0.25, 0.25, 0.5])},
+        {"captured": np.array([0.25, 0.25, 0.5]), "sqrt_kappa": np.sqrt([0.25, 0.25, 0.5])},
+    ], ids=["weights-matrix", "two-phase-rows", "sqrt-kappa-matrix", "captured-longer", "more-states-than-vectors"])
+    def test_bad_shapes_rejected(self, changes):
+        message = "need weights (m,), phases (3, m), captured and sqrt_kappa (dim,), dim <= m"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sa.Decomposition(**decomposition_fields(**changes))
 
     def test_nan_vector_rejected(self):
         # a vector's coordinates come from the phases and sqrt(kappa)

@@ -218,6 +218,27 @@ class TestTermDiagnostics:
         assert not (tmp_path / "out").exists()
 
 
+class TestRefusedCombinations:
+    """Keys valid alone but refused with what else the config says: exit 2, before any output."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("boundary_periods = 2\n", ["line 1: boundary_periods: only meaningful with boundary = cell"]),
+        ("boundary_cell = 1; -1\n", ["line 1: boundary_cell: only meaningful with boundary = cell"]),
+        ("boundary = all-down\nboundary_periods = 2\nboundary_cell = 1; -1\n",
+         ["line 2: boundary_periods: only meaningful with boundary = cell",
+          "line 3: boundary_cell: only meaningful with boundary = cell"]),
+        ("d = 2\n", ["line 1: d: the tfim preset is one-dimensional"]),
+    ], ids=["periods-without-cell", "cell-without-cell", "both-with-all-down", "tfim-in-2d"])
+    def test_exits_2_with_its_diagnostic(self, tmp_path, capsys, text, expected):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "volume = 1\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["config error: invalid config:", *expected]
+        assert not (tmp_path / "out").exists()
+
+
 GENERIC = "model = generic\n"
 ONE_SITE_TERM = GENERIC + "term.0.support = 0\nterm.0.classical = 0, 0\n"
 
@@ -719,7 +740,7 @@ class TestOtherSubcommands:
             "matrix-exponential eigenvalues", "classical enumeration entropy",
             "energy as log-partition derivative", "entropy-rate identity",
             *(f"{check}, {route}"
-              for check in ("values-only energies", "in-place solve", "generated rows against the dense matrix")
+              for check in ("values-only energies", "in-place solve")
               for route in ("parity blocks", "real form", "full solve")),
             "typical window filter", "codec round trip and fidelity",
         ]

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,10 @@ class TestGibbsEnsemble:
         with pytest.raises(ValueError):
             sa.gibbs_ensemble(sa.Spectrum(np.zeros(2)), 0.0)
 
+    def test_beta_must_be_finite(self):
+        with pytest.raises(ValueError, match=re.escape("beta must be finite, got inf")):
+            sa.gibbs_ensemble(sa.Spectrum(np.zeros(2)), np.inf)
+
     def test_unitary_invariance_of_weights(self):
         h = np.asarray(chain_hamiltonian(4, 1.0, 0.5, 0.3), dtype=complex)
         rng = np.random.default_rng(8)
@@ -292,6 +297,13 @@ class TestThermoDensities:
         ens = chain_ensemble(10, 1.0, 0.5, 0.2, beta=2.0)
         assert sa.thermo_densities(ens).identity_residual <= 1e-10
 
+    def test_inconsistent_log_partition_is_refused_with_its_residual(self):
+        # the weights stay normalized, but f is shifted by -1e-6 / (beta n): a residual of 1e-6 log2(e) / n
+        ens = sa.gibbs_ensemble(sa.Spectrum(np.array([-1.0, 0.0, 0.5, 2.0])), 1.3)
+        shifted = sa.GibbsEnsemble(ens.beta, ens.spectrum, ens.log_weights, ens.log_partition + 1e-6)
+        with pytest.raises(NumericError, match=r"^entropy-rate identity violated: residual 7\.21\de-07$"):
+            sa.thermo_densities(shifted)
+
 
 class TestImmutability:
     def test_ensemble_arrays_are_read_only(self):
@@ -366,6 +378,10 @@ class TestSpectrumValidation:
     def test_nan_energy_rejected(self):
         with pytest.raises(ValueError):
             sa.Spectrum(energies=np.array([0.0, np.nan]))
+
+    def test_matrix_of_energies_rejected(self):
+        with pytest.raises(ValueError, match="^energies must be a vector$"):
+            sa.Spectrum(energies=np.zeros((2, 2)))
 
     @pytest.mark.parametrize("energies", [[np.nan], [0.0, np.inf], [-np.inf, 0.0]], ids=["nan", "inf", "-inf"])
     def test_non_finite_energies_rejected(self, energies):

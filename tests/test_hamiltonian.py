@@ -1,4 +1,3 @@
-import functools
 import itertools
 import re
 from pathlib import Path
@@ -10,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 import spinaep as sa
 from spinaep.interaction import _translates, support_config_index
 
-from conftest import generic_models, traced_peak
+from conftest import all_rows, generic_models, traced_peak
 from oracles import (
-    bit_reversal, embed_block, index_spins, kron_chain_tfim, kron_site_op, loop_assemble, SX, SZ,
+    bit_reversal, embed_block, embedded_sum, index_spins, kron_chain_tfim, kron_site_op, loop_assemble,
+    SX, SZ,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -80,7 +80,7 @@ class TestBasisIndexing:
 
 def embed(op: np.ndarray, sites, volume: sa.Volume) -> np.ndarray:
     """``op`` on the given sites and the identity elsewhere, through the row generator."""
-    return sa.HamiltonianRows(volume, [(op, sites)]).dense()
+    return all_rows(sa.HamiltonianRows(volume, [(op, sites)]))
 
 
 class TestEmbedLocal:
@@ -312,15 +312,7 @@ class TestRealAccumulation:
         Each diagonal entry is the sum of the terms' real diagonal
         contributions in ascending order, as the assembly takes it.
         """
-        n = volume.n_sites
-        h = np.zeros((1 << n,) * 2, dtype=complex)
-        diagonals = []
-        for block, sites_in in sa.instantiate_terms(model, volume, boundary):
-            positions = [volume.index_of(s) for s in sites_in]
-            alone = embed_block(block.astype(complex), positions, n)
-            h += alone
-            diagonals.append(alone.diagonal().real)
-        np.fill_diagonal(h, functools.reduce(np.add, np.sort(diagonals, axis=0)))
+        h = embedded_sum(volume, sa.instantiate_terms(model, volume, boundary))
         return h if h.imag.any() else np.ascontiguousarray(h.real)
 
     @pytest.mark.parametrize("case, volume", [
@@ -346,7 +338,7 @@ class TestRealAccumulation:
     def test_cancelling_imaginary_parts_give_a_real_sum(self):
         volume = sa.chain(2)
         up = np.array([[0.0, 1j], [-1j, 0.0]])
-        h = sa.HamiltonianRows(volume, [(up, [(0,)]), (-up, [(0,)])]).dense()
+        h = all_rows(sa.HamiltonianRows(volume, [(up, [(0,)]), (-up, [(0,)])]))
         assert h.dtype == np.float64
         assert not h.any()
 
@@ -389,10 +381,10 @@ class TestTermOrder:
             config = sa.parse_config((Path(__file__).parent / "golden" / "dm.cfg").read_text())
             model, boundary = sa.build_interaction(config), sa.build_boundary(config)
         blocks = sa.instantiate_terms(model, volume, boundary)
-        h = sa.HamiltonianRows(volume, blocks).dense()
+        h = all_rows(sa.HamiltonianRows(volume, blocks))
         rng = np.random.default_rng(11)
         for _ in range(4):
-            shuffled = sa.HamiltonianRows(volume, [blocks[k] for k in rng.permutation(len(blocks))]).dense()
+            shuffled = all_rows(sa.HamiltonianRows(volume, [blocks[k] for k in rng.permutation(len(blocks))]))
             assert shuffled.dtype == h.dtype
             assert shuffled.tobytes() == h.tobytes()
 
@@ -402,26 +394,29 @@ def bits(a: np.ndarray) -> bytes:
     return np.asarray(a, dtype=complex).tobytes()
 
 
-def assert_rows_match_references(model, volume, boundary, seed: int = 0) -> None:
-    """Generated rows, plain and bit-reversed, equal the dense and the loop assembly bit for bit.
+def assert_rows_match(rows: sa.HamiltonianRows, reference: np.ndarray, seed: int = 0) -> None:
+    """Generated rows, plain and bit-reversed, equal the reference's bit for bit.
 
     The index sets are unsorted, with gaps: part of a permutation, every
     third index from the top, the last index alone, and all of them shuffled.
     """
-    rows = sa.hamiltonian_rows(model, volume, boundary)
-    dense = sa.assemble_hamiltonian(model, volume, boundary)
-    reference = loop_assemble(model, volume, boundary)
-    assert bits(dense) == bits(reference)
-    dim, rng = dense.shape[0], np.random.default_rng(seed)
-    mirror = bit_reversal(volume.n_sites)
+    dim, rng = reference.shape[0], np.random.default_rng(seed)
+    mirror = bit_reversal(dim.bit_length() - 1)
     for index in (rng.permutation(dim)[:max(1, dim // 3)], np.arange(dim)[::-3],
                   np.array([dim - 1]), rng.permutation(dim)):
         assert bits(rows.rows(index)) == bits(reference[index])
         assert bits(rows.rows(index, mirror)) == bits(reference[index][:, mirror])
 
 
+def assert_rows_match_references(model, volume, boundary, seed: int = 0) -> None:
+    """The model's generated rows and its dense assembly equal the loop assembly bit for bit."""
+    reference = loop_assemble(model, volume, boundary)
+    assert bits(sa.assemble_hamiltonian(model, volume, boundary)) == bits(reference)
+    assert_rows_match(sa.hamiltonian_rows(model, volume, boundary), reference, seed)
+
+
 class TestGeneratedRows:
-    """The row generator against the dense assembly and the entry-by-entry loop."""
+    """The row generator against the entry-by-entry loop and the sum of embedded blocks."""
 
     @pytest.mark.parametrize("case, volume", [
         ("tfim", sa.chain(5)),
@@ -448,12 +443,27 @@ class TestGeneratedRows:
         refusal.match(re.escape("row indices must be integers in [0, 1024)"))
         assert peak < 64 * 1024
 
+    def test_blocks_with_signed_zeros_on_unordered_sites(self):
+        # complex Hermitian blocks, one with signed zeros, one on sites listed out of order
+        hop = np.array([[0.0, complex(-0.0, 0.5)], [complex(-0.0, -0.5), complex(-0.0, 0.0)]])
+        bond = np.array([[1, 0, 0, 0], [0, -1, 2j, 0], [0, -2j, -1, 0.25], [0, 0, 0.25, 1]])
+        volume, blocks = sa.chain(3), [(hop, [(1,)]), (bond, [(2,), (0,)]), (hop, [(0,)])]
+        rows = sa.HamiltonianRows(volume, blocks)
+        assert rows.dtype == np.complex128
+        assert_rows_match(rows, embedded_sum(volume, blocks))
+
+    @pytest.mark.parametrize("volume, boundary", [
+        (sa.build_box((0, 0), (1, 1)), ALL_UP),
+        (sa.chain(3), sa.GroundStateConfig.uniform(2, +1)),
+    ], ids=["volume", "boundary"])
+    def test_terms_of_another_dimension_are_refused(self, volume, boundary):
+        with pytest.raises(ValueError, match=re.escape("interaction, volume, and boundary dimensions must agree")):
+            sa.instantiate_terms(sa.preset_tfim(1.0, 0.5, 0.2), volume, boundary)
+
     def test_empty_index_gives_no_rows(self):
         rows = sa.hamiltonian_rows(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(3), ALL_UP)
         assert rows.rows([]).shape == (0, 8)
 
-
-NEEL = sa.GroundStateConfig((2,), (+1, -1))
 
 
 class TestKeyTable:
@@ -487,52 +497,3 @@ class TestKeyTable:
         assert rows._keys.shape[0] * rows._steps.shape[1] > 256
         assert rows._keys.dtype == np.uint16
         assert_rows_match_references(model, volume, boundary)
-
-
-def golden_or_neel_model(case: str) -> tuple[sa.Interaction, sa.GroundStateConfig]:
-    """A golden config's model and boundary, or the TFIM chain pinned by the Neel cell."""
-    if case == "tfim-neel":
-        return sa.preset_tfim(1.0, 0.5, 0.2), NEEL
-    config = sa.parse_config((GOLDEN / f"{case}.cfg").read_text())
-    return sa.build_interaction(config), sa.build_boundary(config)
-
-
-class TestRowMajorFill:
-    """``dense()``, filled in place in row chunks, is the bytes of all the generated rows."""
-
-    @staticmethod
-    def assert_same_bytes(rows: sa.HamiltonianRows) -> None:
-        h = rows.dense()
-        assert h.flags.c_contiguous and h.dtype == rows.dtype
-        assert h.tobytes() == rows.rows(np.arange(rows.shape[0])).tobytes()
-
-    @pytest.mark.parametrize("case, volume", [
-        ("tfim", sa.chain(7)),
-        ("tfim-neel", sa.chain(7)),
-        ("dm", sa.chain(8)),
-        ("generic2d", sa.build_box((0, 0), (1, 2))),
-    ])
-    def test_golden_models(self, case, volume):
-        model, boundary = golden_or_neel_model(case)
-        self.assert_same_bytes(sa.hamiltonian_rows(model, volume, boundary))
-
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-    @given(generic_models())
-    def test_generic_models(self, case):
-        self.assert_same_bytes(sa.hamiltonian_rows(*case))
-
-    def test_blocks_that_are_not_symmetric(self):
-        # complex Hermitian blocks, one with signed zeros, on unordered sites: H.T is not H
-        hop = np.array([[0.0, complex(-0.0, 0.5)], [complex(-0.0, -0.5), complex(-0.0, 0.0)]])
-        bond = np.array([[1, 0, 0, 0], [0, -1, 2j, 0], [0, -2j, -1, 0.25], [0, 0, 0.25, 1]])
-        rows = sa.HamiltonianRows(sa.chain(3), [(hop, [(1,)]), (bond, [(2,), (0,)]), (hop, [(0,)])])
-        assert rows.dtype == np.complex128
-        self.assert_same_bytes(rows)
-
-    @pytest.mark.parametrize("case", ["tfim-neel", "dm"])
-    def test_fills_in_place(self, case):
-        model, boundary = golden_or_neel_model(case)
-        rows = sa.hamiltonian_rows(model, sa.chain(10), boundary)
-        h, peak = traced_peak(rows.dense)
-        # each chunk of rows is written in place, with no temporary copy of its rows
-        assert peak <= h.nbytes + 512 * 1024

@@ -17,7 +17,7 @@ import spinaep as sa
 from spinaep import _arrays, checks, gibbs
 from spinaep.cli import EXIT_NUMERIC, main
 from spinaep.errors import NumericError
-from conftest import IN_PLACE, as_rows, record_buffers, record_solves, rss_growth, traced_peak
+from conftest import IN_PLACE, all_rows, as_rows, record_buffers, record_solves, rss_growth, traced_peak
 from oracles import parity_blocks
 from test_parity_sectors import (ALL_UP, block_shapes, chain_rows_setup, golden_model,
                                  real_form_resident_bytes, symmetric_complex_model)
@@ -131,7 +131,7 @@ def test_nan_through_diagonalize_is_a_numeric_error(monkeypatch):
                          ids=["real", "complex"])
 def test_odd_block_survives_the_even_solve(model):
     rows = sa.hamiltonian_rows(model, sa.chain(7), ALL_UP)
-    even, odd = parity_blocks(rows.dense())
+    even, odd = parity_blocks(all_rows(rows))
     buffer, n_odd, _, _ = gibbs._row_pass(rows, conjugate=False)
     assert buffer.flags.f_contiguous and n_odd == odd.shape[0]
     upper = np.triu(buffer, 1)

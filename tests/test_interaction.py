@@ -372,6 +372,17 @@ class TestGroundStates:
 
 
 class TestLocalTermValidation:
+    @pytest.mark.parametrize("support, classical, quantum, message", [
+        (((0,),), np.zeros(4), np.zeros((2, 2)), "classical_part must have shape (2,), got (4,)"),
+        (((0,), (1,)), np.zeros(4), np.zeros((2, 2)), "quantum_part must have shape (4, 4), got (2, 2)"),
+        (((0,), (1,)), np.zeros(4), np.zeros(16), "quantum_part must have shape (4, 4), got (16,)"),
+        ((), np.zeros(1), np.zeros((1, 1)), "a term needs a nonempty support"),
+        (((0,), (0, 1)), np.zeros(4), np.zeros((4, 4)), "support sites have inconsistent dimensions"),
+    ], ids=["classical", "quantum", "quantum-vector", "no-sites", "mixed-d"])
+    def test_bad_shapes_rejected(self, support, classical, quantum, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sa.LocalTerm(support, classical, quantum)
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             sa.LocalTerm(
@@ -411,3 +422,19 @@ class TestLocalTermValidation:
     def test_support_out_of_order_rejected(self, support):
         with pytest.raises(ValueError, match="sites must be distinct and in ascending lexicographic order"):
             sa.LocalTerm(support=support, classical_part=np.zeros(4), quantum_part=np.zeros((4, 4)))
+
+
+class TestInteractionValidation:
+    ONSITE = sa.LocalTerm(((0,),), np.zeros(2), np.zeros((2, 2)))
+    BOND_2D = sa.LocalTerm(((0, 0), (1, 0)), np.zeros(4), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("terms, lam, message", [
+        ((), 0.2, "an interaction needs at least one term"),
+        ((ONSITE, BOND_2D), 0.2, "terms have inconsistent dimensions"),
+        ((ONSITE,), 1.0, "lam must lie in [0, 1), got 1.0"),
+        ((ONSITE,), -0.1, "lam must lie in [0, 1), got -0.1"),
+        ((ONSITE,), float("nan"), "lam must lie in [0, 1), got nan"),
+    ], ids=["no-terms", "mixed-d", "lam-one", "lam-negative", "lam-nan"])
+    def test_refused_with_its_message(self, terms, lam, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sa.Interaction(terms=terms, lam=lam)

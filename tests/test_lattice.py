@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -79,6 +80,36 @@ class TestConnectedSpan:
         # boxes past the 16 sites of the exhaustive search, which d = 1 does not need
         assert sa.connected_span_size(sites) == size
 
+    def test_whole_box_is_the_minimum(self):
+        # the one extra site is the whole rest of the box: no proper subset of the extras connects
+        assert sa.connected_span_size([(0, 0), (0, 2)]) == 3
+        assert min_connected_superset_size({(0, 0), (0, 2)}, (0, 0), (0, 2)) == 3
+
     def test_capability_bound(self):
-        with pytest.raises(CapabilityError):
+        message = "bounding box has 100 sites, beyond the search bound of 16"
+        with pytest.raises(CapabilityError, match=re.escape(message)):
             sa.connected_span_size([(0, 0), (9, 9)])
+
+    @pytest.mark.parametrize("sites, message", [
+        ([], "connected span of an empty site set is undefined"),
+        ([(0, 0), (1,)], "sites have inconsistent dimensions"),
+    ], ids=["empty", "mixed-d"])
+    def test_refused(self, sites, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sa.connected_span_size(sites)
+
+
+class TestRefusedVolumes:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: sa.build_box((0, 0), (1, -1)), "empty box: lo=(0, 0) hi=(1, -1)"),
+        (lambda: sa.build_box((0, 0), (1,)), "site (1,) has dimension 1, expected 2"),
+        (lambda: sa.build_hypercube(-1, 1), "n must be >= 0, got -1"),
+        (lambda: sa.build_hypercube(1, 0), "d must be >= 1, got 0"),
+        (lambda: sa.chain(0), "length must be >= 1, got 0"),
+        (lambda: sa.Volume(sites=(), d=1), "a volume must contain at least one site"),
+        (lambda: sa.Volume(sites=((0,), (0, 1)), d=1), "site (0, 1) has dimension 2, expected 1"),
+    ], ids=["empty-box", "box-corners-of-two-d", "negative-n", "zero-d", "empty-chain",
+            "empty-volume", "volume-mixed-d"])
+    def test_refused_with_its_message(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()

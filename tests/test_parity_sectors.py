@@ -22,7 +22,7 @@ import spinaep as sa
 from spinaep import checks, gibbs
 from spinaep._arrays import CHUNK_BYTES, chunk_rows
 from spinaep.hamiltonian import _bit_patterns
-from conftest import IN_PLACE, as_rows, record_buffers, record_solves, rss_growth, traced_peak
+from conftest import IN_PLACE, all_rows, as_rows, record_buffers, record_solves, rss_growth, traced_peak
 from oracles import bit_reversal, loop_assemble, parity_blocks, real_form
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -199,7 +199,7 @@ def test_tfim_chain_with_inexact_couplings_takes_the_parity_blocks(J, h_field, n
         sa.diagonalize(rows)
         assert [c.shape for c in eigvalsh_calls] == block_shapes(n_sites)
     else:
-        assert_blocks_match_dense(rows.dense(), eigvalsh_calls, n_sites)
+        assert_blocks_match_dense(all_rows(rows), eigvalsh_calls, n_sites)
 
 
 @pytest.mark.parametrize("n_sites", range(13))
@@ -368,11 +368,6 @@ class NudgedRows(sa.HamiltonianRows):
             out[i, column] = np.nextafter(out[i, column], np.inf)
         return out
 
-    def dense(self):
-        h = super().dense()
-        h[self.s, self.s] = np.nextafter(h[self.s, self.s], np.inf)
-        return h
-
 
 def recorded_solves(monkeypatch) -> list[tuple[np.dtype, tuple[int, ...]]]:
     """The dtype and shape of each in-place solve's input, recorded without a copy."""
@@ -393,7 +388,7 @@ def test_generator_failing_in_its_last_rows_frees_its_blocks_before_the_full_sol
     rows = sa.hamiltonian_rows(sa.preset_tfim(1.0, 0.5, 0.2), sa.chain(n_sites), ALL_UP)
     s = np.flatnonzero(np.arange(1 << n_sites) < bit_reversal(n_sites))[-1]
     nudged = NudgedRows(rows, s)
-    h = nudged.dense()
+    h = all_rows(nudged)
     buffers = record_buffers(monkeypatch)
     calls = recorded_solves(monkeypatch)
     allocate, live = gibbs.untouched_zeros, []

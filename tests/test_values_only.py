@@ -21,7 +21,7 @@ from spinaep import checks, gibbs
 from spinaep.cli import main
 from spinaep.errors import NumericError
 from spinaep.gibbs import TRACE_IDENTITY_K
-from conftest import as_rows
+from conftest import all_rows, as_rows
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EPS = np.finfo(float).eps
@@ -52,7 +52,7 @@ def rows(request) -> sa.HamiltonianRows:
 
 @pytest.fixture(scope="module")
 def hamiltonian(rows) -> np.ndarray:
-    return rows.dense()
+    return all_rows(rows)
 
 
 def tolerance(energies: np.ndarray) -> float:
@@ -77,7 +77,7 @@ def check_fails(monkeypatch, rows: sa.HamiltonianRows, energies: np.ndarray) -> 
 @pytest.mark.parametrize("case", sorted(VOLUMES))
 def test_injected_exact_spectrum_is_accepted(case, monkeypatch, eigvalsh_calls):
     rows = golden_rows(case, VOLUMES[case])
-    exact = checks._eigenpairs(rows.dense())[0].energies
+    exact = checks._eigenpairs(all_rows(rows))[0].energies
     assert not check_fails(monkeypatch, rows, exact)
     assert [a.shape for a in eigvalsh_calls] == SOLVES[case]
     # the injected spectrum is the one diagonalize returns
