@@ -11,23 +11,18 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import sys
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .codec import Decomposition, build_codebook, fidelity, make_decomposition
+from .codec import solve_volume, volume_result
 from .config import ExperimentConfig, build_boundary, build_interaction, override, parse_config
-from .errors import CapabilityError, ConfigError, NumericError, QubitCapError, SpinAepError
-from .gibbs import GibbsEnsemble, LOG2E, ThermoDensities, diagonalize, gibbs_ensemble, thermo_densities
-from .hamiltonian import hamiltonian_rows
-from .interaction import (
-    MAX_CELL_SITES, GroundStateConfig, Interaction, check_perturbation_bound, find_periodic_ground_states,
-)
+from .errors import ConfigError, NumericError, QubitCapError, SpinAepError
+from .gibbs import LOG2E
+from .interaction import GroundStateConfig, Interaction, model_warnings
 from .lattice import Volume, build_hypercube
-from .typicality import best_rate_mass, dimension_rate, lln_residual, typical_subspace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,53 +45,18 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _model_warnings(interaction: Interaction, boundary: GroundStateConfig) -> list[str]:
-    notes = []
-    try:
-        notes += [
-            f"term {r.term_index}: quantum norm {r.spectral_norm:.4g} exceeds the smallness bound {r.bound:.4g}"
-            for r in check_perturbation_bound(interaction) if not r.satisfied
-        ]
-    except CapabilityError:
-        notes.append("smallness bound not verified (search bound exceeded)")
-    try:
-        # every axis up to the longest period while that cell fits, else each axis up to its own
-        uniform = (max(2, *boundary.periods),) * boundary.d
-        bounds = uniform if math.prod(uniform) <= MAX_CELL_SITES else tuple(max(2, p) for p in boundary.periods)
-        ground_states = find_periodic_ground_states(interaction, bounds)
-        if boundary.minimal_form() not in ground_states:
-            notes.append("boundary configuration is not a classical ground state of the model")
-    except CapabilityError:
-        notes.append("boundary ground-state membership not verified (search bound exceeded)")
-    return notes
-
-
 def _set_up(config: ExperimentConfig, out_dir: Path, quiet: bool) -> tuple[Interaction, GroundStateConfig, list[Volume]]:
     """The model, its boundary and every volume; the model checks always run, and
     their warnings and the config's are printed unless ``quiet``. A volume over
     the qubit cap raises before ``out_dir`` is made or any volume solved."""
-    interaction = build_interaction(config)
-    boundary = build_boundary(config)
-    notes = [*config.warnings, *_model_warnings(interaction, boundary)]
+    interaction, boundary = build_interaction(config), build_boundary(config)
+    notes = [*config.warnings, *model_warnings(interaction, boundary)]
     if not quiet:
         for note in notes:
             print(f"warning: {note}", file=sys.stderr)
     volumes = [build_hypercube(n, config.d, max_qubits=config.max_qubits) for n in config.volumes]
     out_dir.mkdir(parents=True, exist_ok=True)
     return interaction, boundary, volumes
-
-
-def _run_volume(config: ExperimentConfig, interaction: Interaction,
-                boundary: GroundStateConfig, volume: Volume) -> tuple[GibbsEnsemble, ThermoDensities]:
-    ensemble = gibbs_ensemble(diagonalize(hamiltonian_rows(interaction, volume, boundary)), config.beta)
-    return ensemble, thermo_densities(ensemble)
-
-
-def _codec_inputs(config: ExperimentConfig, n: int, ens: GibbsEnsemble,
-                  densities: ThermoDensities) -> tuple[float, Decomposition]:
-    """Volume ``n``'s reference rate and its decomposition, seeded by the config seed and ``n``."""
-    h_ref = densities.h_bits if config.h_ref is None else config.h_ref
-    return h_ref, make_decomposition(ens, ens.dim, seed=np.random.default_rng([config.seed, n]))
 
 
 def _write_csv(path: Path, header: Iterable[str], rows: Iterable[tuple]) -> None:
@@ -109,42 +69,30 @@ def _write_csv(path: Path, header: Iterable[str], rows: Iterable[tuple]) -> None
 def run_sweep(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -> list[Path]:
     """Execute the configured sweep and write ``sweep.csv`` and ``aep.csv``."""
     interaction, boundary, volumes = _set_up(config, out_dir, quiet)
-    sweep_rows: list[tuple] = []
-    aep_rows: list[tuple] = []
-
     # Every volume is solved before the first decomposition, whose imports
     # would otherwise be resident during the later, larger solves.
     solved = []
     for n, volume in zip(config.volumes, volumes):
-        ens, densities = _run_volume(config, interaction, boundary, volume)
+        ens, densities = solve_volume(config, interaction, boundary, volume)
         solved.append((n, ens, densities))
         if not quiet:
-            print(
-                f"n={n} sites={ens.n_sites} S={densities.h_bits * ens.n_sites:.6f} bits "
-                f"h={densities.h_bits:.6f} bits/site"
-            )
+            print(f"n={n} sites={ens.n_sites} S={densities.h_bits * ens.n_sites:.6f} bits "
+                  f"h={densities.h_bits:.6f} bits/site")
 
-    for n, ens, densities in solved:
-        h_ref, decomposition = _codec_inputs(config, n, ens, densities)
-        volume_columns = (
-            n, ens.n_sites, config.beta, config.lam, densities.h_bits * ens.n_sites,
-            densities.f, densities.g, densities.h_bits, densities.identity_residual,
-        )
-        # The reference rate, best-rate and LLN columns depend on the volume only.
-        masses = [best_rate_mass(ens, rate) for rate in config.rates]
-        residuals = [lln_residual(ens, densities.g, t) for t in config.ts]
-        for delta in config.deltas:
-            sub = typical_subspace(ens, h_ref, delta)
-            dim_rate = dimension_rate(sub)
-            fid = fidelity(decomposition, sub)
-            length = build_codebook(sub).length if sub.dim else None
-            aep_rows.append((n, ens.n_sites, sub.h_ref, delta, sub.mass, sub.dim, dim_rate,
-                             *masses, *residuals))
-            window_columns = volume_columns + (delta, sub.dim, sub.mass, dim_rate)
-            for (rate, mass), (t, residual) in itertools.product(
-                zip(config.rates, masses), zip(config.ts, residuals)
-            ):
-                sweep_rows.append(window_columns + (rate, mass, t, residual, fid, length))
+    sweep_rows, aep_rows = [], []
+    for r in (volume_result(config, *args) for args in solved):
+        ens, d = r.ensemble, r.densities
+        volume_columns = (r.n, ens.n_sites, config.beta, config.lam, d.h_bits * ens.n_sites,
+                          d.f, d.g, d.h_bits, d.identity_residual)
+        for w in r.windows:
+            sub = w.subspace
+            aep_rows.append((r.n, ens.n_sites, sub.h_ref, sub.delta, sub.mass, sub.dim, w.dim_rate,
+                             *r.masses, *r.residuals))
+            window_columns = volume_columns + (sub.delta, sub.dim, sub.mass, w.dim_rate)
+            length = w.codebook.length if w.codebook else None
+            for (rate, mass), (t, residual) in itertools.product(zip(config.rates, r.masses),
+                                                                 zip(config.ts, r.residuals)):
+                sweep_rows.append(window_columns + (rate, mass, t, residual, w.fidelity, length))
 
     sweep_path = out_dir / "sweep.csv"
     _write_csv(sweep_path, SWEEP_COLUMNS, sweep_rows)
@@ -164,7 +112,7 @@ def run_spectrum(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False
     interaction, boundary, volumes = _set_up(config, out_dir, quiet)
     paths = []
     for n, volume in zip(config.volumes, volumes):
-        ens, _ = _run_volume(config, interaction, boundary, volume)
+        ens, _ = solve_volume(config, interaction, boundary, volume)
         path = out_dir / f"spectrum_n{n}.csv"
         log2k = ens.log_weights * LOG2E
         _write_csv(path, ("j", "energy", "log2_kappa"),
@@ -176,26 +124,20 @@ def run_spectrum(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False
 
 
 def run_codec_demo(config: ExperimentConfig, out_dir: Path, *, quiet: bool = False) -> list[Path]:
-    """Codebook and projection fidelity for the largest configured volume."""
+    """Codebook and projection fidelity of the first delta's window of the largest configured volume."""
     interaction, boundary, volumes = _set_up(config, out_dir, quiet)
     n = config.volumes[-1]
-    ens, densities = _run_volume(config, interaction, boundary, volumes[-1])
-    h_ref, decomposition = _codec_inputs(config, n, ens, densities)
-    delta = config.deltas[0]
-    sub = typical_subspace(ens, h_ref, delta)
-    if sub.dim == 0:
-        raise NumericError(f"empty typical subspace in codec-demo at n={n}, delta={delta:g}")
-    codebook = build_codebook(sub)
+    window = volume_result(config, n, *solve_volume(config, interaction, boundary, volumes[-1])).windows[0]
+    sub, codebook = window.subspace, window.codebook
+    if codebook is None:
+        raise NumericError(f"empty typical subspace in codec-demo at n={n}, delta={sub.delta:g}")
     path = out_dir / f"codebook_n{n}.txt"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in codebook.lines():
             fh.write(line + "\n")
-    fid = fidelity(decomposition, sub)
     if not quiet:
-        print(
-            f"n={n} sites={ens.n_sites} delta={delta:g} typical_dim={sub.dim} "
-            f"codeword_len={codebook.length} mass={sub.mass:.12f} fidelity={fid:.12f}"
-        )
+        print(f"n={n} sites={sub.n_sites} delta={sub.delta:g} typical_dim={sub.dim} "
+              f"codeword_len={codebook.length} mass={sub.mass:.12f} fidelity={window.fidelity:.12f}")
         print(f"wrote {path}")
     return [path]
 
@@ -248,13 +190,8 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{status:4s} {r.name}: {r.detail}")
             return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERIC
         config = _load_config(args)
-        out_dir = Path(config.out)
-        if args.command == "sweep":
-            run_sweep(config, out_dir, quiet=args.quiet)
-        elif args.command == "spectrum":
-            run_spectrum(config, out_dir, quiet=args.quiet)
-        else:
-            run_codec_demo(config, out_dir, quiet=args.quiet)
+        run = {"sweep": run_sweep, "spectrum": run_spectrum, "codec-demo": run_codec_demo}[args.command]
+        run(config, Path(config.out), quiet=args.quiet)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

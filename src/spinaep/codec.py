@@ -10,6 +10,7 @@ not stored: one FFT per row sums each eigenstate's captured mass in
 O(dim m log m) time and O(m) memory plus one chunk. A window's fidelity sums
 its captured masses, with neither a projector nor a product-basis vector.
 The tests and ``spinaep check`` pin it against the dense projector route.
+:func:`solve_volume`, then :func:`volume_result`, give every number the CLI prints.
 """
 
 from __future__ import annotations
@@ -21,9 +22,13 @@ from typing import Iterator
 import numpy as np
 
 from ._arrays import chunk_rows, readonly
+from .config import ExperimentConfig
 from .errors import EmptySubspaceError, InvalidCodewordError
-from .gibbs import GibbsEnsemble
-from .typicality import TypicalSubspace
+from .gibbs import GibbsEnsemble, ThermoDensities, diagonalize, gibbs_ensemble, thermo_densities
+from .hamiltonian import hamiltonian_rows
+from .interaction import GroundStateConfig, Interaction
+from .lattice import Volume
+from .typicality import TypicalSubspace, best_rate_mass, dimension_rate, lln_residual, typical_subspace
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,3 +216,47 @@ def fidelity(decomposition: Decomposition, subspace: TypicalSubspace) -> float:
     if 1 << subspace.n_sites != decomposition.captured.size:
         raise ValueError("subspace dimension does not match the decomposition")
     return float(np.sum(decomposition.captured[subspace.indices]))
+
+
+@dataclass(frozen=True, eq=False)
+class Window:
+    """One delta's typical window; ``dim_rate`` and ``codebook`` are ``None`` when it is empty."""
+
+    subspace: TypicalSubspace
+    dim_rate: float | None
+    fidelity: float
+    codebook: Codebook | None
+
+
+@dataclass(frozen=True, eq=False)
+class VolumeResult:
+    """Solved volume ``n`` of a config, with the best-rate mass of each rate,
+    the LLN residual of each ``t`` and the window of each delta, in config order."""
+
+    n: int
+    ensemble: GibbsEnsemble
+    densities: ThermoDensities
+    masses: tuple[float, ...]
+    residuals: tuple[float, ...]
+    windows: tuple[Window, ...]
+
+
+def solve_volume(config: ExperimentConfig, interaction: Interaction, boundary: GroundStateConfig,
+                 volume: Volume) -> tuple[GibbsEnsemble, ThermoDensities]:
+    """The volume's Gibbs ensemble at the config's beta, and its densities."""
+    ensemble = gibbs_ensemble(diagonalize(hamiltonian_rows(interaction, volume, boundary)), config.beta)
+    return ensemble, thermo_densities(ensemble)
+
+
+def volume_result(config: ExperimentConfig, n: int, ensemble: GibbsEnsemble,
+                  densities: ThermoDensities) -> VolumeResult:
+    """Volume ``n``'s result: windows centred on ``config.h_ref``, else on the volume's
+    rate, their fidelities from one decomposition seeded by the config seed and ``n``."""
+    h_ref = densities.h_bits if config.h_ref is None else config.h_ref
+    decomposition = make_decomposition(ensemble, ensemble.dim, seed=np.random.default_rng([config.seed, n]))
+    masses = tuple(best_rate_mass(ensemble, rate) for rate in config.rates)
+    residuals = tuple(lln_residual(ensemble, densities.g, t) for t in config.ts)
+    subspaces = [typical_subspace(ensemble, h_ref, delta) for delta in config.deltas]
+    return VolumeResult(n, ensemble, densities, masses, residuals, tuple(
+        Window(sub, dimension_rate(sub), fidelity(decomposition, sub), build_codebook(sub) if sub.dim else None)
+        for sub in subspaces))

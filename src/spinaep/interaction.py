@@ -318,3 +318,21 @@ def find_periodic_ground_states(interaction: Interaction, max_periods: tuple[int
     minimal = [GroundStateConfig(periods, tuple(row.tolist())) for periods, spins, densities in scanned
                for row in spins[densities <= best + GROUND_STATE_TIE_TOL]]
     return sorted(minimal, key=lambda s: (s.periods, s.cell_values))
+
+
+def model_warnings(interaction: Interaction, boundary: GroundStateConfig) -> list[str]:
+    """The smallness bound and the boundary's ground-state membership, as warning texts."""
+    try:
+        notes = [f"term {r.term_index}: quantum norm {r.spectral_norm:.4g} exceeds the smallness bound {r.bound:.4g}"
+                 for r in check_perturbation_bound(interaction) if not r.satisfied]
+    except CapabilityError:
+        notes = ["smallness bound not verified (search bound exceeded)"]
+    try:
+        # every axis up to the longest period while that cell fits, else each axis up to its own
+        uniform = (max(2, *boundary.periods),) * boundary.d
+        bounds = uniform if math.prod(uniform) <= MAX_CELL_SITES else tuple(max(2, p) for p in boundary.periods)
+        if boundary.minimal_form() not in find_periodic_ground_states(interaction, bounds):
+            notes.append("boundary configuration is not a classical ground state of the model")
+    except CapabilityError:
+        notes.append("boundary ground-state membership not verified (search bound exceeded)")
+    return notes

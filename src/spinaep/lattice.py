@@ -10,6 +10,7 @@ stores one.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -91,9 +92,7 @@ def build_box(lo: Site, hi: Site, *, max_qubits: int = DEFAULT_QUBIT_CAP) -> Vol
     hi = _check_site(hi, len(lo))
     if any(h < l for l, h in zip(lo, hi)):
         raise ValueError(f"empty box: lo={lo} hi={hi}")
-    n_sites = 1
-    for l, h in zip(lo, hi):
-        n_sites *= h - l + 1
+    n_sites = math.prod(h - l + 1 for l, h in zip(lo, hi))
     if n_sites > max_qubits:
         raise QubitCapError(
             f"box {lo}..{hi} has {n_sites} sites, exceeding the qubit cap of {max_qubits}"
@@ -125,8 +124,7 @@ def _l1_neighbors(site: Site) -> Iterable[Site]:
 
 
 def _is_connected(sites: frozenset[Site]) -> bool:
-    it = iter(sites)
-    start = next(it)
+    start = next(iter(sites))
     seen = {start}
     frontier = [start]
     while frontier:
@@ -158,9 +156,7 @@ def connected_span_size(sites: Iterable[Site]) -> int:
     hi = tuple(max(p[i] for p in pts) for i in range(d))
     if d == 1:
         return hi[0] - lo[0] + 1
-    box_size = 1
-    for l, h in zip(lo, hi):
-        box_size *= h - l + 1
+    box_size = math.prod(h - l + 1 for l, h in zip(lo, hi))
     if box_size > MAX_SPAN_SEARCH_SITES:
         raise CapabilityError(
             f"bounding box has {box_size} sites, beyond the search bound of {MAX_SPAN_SEARCH_SITES}"

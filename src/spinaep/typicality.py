@@ -1,8 +1,8 @@
 """Typical subspaces and concentration diagnostics for Gibbs ensembles.
 
 A state is delta-typical when its log2 weight per site sits within delta of
-a reference entropy rate ``h_ref``, which the caller passes: the CLI passes
-the volume's own entropy rate unless the config fixes one.
+a reference entropy rate ``h_ref``, which the caller passes: ``volume_result``
+passes the volume's own entropy rate unless the config fixes one.
 """
 
 from __future__ import annotations

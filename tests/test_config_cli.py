@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spinaep as sa
-from spinaep import cli, typicality
+from spinaep import cli, codec, interaction, typicality
 from spinaep.cli import main
 from spinaep.config import _KEYS
 from spinaep.errors import ConfigError
@@ -185,7 +185,7 @@ class TestParseConfig:
     def test_shipped_config_builds_without_warnings(self, text):
         config = sa.parse_config(text)
         assert config.warnings == ()
-        assert cli._model_warnings(sa.build_interaction(config), sa.build_boundary(config)) == []
+        assert interaction.model_warnings(sa.build_interaction(config), sa.build_boundary(config)) == []
 
 
 class TestTermDiagnostics:
@@ -458,18 +458,18 @@ class TestSweep:
         assert (tmp_path / "o1" / "sweep.csv").read_bytes() == (tmp_path / "o2" / "sweep.csv").read_bytes()
 
     def test_progress_line_follows_each_solve(self, tmp_path, monkeypatch, capsys):
-        solve, decompose = cli._run_volume, cli.make_decomposition
+        solve, decompose = cli.solve_volume, codec.make_decomposition
 
-        def marked_solve(config, interaction, boundary, volume):
+        def marked_solve(config, model, boundary, volume):
             print(f"solving n={volume.sites[-1][0]}")  # the hypercube [-n, n]^d
-            return solve(config, interaction, boundary, volume)
+            return solve(config, model, boundary, volume)
 
         def marked_decompose(ensemble, *args, **kwargs):
             print(f"decomposing sites={ensemble.n_sites}")
             return decompose(ensemble, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_run_volume", marked_solve)
-        monkeypatch.setattr(cli, "make_decomposition", marked_decompose)
+        monkeypatch.setattr(cli, "solve_volume", marked_solve)
+        monkeypatch.setattr(codec, "make_decomposition", marked_decompose)
         config = sa.parse_config(GOLDEN_TFIM.read_text(encoding="utf-8"))
         cli.run_sweep(config, tmp_path)
         volumes = {row["n"]: row for row in rows_of(GOLDEN_TFIM.with_suffix("") / "sweep.csv")}
@@ -486,7 +486,7 @@ class TestSweep:
 
     def test_cap_in_a_later_volume_exits_before_any_codec_work(self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "make_decomposition", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(codec, "make_decomposition", lambda *args, **kwargs: calls.append(args))
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(ISING_CONFIG, encoding="utf-8")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
@@ -502,12 +502,12 @@ class TestSweep:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         probe = (
             "import sys\n"
-            "from spinaep import cli\n"
-            "loaded, solve = [], cli.gibbs_ensemble\n"
+            "from spinaep import cli, codec\n"
+            "loaded, solve = [], codec.gibbs_ensemble\n"
             "def probed(*args, **kwargs):\n"
             "    loaded.append('numpy.random' in sys.modules)\n"
             "    return solve(*args, **kwargs)\n"
-            "cli.gibbs_ensemble = probed\n"
+            "codec.gibbs_ensemble = probed\n"
             "assert cli.main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2], '--quiet']) == 0\n"
             "print(loaded)\n"
         )
@@ -528,7 +528,7 @@ class TestVolumeColumns:
                 calls[name] += 1
                 return original(*args)
 
-            for module in (typicality, cli):
+            for module in (typicality, codec):
                 monkeypatch.setattr(module, name, counted, raising=False)
         assert main(["sweep", "--config", str(GOLDEN_TFIM), "--out", str(tmp_path), "--quiet"]) == 0
         # 3 volumes x 2 rates and 3 volumes x 2 times, whatever the 2 deltas;
@@ -636,8 +636,9 @@ class TestSetUp:
                                                             command, warning):
         calls = []
         for name in ("check_perturbation_bound", "find_periodic_ground_states"):
-            check = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda *args, check=check: calls.append(check.__name__) or check(*args))
+            check = getattr(interaction, name)
+            monkeypatch.setattr(interaction, name,
+                                lambda *args, check=check: calls.append(check.__name__) or check(*args))
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(WARNED_CONFIGS[warning], encoding="utf-8")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
@@ -661,7 +662,7 @@ class TestSetUp:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_cap_in_the_last_volume_exits_3_before_any_solve(self, tmp_path, capsys, monkeypatch, command):
         calls = []
-        monkeypatch.setattr(cli, "gibbs_ensemble", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(codec, "gibbs_ensemble", lambda *args, **kwargs: calls.append(args))
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(ISING_CONFIG + "volume = 6\n", encoding="utf-8")  # 3, 5 and 13 sites
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 3
@@ -699,13 +700,13 @@ class TestOtherSubcommands:
         sweep.csv rows of the last volume and the first delta, from the same
         seeded decomposition."""
         made = []
-        decompose = cli.make_decomposition
+        decompose = codec.make_decomposition
 
         def recorded(*args, **kwargs):
             made.append(decompose(*args, **kwargs))
             return made[-1]
 
-        monkeypatch.setattr(cli, "make_decomposition", recorded)
+        monkeypatch.setattr(codec, "make_decomposition", recorded)
         golden = GOLDEN_TFIM.with_name("dm.cfg")
         for command in ("sweep", "codec-demo"):
             assert main([command, "--config", str(golden), "--out", str(tmp_path / command), "--seed", "7"]) == 0
@@ -816,7 +817,7 @@ class TestAllocationFailure:
         def refuse(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "diagonalize", refuse)
+        monkeypatch.setattr(codec, "diagonalize", refuse)
         assert main(["spectrum", "--config", str(GOLDEN_TFIM), "--out", str(tmp_path), "--quiet"]) == 3
         assert capsys.readouterr().err.splitlines() == [f"size limit: {message}"]
 

@@ -45,6 +45,34 @@ with contextlib.redirect_stderr(sys.stdout):
                 sys.exit(f"spinaep {command} on {case} failed")
 """
 
+# sweep.csv of each config named on the command line, its rows built here
+# from the library's per-volume results and formatted by the CLI's _fmt
+_LIBRARY_ROWS_SCRIPT = """
+import sys
+from spinaep import build_boundary, build_hypercube, build_interaction, parse_config
+from spinaep.cli import SWEEP_COLUMNS, _fmt
+from spinaep.codec import solve_volume, volume_result
+
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as fh:
+        config = parse_config(fh.read())
+    interaction, boundary = build_interaction(config), build_boundary(config)
+    print(",".join(SWEEP_COLUMNS))
+    for n in config.volumes:
+        volume = build_hypercube(n, config.d, max_qubits=config.max_qubits)
+        r = volume_result(config, n, *solve_volume(config, interaction, boundary, volume))
+        ens, d = r.ensemble, r.densities
+        for w in r.windows:
+            sub, length = w.subspace, w.codebook.length if w.codebook else None
+            for rate, mass in zip(config.rates, r.masses):
+                for t, residual in zip(config.ts, r.residuals):
+                    print(",".join(map(_fmt, (
+                        n, ens.n_sites, config.beta, config.lam, d.h_bits * ens.n_sites, d.f, d.g, d.h_bits,
+                        d.identity_residual, sub.delta, sub.dim, sub.mass, w.dim_rate, rate, mass, t, residual,
+                        w.fidelity, length,
+                    ))))
+"""
+
 
 def _run(*args: str) -> bytes:
     """The stdout of ``python args`` in a fresh interpreter at one BLAS thread, which must exit 0."""
@@ -93,3 +121,10 @@ def test_printed_text_matches_golden_byte_for_byte(cli_run):
 
 def test_check_output_matches_golden_byte_for_byte():
     assert run_check() == CHECK.read_bytes()
+
+
+def test_sweep_rows_from_the_library_results_match_goldens():
+    """The library's per-volume results hold every number of sweep.csv: rows
+    built from them and formatted by the CLI's ``_fmt`` are the golden bytes."""
+    produced = _run("-c", _LIBRARY_ROWS_SCRIPT, *(str(GOLDEN / f"{case}.cfg") for case in CASES))
+    assert produced == b"".join((GOLDEN / case / "sweep.csv").read_bytes() for case in CASES)
