@@ -7,11 +7,13 @@ passes the volume's own entropy rate unless the config fixes one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._arrays import readonly
+from .errors import NumericError
 from .gibbs import LOG2E, GibbsEnsemble, characteristic_function
 
 
@@ -80,7 +82,13 @@ def lln_residual(ensemble: GibbsEnsemble, g: float, t: float) -> float:
     Compares the characteristic function at ``t / n`` with ``exp(i t g)``,
     ``g`` being the ensemble's energy per site (``thermo_densities(...).g``);
     zero at ``t = 0``, and it shrinks with volume when energy fluctuations
-    stay extensive.
+    stay extensive. A phase ``t E_j / n`` or ``t g`` beyond the range of a
+    double would make it NaN, and raises :class:`NumericError` instead.
     """
+    energies = ensemble.spectrum.energies
+    # Python floats, whose products overflow to inf without a warning; the energies ascend
+    if not (math.isfinite(float(t) / ensemble.n_sites * float(max(-energies[0], energies[-1])))
+            and math.isfinite(float(t) * float(g))):
+        raise NumericError(f"LLN residual at t = {t:g}: a phase t E_j / n or t g overflows a double")
     phi = characteristic_function(ensemble, t / ensemble.n_sites)
     return float(abs(phi - np.exp(1j * t * g)))

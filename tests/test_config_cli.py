@@ -517,6 +517,20 @@ class TestSweep:
         assert proc.stdout.strip() == "[False, False, False]"
 
 
+class TestLlnOverflow:
+    """A time whose phase overflows a double is a numeric failure, not a NaN residual."""
+
+    @pytest.mark.parametrize("command", ["sweep", "codec-demo"])
+    def test_exits_4_naming_t_and_writes_nothing(self, tmp_path, capsys, command):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("model = tfim\nvolume = 1\nt = 1e308\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 4
+        assert capsys.readouterr() == ("", "numeric failure: LLN residual at t = 1e+308: "
+                                           "a phase t E_j / n or t g overflows a double\n")
+        assert list(out.iterdir()) == []
+
+
 class TestVolumeColumns:
     """The best-rate and LLN columns belong to a volume, the other aep.csv
     columns to one of its windows."""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,17 @@ class TestLlnResidual:
             lln_residual(exhibit_ensembles[n], 1.0) for n in sorted(exhibit_ensembles)
         ]
         assert all(a > b for a, b in zip(residuals, residuals[1:]))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_phase_overflow_raises_naming_t(self, sign):
+        # |E| = 2 on one site: the phase t E overflows just past t = max / 2, where numpy
+        # would warn and return NaN; up to there the residual is a finite number
+        ens = sa.gibbs_ensemble(sa.Spectrum(np.array([-2.0, 2.0])), beta=1.0)
+        edge = np.finfo(float).max / 2
+        assert 0.0 <= lln_residual(ens, sign * edge) <= 2.0
+        for t in (sign * float(np.nextafter(edge, np.inf)), sign * 1e308):
+            with pytest.raises(sa.NumericError, match=re.escape(f"LLN residual at t = {t:g}: ")):
+                lln_residual(ens, t)
 
 
 class TestWarmTemperatureTrends:
