@@ -9,6 +9,8 @@ warning on a golden path fails the run. They run without ``--quiet`` from
 the output directory with a relative ``--out <case>``: ``golden/stdout.txt``
 pins their stdout and stderr, each command's behind a ``$`` line naming it.
 ``golden/check.txt`` is the stdout of ``spinaep check``, run the same way.
+A last fresh interpreter builds each ``sweep.csv`` from the library's
+per-volume results, so the goldens also pin what the library returns.
 
 An intended change of output means regenerating the goldens on purpose, from
 the repository root, and saying so in CHANGES.md:
